@@ -266,6 +266,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
 
         events.clear();
         let _ = poller.wait(&mut events, Some(Duration::from_millis(25)));
+        let mut scratch = [0u8; dcws_net::READ_CHUNK];
         for ev in &events {
             let idx = ev.token as usize;
             let c = &mut clients[idx];
@@ -274,7 +275,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
             };
             if ev.readable || ev.hangup {
                 loop {
-                    match c.mb.fill_from(stream) {
+                    match c.mb.fill_from(stream, &mut scratch) {
                         Ok(0) => {
                             // Server closed us (threaded overflow drop).
                             let s = c.stream.take().unwrap();

@@ -1,20 +1,19 @@
-//! The multi-core front-end sweep: reactor shards × write path.
+//! The multi-core front-end sweep: reactor shards.
 //!
 //! PR "Multi-core front end" split the client-facing reactor into N
 //! `SO_REUSEPORT` shards (each with its own poller, conn slab, and
 //! listener) and replaced copy-on-serve writes with zero-copy vectored
 //! writes: the response head and the shared `Body` Arc go out through
-//! one `writev(2)` with no per-serve memcpy of the entity. This binary
-//! measures both axes against one real [`DcwsServer`] per arm:
+//! one `writev(2)` with no per-serve memcpy of the entity. (The
+//! copy-on-serve arm this binary used to sweep beside it showed parity
+//! and is gone.) This binary measures one real [`DcwsServer`] per arm:
 //!
 //! * **shards axis** — `NetConfig::reactor_shards` ∈ {1, 2, 4, 8}
 //!   (quick: {1, 4}): warm keep-alive GETs of a cached document,
 //!   back-to-back per connection, reported as completions/sec (CPS).
-//! * **write-path axis** — `reactor_copy_writes` off (vectored,
-//!   default) versus on (legacy memcpy of head+body into one buffer).
 //!   The server's own `body_copies` / `bodies_zero_copy` counters prove
-//!   which path ran: the vectored arm must finish with **zero** body
-//!   copies, the copy arm with more than zero.
+//!   how the bodies left: every arm must finish with **zero** body
+//!   copies and at least one zero-copy body.
 //! * **Sequoia arm** — one streamed serve of a multi-megabyte image
 //!   (over `stream_threshold_bytes`, chunk-refilled), reported as MB/s,
 //!   to show sharding leaves the large-object path intact.
@@ -22,12 +21,11 @@
 //! Outputs: `bench_results/corepress.csv`,
 //! `bench_results/BENCH_corepress.json`, and a per-arm table on stdout.
 //! `--quick` / `DCWS_BENCH_QUICK=1` is the CI gate: it **exits
-//! nonzero** unless every vectored arm served with zero body copies
-//! (and the copy arm with at least one), every arm accepted cleanly,
-//! and — only on hosts with ≥ 4 cores, where parallel speedup is
-//! physically possible — the 4-shard arm beats 1.5× the 1-shard CPS.
-//! On smaller hosts the scaling gate is skipped with an explicit note;
-//! the write-path gates are unconditional.
+//! nonzero** unless every arm served with zero body copies, every arm
+//! accepted cleanly, and — only on hosts with ≥ 4 cores, where parallel
+//! speedup is physically possible — the 4-shard arm beats 1.5× the
+//! 1-shard CPS. On smaller hosts the scaling gate is skipped with an
+//! explicit note; the write-path gates are unconditional.
 
 use dcws_bench::{fmt_thousands, write_csv};
 use dcws_core::{Json, MemStore, ServerConfig, ServerEngine};
@@ -80,7 +78,7 @@ const DOC_BYTES: usize = 8 * 1024;
 const DOC_REQ: &[u8] = b"GET /doc.html HTTP/1.1\r\nHost: bench\r\n\r\n";
 const SEQUOIA_REQ: &[u8] = b"GET /sequoia.jpg HTTP/1.1\r\nHost: bench\r\n\r\n";
 
-fn spawn_server(shards: usize, copy_writes: bool, sequoia_bytes: usize) -> DcwsServer {
+fn spawn_server(shards: usize, sequoia_bytes: usize) -> DcwsServer {
     let id = ServerId::new("placeholder:0");
     let mut engine = ServerEngine::new(
         id,
@@ -98,7 +96,6 @@ fn spawn_server(shards: usize, copy_writes: bool, sequoia_bytes: usize) -> DcwsS
     );
     let mut net = NetConfig::new(Duration::from_millis(500));
     net.reactor_shards = shards;
-    net.reactor_copy_writes = copy_writes;
     DcwsServer::spawn_with(engine, "127.0.0.1:0", net).expect("spawn server")
 }
 
@@ -116,7 +113,7 @@ fn get_one(stream: &mut TcpStream, mb: &mut MsgBuf, req: &[u8]) -> std::io::Resu
             }
             return Ok(resp.body.len());
         }
-        let n = mb.fill_from(stream)?;
+        let n = mb.fill_from(stream, &mut [0u8; dcws_net::READ_CHUNK])?;
         if n == 0 {
             return Err(std::io::Error::other("server closed mid-response"));
         }
@@ -226,7 +223,6 @@ fn drive(addr: SocketAddr, conns: usize, measure: Duration, req: &'static [u8]) 
 struct ArmResult {
     label: String,
     shards: usize,
-    write_path: &'static str,
     workload: &'static str,
     d: DriveResult,
     srv_accepted: u64,
@@ -237,12 +233,11 @@ struct ArmResult {
     srv_body_copies: u64,
 }
 
-fn run_arm(p: &Params, shards: usize, copy_writes: bool, streamed: bool) -> ArmResult {
-    let server = spawn_server(shards, copy_writes, p.sequoia_bytes);
+fn run_arm(p: &Params, shards: usize, streamed: bool) -> ArmResult {
+    let server = spawn_server(shards, p.sequoia_bytes);
     let addr = server.addr();
-    let write_path = if copy_writes { "copy" } else { "vectored" };
     let workload = if streamed { "sequoia" } else { "warm-get" };
-    let label = format!("{workload}/{write_path}/x{shards}");
+    let label = format!("{workload}/x{shards}");
 
     let d = if streamed {
         // Streamed serves pin a refill slot per connection; a few
@@ -256,7 +251,6 @@ fn run_arm(p: &Params, shards: usize, copy_writes: bool, streamed: bool) -> ArmR
     let result = ArmResult {
         label,
         shards,
-        write_path,
         workload,
         d,
         srv_accepted: rs.accepted.load(Ordering::Relaxed),
@@ -274,7 +268,6 @@ fn arm_json(a: &ArmResult) -> Json {
     Json::obj(vec![
         ("label", Json::from(a.label.as_str())),
         ("workload", Json::from(a.workload)),
-        ("write_path", Json::from(a.write_path)),
         ("shards", Json::from(a.shards as u64)),
         ("ok", Json::from(a.d.ok)),
         ("bytes", Json::from(a.d.bytes)),
@@ -304,7 +297,7 @@ fn main() {
         .unwrap_or(1);
 
     println!(
-        "corepress: shards {:?} × {{vectored, copy}} warm GETs ({} conns, {} B doc, {:?} window) + sequoia stream ({} MB), host cores: {cores}{}",
+        "corepress: shards {:?} warm GETs ({} conns, {} B doc, {:?} window) + sequoia stream ({} MB), host cores: {cores}{}",
         p.shards,
         p.conns,
         DOC_BYTES,
@@ -319,24 +312,22 @@ fn main() {
 
     let mut results: Vec<ArmResult> = Vec::new();
     for &shards in p.shards {
-        for copy_writes in [false, true] {
-            let r = run_arm(&p, shards, copy_writes, false);
-            println!(
-                "{:>22} {:>9} {:>9.1} {:>9} {:>10} {:>10} {:>9} {:>9}",
-                r.label,
-                fmt_thousands(r.d.cps()),
-                r.d.mb_per_s(),
-                fmt_thousands(r.d.ok as f64),
-                format!("{:?}", r.d.p50),
-                format!("{:?}", r.d.p99),
-                r.srv_bodies_zero_copy,
-                r.srv_body_copies,
-            );
-            results.push(r);
-        }
+        let r = run_arm(&p, shards, false);
+        println!(
+            "{:>22} {:>9} {:>9.1} {:>9} {:>10} {:>10} {:>9} {:>9}",
+            r.label,
+            fmt_thousands(r.d.cps()),
+            r.d.mb_per_s(),
+            fmt_thousands(r.d.ok as f64),
+            format!("{:?}", r.d.p50),
+            format!("{:?}", r.d.p99),
+            r.srv_bodies_zero_copy,
+            r.srv_body_copies,
+        );
+        results.push(r);
     }
     // The Sequoia streamed arm rides the widest shard config swept.
-    let sequoia = run_arm(&p, *p.shards.last().unwrap(), false, true);
+    let sequoia = run_arm(&p, *p.shards.last().unwrap(), true);
     println!(
         "{:>22} {:>9} {:>9.1} {:>9} {:>10} {:>10} {:>9} {:>9}",
         sequoia.label,
@@ -349,24 +340,23 @@ fn main() {
         sequoia.srv_body_copies,
     );
 
-    let cps_at = |shards: usize, path: &str| {
+    let cps_at = |shards: usize| {
         results
             .iter()
-            .find(|r| r.shards == shards && r.write_path == path)
+            .find(|r| r.shards == shards)
             .map(|r| r.d.cps())
     };
-    let scaling = match (cps_at(1, "vectored"), cps_at(4, "vectored")) {
+    let scaling = match (cps_at(1), cps_at(4)) {
         (Some(one), Some(four)) if one > 0.0 => Some(four / one),
         _ => None,
     };
     if let Some(s) = scaling {
-        println!("\n4-shard / 1-shard CPS (vectored): {s:.2}×");
+        println!("\n4-shard / 1-shard CPS: {s:.2}×");
     }
 
     // ---- artifacts ----------------------------------------------------
     let mut csv = vec![vec![
         "workload".into(),
-        "write_path".into(),
         "shards".into(),
         "ok".into(),
         "errors".into(),
@@ -384,7 +374,6 @@ fn main() {
     for r in results.iter().chain(std::iter::once(&sequoia)) {
         csv.push(vec![
             r.workload.into(),
-            r.write_path.into(),
             r.shards.to_string(),
             r.d.ok.to_string(),
             r.d.errors.to_string(),
@@ -455,23 +444,14 @@ fn main() {
                 r.label, r.srv_accept_errors
             ));
         }
-        if r.write_path == "vectored" && r.srv_body_copies > 0 {
+        if r.srv_body_copies > 0 {
             fail.push(format!(
-                "{}: vectored arm copied {} bodies (must be zero-copy)",
+                "{}: copied {} bodies (must be zero-copy)",
                 r.label, r.srv_body_copies
             ));
         }
-        if r.workload == "warm-get" && r.write_path == "vectored" && r.srv_bodies_zero_copy == 0 {
-            fail.push(format!(
-                "{}: vectored arm recorded no zero-copy bodies",
-                r.label
-            ));
-        }
-        if r.workload == "warm-get" && r.write_path == "copy" && r.srv_body_copies == 0 {
-            fail.push(format!(
-                "{}: copy arm recorded no body copies (A/B toggle inert?)",
-                r.label
-            ));
+        if r.workload == "warm-get" && r.srv_bodies_zero_copy == 0 {
+            fail.push(format!("{}: recorded no zero-copy bodies", r.label));
         }
     }
     // Scaling gate: parallel speedup needs parallel hardware. On hosts

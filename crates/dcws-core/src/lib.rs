@@ -68,7 +68,7 @@ pub use engine::{ServerEngine, TickOutput};
 pub use events::{EngineEvent, EventLog, EventRecord, RevokeReason};
 pub use json::{Json, JsonError};
 pub use naming::{decode_migrate_path, migrate_url, MigrateTarget, MIGRATE_PREFIX};
-pub use readpath::{ReadPath, ReadPathStats};
+pub use readpath::{ReadPath, ReadPathStats, Served};
 pub use serve::Outcome;
 pub use stats::EngineStats;
 pub use status::{HotDoc, PeerSummary, STATUS_HOT_DOCS, STATUS_RECENT_EVENTS};

@@ -45,7 +45,11 @@ pub struct MigrateTarget {
 /// document path; `Ok(None)` for ordinary paths, `Err` for a malformed
 /// `~migrate` path.
 pub fn decode_migrate_path(path: &str) -> Result<Option<MigrateTarget>> {
-    let Some(rest) = path.strip_prefix(&format!("/{MIGRATE_PREFIX}/")) else {
+    let Some(rest) = path
+        .strip_prefix('/')
+        .and_then(|p| p.strip_prefix(MIGRATE_PREFIX))
+        .and_then(|p| p.strip_prefix('/'))
+    else {
         return Ok(None);
     };
     // rest = "h_name/h_port/dir1/.../foo.html"

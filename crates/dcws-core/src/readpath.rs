@@ -12,8 +12,9 @@
 //! Three pieces:
 //!
 //! * a **sharded serve table** (`RwLock` per shard) mapping home-document
-//!   paths to prebuilt routes: a [`Body`]-backed document entry or a
-//!   ready-made `301` response. The table is *primed* by the engine's
+//!   paths to prebuilt routes: the wire head serialized once at prime
+//!   time plus the shared entity [`Body`], for a document's `200` or a
+//!   migrated document's `301`. The table is *primed* by the engine's
 //!   exclusive serve path on first serve and *invalidated* by every
 //!   mutation (publish, dirty settlement, migrate/revoke — including the
 //!   link-sources those dirty). Readers therefore see either the current
@@ -27,16 +28,19 @@
 //!   requests update migration statistics and the GLT within one tick
 //!   without ever taking the write lock themselves.
 //!
-//! Bodies are [`Body`] (`Arc<[u8]>`): a read-path hit clones a refcount,
-//! never the document bytes.
+//! Heads and bodies are [`Body`] (`Arc<[u8]>`): a plain `GET`/`HEAD` hit
+//! clones two refcounts into a [`Served`] and allocates nothing. Only the
+//! rare variants (`If-Modified-Since`, `Range`, piggybacked load reports)
+//! build a [`Response`] and serialize a head of their own.
 
 use crate::engine::coop_cache_key;
 use crate::naming::decode_migrate_path;
 use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
-    http_date, is_reserved_path, parse_http_date, Body, LoadReport, Method, Request, Response,
-    PIGGYBACK_HEADER,
+    apply_range_spec, http_date, is_reserved_path, parse_http_date, parse_response_head,
+    range_spec, Body, LoadReport, Method, Request, RequestHead, Response, Url, PIGGYBACK_HEADER,
+    RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,40 +57,83 @@ const ROUTE_OVERHEAD: u64 = 64;
 /// drops the report (counted) rather than growing without bound.
 const REPORT_MAILBOX_CAP: usize = 256;
 
+/// A read-path answer in wire form: the serialized head (status line,
+/// headers, blank line) and the entity that follows it. A front end sends
+/// `head` then `body` — for a `HEAD` request, `head` alone.
+#[derive(Debug, Clone)]
+pub struct Served {
+    /// Status line, headers and terminating blank line.
+    pub head: Body,
+    /// The entity; empty for bodyless statuses.
+    pub body: Body,
+}
+
+impl Served {
+    /// The wire form of `resp`.
+    pub fn from_response(resp: Response) -> Served {
+        Served {
+            head: resp.head_bytes().into(),
+            body: if resp.status.bodyless() {
+                Body::empty()
+            } else {
+                resp.body
+            },
+        }
+    }
+
+    /// Back to the message form, for callers that work on [`Response`]s.
+    pub fn into_response(self) -> Response {
+        // `Head` framing: the entity is `self.body`, not wire bytes to wait for.
+        let mut resp = parse_response_head(&self.head, Method::Head)
+            .ok()
+            .flatten()
+            .expect("a Served head is a serialized Response head")
+            .message
+            .resp;
+        resp.body = self.body;
+        resp
+    }
+
+    /// Append `Connection: close`, as `Response::with_header` would have
+    /// before serialization.
+    pub fn close_connection(&mut self) {
+        let fields = &self.head[..self.head.len() - 2];
+        self.head = [fields, b"Connection: close\r\n\r\n"].concat().into();
+    }
+}
+
 /// One primed route in the serve table.
 enum ServeRoute {
-    /// A home-resident document ready to serve: shared body, media type,
-    /// modification time, and the `Last-Modified` string prerendered so
-    /// the hot path does no date formatting.
-    Doc {
-        /// Shared document bytes.
-        body: Body,
-        /// MIME type.
-        content_type: String,
-        /// Modification time (engine ms) for `If-Modified-Since`.
-        modified_ms: u64,
-        /// Prerendered RFC 1123 form of `modified_ms`.
-        last_modified: String,
-    },
-    /// A migrated document: the prebuilt `301` to its co-op. Cloning the
-    /// response clones the notice body by refcount.
-    Moved(Response),
+    /// A home-resident document's `200`, its head (`Content-Length`,
+    /// `Content-Type`, `Last-Modified`) serialized at prime time, plus the
+    /// modification time (engine ms) `If-Modified-Since` compares against.
+    Doc { served: Served, modified_ms: u64 },
+    /// A migrated document: the prebuilt `301` to its co-op.
+    Moved(Served),
 }
 
 impl ServeRoute {
     /// Budget cost of this route under `path`.
     fn cost(&self, path: &str) -> u64 {
-        let inner = match self {
-            ServeRoute::Doc {
-                body,
-                content_type,
-                last_modified,
-                ..
-            } => body.len() + content_type.len() + last_modified.len(),
-            ServeRoute::Moved(resp) => resp.body.len() + 128,
-        };
-        path.len() as u64 + inner as u64 + ROUTE_OVERHEAD
+        let (ServeRoute::Doc { served, .. } | ServeRoute::Moved(served)) = self;
+        (path.len() + served.head.len() + served.body.len()) as u64 + ROUTE_OVERHEAD
     }
+}
+
+/// What the read path looks at in a request's header fields.
+#[derive(Default)]
+struct Wanted<'a> {
+    if_modified_since: Option<&'a str>,
+    range: Option<&'a str>,
+    /// The request piggybacks `X-DCWS-Load` reports.
+    has_load: bool,
+}
+
+/// A route's answer to one request: the prebuilt wire form, or a response
+/// built for this request alone (304, co-op copy).
+enum Hit {
+    Prebuilt(Served),
+    Built(Response),
 }
 
 /// One shard of the hit mailbox: `path -> (hits, bytes)`.
@@ -222,62 +269,109 @@ impl ReadPath {
     /// Try to serve `req` without the engine lock. `None` means the
     /// request needs the exclusive path (anything inter-server, any miss,
     /// any non-GET/HEAD) — hand it to `ServerEngine::handle_request`.
+    /// This is [`Self::serve`] for callers holding owned messages (spill
+    /// workers, the threaded front end, tests).
     pub fn try_serve(&self, req: &Request, _now_ms: u64) -> Option<Response> {
-        if req.method != Method::Get && req.method != Method::Head {
+        self.serve_parts(req.method, &req.target, req.headers.iter())
+            .map(Served::into_response)
+    }
+
+    /// [`Self::try_serve`] for a front end that parsed the request in
+    /// place, answering in wire form. A plain `GET`/`HEAD` of a primed
+    /// route allocates nothing.
+    pub fn serve(&self, req: &RequestHead<'_>) -> Option<Served> {
+        self.serve_parts(req.method, req.target, req.headers())
+    }
+
+    fn serve_parts<'a>(
+        &self,
+        method: Method,
+        target: &str,
+        headers: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+    ) -> Option<Served> {
+        if method != Method::Get && method != Method::Head {
             return self.fallback();
         }
         // Inter-server extension headers force the exclusive path —
         // except pure piggyback, whose GLT merge we defer to tick.
-        let mut has_load = false;
-        for (name, _) in req.headers.iter() {
-            if name.len() >= 7 && name[..7].eq_ignore_ascii_case("x-dcws-") {
+        let mut want = Wanted::default();
+        for (name, value) in headers.clone() {
+            if name.len() >= 7 && name.as_bytes()[..7].eq_ignore_ascii_case(b"x-dcws-") {
                 if name.eq_ignore_ascii_case(PIGGYBACK_HEADER) {
-                    has_load = true;
+                    want.has_load = true;
                 } else {
                     return self.fallback();
                 }
+            } else if name.eq_ignore_ascii_case("If-Modified-Since") {
+                want.if_modified_since.get_or_insert(value);
+            } else if name.eq_ignore_ascii_case(RANGE_HEADER) {
+                want.range.get_or_insert(value);
             }
         }
-        let Ok(url) = req.url() else {
+        let Ok(path) = Url::request_path(target) else {
             return self.fallback();
         };
-        let path = url.path();
+        let path = &*path;
         if is_reserved_path(path) {
             // The transport answers /dcws/* itself; never a fallback.
             return None;
         }
-        let resp = match decode_migrate_path(path) {
+        let hit = match decode_migrate_path(path) {
             Err(_) => return self.fallback(),
-            Ok(Some(t)) if t.home != self.id => self.serve_coop_hit(&t.home, &t.path, req),
-            Ok(Some(t)) => self.serve_table(&t.path, req),
-            Ok(None) => self.serve_table(path, req),
+            Ok(Some(t)) if t.home != self.id => self.serve_coop_hit(&t.home, &t.path, &want),
+            Ok(Some(t)) => self.serve_table(&t.path, &want),
+            Ok(None) => self.serve_table(path, &want),
         };
-        let Some(resp) = resp else {
+        let Some(hit) = hit else {
             return self.fallback();
         };
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         // Client GETs may carry a byte range; 304s pass through untouched
         // (If-Modified-Since wins). Bodies here are buffered snapshots —
         // large objects never enter the table (cost > shard budget) and
         // take the engine's streamed path instead.
-        let mut resp = dcws_http::apply_range(req, resp);
-        if has_load {
-            self.defer_reports(req);
+        let range = range_spec(method, want.range);
+        let resp = match hit {
+            Hit::Prebuilt(served) if range.is_none() && !want.has_load => return Some(served),
+            Hit::Prebuilt(served) => served.into_response(),
+            Hit::Built(resp) => resp,
+        };
+        let mut resp = apply_range_spec(range, resp);
+        if want.has_load {
+            self.defer_reports(
+                headers
+                    .filter(|(n, _)| n.eq_ignore_ascii_case(PIGGYBACK_HEADER))
+                    .map(|(_, v)| v),
+            );
             for r in self.published_reports() {
                 r.attach(&mut resp.headers);
             }
         }
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        Some(resp)
+        Some(Served::from_response(resp))
     }
 
     /// Count a declined request and return `None`.
-    fn fallback(&self) -> Option<Response> {
+    fn fallback(&self) -> Option<Served> {
         self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
         None
     }
 
+    /// The `304` for a copy last modified at `modified_ms`, when the
+    /// request's `If-Modified-Since` covers it.
+    fn not_modified(&self, want: &Wanted<'_>, modified_ms: u64) -> Option<Response> {
+        let since = want.if_modified_since.and_then(parse_http_date)?;
+        // HTTP dates have second granularity; compare at that grain.
+        if modified_ms / 1000 * 1000 > since {
+            return None;
+        }
+        self.counters
+            .conditional_not_modified
+            .fetch_add(1, Ordering::Relaxed);
+        Some(Response::not_modified().with_header("Last-Modified", &http_date(modified_ms)))
+    }
+
     /// A warm co-op copy, straight from the shared cache.
-    fn serve_coop_hit(&self, home: &ServerId, path: &str, req: &Request) -> Option<Response> {
+    fn serve_coop_hit(&self, home: &ServerId, path: &str, want: &Wanted<'_>) -> Option<Hit> {
         let key = coop_cache_key(home, path);
         // Peek first so a miss/negative doesn't skew the cache counters:
         // the engine fallback will run its own counted lookup.
@@ -290,20 +384,9 @@ impl ReadPath {
         if doc.negative {
             return None;
         }
-        let last_modified = http_date(doc.modified_ms);
-        if let Some(since) = req
-            .headers
-            .get("If-Modified-Since")
-            .and_then(parse_http_date)
-        {
-            // HTTP dates have second granularity; compare at that grain.
-            if doc.modified_ms / 1000 * 1000 <= since {
-                self.counters
-                    .conditional_not_modified
-                    .fetch_add(1, Ordering::Relaxed);
-                self.record_traffic(0);
-                return Some(Response::not_modified().with_header("Last-Modified", &last_modified));
-            }
+        if let Some(resp) = self.not_modified(want, doc.modified_ms) {
+            self.record_traffic(0);
+            return Some(Hit::Built(resp));
         }
         self.counters.served_coop.fetch_add(1, Ordering::Relaxed);
         if doc.stale {
@@ -314,54 +397,37 @@ impl ReadPath {
             .bytes_sent
             .fetch_add(doc.bytes.len() as u64, Ordering::Relaxed);
         self.record_traffic(doc.bytes.len() as u64);
-        Some(
-            Response::ok(doc.bytes, &doc.content_type).with_header("Last-Modified", &last_modified),
-        )
+        Some(Hit::Built(
+            Response::ok(doc.bytes, &doc.content_type)
+                .with_header("Last-Modified", &http_date(doc.modified_ms)),
+        ))
     }
 
     /// A primed home-document route from the serve table.
-    fn serve_table(&self, path: &str, req: &Request) -> Option<Response> {
-        let shard = self.table[self.shard_idx(path)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
+    fn serve_table(&self, path: &str, want: &Wanted<'_>) -> Option<Hit> {
+        let idx = self.shard_idx(path);
+        let shard = self.table[idx].read().unwrap_or_else(|e| e.into_inner());
         match shard.map.get(path)? {
-            ServeRoute::Moved(resp) => {
+            ServeRoute::Moved(served) => {
                 self.counters.redirects.fetch_add(1, Ordering::Relaxed);
-                self.record_traffic(resp.body.len() as u64);
-                Some(resp.clone())
+                self.record_traffic(served.body.len() as u64);
+                Some(Hit::Prebuilt(served.clone()))
             }
             ServeRoute::Doc {
-                body,
-                content_type,
+                served,
                 modified_ms,
-                last_modified,
             } => {
-                if let Some(since) = req
-                    .headers
-                    .get("If-Modified-Since")
-                    .and_then(parse_http_date)
-                {
-                    if modified_ms / 1000 * 1000 <= since {
-                        self.counters
-                            .conditional_not_modified
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.note_hit(path, 0);
-                        self.record_traffic(0);
-                        return Some(
-                            Response::not_modified().with_header("Last-Modified", last_modified),
-                        );
-                    }
+                if let Some(resp) = self.not_modified(want, *modified_ms) {
+                    self.note_hit(idx, path, 0);
+                    self.record_traffic(0);
+                    return Some(Hit::Built(resp));
                 }
+                let len = served.body.len() as u64;
                 self.counters.served_home.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_sent
-                    .fetch_add(body.len() as u64, Ordering::Relaxed);
-                self.note_hit(path, body.len() as u64);
-                self.record_traffic(body.len() as u64);
-                Some(
-                    Response::ok(body.clone(), content_type)
-                        .with_header("Last-Modified", last_modified),
-                )
+                self.counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
+                self.note_hit(idx, path, len);
+                self.record_traffic(len);
+                Some(Hit::Prebuilt(served.clone()))
             }
         }
     }
@@ -381,22 +447,38 @@ impl ReadPath {
 
     // ---- write-side hooks (called by the engine, under its lock) ----
 
-    /// Prime a document route.
+    /// Prime a document route; a no-op when the resident route already
+    /// serves these bytes with this modification time (the exclusive path
+    /// re-offers the route on every serve it handles, usually with the
+    /// very same `Body`, else with a fresh copy out of the store).
     pub(crate) fn install_doc(&self, path: &str, body: Body, content_type: &str, modified_ms: u64) {
+        let resident = self.table[self.shard_idx(path)]
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(ServeRoute::Doc {
+            served,
+            modified_ms: m,
+        }) = resident.map.get(path)
+        {
+            if *m == modified_ms && served.body == body {
+                return;
+            }
+        }
+        drop(resident);
+        let resp =
+            Response::ok(body, content_type).with_header("Last-Modified", &http_date(modified_ms));
         self.install(
             path,
             ServeRoute::Doc {
-                body,
-                content_type: content_type.to_string(),
+                served: Served::from_response(resp),
                 modified_ms,
-                last_modified: http_date(modified_ms),
             },
         );
     }
 
     /// Prime a moved (301) route.
     pub(crate) fn install_moved(&self, path: &str, resp: Response) {
-        self.install(path, ServeRoute::Moved(resp));
+        self.install(path, ServeRoute::Moved(Served::from_response(resp)));
     }
 
     fn install(&self, path: &str, route: ServeRoute) {
@@ -463,13 +545,19 @@ impl ReadPath {
 
     // ---- mailboxes ----
 
-    fn note_hit(&self, path: &str, bytes: u64) {
-        let mut hits = self.hits[self.shard_idx(path)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let e = hits.entry(path.to_string()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += bytes;
+    /// Tally a hit on `path`, whose shard index is `idx`.
+    fn note_hit(&self, idx: usize, path: &str, bytes: u64) {
+        let mut hits = self.hits[idx].lock().unwrap_or_else(|e| e.into_inner());
+        // The key is allocated on a path's first hit after a drain only.
+        match hits.get_mut(path) {
+            Some(e) => {
+                e.0 += 1;
+                e.1 += bytes;
+            }
+            None => {
+                hits.insert(path.to_string(), (1, bytes));
+            }
+        }
     }
 
     fn record_traffic(&self, bytes: u64) {
@@ -477,8 +565,9 @@ impl ReadPath {
         self.traffic_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn defer_reports(&self, req: &Request) {
-        for r in LoadReport::extract_all(&req.headers) {
+    /// Queue the decodable `X-DCWS-Load` `values` for the next tick.
+    fn defer_reports<'a>(&self, values: impl Iterator<Item = &'a str>) {
+        for r in values.filter_map(|v| LoadReport::decode(v).ok()) {
             if r.server == self.id.as_str() {
                 continue;
             }

@@ -72,6 +72,11 @@ fn readers_race_mutator_without_stale_or_failed_serves() {
         let clock = clock.clone();
         readers.push(std::thread::spawn(move || {
             let mut served = 0u64;
+            // Start once the mutator is running: a reader's quota is
+            // otherwise done before that thread has been scheduled.
+            while current.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             for i in r..r + REQUESTS_PER_READER {
                 let path = match i % 5 {
                     0 | 1 => VERSIONED,

@@ -232,3 +232,152 @@ fn read_path_serves_prebuilt_redirects_and_honors_revoke() {
     let back = e.handle_request(&req, 301).into_response().unwrap();
     assert_eq!(back.status, StatusCode::Ok);
 }
+
+/// Parse `req`'s wire form in place and serve it on the read path, as the
+/// reactor does.
+fn serve_borrowed(e: &ServerEngine, req: &Request) -> Option<dcws_core::Served> {
+    let wire = req.to_bytes();
+    let text = std::str::from_utf8(&wire).unwrap();
+    let head = dcws_http::RequestHead::parse(text, wire.len()).expect("valid request");
+    e.read_path().serve(&head)
+}
+
+/// For every document, the head the serve table prebuilt at prime time
+/// is byte for byte the head the exclusive path serializes for the same
+/// request — as are the read path's answers to the request variants that
+/// get a head of their own — and `try_serve` is the same answer in
+/// message form.
+fn assert_read_path_matches_exclusive(e: &mut ServerEngine, paths: &[&str], now: u64) {
+    for path in paths {
+        let plain = Request::get(*path);
+        // The exclusive serve primes (or re-primes) the route.
+        let primed = e.handle_request(&plain, now).into_response().unwrap();
+        let lm = primed.headers.get("Last-Modified").map(str::to_string);
+        let mut variants = vec![
+            plain.clone(),
+            Request::head(*path),
+            plain.clone().with_header("Range", "bytes=1-3"),
+            plain.clone().with_header("Range", "bytes=900000-"),
+            plain.clone().with_header("Connection", "close"),
+        ];
+        if let Some(lm) = &lm {
+            variants.push(plain.clone().with_header("If-Modified-Since", lm));
+        }
+        for req in &variants {
+            let want = e.handle_request(req, now).into_response().unwrap();
+            let got = serve_borrowed(e, req)
+                .unwrap_or_else(|| panic!("{path}: route not primed for {req:?}"));
+            assert_eq!(
+                String::from_utf8_lossy(&got.head),
+                String::from_utf8_lossy(&want.head_bytes()),
+                "{path}: head differs for {req:?}"
+            );
+            assert_eq!(got.body, want.body, "{path}: body differs for {req:?}");
+            assert_eq!(
+                e.read_path().try_serve(req, now).as_ref(),
+                Some(&want),
+                "{path}: try_serve differs for {req:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn prebuilt_heads_match_exclusive_path_across_invalidation() {
+    let cfg = ServerConfig {
+        stat_interval_ms: 100,
+        selection_threshold: 1,
+        min_cps_to_migrate: 0.0,
+        ..ServerConfig::paper_defaults()
+    };
+    let mut e = ServerEngine::new(
+        dcws_graph::ServerId::new("home:8080"),
+        cfg,
+        Box::new(MemStore::new()),
+    );
+    let peer = dcws_graph::ServerId::new("peer:8081");
+    e.add_peer(peer.clone());
+    let paths = ["/index.html", "/hot.html", "/img/logo.gif"];
+    e.publish(
+        "/index.html",
+        b"<a href=\"/hot.html\">hot</a><img src=\"/img/logo.gif\">".to_vec(),
+        DocKind::Html,
+        true,
+    );
+    e.publish(
+        "/hot.html",
+        b"<p>hot</p><a href=\"/index.html\">up</a>".to_vec(),
+        DocKind::Html,
+        false,
+    );
+    e.publish("/img/logo.gif", vec![0x47; 300], DocKind::Image, false);
+    assert_read_path_matches_exclusive(&mut e, &paths, 10);
+
+    // publish: the republished route and the documents linking to it
+    // are invalidated and re-primed with new heads.
+    e.publish(
+        "/hot.html",
+        b"<p>hotter, and longer than before</p>".to_vec(),
+        DocKind::Html,
+        false,
+    );
+    assert!(serve_borrowed(&e, &Request::get("/hot.html")).is_none());
+    assert_read_path_matches_exclusive(&mut e, &paths, 20);
+
+    // migrate: the document's route becomes the prebuilt 301.
+    for t in 0..40 {
+        e.handle_request(&Request::get("/hot.html"), 30 + t);
+    }
+    let out = e.tick(250);
+    assert!(!out.migrated.is_empty(), "migration expected");
+    assert_read_path_matches_exclusive(&mut e, &paths, 300);
+    let moved: Vec<_> = paths
+        .iter()
+        .filter_map(|p| serve_borrowed(&e, &Request::get(*p)))
+        .filter(|s| s.head.starts_with(b"HTTP/1.1 301"))
+        .collect();
+    assert!(!moved.is_empty(), "a migrated route serves a prebuilt 301");
+
+    // revoke: back to 200s from home.
+    e.declare_peer_dead(&peer);
+    assert_read_path_matches_exclusive(&mut e, &paths, 400);
+    for p in paths {
+        let s = serve_borrowed(&e, &Request::get(p)).unwrap();
+        assert!(s.head.starts_with(b"HTTP/1.1 200"), "{p} still moved");
+    }
+}
+
+/// The exclusive path offers the route again on every serve it handles;
+/// while the resident route holds the same body and modification time
+/// that is a no-op — the prebuilt head is not rebuilt.
+#[test]
+fn exclusive_reserve_does_not_reprime_an_unchanged_route() {
+    let mut e = engine("home:8080");
+    e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
+    let req = Request::get("/doc.html");
+    e.handle_request(&req, 0).into_response().unwrap();
+    let first = serve_borrowed(&e, &req).unwrap();
+    for t in 1..5 {
+        e.handle_request(&req, t).into_response().unwrap();
+    }
+    let again = serve_borrowed(&e, &req).unwrap();
+    assert!(first.head.ptr_eq(&again.head), "route was re-primed");
+    assert!(first.body.ptr_eq(&again.body));
+    assert_eq!(e.read_path().snapshot().table_entries, 1);
+}
+
+/// A shutting-down front end appends `Connection: close` to whatever the
+/// read path served, exactly where `Response::with_header` would put it.
+#[test]
+fn close_connection_matches_with_header() {
+    let mut e = engine("home:8080");
+    e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
+    let req = Request::get("/doc.html");
+    let resp = e.handle_request(&req, 0).into_response().unwrap();
+    let mut served = serve_borrowed(&e, &req).unwrap();
+    served.close_connection();
+    assert_eq!(
+        &served.head[..],
+        &resp.with_header("Connection", "close").head_bytes()[..]
+    );
+}

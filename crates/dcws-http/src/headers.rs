@@ -18,7 +18,7 @@ fn name_eq(a: &str, b: &str) -> bool {
 }
 
 /// Returns true if `name` is a valid RFC 2616 token.
-fn valid_name(name: &str) -> bool {
+pub(crate) fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.bytes().all(|b| {
             b.is_ascii_alphanumeric()
@@ -43,7 +43,7 @@ fn valid_name(name: &str) -> bool {
 }
 
 /// Returns true if `value` contains no CR/LF (header injection guard).
-fn valid_value(value: &str) -> bool {
+pub(crate) fn valid_value(value: &str) -> bool {
     !value.bytes().any(|b| b == b'\r' || b == b'\n')
 }
 
@@ -78,6 +78,13 @@ impl Headers {
         }
         self.entries.push((name, value));
         Ok(())
+    }
+
+    /// Append a field that [`valid_name`] and [`valid_value`] have
+    /// already passed (the head parser checks while it scans).
+    pub(crate) fn push_validated(&mut self, name: &str, value: &str) {
+        debug_assert!(valid_name(name) && valid_value(value));
+        self.entries.push((name.to_string(), value.to_string()));
     }
 
     /// Replace all fields named `name` with a single field.
@@ -116,7 +123,7 @@ impl Headers {
     }
 
     /// Iterate `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
         self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
 

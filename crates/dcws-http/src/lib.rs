@@ -56,12 +56,12 @@ pub use integrity::{body_checksum, checksum_matches, RollingChecksum, CHECKSUM_H
 pub use method::Method;
 pub use parser::{
     parse_request, parse_response, parse_response_head, request_wire_len, response_wire_len,
-    Parsed, ResponseHead,
+    Parsed, RequestHead, ResponseHead,
 };
 pub use piggyback::{LoadReport, PIGGYBACK_HEADER};
 pub use range::{
-    apply_range, content_range, content_range_unsatisfied, parse_range, requested_range, RangeSpec,
-    ResolvedRange, RANGE_HEADER,
+    apply_range, apply_range_spec, content_range, content_range_unsatisfied, parse_range,
+    range_spec, requested_range, RangeSpec, ResolvedRange, RANGE_HEADER,
 };
 pub use request::Request;
 pub use reserved::{is_reserved_path, RESERVED_PREFIX, STATUS_PATH};

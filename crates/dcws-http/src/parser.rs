@@ -7,12 +7,13 @@
 //! messages can follow in the same buffer.
 
 use crate::error::{HttpError, Result};
-use crate::headers::Headers;
+use crate::headers::{valid_name, valid_value, Headers};
 use crate::method::Method;
 use crate::request::Request;
 use crate::response::Response;
 use crate::status::StatusCode;
 use crate::Version;
+use std::borrow::Cow;
 
 /// Maximum size of the head (start line + headers) we accept, to bound
 /// memory on malicious input.
@@ -36,6 +37,13 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
+/// A header line's `(name, value)`, trimmed as [`Headers`] stores them;
+/// `None` for a line without a colon.
+fn split_field(line: &str) -> Option<(&str, &str)> {
+    let (name, value) = line.split_once(':')?;
+    Some((name.trim_end(), value.trim()))
+}
+
 /// Split the head into lines, parse header fields into `Headers`.
 fn parse_header_lines(lines: std::str::Lines<'_>) -> Result<Headers> {
     let mut headers = Headers::new();
@@ -43,29 +51,18 @@ fn parse_header_lines(lines: std::str::Lines<'_>) -> Result<Headers> {
         if line.is_empty() {
             continue;
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadHeader(line.to_string()))?;
-        headers.insert(name.trim_end(), value.trim())?;
+        let (name, value) =
+            split_field(line).ok_or_else(|| HttpError::BadHeader(line.to_string()))?;
+        headers.insert(name, value)?;
     }
     Ok(headers)
 }
 
 /// Common head handling: locate head end, decode to UTF-8-ish text.
-fn head_text(buf: &[u8]) -> Result<Option<(String, usize)>> {
-    let head_end = match find_head_end(buf) {
-        Some(e) => e,
-        None => {
-            if buf.len() > MAX_HEAD_BYTES {
-                return Err(HttpError::TooLarge {
-                    what: "head",
-                    limit: MAX_HEAD_BYTES,
-                });
-            }
-            return Ok(None);
-        }
-    };
-    if head_end > MAX_HEAD_BYTES {
+/// The text borrows `buf` unless lossy decoding had to replace bytes.
+fn head_text(buf: &[u8]) -> Result<Option<(Cow<'_, str>, usize)>> {
+    let end = find_head_end(buf);
+    if end.unwrap_or(buf.len()) > MAX_HEAD_BYTES {
         return Err(HttpError::TooLarge {
             what: "head",
             limit: MAX_HEAD_BYTES,
@@ -73,8 +70,7 @@ fn head_text(buf: &[u8]) -> Result<Option<(String, usize)>> {
     }
     // HTTP heads are ASCII; lossy decoding maps stray bytes to U+FFFD which
     // then fail token validation downstream.
-    let text = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    Ok(Some((text, head_end)))
+    Ok(end.map(|end| (String::from_utf8_lossy(&buf[..end]), end)))
 }
 
 /// Extract a body of `len` bytes following the head, if fully buffered.
@@ -103,22 +99,119 @@ fn framed_body_len(headers: &Headers) -> Result<usize> {
     Ok(len)
 }
 
+/// A request head parsed in place: method, target, version and header
+/// fields are slices of the head text, so parsing allocates nothing.
+/// Everything [`parse_request`] rejects — a malformed request line, an
+/// unknown method or version, a header line without a colon, an invalid
+/// field name, CR in a value, an unparsable or oversize
+/// `Content-Length` — [`RequestHead::parse`] rejects with the same error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestHead<'a> {
+    /// Request method.
+    pub method: Method,
+    /// Request target exactly as it appeared on the request line.
+    pub target: &'a str,
+    /// Protocol version.
+    pub version: Version,
+    /// The validated header lines (everything after the request line).
+    fields: &'a str,
+    wire_len: usize,
+}
+
+impl<'a> RequestHead<'a> {
+    /// Parse head `text` — the decoded bytes up to and including the
+    /// blank line — which occupied `head_len` bytes of the buffer (the
+    /// two lengths differ only when lossy decoding replaced bytes).
+    pub fn parse(text: &'a str, head_len: usize) -> Result<RequestHead<'a>> {
+        // `str::lines` semantics: lines end at `\n`, one trailing `\r`
+        // is dropped, a bare `\r` stays in its line.
+        let (start, fields) = text.split_once('\n').unwrap_or((text, ""));
+        let start = start.strip_suffix('\r').unwrap_or(start);
+        let mut parts = start.split(' ');
+        let (m, target, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(t), Some(v), None) if !t.is_empty() => (m, t, v),
+            _ => return Err(HttpError::BadRequestLine(start.to_string())),
+        };
+        let method = Method::parse(m)?;
+        let version = Version::parse(v)?;
+        let mut content_length = None;
+        for line in fields.lines().filter(|l| !l.is_empty()) {
+            let (name, value) =
+                split_field(line).ok_or_else(|| HttpError::BadHeader(line.to_string()))?;
+            if !valid_name(name) {
+                return Err(HttpError::BadHeader(name.to_string()));
+            }
+            if !valid_value(value) {
+                return Err(HttpError::BadHeader(format!("{name}: {value}")));
+            }
+            if content_length.is_none() && name.eq_ignore_ascii_case("Content-Length") {
+                content_length = Some(value);
+            }
+        }
+        let body_len = match content_length {
+            None => 0,
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| HttpError::BadContentLength(v.to_string()))?,
+        };
+        if body_len > MAX_BODY_BYTES {
+            return Err(HttpError::TooLarge {
+                what: "body",
+                limit: MAX_BODY_BYTES,
+            });
+        }
+        Ok(RequestHead {
+            method,
+            target,
+            version,
+            fields,
+            wire_len: head_len + body_len,
+        })
+    }
+
+    /// `(name, value)` pairs in wire order, trimmed as [`Headers`]
+    /// stores them.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, &'a str)> + Clone {
+        // Every non-empty line has its colon: `parse` checked.
+        self.fields.lines().filter_map(split_field)
+    }
+
+    /// First value for `name`, if any (case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    /// Total wire length of the message: head plus framed body.
+    pub fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// The owned message, with `body` as its entity.
+    pub fn to_request(&self, body: &[u8]) -> Request {
+        let mut headers = Headers::new();
+        for (name, value) in self.headers() {
+            headers.push_validated(name, value);
+        }
+        Request {
+            method: self.method,
+            target: self.target.to_string(),
+            version: self.version,
+            headers,
+            body: body.into(),
+        }
+    }
+}
+
 /// Total wire length (head + body) of the request at the front of `buf`,
 /// available as soon as its *head* is fully buffered — `Ok(None)` until
-/// the `\r\n\r\n` terminator arrives. Socket read loops use this to
-/// learn how many bytes a message needs without re-parsing the buffer
-/// after every chunk (see `dcws_net::conn`).
+/// the `\r\n\r\n` terminator arrives.
 pub fn request_wire_len(buf: &[u8]) -> Result<Option<usize>> {
-    let (text, head_end) = match head_text(buf)? {
-        Some(t) => t,
-        None => return Ok(None),
+    let Some((text, head_end)) = head_text(buf)? else {
+        return Ok(None);
     };
-    let mut lines = text.lines();
-    let _start = lines
-        .next()
-        .ok_or_else(|| HttpError::BadRequestLine(String::new()))?;
-    let headers = parse_header_lines(lines)?;
-    Ok(Some(head_end + framed_body_len(&headers)?))
+    Ok(Some(RequestHead::parse(&text, head_end)?.wire_len()))
 }
 
 /// [`request_wire_len`] for responses: `request_method` affects framing
@@ -153,39 +246,17 @@ pub fn response_wire_len(buf: &[u8], request_method: Method) -> Result<Option<us
 ///
 /// Returns `Ok(None)` when more bytes are needed.
 pub fn parse_request(buf: &[u8]) -> Result<Option<Parsed<Request>>> {
-    let (text, head_end) = match head_text(buf)? {
-        Some(t) => t,
-        None => return Ok(None),
+    let Some((text, head_end)) = head_text(buf)? else {
+        return Ok(None);
     };
-    let mut lines = text.lines();
-    let start = lines
-        .next()
-        .ok_or_else(|| HttpError::BadRequestLine(String::new()))?;
-    let mut parts = start.split(' ');
-    let (m, t, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => return Err(HttpError::BadRequestLine(start.to_string())),
-    };
-    if t.is_empty() {
-        return Err(HttpError::BadRequestLine(start.to_string()));
+    let head = RequestHead::parse(&text, head_end)?;
+    let consumed = head.wire_len();
+    if buf.len() < consumed {
+        return Ok(None);
     }
-    let method = Method::parse(m)?;
-    let version = Version::parse(v)?;
-    let headers = parse_header_lines(lines)?;
-    let body_len = headers.content_length()?.unwrap_or(0);
-    let body = match take_body(buf, head_end, body_len)? {
-        Some(b) => b,
-        None => return Ok(None),
-    };
     Ok(Some(Parsed {
-        message: Request {
-            method,
-            target: t.to_string(),
-            version,
-            headers,
-            body: body.into(),
-        },
-        consumed: head_end + body_len,
+        message: head.to_request(&buf[head_end..consumed]),
+        consumed,
     }))
 }
 

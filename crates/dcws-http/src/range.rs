@@ -117,11 +117,17 @@ pub fn content_range_unsatisfied(total: u64) -> String {
 /// `None` when the request carries no (usable) range and should get the
 /// full entity. Only `GET` requests carry ranges (RFC 7233 §3.1).
 pub fn requested_range(req: &Request, total: u64) -> Option<ResolvedRange> {
-    if req.method != Method::Get {
+    Some(range_spec(req.method, req.headers.get(RANGE_HEADER))?.resolve(total))
+}
+
+/// The usable range a request with this method and `Range` value asks
+/// for — [`requested_range`] before the entity length is known, for
+/// callers holding a borrowed head instead of a [`Request`].
+pub fn range_spec(method: Method, range: Option<&str>) -> Option<RangeSpec> {
+    if method != Method::Get {
         return None;
     }
-    let spec = parse_range(req.headers.get(RANGE_HEADER)?)?;
-    Some(spec.resolve(total))
+    parse_range(range?)
 }
 
 /// Transform a buffered `200` into the ranged response `req` asked for:
@@ -130,12 +136,17 @@ pub fn requested_range(req: &Request, total: u64) -> Option<ResolvedRange> {
 /// response unchanged when no usable range is present. Non-`200`
 /// responses (304 conditional hits, redirects, errors) pass through
 /// untouched, so `If-Modified-Since` always wins over `Range`.
-pub fn apply_range(req: &Request, mut resp: Response) -> Response {
+pub fn apply_range(req: &Request, resp: Response) -> Response {
+    apply_range_spec(range_spec(req.method, req.headers.get(RANGE_HEADER)), resp)
+}
+
+/// [`apply_range`] for an already extracted [`range_spec`].
+pub fn apply_range_spec(spec: Option<RangeSpec>, mut resp: Response) -> Response {
     if resp.status != StatusCode::Ok {
         return resp;
     }
     let total = resp.body.len() as u64;
-    match requested_range(req, total) {
+    match spec.map(|s| s.resolve(total)) {
         None => resp,
         Some(ResolvedRange::Unsatisfiable) => {
             resp.status = StatusCode::RangeNotSatisfiable;

@@ -7,6 +7,7 @@
 //! strings, fragments, userinfo, or percent-decoding beyond pass-through.
 
 use crate::error::{HttpError, Result};
+use std::borrow::Cow;
 
 /// Default port for the `http` scheme.
 pub const DEFAULT_HTTP_PORT: u16 = 80;
@@ -71,6 +72,16 @@ impl Url {
         } else {
             Err(HttpError::BadUrl(s.to_string()))
         }
+    }
+
+    /// The path [`Url::parse`]`(target)` would yield, borrowed when the
+    /// target is an origin-form path that needs no dot-normalization —
+    /// the per-request case, which then costs no allocation.
+    pub fn request_path(target: &str) -> Result<Cow<'_, str>> {
+        if is_normal_path(target) {
+            return Ok(Cow::Borrowed(target));
+        }
+        Url::parse(target).map(|u| Cow::Owned(u.path))
     }
 
     /// Host, if absolute.
@@ -152,8 +163,19 @@ impl Url {
     }
 }
 
+/// Whether `path` is a valid absolute path with nothing to normalize.
+fn is_normal_path(path: &str) -> bool {
+    let b = path.as_bytes();
+    b.first() == Some(&b'/')
+        && !b.iter().any(|&c| matches!(c, b' ' | b'\r' | b'\n' | 0))
+        && !b.windows(2).any(|w| w == b"/.")
+}
+
 /// Validate and dot-normalize an absolute path.
 fn normalize_path(path: String) -> Result<String> {
+    if is_normal_path(&path) {
+        return Ok(path);
+    }
     if !path.starts_with('/') {
         return Err(HttpError::BadUrl(format!(
             "path must start with '/': {path:?}"
@@ -166,9 +188,6 @@ fn normalize_path(path: String) -> Result<String> {
         return Err(HttpError::BadUrl(format!(
             "path contains whitespace: {path:?}"
         )));
-    }
-    if !path.contains("/.") {
-        return Ok(path); // fast path: nothing to normalize
     }
     let trailing_slash = path.ends_with('/') || path.ends_with("/.") || path.ends_with("/..");
     let mut out: Vec<&str> = Vec::new();
@@ -309,6 +328,29 @@ mod tests {
         // Fast path must not mangle ordinary paths.
         let u = Url::parse("/a/b/c-d_e.f.html").unwrap();
         assert_eq!(u.path(), "/a/b/c-d_e.f.html");
+    }
+
+    #[test]
+    fn request_path_matches_parse() {
+        for t in [
+            "/a/b.html",
+            "/",
+            "/a/./b",
+            "/a/../b/",
+            "/a/.hidden",
+            "http://h:81/x/./y.html",
+            "http://h",
+            "/has space",
+            "relative.html",
+            "",
+        ] {
+            let want = Url::parse(t).map(|u| u.path().to_string());
+            assert_eq!(Url::request_path(t).map(Cow::into_owned), want, "{t:?}");
+        }
+        assert!(matches!(
+            Url::request_path("/a/b.html"),
+            Ok(Cow::Borrowed("/a/b.html"))
+        ));
     }
 
     #[test]

@@ -10,20 +10,20 @@
 //!   prefix of the next, so pipelined / back-to-back messages are never
 //!   dropped or re-read from the socket;
 //! * the head terminator (`\r\n\r\n`) is searched **incrementally**
-//!   (resume offset, never re-scanning bytes already seen) and the full
-//!   parse runs at most twice per message — once when the head
-//!   completes, to learn the total wire length via
-//!   [`dcws_http::request_wire_len`], and once when that many bytes are
-//!   buffered — so large-body transfers don't pay a quadratic re-parse
-//!   of the whole buffer after every 4 KiB read.
+//!   (resume offset, never re-scanning bytes already seen) and a request
+//!   head is parsed **once**, in place, when it completes
+//!   ([`MsgBuf::peek_request`] hands out the borrowed [`RequestHead`]);
+//!   only a message whose body is still arriving is parsed a second
+//!   time, when that many bytes are buffered — so large-body transfers
+//!   don't pay a quadratic re-parse of the whole buffer after every read.
 //!
 //! The one-shot [`read_request`] / [`read_response`] wrappers keep the
 //! old connect-read-close call sites working on a throwaway buffer.
 
 use dcws_http::parser::MAX_HEAD_BYTES;
 use dcws_http::{
-    parse_request, parse_response, parse_response_head, request_wire_len, response_wire_len,
-    Method, Request, Response, ResponseHead, StreamBody, STREAM_CHUNK,
+    parse_response, parse_response_head, response_wire_len, Method, Request, RequestHead, Response,
+    ResponseHead, StreamBody, STREAM_CHUNK,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -32,8 +32,13 @@ use std::time::Duration;
 /// Default per-socket read timeout.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Socket read granularity.
-const CHUNK: usize = 16 * 1024;
+/// Socket read granularity: the size of the scratch buffer
+/// [`MsgBuf::fill_from`] reads through.
+pub const READ_CHUNK: usize = 16 * 1024;
+
+fn invalid_data(e: dcws_http::HttpError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
 
 /// Per-connection reusable read buffer with message-boundary tracking.
 ///
@@ -48,6 +53,20 @@ pub struct MsgBuf {
     /// Total wire length of the in-progress message, once its head is
     /// complete.
     total: Option<usize>,
+    /// Lossy-decoded text of a request head that is not valid UTF-8, for
+    /// [`MsgBuf::peek_request`] to borrow from; empty otherwise.
+    decoded: String,
+}
+
+/// A complete request still sitting in its [`MsgBuf`]: the head parsed
+/// in place and the entity bytes behind it. Drop it, then
+/// [`MsgBuf::consume`] `head.wire_len()` bytes to move on.
+#[derive(Debug)]
+pub struct BufferedRequest<'a> {
+    /// The parsed head, borrowing the buffer.
+    pub head: RequestHead<'a>,
+    /// The entity (empty for GET/HEAD in practice).
+    pub body: &'a [u8],
 }
 
 impl MsgBuf {
@@ -70,33 +89,40 @@ impl MsgBuf {
         self.total = None;
     }
 
-    /// Advance the incremental head-terminator search; on finding it,
-    /// learn the message's total wire length from `probe`.
-    fn note_progress(
-        &mut self,
-        probe: impl Fn(&[u8]) -> dcws_http::Result<Option<usize>>,
-    ) -> io::Result<()> {
-        if self.total.is_some() {
-            return Ok(());
-        }
+    /// Advance the incremental head-terminator search: the head's length
+    /// once its terminator is buffered.
+    fn scan_head(&mut self) -> io::Result<Option<usize>> {
         // Re-inspect up to 3 bytes of overlap so a terminator split
         // across reads is still found; everything before that is known
         // terminator-free.
         let from = self.scanned.saturating_sub(3);
-        let found = self.buf[from..].windows(4).any(|w| w == b"\r\n\r\n");
+        let end = self.buf[from..]
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .map(|i| from + i + 4);
         self.scanned = self.buf.len();
-        if found {
-            match probe(&self.buf) {
-                Ok(Some(total)) => self.total = Some(total),
-                // The probe saw the terminator we just found.
-                Ok(None) => unreachable!("head terminator buffered but probe saw none"),
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        } else if self.buf.len() > MAX_HEAD_BYTES {
+        if end.unwrap_or(self.buf.len()) > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "message head exceeds size limit",
             ));
+        }
+        Ok(end)
+    }
+
+    /// On the head completing, learn the message's total wire length
+    /// from `probe`.
+    fn note_progress(
+        &mut self,
+        probe: impl Fn(&[u8]) -> dcws_http::Result<Option<usize>>,
+    ) -> io::Result<()> {
+        if self.total.is_none() && self.scan_head()?.is_some() {
+            match probe(&self.buf) {
+                Ok(Some(total)) => self.total = Some(total),
+                // The probe saw the terminator we just found.
+                Ok(None) => unreachable!("head terminator buffered but probe saw none"),
+                Err(e) => return Err(invalid_data(e)),
+            }
         }
         Ok(())
     }
@@ -108,44 +134,83 @@ impl MsgBuf {
 
     /// Drop the `consumed`-byte message from the front, keeping any
     /// pipelined remainder, and rearm for the next message.
-    fn consume(&mut self, consumed: usize) {
+    pub fn consume(&mut self, consumed: usize) {
         self.buf.copy_within(consumed.., 0);
         self.buf.truncate(self.buf.len() - consumed);
         self.scanned = 0;
         self.total = None;
     }
 
-    /// Read more bytes from `stream`; `Ok(0)` means EOF.
-    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        let mut chunk = [0u8; CHUNK];
-        let n = stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
+    /// Append bytes as if a socket read had delivered them.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// One read from `stream` through `scratch` into the buffer; `Ok(0)`
+    /// means EOF. On a nonblocking socket `Err(WouldBlock)` means "no
+    /// more bytes now", and a read shorter than `scratch` means the
+    /// socket is drained — this is how the [`reactor`](crate::reactor)
+    /// feeds connections. The caller owns `scratch` (the reactor keeps
+    /// one per shard), so a read costs neither a zeroed stack frame nor
+    /// per-connection capacity beyond the bytes that actually arrived.
+    pub fn fill_from(&mut self, stream: &mut TcpStream, scratch: &mut [u8]) -> io::Result<usize> {
+        let n = stream.read(scratch)?;
+        self.feed(&scratch[..n]);
         Ok(n)
     }
 
-    /// One read from `stream` into the buffer; `Ok(0)` means EOF. On a
-    /// nonblocking socket `Err(WouldBlock)` means "no more bytes now" —
-    /// this is how the [`reactor`](crate::reactor) feeds connections.
-    pub fn fill_from(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        self.fill(stream)
+    /// [`Self::fill_from`] through a scratch buffer of this call's own.
+    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
+        self.fill_from(stream, &mut [0u8; READ_CHUNK])
     }
 
-    /// Extract the next complete request already buffered, without
-    /// touching any socket. `Ok(None)` means the head or body is still
-    /// incomplete — feed more bytes with [`MsgBuf::fill_from`] and call
-    /// again (the head-terminator scan resumes where it left off, so a
-    /// slow-loris client dribbling one byte per readiness event costs
-    /// linear work, not a rescan per byte).
-    pub fn try_extract_request(&mut self) -> io::Result<Option<Request>> {
-        self.note_progress(request_wire_len)?;
-        if !self.complete() {
+    /// The next complete request already buffered, parsed in place,
+    /// without touching any socket. `Ok(None)` means the head or body is
+    /// still incomplete — feed more bytes with [`MsgBuf::fill_from`] and
+    /// call again (the head-terminator scan resumes where it left off, so
+    /// a slow-loris client dribbling one byte per readiness event costs
+    /// linear work, not a rescan per byte). After serving the request,
+    /// [`MsgBuf::consume`] its `head.wire_len()` bytes.
+    pub fn peek_request(&mut self) -> io::Result<Option<BufferedRequest<'_>>> {
+        if self.total.is_some_and(|t| self.buf.len() < t) {
             return Ok(None);
         }
-        let parsed = parse_request(&self.buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            .expect("wire length satisfied but parse incomplete");
-        self.consume(parsed.consumed);
-        Ok(Some(parsed.message))
+        let Some(head_end) = self.scan_head()? else {
+            return Ok(None);
+        };
+        // The scan is done with this message; a later call (the body
+        // arriving after its head was parsed) finds the head again.
+        self.scanned = 0;
+        // HTTP heads are ASCII; lossy decoding maps stray bytes to U+FFFD,
+        // which then fail token validation (or 404) downstream.
+        let text = match std::str::from_utf8(&self.buf[..head_end]) {
+            Ok(text) => text,
+            Err(_) => {
+                self.decoded = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
+                &self.decoded
+            }
+        };
+        let head = RequestHead::parse(text, head_end).map_err(invalid_data)?;
+        let total = head.wire_len();
+        if self.buf.len() < total {
+            self.total = Some(total);
+            return Ok(None);
+        }
+        Ok(Some(BufferedRequest {
+            head,
+            body: &self.buf[head_end..total],
+        }))
+    }
+
+    /// Extract the next complete request already buffered as an owned
+    /// message ([`Self::peek_request`] + [`Self::consume`]).
+    pub fn try_extract_request(&mut self) -> io::Result<Option<Request>> {
+        let Some(req) = self.peek_request()? else {
+            return Ok(None);
+        };
+        let (owned, consumed) = (req.head.to_request(req.body), req.head.wire_len());
+        self.consume(consumed);
+        Ok(Some(owned))
     }
 
     /// Extract the next complete response already buffered (framing
@@ -157,7 +222,7 @@ impl MsgBuf {
             return Ok(None);
         }
         let parsed = parse_response(&self.buf, method)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+            .map_err(invalid_data)?
             .expect("wire length satisfied but parse incomplete");
         self.consume(parsed.consumed);
         Ok(Some(parsed.message))
@@ -178,13 +243,8 @@ impl MsgBuf {
 /// idle connection); `Err` on timeouts, resets, or protocol errors.
 pub fn read_request_buf(stream: &mut TcpStream, mb: &mut MsgBuf) -> io::Result<Option<Request>> {
     loop {
-        mb.note_progress(request_wire_len)?;
-        if mb.complete() {
-            let parsed = parse_request(&mb.buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-                .expect("wire length satisfied but parse incomplete");
-            mb.consume(parsed.consumed);
-            return Ok(Some(parsed.message));
+        if let Some(req) = mb.try_extract_request()? {
+            return Ok(Some(req));
         }
         if mb.fill(stream)? == 0 {
             return if mb.buf.is_empty() {
@@ -211,7 +271,7 @@ pub fn read_response_buf(
         mb.note_progress(|buf| response_wire_len(buf, method))?;
         if mb.complete() {
             let parsed = parse_response(&mb.buf, method)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+                .map_err(invalid_data)?
                 .expect("wire length satisfied but parse incomplete");
             mb.consume(parsed.consumed);
             return Ok(parsed.message);
@@ -236,9 +296,7 @@ pub fn read_response_head_buf(
     mb: &mut MsgBuf,
 ) -> io::Result<ResponseHead> {
     loop {
-        if let Some(parsed) = parse_response_head(&mb.buf, method)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        {
+        if let Some(parsed) = parse_response_head(&mb.buf, method).map_err(invalid_data)? {
             mb.consume(parsed.consumed);
             return Ok(parsed.message);
         }

@@ -80,7 +80,7 @@ pub mod server;
 pub mod transport;
 
 pub use client::{fetch, fetch_from};
-pub use conn::MsgBuf;
+pub use conn::{BufferedRequest, MsgBuf, READ_CHUNK};
 pub use faults::{Blackout, Decision, FaultInjector, FaultPlan, FaultSnapshot, FirstFaultKind};
 pub use lock::{assert_engine_unlocked, EngineGuard, EngineLock};
 pub use metrics::{HistogramSnapshot, LatencyHistogram, TransportMetrics};

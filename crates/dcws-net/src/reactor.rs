@@ -20,7 +20,8 @@
 //!   [`DcwsServer`](crate::DcwsServer))* — one thread that accepts
 //!   nonblockingly, resumes each ready connection's incremental
 //!   [`MsgBuf`](crate::MsgBuf) parse mid-head, answers common-case GETs
-//!   inline via `ReadPath::try_serve` with nonblocking buffered writes,
+//!   inline via `ReadPath::serve` (parsed in place, served from a
+//!   prebuilt head: one `read`, one `writev`, no heap allocation),
 //!   and hands engine-locked work (misses, mutations, `/dcws/*`,
 //!   inter-server verbs) to the worker pool, demoted to a bounded
 //!   **spillover**: workers compute the response and post it back
@@ -51,10 +52,10 @@
 //! responses are written with `Connection: close`, and the loop exits
 //! once drained (or after a bounded deadline).
 
-use crate::conn::READ_TIMEOUT;
+use crate::conn::{READ_CHUNK, READ_TIMEOUT};
 use crate::lock::assert_engine_unlocked;
 use crate::server::{Shared, SpillJob, WorkItem};
-use dcws_core::Json;
+use dcws_core::{Json, Served};
 use dcws_http::{Method, Response, StreamBody, STREAM_CHUNK};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -650,6 +651,12 @@ pub struct ReactorStats {
     /// Connections closed mid-message by the sweep (slow-loris guard:
     /// a partial head/body older than [`READ_TIMEOUT`]).
     pub timeout_closed: AtomicU64,
+    /// `epoll_wait`/`poll` calls, whether or not they delivered events.
+    pub poll_waits: AtomicU64,
+    /// `read(2)` calls on client sockets, including those that returned
+    /// `EAGAIN` or EOF. With `poll_waits` and `writev_calls` this is the
+    /// reactor's syscall count: a warm keep-alive GET costs one of each.
+    pub read_calls: AtomicU64,
     /// `writev(2)` syscalls issued by the vectored flush path.
     pub writev_calls: AtomicU64,
     /// Total iovec segments across those calls (mean segments per call =
@@ -658,10 +665,10 @@ pub struct ReactorStats {
     /// Response bodies queued as a shared `Arc` segment — no memcpy; the
     /// refcount holds the bytes until the kernel has taken them all.
     pub bodies_zero_copy: AtomicU64,
-    /// Response bodies memcpy'd into the out-buffer (the legacy
-    /// copy-on-serve path, kept selectable for A/B measurement via
-    /// `NetConfig::reactor_copy_writes`). The corepress gate asserts this
-    /// stays zero on the vectored arm.
+    /// Response bodies memcpy'd into the out-buffer. No path does that
+    /// any more (the copy-on-serve A/B arm is gone), so this stays 0 —
+    /// debug-asserted where a body is queued; the field remains for the
+    /// dashboards and gates that read it.
     pub body_copies: AtomicU64,
 }
 
@@ -677,6 +684,7 @@ impl ReactorStats {
     }
 
     fn note_batch(&self, n: usize) {
+        self.poll_waits.fetch_add(1, Ordering::Relaxed);
         if n == 0 {
             return;
         }
@@ -773,6 +781,14 @@ impl ReactorStats {
                 "writes",
                 Json::obj(vec![
                     (
+                        "poll_waits",
+                        Json::from(self.poll_waits.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "read_calls",
+                        Json::from(self.read_calls.load(Ordering::Relaxed)),
+                    ),
+                    (
                         "writev_calls",
                         Json::from(self.writev_calls.load(Ordering::Relaxed)),
                     ),
@@ -814,6 +830,14 @@ impl ReactorStats {
             (
                 "spillover_jobs",
                 Json::from(self.spillover_jobs.load(Ordering::Relaxed)),
+            ),
+            (
+                "poll_waits",
+                Json::from(self.poll_waits.load(Ordering::Relaxed)),
+            ),
+            (
+                "read_calls",
+                Json::from(self.read_calls.load(Ordering::Relaxed)),
             ),
             (
                 "writev_calls",
@@ -894,10 +918,11 @@ impl SpillBridge {
 /// a few pipelined successors; IOV_MAX (1024) is never approached.
 const MAX_IOVECS: usize = 8;
 
-/// One pending output segment: either bytes the connection owns (heads,
-/// error pages, streamed-entity refills) or a shared entity body whose
-/// `Arc` refcount pins the cached allocation until the kernel has taken
-/// every byte — the serve itself never copies it.
+/// One pending output segment: either bytes the connection owns
+/// (streamed-entity refills) or a shared [`Body`](dcws_http::Body) — a
+/// response head, or an entity body whose `Arc` refcount pins the cached
+/// allocation until the kernel has taken every byte; the serve itself
+/// never copies it.
 enum Seg {
     Owned(Vec<u8>),
     Shared(dcws_http::Body),
@@ -1046,9 +1071,6 @@ pub(crate) struct ShardConfig {
     pub max_conns: usize,
     pub keepalive_idle: Duration,
     pub force_poll_backend: bool,
-    /// Serve responses through the legacy memcpy path instead of the
-    /// zero-copy segment queue (A/B arm for `corepress`).
-    pub copy_writes: bool,
 }
 
 pub(crate) struct Reactor {
@@ -1069,7 +1091,11 @@ pub(crate) struct Reactor {
     n_shards: usize,
     /// Round-robin cursor for hand-off distribution.
     rr: usize,
-    copy_writes: bool,
+    /// The buffer every socket read on this shard goes through
+    /// (`MsgBuf::fill_from`): initialised once, so a read costs no
+    /// memset, and shared, so ten thousand parked connections hold no
+    /// read buffers of their own.
+    scratch: Box<[u8]>,
     conns: Vec<Option<ClientConn>>,
     free: Vec<usize>,
     live: usize,
@@ -1136,7 +1162,7 @@ impl Reactor {
             shard: cfg.shard,
             n_shards: cfg.n_shards.max(1),
             rr: 0,
-            copy_writes: cfg.copy_writes,
+            scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -1413,8 +1439,9 @@ impl Reactor {
         self.update_interest(idx);
     }
 
-    /// Read until WouldBlock (bounded), then serve every complete
-    /// request. Returns `false` if the connection was closed.
+    /// Read until the socket is drained (bounded), serving every complete
+    /// request as it arrives. Returns `false` if the connection was
+    /// closed.
     fn fill(&mut self, idx: usize) -> bool {
         let mut read_bytes = 0usize;
         loop {
@@ -1425,7 +1452,12 @@ impl Reactor {
                 // in-progress streamed response finishes.
                 return true;
             }
-            match conn.mb.fill_from(&mut conn.stream) {
+            let read = conn.mb.fill_from(&mut conn.stream, &mut self.scratch);
+            self.bump(|s| {
+                s.read_calls.fetch_add(1, Ordering::Relaxed);
+            });
+            let conn = self.conns[idx].as_mut().unwrap();
+            match read {
                 Ok(0) => {
                     // EOF. Anything buffered mid-message is an aborted
                     // request; either way the conversation is over once
@@ -1443,9 +1475,11 @@ impl Reactor {
                     if !self.process_buffered(idx) {
                         return false;
                     }
-                    if read_bytes >= MAX_READ_PER_EVENT {
-                        // Fairness cap: level-triggered readiness will
-                        // re-deliver this connection next turn.
+                    // A short read drained the socket: asking again would
+                    // only buy an `EAGAIN` (level-triggered readiness
+                    // reports whatever lands meanwhile). Past the fairness
+                    // cap the residue is likewise re-delivered next turn.
+                    if n < READ_CHUNK || read_bytes >= MAX_READ_PER_EVENT {
                         return true;
                     }
                 }
@@ -1467,12 +1501,9 @@ impl Reactor {
             if conn.awaiting_spill || conn.close_after_flush || conn.stream_body.is_some() {
                 return true;
             }
-            match conn.mb.try_extract_request() {
-                Ok(Some(req)) => {
-                    if !self.handle_request(idx, req) {
-                        return false;
-                    }
-                }
+            match self.handle_request(idx) {
+                Ok(Some(true)) => {}
+                Ok(Some(false)) => return false,
                 Ok(None) => return true,
                 Err(_) => {
                     // Unparseable request: answer 400 and close once
@@ -1480,7 +1511,7 @@ impl Reactor {
                     // behaviour as the threaded workers.
                     let resp = Response::new(dcws_http::StatusCode::BadRequest);
                     let conn = self.conns[idx].as_mut().unwrap();
-                    conn.out.push_owned(resp.to_bytes_for(false));
+                    conn.out.push_shared(Served::from_response(resp).head);
                     conn.close_after_flush = true;
                     return self.flush(idx);
                 }
@@ -1488,30 +1519,48 @@ impl Reactor {
         }
     }
 
-    /// Route one parsed request: inline read-path serve, or spillover.
-    /// Returns `false` if the connection was closed.
-    fn handle_request(&mut self, idx: usize, req: dcws_http::Request) -> bool {
+    /// Route the next buffered request, if one is complete: inline
+    /// read-path serve, or spillover. `Ok(Some(alive))` reports whether
+    /// the connection survived serving it.
+    fn handle_request(&mut self, idx: usize) -> io::Result<Option<bool>> {
         let started = Instant::now();
         let closing = self.shutdown.load(Ordering::Relaxed);
+        let conn = self.conns[idx].as_mut().unwrap();
+        let Some(req) = conn.mb.peek_request()? else {
+            return Ok(None);
+        };
         let keep_alive = !closing
-            && req.version == dcws_http::Version::Http11
+            && req.head.version == dcws_http::Version::Http11
             && !req
-                .headers
-                .get("Connection")
+                .head
+                .header("Connection")
                 .is_some_and(|c| c.eq_ignore_ascii_case("close"));
-        let method = req.method;
+        let method = req.head.method;
+        let consumed = req.head.wire_len();
         // Fast path: prebuilt route, warm co-op copy, or ready 301 —
-        // answered on this thread with zero locks and zero body copies.
+        // answered on this thread from the borrowed head, with zero
+        // locks, body copies or (for a plain GET) allocations.
         // Everything else (misses, non-GET, inter-server verbs,
-        // /dcws/*) needs the engine and spills to the worker pool; the
-        // reactor thread itself never takes the engine lock.
-        if let Some(resp) = self.shared.read.try_serve(&req, self.shared.now_ms()) {
-            self.bump(|s| {
-                s.inline_served.fetch_add(1, Ordering::Relaxed);
-            });
-            return self.queue_response(idx, resp, None, method, keep_alive, started);
-        }
-        let token = pack_token(idx, self.conns[idx].as_ref().unwrap().gen);
+        // /dcws/*) needs the engine and spills to the worker pool as an
+        // owned request; the reactor thread itself never takes the
+        // engine lock.
+        let routed = match self.shared.read.serve(&req.head) {
+            Some(served) => Ok(served),
+            None => Err(req.head.to_request(req.body)),
+        };
+        conn.mb.consume(consumed);
+        let req = match routed {
+            Ok(served) => {
+                self.bump(|s| {
+                    s.inline_served.fetch_add(1, Ordering::Relaxed);
+                });
+                return Ok(Some(
+                    self.queue_response(idx, served, None, method, keep_alive, started),
+                ));
+            }
+            Err(req) => req,
+        };
+        let token = pack_token(idx, conn.gen);
         let job = SpillJob {
             token,
             shard: self.shard,
@@ -1519,37 +1568,42 @@ impl Reactor {
             keep_alive,
             started,
         };
-        match self.shared.queue.try_push(WorkItem::Spill(job)) {
-            Ok(()) => {
-                self.bump(|s| {
-                    s.spillover_jobs.fetch_add(1, Ordering::Relaxed);
-                });
-                let conn = self.conns[idx].as_mut().unwrap();
-                conn.awaiting_spill = true;
-                true
-            }
-            Err(_) => {
-                // Spillover full: the explicit 503 + Retry-After rung of
-                // the backpressure ladder. The connection stays alive —
-                // this is a graceful drop, not a slammed socket.
-                self.bump(|s| {
-                    s.spillover_rejected.fetch_add(1, Ordering::Relaxed);
-                });
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::service_unavailable(RETRY_AFTER_SECS);
-                self.queue_response(idx, resp, None, method, keep_alive, started)
-            }
-        }
+        Ok(Some(
+            match self.shared.queue.try_push(WorkItem::Spill(job)) {
+                Ok(()) => {
+                    self.bump(|s| {
+                        s.spillover_jobs.fetch_add(1, Ordering::Relaxed);
+                    });
+                    let conn = self.conns[idx].as_mut().unwrap();
+                    conn.awaiting_spill = true;
+                    true
+                }
+                Err(_) => {
+                    // Spillover full: the explicit 503 + Retry-After rung of
+                    // the backpressure ladder. The connection stays alive —
+                    // this is a graceful drop, not a slammed socket.
+                    self.bump(|s| {
+                        s.spillover_rejected.fetch_add(1, Ordering::Relaxed);
+                    });
+                    self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    let resp = Response::service_unavailable(RETRY_AFTER_SECS);
+                    let served = Served::from_response(resp);
+                    self.queue_response(idx, served, None, method, keep_alive, started)
+                }
+            },
+        ))
     }
 
-    /// Serialize `resp` onto the connection's output buffer and flush as
-    /// far as the socket allows. A streamed entity (`stream`) parks on
+    /// Queue `served` on the connection's output and flush as far as the
+    /// socket allows: head and entity as two shared segments, so the
+    /// serve is two `Arc` refcount bumps and the bytes leave user space
+    /// exactly once, via `writev`. A streamed entity (`stream`) parks on
     /// the connection and is refilled chunk by chunk as the socket
     /// drains. Returns `false` if the connection was closed.
     fn queue_response(
         &mut self,
         idx: usize,
-        mut resp: Response,
+        mut served: Served,
         stream: Option<StreamBody>,
         method: Method,
         keep_alive: bool,
@@ -1560,46 +1614,26 @@ impl Reactor {
             // Shutdown must break keep-alive at a request boundary, or
             // parked clients (and peers' pooled connections) would
             // never let the reactor drain.
-            resp = resp.with_header("Connection", "close");
+            served.close_connection();
         }
-        let head_only = method == Method::Head;
-        let with_body = !head_only && !resp.status.bodyless() && !resp.body.is_empty();
-        let copy_writes = self.copy_writes;
-        let streamed = stream.is_some();
         let conn = self.conns[idx].as_mut().unwrap();
-        match stream {
-            Some(body) if !head_only && !resp.status.bodyless() => {
-                // Head now, entity incrementally: the first chunk leaves
-                // on this flush, the rest as the socket drains.
-                conn.out.push_owned(resp.head_bytes());
-                conn.stream_body = Some(body);
-            }
-            // Buffered entity: head as an owned segment, body as a
-            // shared one — the serve is an `Arc` refcount bump, and the
-            // bytes leave user space exactly once, via `writev`. (HEAD
-            // and bodyless statuses queue the head alone; the legacy
-            // copy arm rebuilds head+body into one owned segment.)
-            _ if copy_writes || !with_body => {
-                conn.out.push_owned(resp.to_bytes_for(head_only));
-            }
-            _ => {
-                conn.out.push_owned(resp.head_bytes());
-                conn.out.push_shared(resp.body.clone());
-            }
+        conn.out.push_shared(served.head);
+        // HEAD gets the head alone (entity never read, never sent).
+        let with_body = method != Method::Head && !served.body.is_empty();
+        if method != Method::Head {
+            conn.out.push_shared(served.body);
+            // Streamed entity: head now, the first chunk on this flush,
+            // the rest as the socket drains.
+            conn.stream_body = stream;
         }
         if !keep_alive || closing {
             conn.close_after_flush = true;
         }
-        if with_body && !streamed {
-            if copy_writes {
-                self.bump(|s| {
-                    s.body_copies.fetch_add(1, Ordering::Relaxed);
-                });
-            } else {
-                self.bump(|s| {
-                    s.bodies_zero_copy.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        if with_body {
+            debug_assert_eq!(self.stats.body_copies.load(Ordering::Relaxed), 0);
+            self.bump(|s| {
+                s.bodies_zero_copy.fetch_add(1, Ordering::Relaxed);
+            });
         }
         self.shared.metrics.service_time.record(started.elapsed());
         if !self.flush(idx) {
@@ -1766,7 +1800,10 @@ impl Reactor {
                 continue;
             };
             self.conns[idx].as_mut().unwrap().awaiting_spill = false;
-            if !self.queue_response(idx, c.resp, c.stream, c.method, c.keep_alive, c.started) {
+            // A bodyless status carries no entity, streamed or otherwise.
+            let stream = c.stream.filter(|_| !c.resp.status.bodyless());
+            let served = Served::from_response(c.resp);
+            if !self.queue_response(idx, served, stream, c.method, c.keep_alive, c.started) {
                 continue;
             }
             // Reads were paused while the job ran; pipelined requests
@@ -1875,11 +1912,14 @@ mod tests {
             max_conns: 1024,
             keepalive_idle: Duration::from_secs(60),
             force_poll_backend: false,
-            copy_writes: false,
         }
     }
 
     fn test_reactor() -> (Arc<Shared>, Reactor) {
+        test_reactor_on(false)
+    }
+
+    fn test_reactor_on(force_poll_backend: bool) -> (Arc<Shared>, Reactor) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut net = NetConfig::new(Duration::from_millis(1000));
@@ -1890,7 +1930,10 @@ mod tests {
         let reactor = Reactor::new(
             shared.clone(),
             shutdown,
-            shard_cfg(0, 1),
+            ShardConfig {
+                force_poll_backend,
+                ..shard_cfg(0, 1)
+            },
             Some(listener),
             bridge,
             Vec::new(),
@@ -1912,6 +1955,62 @@ mod tests {
         let (shared, mut reactor) = test_reactor();
         let _guard = shared.engine.lock(); // a leaked in-loop lock
         reactor.poll_once(Duration::from_millis(0));
+    }
+
+    /// A warm GET that arrives once shutdown has begun is still served
+    /// inline — the prebuilt head with `Connection: close` appended where
+    /// `Response::with_header` would put it — and the connection closes
+    /// behind it, so a keep-alive client cannot hold the drain open.
+    #[test]
+    fn inline_serve_during_shutdown_says_connection_close() {
+        const GET: &[u8] = b"GET /doc.html HTTP/1.1\r\nHost: x\r\n\r\n";
+        for force_poll in [false, true] {
+            let (shared, mut reactor) = test_reactor_on(force_poll);
+            {
+                let mut engine = shared.engine.lock();
+                engine.publish(
+                    "/doc.html",
+                    b"<p>warm</p>".to_vec(),
+                    dcws_graph::DocKind::Html,
+                    true,
+                );
+                // The exclusive serve primes the read path.
+                engine.handle_request(&dcws_http::Request::get("/doc.html"), 0);
+            }
+            let addr = reactor.listener.as_ref().unwrap().local_addr().unwrap();
+            let mut client = TcpStream::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut exchange = |reactor: &mut Reactor| {
+                client.write_all(GET).unwrap();
+                // Accept (first time), then read, serve and flush.
+                for _ in 0..3 {
+                    reactor.poll_once(Duration::from_millis(20));
+                }
+                let mut buf = vec![0u8; 4096];
+                let n = client.read(&mut buf).unwrap();
+                buf.truncate(n);
+                String::from_utf8(buf).unwrap()
+            };
+
+            let warm = exchange(&mut reactor);
+            assert!(warm.ends_with("\r\n\r\n<p>warm</p>"), "{warm}");
+            assert_eq!(reactor.stats.inline_served.load(Ordering::Relaxed), 1);
+            assert_eq!(reactor.live, 1, "keep-alive holds the connection");
+
+            reactor.shutdown.store(true, Ordering::Relaxed);
+            let last = exchange(&mut reactor);
+            assert_eq!(
+                last,
+                warm.replace("\r\n\r\n", "\r\nConnection: close\r\n\r\n"),
+                "force_poll={force_poll}"
+            );
+            assert_eq!(reactor.stats.inline_served.load(Ordering::Relaxed), 2);
+            assert_eq!(reactor.live, 0, "closed once flushed");
+            let mut rest = [0u8; 16];
+            assert_eq!(client.read(&mut rest).unwrap(), 0, "EOF after the reply");
+        }
     }
 
     /// Both backends deliver readable/writable events for a socket pair.

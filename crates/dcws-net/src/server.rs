@@ -101,11 +101,6 @@ pub struct NetConfig {
     /// accepted connections to its peers. Benches whose premises are
     /// single-loop (batch histograms, fairness caps) pin this to 1.
     pub reactor_shards: usize,
-    /// Reactor only: serve buffered response bodies through the legacy
-    /// memcpy path instead of the zero-copy `writev` segment queue.
-    /// Exists solely as the A/B baseline arm for `corepress`; leave
-    /// `false` in production.
-    pub reactor_copy_writes: bool,
 }
 
 impl NetConfig {
@@ -129,7 +124,6 @@ impl NetConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            reactor_copy_writes: false,
         }
     }
 
@@ -582,7 +576,6 @@ impl DcwsServer {
                             },
                             keepalive_idle: net.reactor_keepalive_idle,
                             force_poll_backend: net.reactor_force_poll,
-                            copy_writes: net.reactor_copy_writes,
                         },
                         listener,
                         bridge_handles[shard].clone(),

@@ -372,7 +372,7 @@ fn writev_partial_write_resumption_is_zero_copy() {
     assert_eq!(
         stats.body_copies.load(Ordering::Relaxed),
         0,
-        "no serve may memcpy its body with copy_writes off"
+        "no serve may memcpy its body"
     );
     server.shutdown();
 }

@@ -32,6 +32,20 @@ step cargo test -q --workspace
 # (docs/RESILIENCE.md).
 step cargo test -q -p dcws-net --test chaos_tests seeded_chaos_no_document_lost
 
+# Allocation probe: a warm keep-alive GET must cost the reactor zero
+# heap allocations and exactly one read + one writev, on both poller
+# backends. It runs inside the workspace tests too; named here so a
+# regression on the hot path shows as its own step.
+step cargo test -q -p dcws-net --test alloc_probe
+
+# The benchmark is a workspace of its own, so nothing above compiles
+# it: a break of the public API it uses would otherwise surface only
+# when the benchmark pipeline runs.
+if [[ $quick -eq 0 ]]; then
+    step cargo build --release --offline --manifest-path benchmark/Cargo.toml
+fi
+step cargo test --offline --manifest-path benchmark/Cargo.toml
+
 step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -53,11 +67,11 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # nonzero unless every arm clears 10^5 sessions inside the wall-clock
 # bound and the shared-bandwidth re-run reproduces its digest exactly,
 # so an event-core scale or determinism regression fails the gate
-# (docs/SIMULATION.md); corepress --quick sweeps reactor shards ×
-# {vectored, copy} write paths and exits nonzero unless every vectored
-# arm served with zero per-serve body copies (counter assertion) and —
-# on hosts with >= 4 cores — the 4-shard arm beats 1.5× the 1-shard
-# CPS, so a broken zero-copy path or an inert shard toggle fails here.
+# (docs/SIMULATION.md); corepress --quick sweeps reactor shards and
+# exits nonzero unless every arm served with zero per-serve body copies
+# (counter assertion) and — on hosts with >= 4 cores — the 4-shard arm
+# beats 1.5× the 1-shard CPS, so a broken zero-copy path or an inert
+# shard toggle fails here.
 if [[ $quick -eq 0 ]]; then
     step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin fig6 -- --status-dump
     step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin cachepress -- --status-dump

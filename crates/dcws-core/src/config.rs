@@ -67,7 +67,7 @@ pub struct ServerConfig {
     /// documents recalled.
     pub ping_failure_limit: u32,
     /// Maximum GLT entries piggybacked per message (own entry always
-    /// included).
+    /// included; the others are the table's first rows in id order).
     pub piggyback_max: usize,
     /// Ablation: physically push documents at migration time instead of
     /// the paper's lazy pull-on-first-request.

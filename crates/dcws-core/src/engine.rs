@@ -61,6 +61,24 @@ fn split_cache_budget(total: u64) -> (u64, u64) {
     (total - coop, coop)
 }
 
+/// When a home document last changed (engine ms), with the
+/// `Last-Modified` text of that time — formatted once, when the time is
+/// set, so a serve copies it instead of redoing the calendar arithmetic.
+#[derive(Debug, Clone)]
+pub(crate) struct Modified {
+    pub(crate) ms: u64,
+    pub(crate) http_date: Arc<str>,
+}
+
+impl Modified {
+    pub(crate) fn at(ms: u64) -> Modified {
+        Modified {
+            ms,
+            http_date: http_date(ms).into(),
+        }
+    }
+}
+
 /// Network actions the host must perform after a [`ServerEngine::tick`].
 #[derive(Debug, Default)]
 pub struct TickOutput {
@@ -104,9 +122,9 @@ pub struct ServerEngine {
     pub(crate) regen_cache: Arc<DocCache>,
     /// Content version per home document; bumped on publish/regenerate.
     pub(crate) versions: HashMap<String, u64>,
-    /// Last-Modified time per home document (engine ms), carried on the
-    /// wire as an RFC 1123 `Last-Modified` header.
-    pub(crate) modified: HashMap<String, u64>,
+    /// Last-Modified time per home document, carried on the wire as an
+    /// RFC 1123 `Last-Modified` header.
+    pub(crate) modified: HashMap<String, Modified>,
     /// Home documents whose current served form has rewritten links: an
     /// evicted body must be regenerated, while a never-dirtied document
     /// serves its pristine original without touching the cache.
@@ -305,7 +323,15 @@ impl ServerEngine {
     /// Last-Modified time (engine ms) of home document `name`; zero for
     /// documents never published here.
     pub fn doc_modified_ms(&self, name: &str) -> u64 {
-        self.modified.get(name).copied().unwrap_or(0)
+        self.modified.get(name).map_or(0, |m| m.ms)
+    }
+
+    /// [`Self::doc_modified_ms`] together with its `Last-Modified` text.
+    pub(crate) fn doc_modified(&self, name: &str) -> Modified {
+        self.modified
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| Modified::at(0))
     }
 
     /// Register a peer server in the group (static membership, as in the
@@ -341,7 +367,8 @@ impl ServerEngine {
         // The fresh original is the current form again (until a
         // migration dirties it); its change time is now.
         self.rewritten.remove(name);
-        self.modified.insert(name.to_string(), self.now_ms);
+        self.modified
+            .insert(name.to_string(), Modified::at(self.now_ms));
         *self.versions.entry(name.to_string()).or_insert(0) += 1;
         let was_migrated = self
             .ldg
@@ -396,10 +423,10 @@ impl ServerEngine {
     /// Merge one load report into the GLT (also the drain path for
     /// reports the read path deferred to its mailbox).
     pub(crate) fn ingest_report(&mut self, r: &LoadReport) {
-        let sid = ServerId::new(r.server.clone());
-        if sid == self.id {
+        if r.server == self.id.as_str() {
             return;
         }
+        let sid = ServerId::from(r.server.as_str());
         if self.glt.update(
             sid.clone(),
             LoadInfo {
@@ -418,33 +445,35 @@ impl ServerEngine {
     /// Attach up to `piggyback_max` load reports (own entry first) to an
     /// outgoing inter-server message.
     pub fn attach_reports(&mut self, headers: &mut Headers, now_ms: u64) {
+        for r in self.reports(now_ms) {
+            r.attach(headers);
+        }
+    }
+
+    /// The load reports an outgoing message carries at `now_ms`: own
+    /// entry first, freshly measured, then other GLT rows **in id order**
+    /// until there are `piggyback_max` in all. The table is walked by
+    /// reference and the walk stops there, so the cost does not grow with
+    /// the group. (Id order, not freshness: in a group larger than
+    /// `piggyback_max` the same lowest ids are gossiped every time — see
+    /// "freshness-ordered piggyback" in docs/SIMULATION.md.)
+    fn reports(&mut self, now_ms: u64) -> impl Iterator<Item = LoadReport> + '_ {
         let (cps, bps) = self.window.rates(now_ms);
         self.glt.set_self(cps, bps, now_ms);
-        let mut n = 0;
-        LoadReport {
-            server: self.id.to_string(),
-            cps,
-            bps,
-            ts_ms: now_ms,
-        }
-        .attach(headers);
-        n += 1;
-        for (sid, info) in self.glt.snapshot() {
-            if n >= self.cfg.piggyback_max {
-                break;
-            }
-            if sid == self.id {
-                continue;
-            }
-            LoadReport {
-                server: sid.to_string(),
-                cps: info.cps,
-                bps: info.bps,
-                ts_ms: info.ts_ms,
-            }
-            .attach(headers);
-            n += 1;
-        }
+        let report = |sid: &ServerId, info: LoadInfo| LoadReport {
+            server: sid.to_string(),
+            cps: info.cps,
+            bps: info.bps,
+            ts_ms: info.ts_ms,
+        };
+        let id = &self.id;
+        let others = self
+            .glt
+            .iter()
+            .filter(move |(sid, _)| *sid != id)
+            .take(self.cfg.piggyback_max.saturating_sub(1));
+        std::iter::once(report(id, self.glt.self_info()))
+            .chain(others.map(move |(sid, info)| report(sid, *info)))
     }
 
     /// Periodic control-plane work. Call at least every few hundred
@@ -467,14 +496,19 @@ impl ServerEngine {
             self.consider_migration(now_ms, &mut out);
         }
         // Pinger: artificial transfers toward stale peers, every T_pi.
-        for peer in self.glt.stale_peers(now_ms, self.cfg.pinger_interval_ms) {
-            if self.dead_peers.contains(&peer) {
-                continue;
-            }
-            let last = self.last_ping_ms.get(&peer).copied().unwrap_or(0);
-            if now_ms.saturating_sub(last) < self.cfg.pinger_interval_ms {
-                continue;
-            }
+        // Only the peers actually due are copied out of the table (a
+        // refcount each); an idle tick walks it and allocates nothing.
+        let interval = self.cfg.pinger_interval_ms;
+        let due: Vec<ServerId> = self
+            .glt
+            .stale(now_ms, interval)
+            .filter(|&peer| {
+                let last = self.last_ping_ms.get(peer).copied().unwrap_or(0);
+                !self.dead_peers.contains(peer) && now_ms.saturating_sub(last) >= interval
+            })
+            .cloned()
+            .collect();
+        for peer in due {
             self.last_ping_ms.insert(peer.clone(), now_ms);
             self.stats.pings_sent += 1;
             let mut req = Request::head("/").with_header("X-DCWS-Ping", "1");
@@ -508,9 +542,9 @@ impl ServerEngine {
             self.attach_reports(&mut req.headers, now_ms);
             out.validations.push((home, req));
         }
-        // Refresh the load reports the read path hands out (self entry
-        // first, then the GLT snapshot, as attach_reports would).
-        let snapshot = self.report_snapshot(now_ms);
+        // Refresh the load reports the read path hands out: exactly what
+        // attach_reports would attach now.
+        let snapshot = self.reports(now_ms).collect();
         self.read.publish_reports(snapshot);
         out
     }
@@ -527,34 +561,6 @@ impl ServerEngine {
         for r in self.read.take_reports() {
             self.ingest_report(&r);
         }
-    }
-
-    /// The reports [`Self::attach_reports`] would attach right now: own
-    /// entry first, then the freshest GLT rows up to `piggyback_max`.
-    fn report_snapshot(&mut self, now_ms: u64) -> Vec<LoadReport> {
-        let (cps, bps) = self.window.rates(now_ms);
-        self.glt.set_self(cps, bps, now_ms);
-        let mut out = vec![LoadReport {
-            server: self.id.to_string(),
-            cps,
-            bps,
-            ts_ms: now_ms,
-        }];
-        for (sid, info) in self.glt.snapshot() {
-            if out.len() >= self.cfg.piggyback_max {
-                break;
-            }
-            if sid == self.id {
-                continue;
-            }
-            out.push(LoadReport {
-                server: sid.to_string(),
-                cps: info.cps,
-                bps: info.bps,
-                ts_ms: info.ts_ms,
-            });
-        }
-        out
     }
 
     /// T_home: periodically reassess standing migrations. A document on a
@@ -778,8 +784,8 @@ impl ServerEngine {
         .with_header("X-DCWS-Push", "1")
         .with_header("X-DCWS-Home", self.id.as_str())
         .with_header("X-DCWS-Version", &version.to_string())
-        .with_header("Last-Modified", &http_date(self.doc_modified_ms(doc)))
-        .with_header("Content-Type", &content_type)
+        .with_header("Last-Modified", &self.doc_modified(doc).http_date)
+        .with_header("Content-Type", content_type)
         .with_header(
             dcws_http::CHECKSUM_HEADER,
             &dcws_http::body_checksum(&bytes),

@@ -448,9 +448,10 @@ impl ReadPath {
     // ---- write-side hooks (called by the engine, under its lock) ----
 
     /// Prime a document route; a no-op when the resident route already
-    /// serves these bytes with this modification time (the exclusive path
-    /// re-offers the route on every serve it handles, usually with the
-    /// very same `Body`, else with a fresh copy out of the store).
+    /// serves these bytes with this modification time. The exclusive path
+    /// re-offers the route on every serve it handles, with the very same
+    /// `Body` whenever the store or regen cache shares its bytes — then
+    /// `==` is settled by pointer identity and no byte is compared.
     pub(crate) fn install_doc(&self, path: &str, body: Body, content_type: &str, modified_ms: u64) {
         let resident = self.table[self.shard_idx(path)]
             .read()

@@ -12,7 +12,7 @@
 //!   the document will be served from a different host where relative
 //!   links would resolve wrongly.
 
-use crate::engine::{home_variant_key, pull_variant_key, ServerEngine};
+use crate::engine::{home_variant_key, pull_variant_key, Modified, ServerEngine};
 use crate::events::EngineEvent;
 use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location};
@@ -49,7 +49,8 @@ impl ServerEngine {
         if let Some(e) = self.ldg.get_mut(name) {
             e.dirty = false;
         }
-        self.modified.insert(name.to_string(), self.now_ms);
+        self.modified
+            .insert(name.to_string(), Modified::at(self.now_ms));
         self.rewritten.insert(name.to_string());
         self.read.invalidate(name);
         self.regen_cache.remove(&home_variant_key(name));
@@ -57,21 +58,23 @@ impl ServerEngine {
     }
 
     /// The bytes to serve for home document `name`, regenerating first if
-    /// the Dirty bit is set (§4.3). Returns `(bytes, content_type)`.
-    /// Unknown documents return `None`.
-    pub(crate) fn home_content(&mut self, name: &str) -> Option<(Body, String)> {
+    /// the Dirty bit is set (§4.3). Returns `(bytes, content_type)`; an
+    /// unrewritten document's bytes are the store's own
+    /// ([`DocStore::get_body`](crate::DocStore::get_body)). Unknown
+    /// documents return `None`.
+    pub(crate) fn home_content(&mut self, name: &str) -> Option<(Body, &'static str)> {
         let entry = self.ldg.get(name)?;
         let kind = entry.kind;
-        let content_type = kind.content_type().to_string();
+        let content_type = kind.content_type();
         if kind != DocKind::Html {
-            return Some((self.originals.get(name)?.into(), content_type));
+            return Some((self.originals.get_body(name)?, content_type));
         }
         self.settle_dirty(name);
         // A never-rewritten document serves its pristine original without
         // touching the cache — no regeneration work to save, so no cache
         // misses charged either.
         if !self.rewritten.contains(name) {
-            return Some((self.originals.get(name)?.into(), content_type));
+            return Some((self.originals.get_body(name)?, content_type));
         }
         let key = home_variant_key(name);
         let version = self.doc_version(name);
@@ -80,7 +83,7 @@ impl ServerEngine {
             _ => {
                 let regenerated: Body = self.regenerate(name, LinkBase::Relative)?.into();
                 self.count_regeneration(name, true);
-                self.cache_regen(name, &key, regenerated.clone(), &content_type, version);
+                self.cache_regen(name, &key, regenerated.clone(), content_type, version);
                 Some((regenerated, content_type))
             }
         }
@@ -95,13 +98,13 @@ impl ServerEngine {
     /// [`Self::settle_dirty`], so the co-op's next T_val validation sees a
     /// mismatch and refreshes its copy instead of serving stale hyperlinks
     /// forever.
-    pub(crate) fn pull_content(&mut self, name: &str) -> (Body, u64, String) {
+    pub(crate) fn pull_content(&mut self, name: &str) -> (Body, u64, &'static str) {
         self.settle_dirty(name);
         let kind = self.ldg.get(name).map(|e| e.kind).unwrap_or(DocKind::Image);
-        let content_type = kind.content_type().to_string();
+        let content_type = kind.content_type();
         let version = self.doc_version(name);
         if kind != DocKind::Html {
-            let bytes: Body = self.originals.get(name).unwrap_or_default().into();
+            let bytes = self.originals.get_body(name).unwrap_or_default();
             return (bytes, version, content_type);
         }
         let key = pull_variant_key(name);
@@ -110,13 +113,12 @@ impl ServerEngine {
             _ => {
                 // A real parse + reconstruct (§4.3) — counted so hosts
                 // can charge its CPU cost — then cached per version.
-                let bytes: Body = self
-                    .regenerate(name, LinkBase::AbsoluteHome)
-                    .or_else(|| self.originals.get(name))
-                    .unwrap_or_default()
-                    .into();
+                let bytes = match self.regenerate(name, LinkBase::AbsoluteHome) {
+                    Some(regenerated) => regenerated.into(),
+                    None => self.originals.get_body(name).unwrap_or_default(),
+                };
                 self.count_regeneration(name, false);
-                self.cache_regen(name, &key, bytes.clone(), &content_type, version);
+                self.cache_regen(name, &key, bytes.clone(), content_type, version);
                 (bytes, version, content_type)
             }
         }
@@ -156,8 +158,8 @@ impl ServerEngine {
     /// Parse the original, rewrite every site-local URL to its current
     /// form, and serialize (the paper's parse-tree round trip).
     fn regenerate(&self, name: &str, base_mode: LinkBase) -> Option<Vec<u8>> {
-        let original = self.originals.get(name)?;
-        let html = String::from_utf8_lossy(&original).into_owned();
+        let original = self.originals.get_body(name)?;
+        let html = String::from_utf8_lossy(&original);
         let base = Url::relative(name).ok()?;
         let (self_host, self_port) = self.id.host_port();
         let (out, _) = dcws_html::rewrite_links(&html, |raw| {

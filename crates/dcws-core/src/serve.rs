@@ -1,6 +1,6 @@
 //! Request handling — the data plane of §4.2–§4.4.
 
-use crate::engine::{coop_cache_key, ServerEngine, PENDING_SERVE_CAP};
+use crate::engine::{coop_cache_key, Modified, ServerEngine, PENDING_SERVE_CAP};
 use crate::events::EngineEvent;
 use crate::naming::decode_migrate_path;
 use dcws_cache::CachedDoc;
@@ -104,7 +104,7 @@ impl ServerEngine {
         };
 
         let inter = is_inter_server(req);
-        let mut outcome = match decode_migrate_path(&path) {
+        let outcome = match decode_migrate_path(&path) {
             Err(_) => {
                 self.stats.bad_requests += 1;
                 Outcome::Response(Response::new(StatusCode::BadRequest))
@@ -113,30 +113,30 @@ impl ServerEngine {
             Ok(Some(t)) => self.serve_home(&t.path, req, now_ms),
             Ok(None) => self.serve_home(&path, req, now_ms),
         };
-        match &mut outcome {
-            Outcome::Response(resp) => {
+        match outcome {
+            Outcome::Response(mut resp) => {
                 if !inter {
                     // Client GETs may carry a byte range; 304 conditional
                     // hits and errors pass through apply_range untouched,
                     // so If-Modified-Since wins over Range.
-                    let full = std::mem::replace(resp, Response::new(StatusCode::Ok));
-                    *resp = apply_range(req, full);
+                    resp = apply_range(req, resp);
                 }
                 self.window.record(now_ms, resp.body.len() as u64);
                 if inter {
                     self.attach_reports(&mut resp.headers, now_ms);
                 }
+                Outcome::Response(resp)
             }
-            Outcome::Stream { resp, body } => {
+            Outcome::Stream { mut resp, body } => {
                 // Range was already resolved when the stream was opened.
                 self.window.record(now_ms, body.len());
                 if inter {
                     self.attach_reports(&mut resp.headers, now_ms);
                 }
+                Outcome::Stream { resp, body }
             }
-            Outcome::FetchNeeded { .. } => {}
+            fetch @ Outcome::FetchNeeded { .. } => fetch,
         }
-        outcome
     }
 
     /// Serve in the co-op role: a `~migrate` URL for another home's doc.
@@ -246,8 +246,10 @@ impl ServerEngine {
                 // Settle the Dirty bit first so the modification time the
                 // conditional check compares against is current.
                 self.settle_dirty(path);
-                let modified = self.doc_modified_ms(path);
-                let last_modified = http_date(modified);
+                let Modified {
+                    ms: modified,
+                    http_date: last_modified,
+                } = self.doc_modified(path);
                 if let Some(since) = req
                     .headers
                     .get("If-Modified-Since")
@@ -278,9 +280,9 @@ impl ServerEngine {
                 self.stats.bytes_sent += bytes.len() as u64;
                 // Prime the read path: subsequent GETs of this document
                 // are served without the engine lock, sharing this body.
-                self.read.install_doc(path, bytes.clone(), &ct, modified);
+                self.read.install_doc(path, bytes.clone(), ct, modified);
                 Outcome::Response(
-                    Response::ok(bytes, &ct).with_header("Last-Modified", &last_modified),
+                    Response::ok(bytes, ct).with_header("Last-Modified", &last_modified),
                 )
             }
         }
@@ -403,7 +405,7 @@ impl ServerEngine {
                 .set("X-DCWS-Version", version.to_string())
                 .expect("numeric header");
             resp.headers
-                .set("Last-Modified", http_date(self.doc_modified_ms(path)))
+                .set("Last-Modified", &*self.doc_modified(path).http_date)
                 .expect("static header");
             return resp;
         }
@@ -455,9 +457,9 @@ impl ServerEngine {
         // over the body it read, so a garbled transfer is retried
         // instead of being installed as a corrupt copy.
         let sum = body_checksum(&bytes);
-        Response::ok(bytes, &ct)
+        Response::ok(bytes, ct)
             .with_header("X-DCWS-Version", &version.to_string())
-            .with_header("Last-Modified", &http_date(self.doc_modified_ms(path)))
+            .with_header("Last-Modified", &self.doc_modified(path).http_date)
             .with_header(CHECKSUM_HEADER, &sum)
     }
 

@@ -115,22 +115,19 @@ impl ServerEngine {
     /// Per-peer view: GLT load report, dead-list state, and how many of
     /// our documents each peer hosts as a co-op.
     pub fn peer_summaries(&self) -> Vec<PeerSummary> {
-        let mut out: Vec<PeerSummary> = self
-            .glt
-            .snapshot()
-            .into_iter()
-            .filter(|(sid, _)| *sid != self.id)
+        // The GLT walks in id order, which is the order reported.
+        self.glt
+            .iter()
+            .filter(|(sid, _)| **sid != self.id)
             .map(|(sid, info)| PeerSummary {
-                dead: self.dead_peers.contains(&sid),
-                docs_hosted: self.ldg.migrated_to(&sid).len(),
+                dead: self.dead_peers.contains(sid),
+                docs_hosted: self.ldg.migrated_to(sid).len(),
                 cps: info.cps,
                 bps: info.bps,
                 ts_ms: info.ts_ms,
-                id: sid,
+                id: sid.clone(),
             })
-            .collect();
-        out.sort_by(|a, b| a.id.as_str().cmp(b.id.as_str()));
-        out
+            .collect()
     }
 
     /// The engine section of the `/dcws/status` document. Pure

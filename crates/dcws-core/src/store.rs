@@ -8,6 +8,7 @@
 //! HTML source files.
 
 use crate::stream::DocReader;
+use dcws_http::Body;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -17,6 +18,13 @@ use std::path::{Path, PathBuf};
 pub trait DocStore: Send {
     /// Fetch a document's bytes.
     fn get(&self, name: &str) -> Option<Vec<u8>>;
+    /// Fetch a document as a shared [`Body`] — what the serve path asks
+    /// for. The default wraps [`Self::get`]; a store whose documents are
+    /// already resident as bodies answers with a refcount bump, so every
+    /// serve of an unchanged document ships the store's own bytes.
+    fn get_body(&self, name: &str) -> Option<Body> {
+        self.get(name).map(Body::from)
+    }
     /// Store (or replace) a document's bytes. An error means the
     /// document was *not* durably stored (invalid name, disk write or
     /// rename failure); callers count these rather than losing
@@ -62,10 +70,11 @@ fn bad_name(name: &str) -> io::Error {
 }
 
 /// In-memory store; the paper assumes the graph and (here) documents fit
-/// in memory for the datasets at hand.
+/// in memory for the datasets at hand. Documents are converted to shared
+/// bodies once, at `put`.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    map: HashMap<String, Vec<u8>>,
+    map: HashMap<String, Body>,
 }
 
 impl MemStore {
@@ -77,10 +86,13 @@ impl MemStore {
 
 impl DocStore for MemStore {
     fn get(&self, name: &str) -> Option<Vec<u8>> {
+        self.map.get(name).map(Body::to_vec)
+    }
+    fn get_body(&self, name: &str) -> Option<Body> {
         self.map.get(name).cloned()
     }
     fn put(&mut self, name: &str, bytes: Vec<u8>) -> io::Result<()> {
-        self.map.insert(name.to_string(), bytes);
+        self.map.insert(name.to_string(), bytes.into());
         Ok(())
     }
     fn remove(&mut self, name: &str) -> bool {
@@ -250,9 +262,13 @@ mod tests {
         assert_eq!(s.total_bytes(), 5);
         s.put("/a.html", b"world".to_vec()).unwrap();
         assert_eq!(s.get("/a.html").unwrap(), b"world");
+        let shared = s.get_body("/a.html").unwrap();
+        assert_eq!(shared, b"world");
+        assert!(shared.ptr_eq(&s.get_body("/a.html").unwrap()));
         assert!(s.remove("/a.html"));
         assert!(!s.remove("/a.html"));
         assert!(s.get("/a.html").is_none());
+        assert!(s.get_body("/a.html").is_none());
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

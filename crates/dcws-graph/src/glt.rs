@@ -8,7 +8,7 @@
 
 use crate::metrics::BalanceMetric;
 use crate::ServerId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One server's load measurement as stored in the GLT.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,6 +22,14 @@ pub struct LoadInfo {
 }
 
 impl LoadInfo {
+    /// A row for a server nothing has been heard from yet: zero load at
+    /// timestamp 0, so any real report supersedes it.
+    const UNHEARD: LoadInfo = LoadInfo {
+        cps: 0.0,
+        bps: 0.0,
+        ts_ms: 0,
+    };
+
     /// The value used for balancing decisions under `metric`.
     pub fn value(&self, metric: BalanceMetric) -> f64 {
         match metric {
@@ -32,25 +40,24 @@ impl LoadInfo {
 }
 
 /// Best-effort global load table: this server's view of the group.
+///
+/// Rows are kept ordered by server id. Every reader that needs a
+/// deterministic order — the piggyback prefix, the pinger's candidate
+/// list, the co-op tie-break — gets it by walking the table, so none of
+/// them sorts or copies ids, and a reader that wants only the first few
+/// rows ([`Self::iter`]) pays for only those.
 #[derive(Debug, Clone)]
 pub struct GlobalLoadTable {
     self_id: ServerId,
-    map: HashMap<ServerId, LoadInfo>,
+    rows: BTreeMap<ServerId, LoadInfo>,
 }
 
 impl GlobalLoadTable {
     /// A table for server `self_id`, knowing only itself (at zero load).
     pub fn new(self_id: ServerId) -> Self {
-        let mut map = HashMap::new();
-        map.insert(
-            self_id.clone(),
-            LoadInfo {
-                cps: 0.0,
-                bps: 0.0,
-                ts_ms: 0,
-            },
-        );
-        GlobalLoadTable { self_id, map }
+        let mut rows = BTreeMap::new();
+        rows.insert(self_id.clone(), LoadInfo::UNHEARD);
+        GlobalLoadTable { self_id, rows }
     }
 
     /// This server's identity.
@@ -61,27 +68,27 @@ impl GlobalLoadTable {
     /// Register a peer with no load information yet (joins at ts 0, so any
     /// real report immediately supersedes it).
     pub fn add_peer(&mut self, peer: ServerId) {
-        self.map.entry(peer).or_insert(LoadInfo {
-            cps: 0.0,
-            bps: 0.0,
-            ts_ms: 0,
-        });
+        self.rows.entry(peer).or_insert(LoadInfo::UNHEARD);
     }
 
     /// Remove a peer entirely (it was declared dead by the pinger).
     pub fn remove_peer(&mut self, peer: &ServerId) {
         if peer != &self.self_id {
-            self.map.remove(peer);
+            self.rows.remove(peer);
         }
     }
 
     /// Merge one report: kept only if strictly newer than what we have
     /// (last-writer-wins). Returns whether the table changed.
     pub fn update(&mut self, server: ServerId, info: LoadInfo) -> bool {
-        match self.map.get(&server) {
+        match self.rows.get_mut(&server) {
             Some(cur) if cur.ts_ms >= info.ts_ms => false,
-            _ => {
-                self.map.insert(server, info);
+            Some(cur) => {
+                *cur = info;
+                true
+            }
+            None => {
+                self.rows.insert(server, info);
                 true
             }
         }
@@ -89,73 +96,79 @@ impl GlobalLoadTable {
 
     /// Overwrite our own entry with a fresh local measurement.
     pub fn set_self(&mut self, cps: f64, bps: f64, ts_ms: u64) {
-        self.map
-            .insert(self.self_id.clone(), LoadInfo { cps, bps, ts_ms });
+        *self
+            .rows
+            .get_mut(&self.self_id)
+            .expect("the self row is never removed") = LoadInfo { cps, bps, ts_ms };
     }
 
     /// Our own current entry.
     pub fn self_info(&self) -> LoadInfo {
-        self.map[&self.self_id]
+        self.rows[&self.self_id]
     }
 
     /// Look up a server's info.
     pub fn get(&self, server: &ServerId) -> Option<LoadInfo> {
-        self.map.get(server).copied()
+        self.rows.get(server).copied()
     }
 
-    /// All known servers (including self), sorted for determinism.
+    /// Every row (self included) in id order, by reference.
+    pub fn iter(&self) -> impl Iterator<Item = (&ServerId, &LoadInfo)> {
+        self.rows.iter()
+    }
+
+    /// All known servers (including self), in id order.
     pub fn servers(&self) -> Vec<ServerId> {
-        let mut v: Vec<ServerId> = self.map.keys().cloned().collect();
-        v.sort();
-        v
+        self.rows.keys().cloned().collect()
     }
 
     /// Number of known servers including self.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.rows.len()
     }
 
     /// Whether only this server is known.
     pub fn is_empty(&self) -> bool {
-        self.map.len() <= 1
+        self.rows.len() <= 1
     }
 
     /// The least-loaded server under `metric`, excluding self and any
     /// server in `exclude`. This is the §4.2 co-op selection: *"the server
     /// with the lowest LoadMetric value is selected from the global load
-    /// table"*. Ties break on server id for determinism.
+    /// table"*. Ties break on server id for determinism: the walk is in
+    /// id order and `min_by` keeps the first of equal minima.
     pub fn least_loaded(&self, metric: BalanceMetric, exclude: &[ServerId]) -> Option<ServerId> {
-        self.map
+        self.rows
             .iter()
             .filter(|(s, _)| **s != self.self_id && !exclude.contains(s))
-            .min_by(|(s1, a), (s2, b)| {
+            .min_by(|(_, a), (_, b)| {
                 a.value(metric)
                     .partial_cmp(&b.value(metric))
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| s1.cmp(s2))
             })
             .map(|(s, _)| s.clone())
     }
 
     /// Peers whose information is older than `max_age_ms` at `now_ms` —
-    /// candidates for an artificial pinger transfer (§4.5).
-    pub fn stale_peers(&self, now_ms: u64, max_age_ms: u64) -> Vec<ServerId> {
-        let mut v: Vec<ServerId> = self
-            .map
+    /// candidates for an artificial pinger transfer (§4.5) — in id
+    /// order, by reference.
+    pub fn stale(&self, now_ms: u64, max_age_ms: u64) -> impl Iterator<Item = &ServerId> {
+        self.rows
             .iter()
-            .filter(|(s, i)| **s != self.self_id && now_ms.saturating_sub(i.ts_ms) > max_age_ms)
-            .map(|(s, _)| s.clone())
-            .collect();
-        v.sort();
-        v
+            .filter(move |(s, i)| {
+                **s != self.self_id && now_ms.saturating_sub(i.ts_ms) > max_age_ms
+            })
+            .map(|(s, _)| s)
     }
 
-    /// Snapshot of every entry, for piggybacking onto an outgoing transfer.
+    /// [`Self::stale`], collected.
+    pub fn stale_peers(&self, now_ms: u64, max_age_ms: u64) -> Vec<ServerId> {
+        self.stale(now_ms, max_age_ms).cloned().collect()
+    }
+
+    /// Copy of every entry in id order.
     pub fn snapshot(&self) -> Vec<(ServerId, LoadInfo)> {
-        let mut v: Vec<(ServerId, LoadInfo)> =
-            self.map.iter().map(|(s, i)| (s.clone(), *i)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+        self.rows.iter().map(|(s, i)| (s.clone(), *i)).collect()
     }
 }
 

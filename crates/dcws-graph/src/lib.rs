@@ -46,15 +46,20 @@ pub use glt::{GlobalLoadTable, LoadInfo};
 pub use ldg::{DocEntry, DocKind, DocName, LocalDocGraph, Location};
 pub use metrics::{BalanceMetric, RateWindow};
 pub use select::{select_for_migration, select_hottest};
+use std::sync::Arc;
 
 /// Identity of a cooperating server, conventionally `host:port`.
+///
+/// The text is refcounted: ids are copied into every GLT row, LDG
+/// location, event record and peer map, and a clone is a counter bump,
+/// never a string copy. Equality, ordering and hashing are the text's.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ServerId(String);
+pub struct ServerId(Arc<str>);
 
 impl ServerId {
     /// Wrap a `host:port` string.
     pub fn new(s: impl Into<String>) -> Self {
-        ServerId(s.into())
+        ServerId(Arc::from(s.into()))
     }
 
     /// The `host:port` text.
@@ -80,7 +85,7 @@ impl std::fmt::Display for ServerId {
 
 impl From<&str> for ServerId {
     fn from(s: &str) -> Self {
-        ServerId::new(s)
+        ServerId(s.into())
     }
 }
 

@@ -2,10 +2,11 @@
 //! Algorithm 1 safety.
 
 use dcws_graph::{
-    select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
-    ServerId,
+    select_for_migration, BalanceMetric, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph,
+    Location, RateWindow, ServerId,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A random graph spec: per document, a list of link target indices, an
 /// entry-point flag, and a hit count.
@@ -152,6 +153,99 @@ proptest! {
             t.update(ServerId::new(format!("s{s}:1")), LoadInfo { cps: *cps, bps: *bps, ts_ms: *ts });
         }
         prop_assert_eq!(once, t.snapshot());
+    }
+
+    #[test]
+    fn glt_matches_hashmap_and_sort_model(
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..14, 0u8..3, 0u8..3, 0u64..60),
+            1..60,
+        ),
+        exclude in proptest::collection::vec(0usize..14, 0..4),
+        now in 0u64..80,
+        max_age in 0u64..40,
+    ) {
+        // Ids whose text order differs from their numeric order
+        // (`s10:1` sorts before `s2:1`), with the table's own id in the
+        // middle of the range. Loads come from three values so ties are
+        // common and the id tie-break decides.
+        let id = |i: usize| ServerId::new(format!("s{i}:1"));
+        let me = id(5);
+        let mut table = GlobalLoadTable::new(me.clone());
+        let unheard = LoadInfo { cps: 0.0, bps: 0.0, ts_ms: 0 };
+        let mut model: HashMap<ServerId, LoadInfo> = HashMap::from([(me.clone(), unheard)]);
+        let exclude: Vec<ServerId> = exclude.into_iter().map(id).collect();
+
+        for (op, who, cps, bps, ts) in ops {
+            let peer = id(who);
+            let info = LoadInfo { cps: f64::from(cps), bps: f64::from(bps), ts_ms: ts };
+            match op {
+                0 => {
+                    table.add_peer(peer.clone());
+                    model.entry(peer.clone()).or_insert(unheard);
+                }
+                1 => {
+                    let newer = match model.get(&peer) {
+                        Some(cur) => cur.ts_ms < ts,
+                        None => true,
+                    };
+                    prop_assert_eq!(table.update(peer.clone(), info), newer);
+                    if newer {
+                        model.insert(peer.clone(), info);
+                    }
+                }
+                2 => {
+                    table.remove_peer(&peer);
+                    if peer != me {
+                        model.remove(&peer);
+                    }
+                }
+                _ => {
+                    table.set_self(info.cps, info.bps, ts);
+                    model.insert(me.clone(), info);
+                }
+            }
+
+            // The model's answers: collect from the map, then sort.
+            let mut rows: Vec<(ServerId, LoadInfo)> =
+                model.iter().map(|(s, i)| (s.clone(), *i)).collect();
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            prop_assert_eq!(table.snapshot(), rows.clone());
+            let by_ref: Vec<(ServerId, LoadInfo)> =
+                table.iter().map(|(s, i)| (s.clone(), *i)).collect();
+            prop_assert_eq!(by_ref, rows.clone());
+            let ids: Vec<ServerId> = rows.iter().map(|(s, _)| s.clone()).collect();
+            prop_assert_eq!(table.servers(), ids);
+            prop_assert_eq!(table.len(), rows.len());
+            prop_assert_eq!(table.self_info(), model[&me]);
+            prop_assert_eq!(table.get(&peer), model.get(&peer).copied());
+
+            let stale: Vec<ServerId> = rows
+                .iter()
+                .filter(|(s, i)| *s != me && now.saturating_sub(i.ts_ms) > max_age)
+                .map(|(s, _)| s.clone())
+                .collect();
+            prop_assert_eq!(table.stale_peers(now, max_age), stale.clone());
+            let stale_by_ref: Vec<ServerId> = table.stale(now, max_age).cloned().collect();
+            prop_assert_eq!(stale_by_ref, stale);
+
+            for metric in [BalanceMetric::Cps, BalanceMetric::Bps] {
+                let mut candidates: Vec<&(ServerId, LoadInfo)> = rows
+                    .iter()
+                    .filter(|(s, _)| *s != me && !exclude.contains(s))
+                    .collect();
+                candidates.sort_by(|a, b| {
+                    a.1.value(metric)
+                        .partial_cmp(&b.1.value(metric))
+                        .unwrap()
+                        .then_with(|| a.0.cmp(&b.0))
+                });
+                prop_assert_eq!(
+                    table.least_loaded(metric, &exclude),
+                    candidates.first().map(|(s, _)| s.clone())
+                );
+            }
+        }
     }
 
     #[test]

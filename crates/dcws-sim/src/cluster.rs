@@ -19,15 +19,16 @@
 
 use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Origin, Purpose, SimTime};
-use crate::metrics::{Counters, LatencyHist, Sample, SimResult};
+use crate::metrics::{Counters, EventCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
 use dcws_core::{EventRecord, MemStore, Outcome, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Request, Response, StatusCode, Url};
+use dcws_http::{Body, Request, Response, StatusCode, Url};
 use dcws_workloads::{materialize::materialize, PageKind};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Synthetic `from` index for connection-level failures.
 const FROM_NONE: usize = usize::MAX;
@@ -52,12 +53,22 @@ struct ServerSt {
     drops: u64,
 }
 
+/// The outgoing links of one fetched page, resolved against the URL it
+/// was fetched from. Parsed once per distinct body and then shared — by
+/// the cluster-wide parse cache, by every client cache entry for the
+/// page, and by the client walking it — so a page view clones refcounts,
+/// never strings. (`Arc`, not `Rc`: the cluster stays `Send`.)
+#[derive(Debug)]
+struct Links {
+    /// Hyperlinks, in document order (the walk draws from these).
+    anchors: Vec<Arc<Url>>,
+    /// Embedded objects, sorted by URL text and deduplicated.
+    embeds: Vec<Arc<Url>>,
+}
+
 #[derive(Debug, Clone)]
 enum CacheEntry {
-    Html {
-        anchors: Vec<String>,
-        embeds: Vec<String>,
-    },
+    Html(Arc<Links>),
     Other,
 }
 
@@ -71,7 +82,7 @@ enum CState {
 }
 
 struct PendingFetch {
-    url: Url,
+    url: Arc<Url>,
     redirects_left: u32,
     /// When the first request of this fetch left the client, for
     /// end-to-end response-time accounting (redirect hops and lazy-pull
@@ -82,20 +93,37 @@ struct PendingFetch {
 struct ClientSt {
     rng: StdRng,
     state: CState,
-    cache: HashMap<String, CacheEntry>,
+    cache: HashMap<Arc<Url>, CacheEntry>,
     steps_left: u32,
-    current_url: Option<Url>,
-    current_anchors: Vec<String>,
+    current_url: Option<Arc<Url>>,
+    /// The page being walked; `None` at a session start or a dead end.
+    current_page: Option<Arc<Links>>,
     pending_doc: Option<(u64, PendingFetch)>,
     /// Outstanding image fetches (≤ `helpers` entries); a flat vec beats
     /// a map at this size and keeps the hot path allocation-light.
     images_pending: Vec<(u64, PendingFetch)>,
-    images_queue: VecDeque<String>,
+    images_queue: VecDeque<Arc<Url>>,
     next_token: u64,
     backoff_pow: u32,
 }
 
 impl ClientSt {
+    /// Queue the current page's embedded objects for the image helpers,
+    /// skipping (when the session cache is on) those already fetched.
+    fn queue_embeds(&mut self, cache_enabled: bool) {
+        self.images_queue.clear();
+        let Some(page) = &self.current_page else {
+            return;
+        };
+        let cache = &self.cache;
+        self.images_queue.extend(
+            page.embeds
+                .iter()
+                .filter(|e| !cache_enabled || !cache.contains_key(*e))
+                .cloned(),
+        );
+    }
+
     /// The in-flight image fetch for `token`, if any.
     fn image_mut(&mut self, token: u64) -> Option<&mut PendingFetch> {
         self.images_pending
@@ -127,7 +155,7 @@ pub struct SimCluster {
     /// The effective per-server engine config (strategy adjustments
     /// applied), kept for cold restarts.
     server_config: ServerConfig,
-    entry_urls: Vec<Url>,
+    entry_urls: Vec<Arc<Url>>,
     dns: Option<RoundRobinDns>,
     router: Option<CentralRouter>,
     /// Router pseudo-server CPU/queue state.
@@ -146,11 +174,13 @@ pub struct SimCluster {
     /// Scheduled cold restarts (ms, server index); see
     /// [`SimCluster::with_restart_schedule`].
     restarts: Vec<(u64, usize)>,
-    /// Memoized client-side parse results keyed by (final URL, body hash):
-    /// clients re-fetch the same served bytes constantly, and parsing is a
-    /// pure function of them. Entries are invalidated naturally because a
-    /// regenerated document hashes differently.
-    parse_cache: HashMap<(String, u64), (Vec<String>, Vec<String>)>,
+    /// Memoized client-side parse results keyed by final URL and valid
+    /// for the body they were parsed from: clients re-fetch the same
+    /// served bytes constantly, and parsing is a pure function of them.
+    /// Servers hand out one shared `Body` per document version, so the
+    /// check is a pointer compare nearly always and a byte compare
+    /// otherwise; a regenerated document fails both and is re-parsed.
+    parse_cache: HashMap<Arc<Url>, (Body, Arc<Links>)>,
     /// Access log accumulated when `record_trace` is set.
     trace_out: Vec<crate::trace::TraceEvent>,
     /// Engine events drained from every server at each sample point
@@ -166,16 +196,8 @@ pub struct SimCluster {
     latency_n: u64,
     /// Log₂-bucketed end-to-end latency distribution (200-completed only).
     latency: LatencyHist,
-    /// Events handled by the run loop.
-    events: u64,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    /// Events handled by the run loop, by kind.
+    event_counts: EventCounts,
 }
 
 /// Index used for the router pseudo-server in events.
@@ -286,11 +308,12 @@ impl SimCluster {
         // Entry-point URLs always name the home server (server 0); for
         // replicated strategies routing overrides the host anyway.
         let (h, p) = ids[0].host_port();
-        let entry_urls: Vec<Url> = cfg
+        let entry_urls: Vec<Arc<Url>> = cfg
             .dataset
             .entry_points()
             .iter()
             .map(|d| Url::absolute(h, p, d.name.clone()).expect("dataset names are valid paths"))
+            .map(Arc::new)
             .collect();
         assert!(!entry_urls.is_empty(), "dataset has no entry points");
 
@@ -324,7 +347,7 @@ impl SimCluster {
                 cache: HashMap::new(),
                 steps_left: 0,
                 current_url: None,
-                current_anchors: Vec::new(),
+                current_page: None,
                 pending_doc: None,
                 images_pending: Vec::new(),
                 images_queue: VecDeque::new(),
@@ -368,7 +391,7 @@ impl SimCluster {
             latency_us_sum: 0,
             latency_n: 0,
             latency: LatencyHist::default(),
-            events: 0,
+            event_counts: EventCounts::default(),
         }
     }
 
@@ -465,7 +488,6 @@ impl SimCluster {
                 break;
             }
             self.now = t;
-            self.events += 1;
             self.handle(ev);
         }
     }
@@ -533,7 +555,8 @@ impl SimCluster {
                 self.latency_us_sum as f64 / self.latency_n as f64 / 1_000.0
             },
             latency: self.latency.clone(),
-            events: self.events,
+            events: self.event_counts.total(),
+            event_counts: self.event_counts,
             switch_peak_flows: self.switch_peak_flows,
             duration_ms: self.cfg.duration_ms,
             trace: if self.cfg.record_trace {
@@ -548,6 +571,7 @@ impl SimCluster {
     }
 
     fn handle(&mut self, ev: Event) {
+        self.event_counts.record(&ev);
         match ev {
             Event::RequestArrive {
                 server,
@@ -669,7 +693,7 @@ impl SimCluster {
 
     fn start_service(&mut self, server: usize) {
         let now_ms = self.now / 1_000;
-        let cost = self.cfg.cost.clone();
+        let cost = &self.cfg.cost;
         let srv = &mut self.servers[server];
         let Some((req, origin)) = srv.queue.pop_front() else {
             return;
@@ -694,8 +718,8 @@ impl SimCluster {
                 // Park the request; first parker triggers the pull, later
                 // ones coalesce onto it (the simulator's analogue of the
                 // transport singleflight).
-                let home_idx = self.id_to_idx.get(&home).copied();
-                let key = (home_idx.unwrap_or(FROM_NONE), path.clone());
+                let home = self.id_to_idx.get(&home).copied().unwrap_or(FROM_NONE);
+                let key = (home, path.clone());
                 let first = !srv.parked.contains_key(&key);
                 if !first {
                     srv.engine.coop_cache().record_coalesced_wait();
@@ -705,33 +729,30 @@ impl SimCluster {
                 self.queue
                     .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
                 if first {
-                    let pull = srv.engine.make_pull_request(&path, now_ms);
-                    let ev = Event::RequestArrive {
-                        server: home_idx.unwrap_or(FROM_NONE),
-                        req: pull,
-                        origin: Origin::Server {
-                            id: server,
-                            purpose: Purpose::Pull {
-                                home: home.clone(),
-                                path,
-                            },
-                        },
+                    let req = srv.engine.make_pull_request(&path, now_ms);
+                    let origin = Origin::Server {
+                        id: server,
+                        purpose: Purpose::Pull { home, path },
                     };
-                    match home_idx {
-                        Some(_) => self.queue.push(self.now + cost.latency_us, ev),
-                        None => {
-                            // Unknown home: immediate failure.
-                            if let Event::RequestArrive { origin, .. } = ev {
-                                self.queue.push(
-                                    self.now + 1,
-                                    Event::Deliver {
-                                        origin,
-                                        delivery: Delivery::Failed,
-                                        from: FROM_NONE,
-                                    },
-                                );
-                            }
-                        }
+                    if home == FROM_NONE {
+                        // Unknown home: immediate failure.
+                        self.queue.push(
+                            self.now + 1,
+                            Event::Deliver {
+                                origin,
+                                delivery: Delivery::Failed,
+                                from: FROM_NONE,
+                            },
+                        );
+                    } else {
+                        self.queue.push(
+                            self.now + cost.latency_us,
+                            Event::RequestArrive {
+                                server: home,
+                                req,
+                                origin,
+                            },
+                        );
                     }
                 }
             }
@@ -747,7 +768,7 @@ impl SimCluster {
             }
             return;
         }
-        let cost = self.cfg.cost.clone();
+        let cost = &self.cfg.cost;
         let srv = &mut self.servers[server];
         if srv.crashed {
             return;
@@ -805,7 +826,7 @@ impl SimCluster {
                             req,
                             origin: Origin::Server {
                                 id: server,
-                                purpose: Purpose::Ping { peer },
+                                purpose: Purpose::Ping { peer: idx },
                             },
                         },
                     );
@@ -821,7 +842,7 @@ impl SimCluster {
                             req,
                             origin: Origin::Server {
                                 id: server,
-                                purpose: Purpose::Validate { home, path },
+                                purpose: Purpose::Validate { home: idx, path },
                             },
                         },
                     );
@@ -958,14 +979,19 @@ impl SimCluster {
         let now_ms = self.now / 1_000;
         match purpose {
             Purpose::Pull { home, path } => {
-                let home_idx = self.id_to_idx.get(&home).copied().unwrap_or(FROM_NONE);
-                let key = (home_idx, path.clone());
-                let parked = self.servers[server].parked.remove(&key).unwrap_or_default();
-                let ok = match &delivery {
-                    Delivery::Response(resp) if resp.status == StatusCode::Ok => self.servers
-                        [server]
-                        .engine
-                        .store_pulled(&home, &path, resp, now_ms),
+                // `None`: the `~migrate` URL named no simulated server, so
+                // there is no engine-side pull to settle — only waiters.
+                let home_id = self.server_ids.get(home);
+                let parked = self.servers[server]
+                    .parked
+                    .remove(&(home, path.clone()))
+                    .unwrap_or_default();
+                let ok = match (&delivery, home_id) {
+                    (Delivery::Response(resp), Some(home_id)) if resp.status == StatusCode::Ok => {
+                        self.servers[server]
+                            .engine
+                            .store_pulled(home_id, &path, resp, now_ms)
+                    }
                     _ => false,
                 };
                 if ok {
@@ -984,9 +1010,11 @@ impl SimCluster {
                         Delivery::Response(r) => r,
                         Delivery::Failed => Response::service_unavailable(1),
                     };
-                    self.servers[server]
-                        .engine
-                        .pull_rejected(&home, &path, &resp, now_ms);
+                    if let Some(home_id) = home_id {
+                        self.servers[server]
+                            .engine
+                            .pull_rejected(home_id, &path, &resp, now_ms);
+                    }
                     for (_, origin) in parked {
                         self.queue.push(
                             self.now + 1,
@@ -999,33 +1027,33 @@ impl SimCluster {
                     }
                 }
             }
-            Purpose::Validate { home, path } => match delivery {
-                Delivery::Response(resp) => {
-                    self.servers[server]
-                        .engine
-                        .handle_validation_response(&home, &path, &resp, now_ms);
+            Purpose::Validate { home, path } => {
+                let home = &self.server_ids[home];
+                let engine = &mut self.servers[server].engine;
+                match delivery {
+                    Delivery::Response(resp) => {
+                        engine.handle_validation_response(home, &path, &resp, now_ms);
+                    }
+                    // Home unreachable: the copy is served stale rather than
+                    // discarded (graceful degradation, docs/RESILIENCE.md).
+                    Delivery::Failed => engine.validation_failed(home, &path, now_ms),
                 }
-                // Home unreachable: the copy is served stale rather than
-                // discarded (graceful degradation, docs/RESILIENCE.md).
-                Delivery::Failed => {
-                    self.servers[server]
-                        .engine
-                        .validation_failed(&home, &path, now_ms);
+            }
+            Purpose::Ping { peer } => {
+                let peer = &self.server_ids[peer];
+                let engine = &mut self.servers[server].engine;
+                match delivery {
+                    // ANY response proves the peer is alive — a 503 means
+                    // overloaded, not dead. Only connection failure counts
+                    // against it.
+                    Delivery::Response(resp) => {
+                        engine.ping_result(peer, true, Some(&resp.headers));
+                    }
+                    Delivery::Failed => {
+                        engine.ping_result(peer, false, None);
+                    }
                 }
-            },
-            Purpose::Ping { peer } => match delivery {
-                // ANY response proves the peer is alive — a 503 means
-                // overloaded, not dead. Only connection failure counts
-                // against it.
-                Delivery::Response(resp) => {
-                    self.servers[server]
-                        .engine
-                        .ping_result(&peer, true, Some(&resp.headers));
-                }
-                Delivery::Failed => {
-                    self.servers[server].engine.ping_result(&peer, false, None);
-                }
-            },
+            }
             Purpose::Push => {}
         }
     }
@@ -1125,7 +1153,7 @@ impl SimCluster {
                     _ => c.rng.gen_range(0..self.entry_urls.len()),
                 };
                 c.current_url = Some(self.entry_urls[e].clone());
-                c.current_anchors.clear();
+                c.current_page = None;
                 c.state = CState::IssueDoc;
                 self.client_issue_doc(client);
             }
@@ -1139,16 +1167,12 @@ impl SimCluster {
     fn client_issue_doc(&mut self, client: usize) {
         let c = &mut self.clients[client];
         let url = c.current_url.clone().expect("IssueDoc has a current URL");
-        let key = url.to_string();
         if self.cfg.client.cache_enabled {
-            if let Some(CacheEntry::Html { anchors, embeds }) = c.cache.get(&key).cloned() {
+            if let Some(CacheEntry::Html(page)) = c.cache.get(&url).cloned() {
                 // Cache hit: no request; straight to the image phase
                 // (embeds were cached along with the page in this session).
-                c.current_anchors = anchors;
-                c.images_queue = embeds
-                    .into_iter()
-                    .filter(|e| !c.cache.contains_key(e))
-                    .collect();
+                c.current_page = Some(page);
+                c.queue_embeds(true);
                 c.state = CState::Images;
                 let overhead = self.cfg.cost.client_overhead_us;
                 self.queue
@@ -1177,13 +1201,12 @@ impl SimCluster {
             if c.images_pending.len() >= helpers {
                 break;
             }
-            let Some(next) = c.images_queue.pop_front() else {
+            let Some(url) = c.images_queue.pop_front() else {
                 break;
             };
-            if self.cfg.client.cache_enabled && c.cache.contains_key(&next) {
+            if self.cfg.client.cache_enabled && c.cache.contains_key(&url) {
                 continue;
             }
-            let Ok(url) = Url::parse(&next) else { continue };
             let token = c.next_token;
             c.next_token += 1;
             c.images_pending.push((
@@ -1217,31 +1240,18 @@ impl SimCluster {
             } else {
                 0
             };
-        if c.steps_left == 0 || c.current_anchors.is_empty() {
+        let anchors = c.current_page.as_ref().map_or(&[][..], |p| &p.anchors);
+        if c.steps_left == 0 || anchors.is_empty() {
             // Session over (walk length reached, or dead end).
             self.counters.sessions += 1;
             c.state = CState::NewSession;
-            self.queue
-                .push(self.now + overhead, Event::ClientWake { client });
-            return;
+        } else {
+            let pick = c.rng.gen_range(0..anchors.len());
+            c.current_url = Some(anchors[pick].clone());
+            c.state = CState::IssueDoc;
         }
-        let pick = c.rng.gen_range(0..c.current_anchors.len());
-        let next = c.current_anchors[pick].clone();
-        match Url::parse(&next) {
-            Ok(u) => {
-                c.current_url = Some(u);
-                c.state = CState::IssueDoc;
-                self.queue
-                    .push(self.now + overhead, Event::ClientWake { client });
-            }
-            Err(_) => {
-                // Unparseable link: end the session.
-                self.counters.sessions += 1;
-                c.state = CState::NewSession;
-                self.queue
-                    .push(self.now + overhead, Event::ClientWake { client });
-            }
-        }
+        self.queue
+            .push(self.now + overhead, Event::ClientWake { client });
     }
 
     fn client_deliver(&mut self, client: usize, token: u64, delivery: Delivery, _from: usize) {
@@ -1289,14 +1299,6 @@ impl SimCluster {
             }
             StatusCode::MovedPermanently => {
                 self.counters.redirects += 1;
-                if std::env::var("DCWS_TRACE_REDIR").is_ok() {
-                    eprintln!(
-                        "REDIR t={} client={} loc={:?}",
-                        self.now / 1000,
-                        client,
-                        resp.headers.get("Location")
-                    );
-                }
                 let c = &mut self.clients[client];
                 let (_, pending) = c.pending_doc.as_mut().expect("doc response has pending");
                 if pending.redirects_left == 0 {
@@ -1310,9 +1312,9 @@ impl SimCluster {
                 pending.redirects_left -= 1;
                 match resp.location() {
                     Some(loc) if loc.is_absolute() => {
+                        let loc = Arc::new(loc);
                         pending.url = loc.clone();
-                        let url = loc;
-                        self.send_client_request(client, &url, token);
+                        self.send_client_request(client, &loc, token);
                     }
                     _ => {
                         self.clients[client].pending_doc = None;
@@ -1333,61 +1335,30 @@ impl SimCluster {
                 self.latency_n += 1;
                 self.latency.record_us(delta);
                 let final_url = pending.url;
-                let requested = c.current_url.clone().map(|u| u.to_string());
+                let requested = c.current_url.clone();
                 let is_html = resp
                     .headers
                     .get("Content-Type")
                     .is_some_and(|ct| ct.starts_with("text/html"));
-                if is_html {
-                    let key = (final_url.to_string(), fnv1a(&resp.body));
-                    let (anchors, embeds) = match self.parse_cache.get(&key) {
-                        Some((a, e)) => (a.clone(), e.clone()),
-                        None => {
-                            let html = String::from_utf8_lossy(&resp.body);
-                            let mut anchors = Vec::new();
-                            let mut embeds = Vec::new();
-                            for l in dcws_html::extract_links(&html) {
-                                let Ok(abs) = final_url.join(&l.url) else {
-                                    continue;
-                                };
-                                let s = abs.to_string();
-                                match l.kind {
-                                    dcws_html::LinkKind::Hyperlink => anchors.push(s),
-                                    dcws_html::LinkKind::Embedded => embeds.push(s),
-                                }
-                            }
-                            embeds.sort();
-                            embeds.dedup();
-                            self.parse_cache
-                                .insert(key, (anchors.clone(), embeds.clone()));
-                            (anchors, embeds)
-                        }
-                    };
-                    let c = &mut self.clients[client];
-                    let entry = CacheEntry::Html {
-                        anchors: anchors.clone(),
-                        embeds: embeds.clone(),
-                    };
-                    c.cache.insert(final_url.to_string(), entry.clone());
-                    if let Some(req_key) = requested {
-                        c.cache.insert(req_key, entry);
-                    }
-                    c.current_anchors = anchors;
-                    let cache_enabled = self.cfg.client.cache_enabled;
-                    c.images_queue = embeds
-                        .into_iter()
-                        .filter(|e| !cache_enabled || !c.cache.contains_key(e))
-                        .collect();
-                    c.state = CState::Images;
-                    self.client_launch_images(client);
+                let page = if is_html {
+                    Some(self.parsed_links(&final_url, &resp.body))
                 } else {
                     // Opaque document (an image reached by hyperlink, the
                     // Sequoia pattern): dead end for the walk.
-                    c.cache.insert(final_url.to_string(), CacheEntry::Other);
-                    if let Some(req_key) = requested {
-                        c.cache.insert(req_key, CacheEntry::Other);
-                    }
-                    c.current_anchors = Vec::new();
+                    None
+                };
+                let entry = page.clone().map_or(CacheEntry::Other, CacheEntry::Html);
+                let c = &mut self.clients[client];
+                c.cache.insert(final_url, entry.clone());
+                if let Some(requested) = requested {
+                    c.cache.insert(requested, entry);
+                }
+                c.current_page = page;
+                if c.current_page.is_some() {
+                    c.queue_embeds(self.cfg.client.cache_enabled);
+                    c.state = CState::Images;
+                    self.client_launch_images(client);
+                } else {
                     c.state = CState::NextStep;
                     self.queue
                         .push(self.now + overhead, Event::ClientWake { client });
@@ -1403,6 +1374,38 @@ impl SimCluster {
                     .push(self.now + overhead, Event::ClientWake { client });
             }
         }
+    }
+
+    /// The links of the HTML page `body` fetched from `url`, from the
+    /// parse cache when it holds them for exactly these bytes.
+    fn parsed_links(&mut self, url: &Arc<Url>, body: &Body) -> Arc<Links> {
+        if let Some((parsed_from, links)) = self.parse_cache.get_mut(&**url) {
+            if parsed_from == body {
+                // Equal bytes under a new allocation (a re-pulled copy):
+                // remember it, so the next compare is by pointer again.
+                *parsed_from = body.clone();
+                return links.clone();
+            }
+        }
+        let html = String::from_utf8_lossy(body);
+        let mut anchors = Vec::new();
+        let mut embeds = Vec::new();
+        for l in dcws_html::extract_links(&html) {
+            let Ok(abs) = url.join(&l.url) else {
+                continue;
+            };
+            match l.kind {
+                dcws_html::LinkKind::Hyperlink => anchors.push(Arc::new(abs)),
+                dcws_html::LinkKind::Embedded => embeds.push(Arc::new(abs)),
+            }
+        }
+        // Image fetch order is the order of the URLs' text.
+        embeds.sort_by_cached_key(|u| u.to_string());
+        embeds.dedup();
+        let links = Arc::new(Links { anchors, embeds });
+        self.parse_cache
+            .insert(url.clone(), (body.clone(), links.clone()));
+        links
     }
 
     fn client_backoff_retry(&mut self, client: usize) {
@@ -1437,18 +1440,6 @@ impl SimCluster {
             }
             StatusCode::MovedPermanently => {
                 self.counters.redirects += 1;
-                if std::env::var("DCWS_TRACE_REDIR").is_ok() {
-                    let from = self.clients[client]
-                        .image_mut(token)
-                        .map(|p| p.url.to_string());
-                    eprintln!(
-                        "IMG-REDIR t={} client={} from={:?} loc={:?}",
-                        self.now / 1_000_000,
-                        client,
-                        from,
-                        resp.headers.get("Location")
-                    );
-                }
                 let c = &mut self.clients[client];
                 let pending = c.image_mut(token).expect("image pending");
                 if pending.redirects_left == 0 {
@@ -1459,6 +1450,7 @@ impl SimCluster {
                 pending.redirects_left -= 1;
                 match resp.location() {
                     Some(loc) if loc.is_absolute() => {
+                        let loc = Arc::new(loc);
                         pending.url = loc.clone();
                         self.send_client_request(client, &loc, token);
                     }
@@ -1479,7 +1471,7 @@ impl SimCluster {
                     self.latency_n += 1;
                     self.latency.record_us(delta);
                     let c = &mut self.clients[client];
-                    c.cache.insert(p.url.to_string(), CacheEntry::Other);
+                    c.cache.insert(p.url, CacheEntry::Other);
                 }
                 self.client_launch_images(client);
             }
@@ -1496,7 +1488,7 @@ impl SimCluster {
         // back-off wake relaunches if nothing else is in flight.
         let c = &mut self.clients[client];
         if let Some(p) = c.image_take(token) {
-            c.images_queue.push_back(p.url.to_string());
+            c.images_queue.push_back(p.url);
         }
         let pow = c.backoff_pow;
         c.backoff_pow += 1;

@@ -16,27 +16,29 @@ use dcws_http::{Request, Response};
 pub type SimTime = u64;
 
 /// Why a server-originated request was sent, so the response can be routed
-/// back into the right engine callback.
+/// back into the right engine callback. Peers are named by their index in
+/// the cluster's server slab, resolved once when the request is sent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Purpose {
     /// Lazy pull of a migrated document from its home (§4.2).
     Pull {
-        /// The home server pulled from.
-        home: dcws_graph::ServerId,
+        /// The home server pulled from (`usize::MAX` when the name in
+        /// the `~migrate` URL is no simulated server's).
+        home: usize,
         /// Original document path on the home server.
         path: String,
     },
     /// Co-op revalidation of a migrated copy (§4.5).
     Validate {
         /// The home server being validated against.
-        home: dcws_graph::ServerId,
+        home: usize,
         /// Original document path on the home server.
         path: String,
     },
     /// Artificial pinger transfer (§4.5).
     Ping {
         /// The peer being pinged.
-        peer: dcws_graph::ServerId,
+        peer: usize,
     },
     /// Eager-migration push (ablation); response is ignored.
     Push,

@@ -1,6 +1,7 @@
 //! Metric collection and reduction — the CPS/BPS measures of §5.3 —
 //! plus the merged engine event trace for causal analysis.
 
+use crate::event::{Event, Origin};
 use dcws_cache::CacheStats;
 use dcws_core::EventRecord;
 use std::io::Write;
@@ -21,6 +22,62 @@ pub struct Counters {
     pub failures: u64,
     /// Sessions completed.
     pub sessions: u64,
+}
+
+/// How many events of each kind the run loop handled: the simulator's
+/// own decomposition, to set beside wall time when asking where a run's
+/// time went (`examples/probe.rs` prints it). Deterministic for a given
+/// configuration, like everything else in a [`SimResult`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Requests reaching a server's front end (client GETs, pulls,
+    /// validations, pings, pushes).
+    pub request_arrive: u64,
+    /// Server CPU completions.
+    pub service_done: u64,
+    /// Responses or failures delivered to a client.
+    pub client_deliver: u64,
+    /// Responses or failures delivered to a server (pull, validation,
+    /// ping and push answers).
+    pub server_deliver: u64,
+    /// Per-server control-plane ticks.
+    pub server_tick: u64,
+    /// Client wake-ups (session starts, post-overhead, back-off expiry).
+    pub client_wake: u64,
+    /// Everything else: samples, switch releases, replay fires, restarts.
+    pub other: u64,
+}
+
+impl EventCounts {
+    /// Count one handled event under its kind.
+    pub(crate) fn record(&mut self, ev: &Event) {
+        *match ev {
+            Event::RequestArrive { .. } => &mut self.request_arrive,
+            Event::ServiceDone { .. } => &mut self.service_done,
+            Event::Deliver {
+                origin: Origin::Client { .. },
+                ..
+            } => &mut self.client_deliver,
+            Event::Deliver { .. } => &mut self.server_deliver,
+            Event::ServerTick { .. } => &mut self.server_tick,
+            Event::ClientWake { .. } => &mut self.client_wake,
+            Event::Sample
+            | Event::ReplayFire { .. }
+            | Event::SwitchRelease
+            | Event::ServerRestart { .. } => &mut self.other,
+        } += 1;
+    }
+
+    /// All events handled — [`SimResult::events`].
+    pub fn total(&self) -> u64 {
+        self.request_arrive
+            + self.service_done
+            + self.client_deliver
+            + self.server_deliver
+            + self.server_tick
+            + self.client_wake
+            + self.other
+    }
 }
 
 /// Log₂-bucketed client-latency histogram (µs buckets).
@@ -122,6 +179,9 @@ pub struct SimResult {
     /// Number of discrete events the run processed — the denominator of
     /// the scale headline (events/sec = `events` / wall-clock).
     pub events: u64,
+    /// [`Self::events`] by kind. Not part of [`Self::digest`], which
+    /// already pins their sum.
+    pub event_counts: EventCounts,
     /// Peak number of concurrent switch flows observed (always 0 under
     /// [`crate::NetModel::ConstantBandwidth`], which serializes).
     pub switch_peak_flows: u64,
@@ -272,6 +332,7 @@ mod tests {
             mean_response_ms: 0.0,
             latency: LatencyHist::default(),
             events: 0,
+            event_counts: EventCounts::default(),
             switch_peak_flows: 0,
             duration_ms: cps.len() as u64 * 10_000,
             trace: None,

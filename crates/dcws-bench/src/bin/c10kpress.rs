@@ -4,17 +4,16 @@
 //! The paper's §5.1 front end parks one worker thread per connection, so
 //! a dozen workers mean a dozen concurrent clients — every further
 //! keep-alive connection waits in the socket queue or takes a `503`.
-//! The reactor front end (see `docs/PERFORMANCE.md`, "Reactor &
-//! backpressure") multiplexes all client connections over readiness
-//! events on one thread, so an *idle* connection costs a file
-//! descriptor and a parse buffer, not a thread. This binary measures
-//! that difference directly: the same population of slow keep-alive
-//! clients (one small GET per think-time interval, connection held open
-//! throughout) is pointed at one real [`DcwsServer`] per arm —
-//! `FrontEnd::Reactor` versus `FrontEnd::Threaded` — and the key
-//! number is **max concurrently open *and served* connections**: a
-//! connection counts once it is open and has received at least one
-//! `200`.
+//! The reactor (see `docs/PERFORMANCE.md`, "Reactor & backpressure")
+//! multiplexes all client connections over readiness events on one
+//! thread, so an *idle* connection costs a file descriptor and a parse
+//! buffer, not a thread. This binary measures that directly: a
+//! population of slow keep-alive clients (one small GET per think-time
+//! interval, connection held open throughout) is pointed at one real
+//! [`DcwsServer`], and the key number is **max concurrently open *and
+//! served* connections**: a connection counts once it is open and has
+//! received at least one `200`. (The A/B against the §5.1 model that
+//! retired it is recorded in EXPERIMENTS.md, "C10kpress".)
 //!
 //! The client side is the same [`Poller`] the reactor
 //! uses (one thread, nonblocking sockets, incremental `MsgBuf`
@@ -28,19 +27,19 @@
 //! one fd per connection and the child holds the other.
 //!
 //! Outputs: `bench_results/c10kpress.csv`,
-//! `bench_results/BENCH_c10kpress.json`, and a per-arm table on stdout.
-//! Full mode targets 10 500 clients and records `pass_10k` (reactor arm
-//! holds ≥ 10 000 served concurrent connections). `--quick` /
-//! `DCWS_BENCH_QUICK=1` runs 1 000 clients and **exits nonzero** unless
-//! the reactor arm's served-concurrency exceeds the worker count with
-//! zero accept errors — the CI smoke gate for the event loop itself.
+//! `bench_results/BENCH_c10kpress.json`, and a one-row table on stdout.
+//! Full mode targets 10 500 clients and records `pass_10k` (≥ 10 000
+//! served concurrent connections). `--quick` / `DCWS_BENCH_QUICK=1` runs
+//! 1 000 clients and **exits nonzero** unless the served-concurrency
+//! exceeds the worker count with zero accept errors — the CI smoke gate
+//! for the event loop itself.
 
 use dcws_bench::{fmt_thousands, write_csv};
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::Method;
 use dcws_net::metrics::LatencyHistogram;
-use dcws_net::{raise_nofile_limit, DcwsServer, FrontEnd, MsgBuf, NetConfig, Poller};
+use dcws_net::{raise_nofile_limit, DcwsServer, MsgBuf, NetConfig, Poller};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -80,7 +79,7 @@ fn params() -> Params {
 /// stdio, the binary, the results files...).
 const FD_SLACK: usize = 512;
 
-fn spawn_server(front_end: FrontEnd) -> DcwsServer {
+fn spawn_server() -> DcwsServer {
     let id = ServerId::new("placeholder:0");
     let mut engine = ServerEngine::new(
         id,
@@ -89,7 +88,6 @@ fn spawn_server(front_end: FrontEnd) -> DcwsServer {
     );
     engine.publish("/doc.html", b"<p>c10k</p>".to_vec(), DocKind::Html, true);
     let mut net = NetConfig::new(Duration::from_millis(500));
-    net.front_end = front_end;
     // Single-loop premise: the batch-size histogram and fairness gates
     // reason about one event loop holding every connection; sharding
     // (benched separately by `corepress`) would dilute both.
@@ -119,13 +117,13 @@ impl Client {
     }
 }
 
-/// Client-side measurements from one arm's drive loop — everything that
+/// Client-side measurements from the drive loop — everything that
 /// can be observed without touching the server object, so the loop can
 /// run in a separate process when the fd budget demands it.
 struct DriveResult {
     conns_opened: usize,
     connect_errors: u64,
-    /// Peak of (open ∧ served ≥ 1 response) over the run — the A/B metric.
+    /// Peak of (open ∧ served ≥ 1 response) over the run — the key metric.
     max_concurrent_served: usize,
     open_at_end: usize,
     ok: u64,
@@ -174,10 +172,9 @@ impl DriveResult {
     }
 }
 
-/// What one arm measured: the client-side drive plus the server's own
+/// What the run measured: the client-side drive plus the server's own
 /// counters.
-struct ArmResult {
-    front_end: &'static str,
+struct RunResult {
     conns_target: usize,
     d: DriveResult,
     srv_peak_conns: u64,
@@ -192,7 +189,7 @@ struct ArmResult {
 /// the peak number of connections that are simultaneously open and have
 /// been served. Progress goes to stderr so the `--drive` child's stdout
 /// stays machine-readable.
-fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
+fn drive(addr: SocketAddr, p: &Params) -> DriveResult {
     let mut poller = Poller::new().expect("client poller");
     let mut clients: Vec<Client> = Vec::with_capacity(p.conns);
     let mut connect_errors = 0u64;
@@ -229,7 +226,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
     }
     let opened = clients.len();
     eprintln!(
-        "[{name}] opened {opened}/{} conns in {:?} ({connect_errors} connect errors)",
+        "[drive] opened {opened}/{} conns in {:?} ({connect_errors} connect errors)",
         p.conns,
         start.elapsed()
     );
@@ -260,7 +257,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
             }
         }
         if now > end_by {
-            eprintln!("[{name}] hard stop hit");
+            eprintln!("[drive] hard stop hit");
             break;
         }
 
@@ -277,7 +274,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
                 loop {
                     match c.mb.fill_from(stream, &mut scratch) {
                         Ok(0) => {
-                            // Server closed us (threaded overflow drop).
+                            // Server closed us.
                             let s = c.stream.take().unwrap();
                             let _ = poller.deregister(s.as_raw_fd());
                             closed_by_server += 1;
@@ -377,7 +374,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
 /// Run the drive loop in a child process (re-exec of this binary with
 /// `--drive`), so client fds and server fds come out of two separate
 /// `RLIMIT_NOFILE` budgets.
-fn drive_subprocess(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
+fn drive_subprocess(addr: SocketAddr, p: &Params) -> DriveResult {
     let exe = std::env::current_exe().expect("current_exe");
     let out = std::process::Command::new(exe)
         .args([
@@ -386,7 +383,6 @@ fn drive_subprocess(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
             &p.conns.to_string(),
             &p.think.as_millis().to_string(),
             &p.measure.as_millis().to_string(),
-            name,
         ])
         .stderr(std::process::Stdio::inherit())
         .output()
@@ -405,7 +401,7 @@ fn drive_subprocess(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
 }
 
 /// Entry point for the hidden `--drive` child mode:
-/// `c10kpress --drive <addr> <conns> <think_ms> <measure_ms> <name>`.
+/// `c10kpress --drive <addr> <conns> <think_ms> <measure_ms>`.
 fn drive_main(args: &[String]) -> ! {
     let addr: SocketAddr = args[0].parse().expect("drive addr");
     let p = Params {
@@ -413,20 +409,15 @@ fn drive_main(args: &[String]) -> ! {
         think: Duration::from_millis(args[2].parse().expect("drive think_ms")),
         measure: Duration::from_millis(args[3].parse().expect("drive measure_ms")),
     };
-    let name = args.get(4).map(String::as_str).unwrap_or("drive");
     raise_nofile_limit((p.conns + FD_SLACK) as u64);
-    let r = drive(addr, &p, name);
+    let r = drive(addr, &p);
     println!("{}", r.to_wire());
     std::process::exit(0);
 }
 
-fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
-    let server = spawn_server(front_end);
+fn run(p: &Params, split: bool) -> RunResult {
+    let server = spawn_server();
     let addr = server.addr();
-    let name = match front_end {
-        FrontEnd::Reactor => "reactor",
-        FrontEnd::Threaded => "threaded",
-    };
 
     // Prime the serve table so steady-state GETs are read-path hits.
     {
@@ -439,14 +430,13 @@ fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
     }
 
     let d = if split {
-        drive_subprocess(addr, p, name)
+        drive_subprocess(addr, p)
     } else {
-        drive(addr, p, name)
+        drive(addr, p)
     };
 
     let rs = server.reactor_stats();
-    let result = ArmResult {
-        front_end: name,
+    let result = RunResult {
         conns_target: p.conns,
         d,
         srv_peak_conns: rs.peak.load(Ordering::Relaxed),
@@ -459,10 +449,9 @@ fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
     result
 }
 
-fn arm_json(a: &ArmResult) -> dcws_core::Json {
+fn run_json(a: &RunResult) -> dcws_core::Json {
     use dcws_core::Json;
     Json::obj(vec![
-        ("front_end", Json::from(a.front_end)),
         ("conns_target", Json::from(a.conns_target as u64)),
         ("conns_opened", Json::from(a.d.conns_opened as u64)),
         ("connect_errors", Json::from(a.d.connect_errors)),
@@ -522,34 +511,26 @@ fn main() {
         if quick_mode() { " [quick]" } else { "" }
     );
     println!(
-        "{:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
-        "arm", "opened", "max_served", "cps", "ok", "503s", "p50", "p99"
+        "{:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "opened", "max_served", "cps", "ok", "503s", "p50", "p99"
     );
 
-    let mut results = Vec::new();
-    for fe in [FrontEnd::Reactor, FrontEnd::Threaded] {
-        let r = run_arm(&p, fe, split);
-        println!(
-            "{:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
-            r.front_end,
-            fmt_thousands(r.d.conns_opened as f64),
-            fmt_thousands(r.d.max_concurrent_served as f64),
-            fmt_thousands(r.d.cps),
-            fmt_thousands(r.d.ok as f64),
-            r.d.rejected_503 + r.srv_dropped,
-            format!("{:?}", r.d.p50),
-            format!("{:?}", r.d.p99),
-        );
-        results.push(r);
-    }
-
-    let reactor = &results[0];
-    let threaded = &results[1];
-    let pass_10k = reactor.d.max_concurrent_served >= 10_000;
+    let r = run(&p, split);
     println!(
-        "\nreactor held {} served conns concurrently (threaded: {}; worker pool: {n_workers}){}",
-        fmt_thousands(reactor.d.max_concurrent_served as f64),
-        fmt_thousands(threaded.d.max_concurrent_served as f64),
+        "{:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        fmt_thousands(r.d.conns_opened as f64),
+        fmt_thousands(r.d.max_concurrent_served as f64),
+        fmt_thousands(r.d.cps),
+        fmt_thousands(r.d.ok as f64),
+        r.d.rejected_503 + r.srv_dropped,
+        format!("{:?}", r.d.p50),
+        format!("{:?}", r.d.p99),
+    );
+
+    let pass_10k = r.d.max_concurrent_served >= 10_000;
+    println!(
+        "\nreactor held {} served conns concurrently (worker pool: {n_workers}){}",
+        fmt_thousands(r.d.max_concurrent_served as f64),
         if quick_mode() {
             String::new()
         } else {
@@ -557,28 +538,26 @@ fn main() {
         }
     );
 
-    let mut csv = vec![vec![
-        "arm".into(),
-        "conns_target".into(),
-        "conns_opened".into(),
-        "connect_errors".into(),
-        "max_concurrent_served".into(),
-        "open_at_end".into(),
-        "ok".into(),
-        "rejected_503".into(),
-        "closed_by_server".into(),
-        "cps".into(),
-        "p50_us".into(),
-        "p99_us".into(),
-        "srv_peak_conns".into(),
-        "srv_accept_errors".into(),
-        "srv_inline_served".into(),
-        "srv_spillover_jobs".into(),
-        "srv_dropped_503".into(),
-    ]];
-    for r in &results {
-        csv.push(vec![
-            r.front_end.into(),
+    let csv = vec![
+        vec![
+            "conns_target".into(),
+            "conns_opened".into(),
+            "connect_errors".into(),
+            "max_concurrent_served".into(),
+            "open_at_end".into(),
+            "ok".into(),
+            "rejected_503".into(),
+            "closed_by_server".into(),
+            "cps".into(),
+            "p50_us".into(),
+            "p99_us".into(),
+            "srv_peak_conns".into(),
+            "srv_accept_errors".into(),
+            "srv_inline_served".into(),
+            "srv_spillover_jobs".into(),
+            "srv_dropped_503".into(),
+        ],
+        vec![
             r.conns_target.to_string(),
             r.d.conns_opened.to_string(),
             r.d.connect_errors.to_string(),
@@ -595,8 +574,8 @@ fn main() {
             r.srv_inline_served.to_string(),
             r.srv_spillover_jobs.to_string(),
             r.srv_dropped.to_string(),
-        ]);
-    }
+        ],
+    ];
     write_csv("c10kpress", &csv);
 
     use dcws_core::Json;
@@ -622,8 +601,7 @@ fn main() {
                 ("nofile_limit", Json::from(limit)),
             ]),
         ),
-        ("reactor", arm_json(reactor)),
-        ("threaded", arm_json(threaded)),
+        ("reactor", run_json(&r)),
         ("pass_10k", Json::from(pass_10k)),
     ]);
     let path = dcws_bench::results_dir().join("BENCH_c10kpress.json");
@@ -637,14 +615,14 @@ fn main() {
     // clean accept loop.
     if quick_mode() {
         let mut fail = Vec::new();
-        if reactor.d.max_concurrent_served <= n_workers {
+        if r.d.max_concurrent_served <= n_workers {
             fail.push(format!(
                 "served concurrency {} <= worker count {n_workers}",
-                reactor.d.max_concurrent_served
+                r.d.max_concurrent_served
             ));
         }
-        if reactor.srv_accept_errors > 0 {
-            fail.push(format!("{} accept errors", reactor.srv_accept_errors));
+        if r.srv_accept_errors > 0 {
+            fail.push(format!("{} accept errors", r.srv_accept_errors));
         }
         if !fail.is_empty() {
             eprintln!("FAIL: {}", fail.join("; "));

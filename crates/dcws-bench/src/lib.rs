@@ -13,9 +13,8 @@
 //! | `overhead` | §5.3 parse/reconstruction overhead measurements |
 //! | `ablation` | DCWS vs baselines, plus design-choice ablations |
 //! | `cachepress` | cache budget vs hit ratio / response time sweep |
-//! | `lockpress` | throughput vs worker threads (engine-lock contention) |
 //! | `connpress` | pooled keep-alive vs connect-per-request transport sweep |
-//! | `c10kpress` | concurrent keep-alive clients held: reactor vs threaded front end |
+//! | `c10kpress` | concurrent keep-alive clients held by the reactor |
 //! | `scalepress` | simulator scale-out proof: 1,000+ servers, 10⁶+ sessions, determinism at scale |
 //! | `scenarios` | seeded scenario suite (flash crowd, diurnal, restarts, co-op failures) + invariant audits |
 //!

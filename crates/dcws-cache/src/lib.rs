@@ -52,7 +52,7 @@ pub use histogram::{SizeHistogram, N_SIZE_BUCKETS};
 pub use singleflight::{Flight, FlightStats, SingleFlight};
 pub use stats::CacheStats;
 
-use dcws_http::Body;
+use dcws_http::{fnv1a, Body};
 use shard::Shard;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -209,17 +209,6 @@ pub struct DocCache {
     counters: Counters,
 }
 
-/// FNV-1a over the key bytes — the same cheap hash the engine already
-/// uses for jitter, good enough to spread document names over shards.
-fn fnv1a(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl DocCache {
     /// Build a cache with `cfg.shards` (rounded up to a power of two)
     /// shards sharing `cfg.budget_bytes`.
@@ -278,7 +267,9 @@ impl DocCache {
     }
 
     fn shard(&self, key: &str) -> std::sync::MutexGuard<'_, Shard> {
-        let i = (fnv1a(key) & self.mask) as usize;
+        // FNV-1a: the same cheap hash the engine already uses for
+        // jitter, good enough to spread document names over shards.
+        let i = (fnv1a(key.as_bytes()) & self.mask) as usize;
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 

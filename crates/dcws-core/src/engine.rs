@@ -1,7 +1,7 @@
 //! The DCWS server engine — state and control plane.
 //!
 //! [`ServerEngine`] is *sans-IO*: it never touches sockets or the system
-//! clock. A host (the threaded TCP server in `dcws-net`, or the
+//! clock. A host (the TCP server in `dcws-net`, or the
 //! discrete-event simulator in `dcws-sim`) feeds it parsed requests and
 //! timestamps, performs the network actions it emits ([`TickOutput`]), and
 //! ships its responses. This one engine plays both roles of the paper's
@@ -20,7 +20,7 @@ use dcws_graph::{
     select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
     ServerId,
 };
-use dcws_http::{http_date, Body, Headers, LoadReport, Request};
+use dcws_http::{fnv1a, http_date, Body, Headers, LoadReport, Request};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -531,9 +531,7 @@ impl ServerEngine {
             // it, every copy validated in the same tick stays in lockstep
             // forever, and the periodic wave of validations can swamp the
             // home server's socket queue.
-            let jitter = path.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
-                (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            }) % (self.cfg.validation_interval_ms / 4).max(1);
+            let jitter = fnv1a(path.as_bytes()) % (self.cfg.validation_interval_ms / 4).max(1);
             self.coop_cache.touch(&key, now_ms.saturating_sub(jitter));
             let mut req = Request::get(path.as_str())
                 .with_header("X-DCWS-Validate", &meta.version.to_string())
@@ -760,9 +758,7 @@ impl ServerEngine {
         match self.ldg.get(doc).map(|e| e.location.clone()) {
             Some(Location::Coop(primary)) => match self.replicas.get(doc) {
                 Some(reps) if !reps.is_empty() => {
-                    let h = source_key.bytes().fold(0xcbf2_9ce4_8422_2325u64, |a, b| {
-                        (a ^ b as u64).wrapping_mul(0x100_0000_01b3)
-                    });
+                    let h = fnv1a(source_key.as_bytes());
                     Some(reps[(h % reps.len() as u64) as usize].clone())
                 }
                 _ => Some(primary),

@@ -38,7 +38,7 @@ use crate::naming::decode_migrate_path;
 use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
-    apply_range_spec, http_date, is_reserved_path, parse_http_date, parse_response_head,
+    apply_range_spec, fnv1a, http_date, is_reserved_path, parse_http_date, parse_response_head,
     range_spec, Body, LoadReport, Method, Request, RequestHead, Response, Url, PIGGYBACK_HEADER,
     RANGE_HEADER,
 };
@@ -219,16 +219,6 @@ pub struct ReadPath {
     counters: ReadCounters,
 }
 
-/// FNV-1a, as used for cache sharding.
-fn fnv1a(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl ReadPath {
     /// Build a read path for server `id` sharing `coop_cache`, with a
     /// serve-table byte budget of `table_budget`.
@@ -263,14 +253,14 @@ impl ReadPath {
     }
 
     fn shard_idx(&self, path: &str) -> usize {
-        (fnv1a(path) & (N_SHARDS as u64 - 1)) as usize
+        (fnv1a(path.as_bytes()) & (N_SHARDS as u64 - 1)) as usize
     }
 
     /// Try to serve `req` without the engine lock. `None` means the
     /// request needs the exclusive path (anything inter-server, any miss,
     /// any non-GET/HEAD) — hand it to `ServerEngine::handle_request`.
     /// This is [`Self::serve`] for callers holding owned messages (spill
-    /// workers, the threaded front end, tests).
+    /// workers, tests).
     pub fn try_serve(&self, req: &Request, _now_ms: u64) -> Option<Response> {
         self.serve_parts(req.method, &req.target, req.headers.iter())
             .map(Served::into_response)

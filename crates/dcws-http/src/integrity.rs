@@ -18,6 +18,26 @@
 /// as 16 lowercase hex digits.
 pub const CHECKSUM_HEADER: &str = "X-DCWS-Body-FNV";
 
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Fold `bytes` into the running FNV-1a state `h`.
+#[inline]
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// FNV-1a over `bytes` — the one copy of the workspace's hash idiom
+/// (checksums, shard placement, PRNG stream seeds, jitter).
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET_BASIS, bytes)
+}
+
 /// Incremental FNV-1a over a body that arrives in pieces.
 ///
 /// Fold each chunk in with [`RollingChecksum::update`] as it comes off
@@ -34,16 +54,18 @@ impl RollingChecksum {
     /// Start a fresh hash (the FNV-1a offset basis).
     pub fn new() -> RollingChecksum {
         RollingChecksum {
-            h: 0xcbf2_9ce4_8422_2325,
+            h: FNV_OFFSET_BASIS,
         }
     }
 
     /// Fold `chunk` into the running hash.
     pub fn update(&mut self, chunk: &[u8]) {
-        for b in chunk {
-            self.h ^= u64::from(*b);
-            self.h = self.h.wrapping_mul(0x100_0000_01b3);
-        }
+        self.h = fnv1a_fold(self.h, chunk);
+    }
+
+    /// The hash so far ([`fnv1a`] over everything folded in).
+    pub fn value(&self) -> u64 {
+        self.h
     }
 
     /// The digest so far, as 16 lowercase hex digits.
@@ -91,6 +113,14 @@ mod tests {
         assert!(a.bytes().all(|b| b.is_ascii_hexdigit()));
         assert_eq!(a, body_checksum(b"hello"));
         assert_ne!(a, body_checksum(b"hellp"));
+    }
+
+    /// Known answers: every shard placement, stream seed and jitter in
+    /// the workspace is derived from these values.
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

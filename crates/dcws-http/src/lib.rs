@@ -52,7 +52,7 @@ pub mod url;
 pub use body::Body;
 pub use error::{HttpError, Result};
 pub use headers::{http_date, parse_http_date, Headers};
-pub use integrity::{body_checksum, checksum_matches, RollingChecksum, CHECKSUM_HEADER};
+pub use integrity::{body_checksum, checksum_matches, fnv1a, RollingChecksum, CHECKSUM_HEADER};
 pub use method::Method;
 pub use parser::{
     parse_request, parse_response, parse_response_head, request_wire_len, response_wire_len,

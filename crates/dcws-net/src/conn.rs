@@ -1,6 +1,6 @@
 //! Blocking socket helpers: read one message, write one message.
 //!
-//! Keep-alive connections (the server's request loop, the pooled
+//! Keep-alive connections (the reactor's client connections, the pooled
 //! inter-server client streams, redirect-chasing `fetch`) read through a
 //! per-connection [`MsgBuf`] instead of a fresh allocation per message:
 //!
@@ -23,7 +23,7 @@
 use dcws_http::parser::MAX_HEAD_BYTES;
 use dcws_http::{
     parse_response, parse_response_head, response_wire_len, Method, Request, RequestHead, Response,
-    ResponseHead, StreamBody, STREAM_CHUNK,
+    ResponseHead, STREAM_CHUNK,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -380,34 +380,6 @@ pub fn write_response(
 ) -> io::Result<()> {
     let wire = resp.to_bytes_for(request_method == Method::Head);
     stream.write_all(&wire)?;
-    stream.flush()
-}
-
-/// Write a streamed response: the prebuilt head, then the entity drained
-/// from `body` in [`STREAM_CHUNK`]-sized pieces — the first chunk is on
-/// the wire before the rest of the entity has been read from its store.
-/// `HEAD` requests get the head only (the entity is never read).
-///
-/// A source that runs dry early is an error: the `Content-Length`
-/// framing is already committed, so the caller must close the
-/// connection rather than leave the peer waiting for missing bytes.
-pub fn write_streamed_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    request_method: Method,
-    body: &mut StreamBody,
-) -> io::Result<()> {
-    stream.write_all(&resp.head_bytes())?;
-    if request_method != Method::Head && !resp.status.bodyless() {
-        let mut buf = vec![0u8; STREAM_CHUNK];
-        loop {
-            let n = body.read_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            stream.write_all(&buf[..n])?;
-        }
-    }
     stream.flush()
 }
 

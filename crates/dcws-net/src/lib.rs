@@ -1,11 +1,12 @@
 //! Real TCP transport for DCWS — the §5.1 prototype architecture on
-//! `std::thread`, with an event-driven front end in place of
-//! thread-per-connection.
+//! `std::thread`, with an event-driven front end in place of its
+//! acceptor and thread-per-connection workers (the socket queue, the
+//! worker pool, the graceful 503 and the pinger are the paper's).
 //!
 //! A [`DcwsServer`] runs these thread roles (see
 //! `docs/ARCHITECTURE.md` for the full request lifecycle):
 //!
-//! * **reactor shards** (default front end, [`reactor`];
+//! * **reactor shards** (the front end, [`reactor`];
 //!   `NetConfig::reactor_shards`, default `min(cores, 8)`): each shard
 //!   is one thread running a nonblocking accept loop plus an
 //!   `epoll`/`poll` readiness event loop over its own connection slab —
@@ -20,16 +21,11 @@
 //!   Common-case GETs are answered inline on the engine's concurrent
 //!   [`ReadPath`](dcws_core::ReadPath); engine-locked work spills to
 //!   the worker pool over one shared bounded queue, with accept-pause
-//!   and `503 Retry-After` backpressure. The paper's literal
-//!   **front-end thread** (N_fe = 1: blocking accept + enqueue whole
-//!   connections, worker-count concurrency) is kept behind
-//!   [`FrontEnd::Threaded`] for A/B measurement (`c10kpress`);
-//! * **worker threads** (N_wk = 12 by default): under the reactor,
-//!   compute responses for spilled requests (misses, mutations,
-//!   inter-server verbs, `/dcws/*`) and post them back over the
-//!   originating shard's completion bridge — they never touch client
-//!   sockets; under the threaded front end, own one connection
-//!   end-to-end;
+//!   and `503 Retry-After` backpressure;
+//! * **worker threads** (N_wk = 12 by default): compute responses for
+//!   spilled requests (misses, mutations, inter-server verbs,
+//!   `/dcws/*`) and post them back over the originating shard's
+//!   completion bridge — they never touch client sockets;
 //! * **pinger/statistics thread** (N_pi = 1): drives
 //!   [`ServerEngine::tick`](dcws_core::ServerEngine::tick) — statistics
 //!   recalculation, migration decisions, artificial ping transfers,
@@ -88,5 +84,5 @@ pub use pool::{ConnPool, PoolConfig, PoolEvent, PoolSnapshot, PooledConn};
 pub use queue::{Queued, SocketQueue};
 pub use reactor::{raise_nofile_limit, Event, Poller, ReactorStats};
 pub use retry::RetryPolicy;
-pub use server::{DcwsServer, FrontEnd, NetConfig};
+pub use server::{DcwsServer, NetConfig};
 pub use transport::{IoSnapshot, OpClass, Transport};

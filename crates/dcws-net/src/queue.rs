@@ -1,11 +1,11 @@
-//! The socket queue: a bounded MPMC handoff between the front-end
-//! acceptor thread and the worker pool (L_sq of Table 1).
+//! The socket queue: a bounded MPMC handoff between the reactor shards
+//! and the worker pool (L_sq of Table 1).
 //!
-//! `try_push` never blocks — when the queue is full the connection is
-//! returned to the caller so the front end can drop it gracefully with a
+//! `try_push` never blocks — when the queue is full the item is
+//! returned to the caller so the reactor can drop it gracefully with a
 //! `503` (§4.1). `pop` blocks until work arrives or the queue is closed.
 //! Each entry carries its enqueue instant so workers can record how long
-//! the connection sat in the socket queue before service began.
+//! the request sat in the socket queue before service began.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -14,7 +14,7 @@ use std::time::Instant;
 /// An entry waiting in the socket queue.
 #[derive(Debug)]
 pub struct Queued<T> {
-    /// The queued item (a connection, in the server).
+    /// The queued item (a spilled request, in the server).
     pub item: T,
     /// When it entered the queue; `Instant::elapsed` at pop time is the
     /// queue-wait recorded in the transport histograms.

@@ -31,7 +31,7 @@
 //! the lock's critical path.
 
 use crate::client::fetch_from_timeout;
-use crate::conn::{drain_body_chunks, read_response_buf, read_response_head_buf, write_request};
+use crate::conn::{drain_body_chunks, read_response_head_buf, write_request};
 use crate::faults::{Decision, FaultInjector};
 use crate::lock::assert_engine_unlocked;
 use crate::pool::{ConnPool, Evict, PoolConfig, PooledConn};
@@ -237,15 +237,7 @@ impl Transport {
         }
         let conn = self.pool.checkout(peer, timeout)?;
         let was_reused = conn.reused;
-        let streamed = class == OpClass::Pull;
-        let run = |conn: PooledConn| {
-            if streamed {
-                self.exchange_streamed(peer, conn, req, &decision)
-            } else {
-                self.exchange(peer, conn, req, &decision)
-            }
-        };
-        match run(conn) {
+        match self.exchange(peer, conn, req, &decision) {
             Ok(resp) => Ok(resp),
             Err(ExchangeErr {
                 err,
@@ -259,7 +251,9 @@ impl Transport {
                     self.counters.stale_retries.fetch_add(1, Ordering::Relaxed);
                     self.pool.note_stale_retry(peer);
                     let fresh = self.pool.dial(peer, timeout)?;
-                    return run(fresh).map_err(|e| e.err);
+                    return self
+                        .exchange(peer, fresh, req, &decision)
+                        .map_err(|e| e.err);
                 }
                 Err(err)
             }
@@ -268,85 +262,19 @@ impl Transport {
 
     /// One request/response over `conn`, returning the stream to the
     /// pool on success (unless the peer asked to close) and evicting it
-    /// on any failure.
-    fn exchange(
-        &self,
-        peer: &ServerId,
-        mut conn: PooledConn,
-        req: &Request,
-        decision: &Decision,
-    ) -> Result<Response, ExchangeErr> {
-        // The per-attempt read timeout was set at checkout/dial time.
-        let sent = write_request(&mut conn.stream, req)
-            .and_then(|()| read_response_buf(&mut conn.stream, req.method, &mut conn.buf));
-        let resp = match sent {
-            Ok(resp) => resp,
-            Err(err) => {
-                // No response byte buffered + a connection-death kind is
-                // the stale-reuse signature; anything else (timeout,
-                // mid-response EOF with partial bytes) goes to the
-                // normal retry path.
-                let stale_candidate = conn.buf.buffered() == 0 && is_conn_death(&err);
-                self.pool.evict(peer, conn, Evict::Error);
-                return Err(ExchangeErr {
-                    err,
-                    stale_candidate,
-                });
-            }
-        };
-        if decision.drop_mid_response {
-            // The real exchange completed; discarding the response (and
-            // the stream) is byte-for-byte what a peer dying mid-write
-            // looks like to the caller.
-            self.pool.evict(peer, conn, Evict::Error);
-            return Err(ExchangeErr {
-                err: io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "injected fault: connection closed mid-response",
-                ),
-                stale_candidate: false,
-            });
-        }
-        let keep = resp.version == Version::Http11
-            && !resp
-                .headers
-                .get("Connection")
-                .is_some_and(|c| c.eq_ignore_ascii_case("close"));
-        match self.finish(resp, decision) {
-            Ok(resp) => {
-                if keep {
-                    self.pool.checkin(peer, conn);
-                } else {
-                    self.pool.evict(peer, conn, Evict::PeerClose);
-                }
-                Ok(resp)
-            }
-            Err(err) => {
-                // Integrity failure: the stream's bytes can't be
-                // trusted; never park it.
-                self.pool.evict(peer, conn, Evict::Error);
-                Err(ExchangeErr {
-                    err,
-                    stale_candidate: false,
-                })
-            }
-        }
-    }
-
-    /// The chunked variant of [`Transport::exchange`], used for pulls:
-    /// the response head is parsed first, then the entity is drained
-    /// from the wire chunk by chunk with the rolling FNV folded in as
-    /// each piece arrives. A transfer that dies mid-body aborts at the
-    /// point of death instead of after buffering, and a digest mismatch
-    /// is detected before a [`Response`] carrying the bytes is ever
-    /// constructed — a corrupt copy cannot escape this function.
+    /// on any failure. The response head is parsed first, then the
+    /// entity is drained from the wire chunk by chunk with the rolling
+    /// FNV folded in as each piece arrives. A transfer that dies
+    /// mid-body aborts at the point of death instead of after
+    /// buffering, and a digest mismatch is detected before a
+    /// [`Response`] carrying the bytes is ever constructed — a corrupt
+    /// copy cannot escape this function.
     ///
-    /// Injected faults apply at byte granularity so the observable
-    /// schedule (error kinds, retry charges, counters) is identical to
-    /// the buffered path: a mid-response drop kills the transfer at the
-    /// body midpoint, a garble flips the byte at `body_len / 2` — the
-    /// same byte [`Transport::finish`] flips.
-    fn exchange_streamed(
+    /// Injected faults apply at byte granularity: a mid-response drop
+    /// kills the transfer at the body midpoint, a garble flips the byte
+    /// at `body_len / 2` — the same byte [`Transport::finish`] flips on
+    /// the ping path.
+    fn exchange(
         &self,
         peer: &ServerId,
         mut conn: PooledConn,
@@ -355,7 +283,8 @@ impl Transport {
     ) -> Result<Response, ExchangeErr> {
         let fail = |err: io::Error, buffered: usize| {
             // Connection-level death before any response byte is the
-            // stale-reuse signature, exactly as in the buffered path.
+            // stale-reuse signature; anything else (timeout, mid-response
+            // EOF with partial bytes) goes to the normal retry path.
             let stale_candidate = buffered == 0 && is_conn_death(&err);
             ExchangeErr {
                 err,
@@ -403,8 +332,7 @@ impl Transport {
         }
         if decision.drop_mid_response {
             // Empty-body edge: no chunk ever hit the midpoint cut, but
-            // the drop must still fire (the buffered path discards the
-            // completed exchange the same way).
+            // the drop must still fire.
             self.pool.evict(peer, conn, Evict::Error);
             return Err(ExchangeErr {
                 err: io::Error::new(
@@ -444,8 +372,8 @@ impl Transport {
         Ok(resp)
     }
 
-    /// Post-exchange response handling shared by the pooled and ping
-    /// paths: apply an injected garble, verify body integrity.
+    /// Post-exchange response handling of the ping path: apply an
+    /// injected garble, verify body integrity.
     fn finish(&self, mut resp: Response, decision: &Decision) -> io::Result<Response> {
         if decision.garble && !resp.body.is_empty() {
             let mut bytes = resp.body.to_vec();
@@ -495,17 +423,11 @@ pub(crate) fn is_conn_death(e: &io::Error) -> bool {
 /// FNV-1a over the call identity, salting backoff jitter so concurrent
 /// retries against one peer spread out instead of stampeding.
 fn salt_of(peer: &str, target: &str, class: OpClass) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in peer
-        .as_bytes()
-        .iter()
-        .chain(target.as_bytes())
-        .chain(class.as_str().as_bytes())
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = RollingChecksum::new();
+    for part in [peer, target, class.as_str()] {
+        h.update(part.as_bytes());
     }
-    h
+    h.value()
 }
 
 #[cfg(test)]
@@ -647,7 +569,7 @@ mod tests {
 
     #[test]
     fn large_pull_streams_in_chunks_with_intact_checksum() {
-        // A body several STREAM_CHUNKs long: the pull path reads it in
+        // A body several STREAM_CHUNKs long: the exchange reads it in
         // pieces, folding the rolling FNV in as each chunk arrives.
         let body: Vec<u8> = (0..300_000u32).map(|i| (i * 31 % 251) as u8).collect();
         let resp = Response::ok(body.clone(), "application/octet-stream")
@@ -669,31 +591,34 @@ mod tests {
     }
 
     #[test]
-    fn streamed_garbled_pull_rejected_before_response_exists() {
+    fn garbled_transfer_rejected_before_response_exists() {
         // Every attempt garbles a mid-body byte; the incremental digest
         // must reject each transfer without a Response (and thus any
-        // installable copy) ever being built.
-        let body = vec![0xa7u8; 200_000];
-        let resp = Response::ok(body.clone(), "application/octet-stream")
-            .with_header(CHECKSUM_HEADER, &body_checksum(&body));
-        let (server, _) = counting_server(resp);
-        let inj = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
-        let t = Transport::new(fast_policy(), Some(inj));
-        let err = t
-            .call(&server, &Request::get("/big"), OpClass::Pull)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(t.snapshot().corrupt, 3);
-        assert_eq!(t.pool().idle_total(), 0, "tainted streams never parked");
+        // installable copy) ever being built — for pulls, validations
+        // and pushes alike, since all three share the one exchange.
+        for class in [OpClass::Pull, OpClass::Validate, OpClass::Push] {
+            let body = vec![0xa7u8; 200_000];
+            let resp = Response::ok(body.clone(), "application/octet-stream")
+                .with_header(CHECKSUM_HEADER, &body_checksum(&body));
+            let (server, _) = counting_server(resp);
+            let inj = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
+            let t = Transport::new(fast_policy(), Some(inj));
+            let err = t.call(&server, &Request::get("/big"), class).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{class:?}");
+            assert_eq!(t.snapshot().corrupt, 3, "{class:?}");
+            assert_eq!(t.pool().idle_total(), 0, "tainted streams never parked");
+        }
     }
 
     #[test]
-    fn streamed_drop_matches_buffered_fault_schedule() {
-        // The same seeded plan against the same server content: a
-        // chunked pull and a buffered push must observe identical error
-        // kinds and identical retry accounting — chunking must not
-        // perturb the injected schedule (the chaos-replay contract).
-        let run = |class: OpClass| {
+    fn dropped_transfer_follows_pinned_fault_schedule() {
+        // The chaos-replay contract: one seeded plan against one server
+        // content yields one observable schedule — error kind, retry
+        // accounting, injector draws — whatever the operation class. The
+        // literals are what the retired buffered exchange and the chunked
+        // one both observed for this plan when they were pinned to each
+        // other; chunking must never perturb them.
+        for class in [OpClass::Pull, OpClass::Validate, OpClass::Push] {
             let body = vec![0x5au8; 150_000];
             let resp = Response::ok(body.clone(), "application/octet-stream")
                 .with_header(CHECKSUM_HEADER, &body_checksum(&body));
@@ -701,18 +626,16 @@ mod tests {
             let inj = Arc::new(FaultInjector::new(FaultPlan::new(77).with_drop(1.0)));
             let t = Transport::new(fast_policy(), Some(inj.clone()));
             let err = t.call(&server, &Request::get("/big"), class).unwrap_err();
-            (err.kind(), t.snapshot(), inj.snapshot())
-        };
-        let (kind_s, io_s, faults_s) = run(OpClass::Pull);
-        let (kind_b, io_b, faults_b) = run(OpClass::Push);
-        assert_eq!(kind_s, io::ErrorKind::UnexpectedEof);
-        assert_eq!(kind_s, kind_b);
-        assert_eq!(
-            (io_s.attempts, io_s.retries, io_s.giveups),
-            (io_b.attempts, io_b.retries, io_b.giveups)
-        );
-        assert_eq!(faults_s.drops, faults_b.drops);
-        assert_eq!(faults_s.decisions, faults_b.decisions);
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{class:?}");
+            let io = t.snapshot();
+            assert_eq!(
+                (io.attempts, io.retries, io.giveups),
+                (3, 2, 1),
+                "{class:?}"
+            );
+            let faults = inj.snapshot();
+            assert_eq!((faults.drops, faults.decisions), (3, 3), "{class:?}");
+        }
     }
 
     #[test]

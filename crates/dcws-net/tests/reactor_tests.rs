@@ -3,12 +3,12 @@
 //! batch, shutdown with a thousand idle registered connections, and the
 //! spillover-full 503 rung of the backpressure ladder — each run against
 //! a real server over real sockets. The in-loop engine-lock regression
-//! test lives next to the loop itself (`reactor.rs` unit tests), where
+//! test lives next to the loop itself (`reactor/tests.rs`), where
 //! `poll_once` can be driven directly on the locked thread.
 
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
-use dcws_net::{DcwsServer, FrontEnd, NetConfig};
+use dcws_net::{DcwsServer, NetConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -36,7 +36,6 @@ fn spawn_reactor_with(
     prep: impl FnOnce(&mut ServerEngine),
 ) -> DcwsServer {
     let mut net = NetConfig::new(Duration::from_millis(50));
-    net.front_end = FrontEnd::Reactor;
     tune(&mut net);
     let mut engine = engine_with_doc(cfg);
     prep(&mut engine);
@@ -145,7 +144,7 @@ fn pipelined_requests_in_one_batch() {
 }
 
 /// A thousand idle keep-alive connections must register (far beyond the
-/// 12-worker ceiling of the threaded model) and must not delay
+/// 12-worker ceiling of the paper's §5.1 model) and must not delay
 /// shutdown: idle connections are closed at the request boundary
 /// immediately, not waited out.
 #[test]
@@ -288,6 +287,11 @@ fn status_exposes_reactor_section() {
     s.write_all(b"GET /dcws/status HTTP/1.1\r\nConnection: close\r\n\r\n")
         .unwrap();
     let status = read_all(&mut s);
+    // The reactor is the only front end: no `enabled` switch to report.
+    let body = &status[status.find("\r\n\r\n").expect("head end") + 4..];
+    let doc = dcws_core::Json::parse(body).expect("valid status JSON");
+    let reactor = doc.get("reactor").expect("reactor section");
+    assert!(reactor.get("enabled").is_none(), "{status}");
     for needle in [
         "\"reactor\"",
         "\"backend\":\"epoll\"",
@@ -441,4 +445,102 @@ fn multi_shard_spread_breakdown_and_drain() {
         let mut buf = [0u8; 32];
         assert_eq!(c.read(&mut buf).unwrap_or(0), 0, "conn survived the drain");
     }
+}
+
+/// A cold pull parks one worker, never the event loop. With a single
+/// worker and a home that holds a pull open, the cold `~migrate` GET
+/// waits on its pull while warm GETs on a second connection are answered
+/// inline, without a worker — and both `assert_engine_unlocked`
+/// checkpoints (loop turn, transport call) stay quiet, or the panicked
+/// thread would leave one of these reads without a response.
+#[test]
+fn warm_gets_served_inline_while_cold_pull_is_parked() {
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    // Stub home: answers `/warm.html` at once; for `/cold.html` it
+    // reports the pull's arrival and holds the response until released.
+    let home = TcpListener::bind("127.0.0.1:0").unwrap();
+    let home_addr = home.local_addr().unwrap();
+    let (arrived_tx, arrived_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let stub = std::thread::spawn(move || {
+        // One pooled connection carries both pulls.
+        let (mut s, _) = home.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut mb = dcws_net::MsgBuf::new();
+        while let Ok(Some(req)) = dcws_net::conn::read_request_buf(&mut s, &mut mb) {
+            if req.target.contains("/cold.html") {
+                arrived_tx.send(()).unwrap();
+                release_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("test never released the cold pull");
+            }
+            let resp = dcws_http::Response::ok(b"<p>pulled</p>".to_vec(), "text/html")
+                .with_header("X-DCWS-Version", "1");
+            dcws_net::conn::write_response(&mut s, &resp, req.method).unwrap();
+        }
+    });
+
+    let mut cfg = ServerConfig::paper_defaults();
+    cfg.n_workers = 1;
+    let server = spawn_reactor(cfg, |net| net.reactor_shards = 1);
+    let migrate = |doc: &str| {
+        format!(
+            "GET /~migrate/{}/{}{doc} HTTP/1.1\r\nHost: x\r\n\r\n",
+            home_addr.ip(),
+            home_addr.port()
+        )
+    };
+    let exchange = |s: &mut TcpStream, req: &str| {
+        s.write_all(req.as_bytes()).unwrap();
+        dcws_net::conn::read_response(s, dcws_http::Method::Get).unwrap()
+    };
+
+    // Warm the co-op copy: the first touch pulls, the second is inline.
+    let mut warm = TcpStream::connect(server.addr()).unwrap();
+    warm.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    for _ in 0..2 {
+        let resp = exchange(&mut warm, &migrate("/warm.html"));
+        assert_eq!(resp.status, dcws_http::StatusCode::Ok);
+    }
+
+    // Park the only worker on the cold pull.
+    let stats = server.reactor_stats();
+    let spilled_warm = stats.spillover_jobs.load(Ordering::Relaxed);
+    let mut cold = TcpStream::connect(server.addr()).unwrap();
+    cold.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    cold.write_all(migrate("/cold.html").as_bytes()).unwrap();
+    arrived_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("cold pull never reached the home");
+
+    // The worker can reach the home before the loop has counted the
+    // spill it handed over; let the counter settle before pinning it.
+    assert!(wait_for(Duration::from_secs(5), || {
+        stats.spillover_jobs.load(Ordering::Relaxed) == spilled_warm + 1
+    }));
+    let inline_before = stats.inline_served.load(Ordering::Relaxed);
+    for _ in 0..20 {
+        let resp = exchange(&mut warm, &migrate("/warm.html"));
+        assert_eq!(resp.status, dcws_http::StatusCode::Ok);
+        assert_eq!(resp.body, b"<p>pulled</p>");
+    }
+    assert_eq!(
+        stats.inline_served.load(Ordering::Relaxed) - inline_before,
+        20,
+        "warm GETs must be answered on the event loop"
+    );
+    assert_eq!(
+        stats.spillover_jobs.load(Ordering::Relaxed),
+        spilled_warm + 1,
+        "a warm GET must not queue behind the parked worker"
+    );
+
+    release_tx.send(()).unwrap();
+    let resp = dcws_net::conn::read_response(&mut cold, dcws_http::Method::Get).unwrap();
+    assert_eq!(resp.status, dcws_http::StatusCode::Ok);
+    assert_eq!(resp.body, b"<p>pulled</p>");
+    server.shutdown();
+    stub.join().unwrap();
 }

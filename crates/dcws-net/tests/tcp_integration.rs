@@ -207,47 +207,6 @@ fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
 }
 
 #[test]
-fn graceful_503_when_socket_queue_full() {
-    // Threaded-front-end semantics by design: an idle connection pins a
-    // worker, so two idle holds exhaust worker + queue. Under the
-    // reactor front end idle connections are deliberately free; its
-    // 503 rung (spillover-queue full) is covered in reactor_tests.rs.
-    let mut cfg = fast_config();
-    cfg.n_workers = 1;
-    cfg.socket_queue_len = 1;
-    let id = ServerId::new("placeholder:0");
-    let mut e = engine(&id, cfg);
-    e.publish("/x.html", b"x".to_vec(), DocKind::Html, true);
-    let mut net = dcws_net::NetConfig::new(Duration::from_millis(25));
-    net.front_end = dcws_net::FrontEnd::Threaded;
-    let server = DcwsServer::spawn_with(e, "127.0.0.1:0", net).unwrap();
-    let addr = server.addr();
-
-    // Occupy the single worker and the single queue slot with idle
-    // connections that never send a request.
-    let _hold1 = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    let _hold2 = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // Subsequent connections must be dropped gracefully with 503.
-    let got_503 = wait_for(Duration::from_secs(3), || {
-        use std::io::Read;
-        let Ok(mut s) = std::net::TcpStream::connect(addr) else {
-            return false;
-        };
-        s.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        let mut buf = Vec::new();
-        let _ = s.read_to_end(&mut buf);
-        String::from_utf8_lossy(&buf).starts_with("HTTP/1.1 503")
-    });
-    assert!(got_503, "expected a graceful 503 drop");
-    assert!(server.dropped_connections() >= 1);
-    server.shutdown();
-}
-
-#[test]
 fn pinger_declares_dead_coop_and_recalls_documents() {
     let mut cfg = fast_config();
     cfg.ping_failure_limit = 2;

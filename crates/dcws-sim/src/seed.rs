@@ -13,6 +13,7 @@
 //! and finishes through two rounds of splitmix64, so adjacent indices and
 //! similarly-named domains land far apart in seed space.
 
+use dcws_http::fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,15 +23,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The derived seed for stream `(domain, index)` under `master`.

@@ -51,50 +51,49 @@ step cargo clippy --workspace --all-targets -- -D warnings
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Bench-binary smoke: the figure harnesses, the cache-pressure sweep,
-# and the contention sweeps must run end to end and emit their CSVs
-# (quick mode keeps this fast). lockpress --quick runs 2 worker points
-# on a short clock so lock regressions fail here, not in production;
-# connpress --quick additionally exits nonzero if the pooled arm's
+# and the press bins must run end to end and emit their CSVs (quick
+# mode keeps this fast). Every smoke writes under target/bench-smoke
+# (DCWS_BENCH_OUT), never over the committed full-run artifacts in
+# bench_results/. connpress --quick exits nonzero if the pooled arm's
 # connection reuse ratio is <= 0.9, so a silently disabled pool fails
 # the gate; c10kpress --quick holds 1k keep-alive clients against the
-# reactor front end and exits nonzero unless served concurrency beats
-# the worker count with zero accept errors, so an event-loop
-# regression fails here too; bigpress --quick serves a 2.8 MB corpus
-# streamed vs buffered and exits nonzero unless streamed TTFB beats
-# buffered and the cache admission rule protects the small-doc
-# working set, so a broken streaming path fails the gate; scalepress
-# --quick runs the simulator at 240 servers / 3,000 clients and exits
-# nonzero unless every arm clears 10^5 sessions inside the wall-clock
-# bound and the shared-bandwidth re-run reproduces its digest exactly,
-# so an event-core scale or determinism regression fails the gate
+# reactor and exits nonzero unless served concurrency beats the worker
+# count with zero accept errors, so an event-loop regression fails
+# here too; bigpress --quick serves a 2.8 MB corpus streamed vs
+# buffered and exits nonzero unless streamed TTFB beats buffered and
+# the cache admission rule protects the small-doc working set, so a
+# broken streaming path fails the gate; scalepress --quick runs the
+# simulator at 240 servers / 3,000 clients and exits nonzero unless
+# every arm clears 10^5 sessions inside the wall-clock bound and the
+# shared-bandwidth re-run reproduces its digest exactly, so an
+# event-core scale or determinism regression fails the gate
 # (docs/SIMULATION.md); corepress --quick sweeps reactor shards and
 # exits nonzero unless every arm served with zero per-serve body copies
 # (counter assertion) and — on hosts with >= 4 cores — the 4-shard arm
 # beats 1.5× the 1-shard CPS, so a broken zero-copy path or an inert
 # shard toggle fails here.
 if [[ $quick -eq 0 ]]; then
+    smoke=target/bench-smoke
+    export DCWS_BENCH_OUT=$smoke
     step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin fig6 -- --status-dump
     step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin cachepress -- --status-dump
-    step cargo run --release -q -p dcws-bench --bin lockpress -- --quick
     step cargo run --release -q -p dcws-bench --bin connpress -- --quick
     step cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
     step cargo run --release -q -p dcws-bench --bin bigpress -- --quick
     step cargo run --release -q -p dcws-bench --bin scalepress -- --quick
     step cargo run --release -q -p dcws-bench --bin corepress -- --quick
-    test -s bench_results/fig6.csv
-    test -s bench_results/cachepress.csv
-    test -s bench_results/lockpress.csv
-    test -s bench_results/BENCH_lockpress.json
-    test -s bench_results/connpress.csv
-    test -s bench_results/BENCH_connpress.json
-    test -s bench_results/c10kpress.csv
-    test -s bench_results/BENCH_c10kpress.json
-    test -s bench_results/bigpress.csv
-    test -s bench_results/BENCH_bigpress.json
-    test -s bench_results/scalepress.csv
-    test -s bench_results/BENCH_scalepress.json
-    test -s bench_results/corepress.csv
-    test -s bench_results/BENCH_corepress.json
+    test -s $smoke/fig6.csv
+    test -s $smoke/cachepress.csv
+    test -s $smoke/connpress.csv
+    test -s $smoke/BENCH_connpress.json
+    test -s $smoke/c10kpress.csv
+    test -s $smoke/BENCH_c10kpress.json
+    test -s $smoke/bigpress.csv
+    test -s $smoke/BENCH_bigpress.json
+    test -s $smoke/scalepress.csv
+    test -s $smoke/BENCH_scalepress.json
+    test -s $smoke/corepress.csv
+    test -s $smoke/BENCH_corepress.json
 fi
 
 echo

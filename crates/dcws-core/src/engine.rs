@@ -20,7 +20,7 @@ use dcws_graph::{
     select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
     ServerId,
 };
-use dcws_http::{fnv1a, http_date, Body, Headers, LoadReport, Request};
+use dcws_http::{fnv1a, http_date, Body, Headers, LoadReport, Request, PIGGYBACK_HEADER};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -230,6 +230,14 @@ impl ServerEngine {
         s
     }
 
+    /// Documents regenerated so far (§4.3): `stats().regenerations`
+    /// without the snapshot — only the exclusive path regenerates, so
+    /// there is no read-path share to fold in. The simulator reads this
+    /// around every request it services to charge regeneration CPU.
+    pub fn regenerations(&self) -> u64 {
+        self.stats.regenerations
+    }
+
     /// The shared read-mostly serve path. Transport hosts clone the `Arc`
     /// and call [`ReadPath::try_serve`] before taking the engine lock.
     pub fn read_path(&self) -> &Arc<ReadPath> {
@@ -414,15 +422,32 @@ impl ServerEngine {
 
     /// Ingest piggybacked load reports from any received message (§3.3).
     /// Hearing from a dead-listed peer resurrects it.
+    ///
+    /// Most rows of most messages say nothing new — they are this
+    /// server's own row, or no newer than the one the table holds — and
+    /// the merge would discard them after parsing. They are discarded
+    /// before it instead, on the `(server, ts)` read off the value by
+    /// slice; only a row that would change the table, or one not in the
+    /// canonical form, is decoded.
     pub fn ingest_reports(&mut self, headers: &Headers) {
-        for r in LoadReport::extract_all(headers) {
-            self.ingest_report(&r);
+        for value in headers.get_all(PIGGYBACK_HEADER) {
+            if let Some((server, ts_ms)) = LoadReport::peek(value) {
+                if server == self.id.as_str() || !self.glt.would_accept(server, ts_ms) {
+                    self.stats.reports_skipped += 1;
+                    continue;
+                }
+            }
+            // Malformed reports are skipped: best-effort gossip must not
+            // fail a request.
+            if let Ok(r) = LoadReport::decode(value) {
+                self.ingest_report(&r);
+            }
         }
     }
 
-    /// Merge one load report into the GLT (also the drain path for
-    /// reports the read path deferred to its mailbox).
-    pub(crate) fn ingest_report(&mut self, r: &LoadReport) {
+    /// Merge one decoded load report into the GLT (also the drain path
+    /// for reports the read path deferred to its mailbox).
+    pub fn ingest_report(&mut self, r: &LoadReport) {
         if r.server == self.id.as_str() {
             return;
         }
@@ -435,6 +460,7 @@ impl ServerEngine {
                 ts_ms: r.ts_ms,
             },
         ) {
+            self.stats.reports_merged += 1;
             if self.dead_peers.remove(&sid) {
                 self.emit(EngineEvent::PeerResurrected { peer: sid.clone() });
             }
@@ -445,35 +471,40 @@ impl ServerEngine {
     /// Attach up to `piggyback_max` load reports (own entry first) to an
     /// outgoing inter-server message.
     pub fn attach_reports(&mut self, headers: &mut Headers, now_ms: u64) {
-        for r in self.reports(now_ms) {
-            r.attach(headers);
+        headers.reserve(self.cfg.piggyback_max.min(self.glt.len()));
+        let (own, peers) = self.reports(now_ms);
+        LoadReport::attach_encoded(headers, own);
+        for row in peers {
+            LoadReport::attach_encoded(headers, &**row);
         }
     }
 
-    /// The load reports an outgoing message carries at `now_ms`: own
-    /// entry first, freshly measured, then other GLT rows **in id order**
-    /// until there are `piggyback_max` in all. The table is walked by
-    /// reference and the walk stops there, so the cost does not grow with
-    /// the group. (Id order, not freshness: in a group larger than
-    /// `piggyback_max` the same lowest ids are gossiped every time — see
-    /// "freshness-ordered piggyback" in docs/SIMULATION.md.)
-    fn reports(&mut self, now_ms: u64) -> impl Iterator<Item = LoadReport> + '_ {
+    /// The load reports an outgoing message carries at `now_ms`, as
+    /// `X-DCWS-Load` values: own entry first, freshly measured (its `ts`
+    /// is `now_ms`, so it is encoded every time), then other GLT rows
+    /// **in id order** until there are `piggyback_max` in all. A peer's
+    /// row is encoded by the first message sent after it last changed and
+    /// copied by every later one (the table keeps the text beside the row
+    /// and drops it on every write), and the walk stops at
+    /// `piggyback_max`, so the cost grows with neither the group nor the
+    /// message rate. (Id order, not freshness — unchanged here: in a
+    /// group larger than `piggyback_max` the same lowest ids are gossiped
+    /// every time — see "freshness-ordered piggyback" in
+    /// docs/SIMULATION.md.)
+    fn reports(&mut self, now_ms: u64) -> (String, impl Iterator<Item = &Arc<str>> + '_) {
         let (cps, bps) = self.window.rates(now_ms);
         self.glt.set_self(cps, bps, now_ms);
-        let report = |sid: &ServerId, info: LoadInfo| LoadReport {
-            server: sid.to_string(),
-            cps: info.cps,
-            bps: info.bps,
-            ts_ms: info.ts_ms,
-        };
-        let id = &self.id;
-        let others = self
+        let encoded = &mut self.stats.reports_encoded;
+        *encoded += 1;
+        let own = LoadReport::encode_fields(self.id.as_str(), cps, bps, now_ms);
+        let peers = self
             .glt
-            .iter()
-            .filter(move |(sid, _)| *sid != id)
+            .encoded_peers(move |sid, info| {
+                *encoded += 1;
+                LoadReport::encode_fields(sid.as_str(), info.cps, info.bps, info.ts_ms).into()
+            })
             .take(self.cfg.piggyback_max.saturating_sub(1));
-        std::iter::once(report(id, self.glt.self_info()))
-            .chain(others.map(move |(sid, info)| report(sid, *info)))
+        (own, peers)
     }
 
     /// Periodic control-plane work. Call at least every few hundred
@@ -542,7 +573,10 @@ impl ServerEngine {
         }
         // Refresh the load reports the read path hands out: exactly what
         // attach_reports would attach now.
-        let snapshot = self.reports(now_ms).collect();
+        let mut snapshot = Vec::with_capacity(self.cfg.piggyback_max.min(self.glt.len()));
+        let (own, peers) = self.reports(now_ms);
+        snapshot.push(own.into());
+        snapshot.extend(peers.cloned());
         self.read.publish_reports(snapshot);
         out
     }

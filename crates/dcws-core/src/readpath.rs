@@ -39,12 +39,12 @@ use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_http_date, parse_response_head,
-    range_spec, Body, LoadReport, Method, Request, RequestHead, Response, Url, PIGGYBACK_HEADER,
-    RANGE_HEADER,
+    range_spec, Body, Headers, LoadReport, Method, Request, RequestHead, Response, Url,
+    PIGGYBACK_HEADER, RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Serve-table shard count (power of two). Mirrors the co-op cache's
 /// default sharding: enough to keep a worker pool off shared lines.
@@ -204,15 +204,16 @@ pub struct ReadPath {
     id: ServerId,
     table: Box<[RwLock<TableShard>]>,
     table_budget: AtomicU64,
-    coop_cache: std::sync::Arc<DocCache>,
+    coop_cache: Arc<DocCache>,
     /// Per-shard home-document hit tallies: `path -> (hits, bytes)`.
     hits: Box<[HitShard]>,
     /// Deferred GLT merges from piggybacked request headers.
     reports: Mutex<Vec<LoadReport>>,
-    /// Load reports this server currently advertises (self first),
-    /// refreshed by the engine every tick; attached to read-path
+    /// Load reports this server currently advertises (self first), as
+    /// encoded `X-DCWS-Load` values shared with the GLT rows they came
+    /// from; refreshed by the engine every tick, copied onto read-path
     /// responses and transport-built pull requests.
-    published: RwLock<Vec<LoadReport>>,
+    published: RwLock<Vec<Arc<str>>>,
     /// Connection/byte totals awaiting the engine's rate window.
     traffic_conns: AtomicU64,
     traffic_bytes: AtomicU64,
@@ -222,11 +223,7 @@ pub struct ReadPath {
 impl ReadPath {
     /// Build a read path for server `id` sharing `coop_cache`, with a
     /// serve-table byte budget of `table_budget`.
-    pub(crate) fn new(
-        id: ServerId,
-        coop_cache: std::sync::Arc<DocCache>,
-        table_budget: u64,
-    ) -> ReadPath {
+    pub(crate) fn new(id: ServerId, coop_cache: Arc<DocCache>, table_budget: u64) -> ReadPath {
         ReadPath {
             id,
             table: (0..N_SHARDS)
@@ -333,9 +330,7 @@ impl ReadPath {
                     .filter(|(n, _)| n.eq_ignore_ascii_case(PIGGYBACK_HEADER))
                     .map(|(_, v)| v),
             );
-            for r in self.published_reports() {
-                r.attach(&mut resp.headers);
-            }
+            self.attach_published(&mut resp.headers);
         }
         Some(Served::from_response(resp))
     }
@@ -429,9 +424,7 @@ impl ReadPath {
         let mut req = Request::get(path)
             .with_header("X-DCWS-Pull", "1")
             .with_header("X-DCWS-Coop", self.id.as_str());
-        for r in self.published_reports() {
-            r.attach(&mut req.headers);
-        }
+        self.attach_published(&mut req.headers);
         req
     }
 
@@ -522,16 +515,28 @@ impl ReadPath {
     }
 
     /// Replace the published load-report snapshot (engine, every tick).
-    pub(crate) fn publish_reports(&self, reports: Vec<LoadReport>) {
+    pub(crate) fn publish_reports(&self, reports: Vec<Arc<str>>) {
         *self.published.write().unwrap_or_else(|e| e.into_inner()) = reports;
     }
 
-    /// The currently published load reports (self first).
-    pub fn published_reports(&self) -> Vec<LoadReport> {
+    /// The currently published load reports (self first), encoded.
+    pub fn published_reports(&self) -> Vec<Arc<str>> {
         self.published
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
+    }
+
+    /// Copy the published load reports onto an outgoing message.
+    fn attach_published(&self, headers: &mut Headers) {
+        for row in self
+            .published
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
+            LoadReport::attach_encoded(headers, &**row);
+        }
     }
 
     // ---- mailboxes ----
@@ -556,24 +561,34 @@ impl ReadPath {
         self.traffic_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Queue the decodable `X-DCWS-Load` `values` for the next tick.
+    /// Queue the decodable `X-DCWS-Load` `values` of one request for the
+    /// next tick. This server's own row is recognised on the borrowed
+    /// value where it can be, before anything is allocated for it, and
+    /// once the mailbox is full nothing more is decoded: every remaining
+    /// value counts as dropped.
     fn defer_reports<'a>(&self, values: impl Iterator<Item = &'a str>) {
-        for r in values.filter_map(|v| LoadReport::decode(v).ok()) {
-            if r.server == self.id.as_str() {
+        let (mut deferred, mut dropped) = (0, 0);
+        let mut mb = self.reports.lock().unwrap_or_else(|e| e.into_inner());
+        for v in values {
+            if mb.len() >= REPORT_MAILBOX_CAP {
+                dropped += 1;
                 continue;
             }
-            let mut mb = self.reports.lock().unwrap_or_else(|e| e.into_inner());
-            if mb.len() >= REPORT_MAILBOX_CAP {
-                self.counters
-                    .reports_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                mb.push(r);
-                self.counters
-                    .reports_deferred
-                    .fetch_add(1, Ordering::Relaxed);
+            if LoadReport::peek(v).is_some_and(|(server, _)| server == self.id.as_str()) {
+                continue;
+            }
+            match LoadReport::decode(v) {
+                Ok(r) if r.server != self.id.as_str() => {
+                    mb.push(r);
+                    deferred += 1;
+                }
+                _ => {}
             }
         }
+        drop(mb);
+        let c = &self.counters;
+        c.reports_deferred.fetch_add(deferred, Ordering::Relaxed);
+        c.reports_dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Take all deferred load reports (engine drain, every tick).

@@ -59,6 +59,17 @@ pub struct EngineStats {
     /// 200-class responses whose body was streamed in chunks rather
     /// than buffered (large-object path).
     pub streamed_serves: u64,
+    /// Piggybacked load reports the GLT accepted (newer than its row, or
+    /// about a server it did not know).
+    pub reports_merged: u64,
+    /// Piggybacked load reports dropped before parsing: this server's
+    /// own row, or no newer than the GLT's. With `reports_merged`, how
+    /// much of the gossip received was redundant.
+    pub reports_skipped: u64,
+    /// Load reports formatted for sending: the own row of every message,
+    /// plus each peer row once after it changes (later messages copy
+    /// that text).
+    pub reports_encoded: u64,
 }
 
 impl EngineStats {
@@ -90,6 +101,9 @@ impl EngineStats {
             stale_serves: self.stale_serves - earlier.stale_serves,
             store_put_failures: self.store_put_failures - earlier.store_put_failures,
             streamed_serves: self.streamed_serves - earlier.streamed_serves,
+            reports_merged: self.reports_merged - earlier.reports_merged,
+            reports_skipped: self.reports_skipped - earlier.reports_skipped,
+            reports_encoded: self.reports_encoded - earlier.reports_encoded,
         }
     }
 
@@ -103,7 +117,7 @@ impl EngineStats {
     /// The single source of truth for anything that enumerates the
     /// counters — the `/dcws/status` JSON, CSV headers, and the tests
     /// that check the endpoint exposes *all* of them.
-    pub fn fields(&self) -> [(&'static str, u64); 23] {
+    pub fn fields(&self) -> [(&'static str, u64); 26] {
         [
             ("requests", self.requests),
             ("served_home", self.served_home),
@@ -128,6 +142,9 @@ impl EngineStats {
             ("stale_serves", self.stale_serves),
             ("store_put_failures", self.store_put_failures),
             ("streamed_serves", self.streamed_serves),
+            ("reports_merged", self.reports_merged),
+            ("reports_skipped", self.reports_skipped),
+            ("reports_encoded", self.reports_encoded),
         ]
     }
 
@@ -240,16 +257,19 @@ mod tests {
             stale_serves: 21,
             store_put_failures: 22,
             streamed_serves: 23,
+            reports_merged: 24,
+            reports_skipped: 25,
+            reports_encoded: 26,
         };
         let fields = s.fields();
-        assert_eq!(fields.len(), 23);
+        assert_eq!(fields.len(), 26);
         let sum: u64 = fields.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=23).sum::<u64>());
+        assert_eq!(sum, (1..=26).sum::<u64>());
         // Names are unique.
         let mut names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 23);
+        assert_eq!(names.len(), 26);
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //!
 //! This binary installs a counting global allocator and holds two lines:
 //!
-//! * **allocations per message are independent of group size** — one
-//!   `attach_reports`, one ping answered by `handle_request`, and one
-//!   idle `tick` allocate exactly as often with 512 peers in the Global
-//!   Load Table as with 8 (they read at most `piggyback_max` rows, by
-//!   reference);
+//! * **allocations per message are independent of group size, and few**
+//!   — one `attach_reports`, one ping answered by `handle_request`, and
+//!   one idle `tick` allocate exactly as often with 512 peers in the
+//!   Global Load Table as with 8 (they read at most `piggyback_max` rows,
+//!   by reference), and a peer's row costs a send one allocation — the
+//!   copy of its cached text — where formatting it cost four;
+//! * **gossip that says nothing new is free to receive** — a message
+//!   whose rows are all this server's own or no newer than the table's
+//!   is merged without one allocation, and a row that is newer costs the
+//!   decoding of that row alone;
 //! * **the exclusive serve path copies no body** — consecutive serves of
 //!   an unrewritten `MemStore` document, the store's own `get_body`, and
 //!   the route the read path was primed with all share one allocation —
@@ -91,6 +96,50 @@ fn control_plane_allocs(peers: usize) -> (u64, u64, u64) {
     round(&mut e, NOW + 1)
 }
 
+/// What receiving gossip allocates: nothing for rows that say nothing
+/// new, one row's decoding for one that does.
+fn ingest_allocs() {
+    const NOW: u64 = 50_000;
+    let mut e = engine_with_peers(8, NOW);
+    let report = |server: &str, ts_ms: u64| LoadReport {
+        server: server.into(),
+        cps: 6.0,
+        bps: 6e3,
+        ts_ms,
+    };
+    // Own row (however new it claims to be), ties, older rows.
+    let mut stale = Headers::new();
+    report("s0000:80", NOW + 9).attach(&mut stale);
+    for i in 1..=7 {
+        report(&format!("s{i:04}:80"), NOW - (i % 2)).attach(&mut stale);
+    }
+    let before = e.glt().snapshot();
+    assert_eq!(allocs_of(|| e.ingest_reports(&stale)), 0);
+    assert_eq!(e.glt().snapshot(), before);
+    assert_eq!(e.stats().reports_skipped, 8);
+
+    // The same message with one row newer, as a ping's answer.
+    let decode_and_merge = {
+        let mut one = Headers::new();
+        report("s0003:80", NOW + 1).attach(&mut one);
+        allocs_of(|| e.ingest_reports(&one))
+    };
+    assert_eq!(
+        decode_and_merge, 2,
+        "one accepted row: its id as decoded, and as a table key"
+    );
+    report("s0003:80", NOW + 2).attach(&mut stale);
+    let peer = ServerId::new("s0003:80");
+    let pong = allocs_of(|| {
+        e.ping_result(&peer, true, Some(&stale));
+    });
+    assert_eq!(
+        pong, decode_and_merge,
+        "an answer with one newer row among nine costs that row alone"
+    );
+    assert_eq!(e.glt().get(&peer).map(|i| i.ts_ms), Some(NOW + 2));
+}
+
 /// A store implementing only what `DocStore` requires — as stores written
 /// before `get_body` existed do.
 #[derive(Default)]
@@ -138,6 +187,13 @@ fn control_plane_cost_is_flat_and_exclusive_serves_share_bytes() {
         small, large,
         "(attach_reports, ping answer, idle tick) allocations: 8 peers vs 512"
     );
+    // Eight rows on a message: the header list (1), the own row's text
+    // (1), seven copies of cached text (7). The answer adds the response
+    // and its Content-Length. The idle tick re-publishes the read path's
+    // snapshot: the list, the own row's text, and its shared copy.
+    // (33 / 36 / 10 when every row was formatted for every message.)
+    assert_eq!(small, (9, 12, 3));
+    ingest_allocs();
 
     // Zero-copy exclusive path over a MemStore.
     let page = b"<html><a href=\"/b.html\">b</a></html>".to_vec();

@@ -106,6 +106,61 @@ fn piggyback_on_read_path_reaches_glt_within_one_tick() {
     assert_eq!(peer.ts_ms, 5);
 }
 
+/// The deferred-report mailbox holds 256 reports between ticks. A
+/// server's own row is never queued (nor counted), garbage neither, and
+/// once the mailbox is full every further value is dropped undecoded —
+/// counted, whatever it was.
+#[test]
+fn piggyback_mailbox_is_bounded_and_skips_own_rows() {
+    let mut e = engine("home:8080");
+    e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
+    e.handle_request(&Request::get("/doc.html"), 0)
+        .into_response()
+        .unwrap();
+    let report = |server: String, ts_ms| LoadReport {
+        server,
+        cps: 1.0,
+        bps: 1.0,
+        ts_ms,
+    };
+    // Per request: the server's own row twice (canonical, and spaced so
+    // only a full decode recognises it), one undecodable value, six peers.
+    let request = |n: u64| {
+        let mut req = Request::get("/doc.html");
+        report("home:8080".into(), 100 + n).attach(&mut req.headers);
+        req.headers
+            .insert("X-DCWS-Load", "server = home:8080; cps=1; bps=1; ts=7")
+            .unwrap();
+        req.headers.insert("X-DCWS-Load", "garbage").unwrap();
+        for p in 0..6 {
+            report(format!("p{p}:80"), 1 + n).attach(&mut req.headers);
+        }
+        req
+    };
+    let read = e.read_path().clone();
+    for n in 0..42 {
+        read.try_serve(&request(n), 10).expect("read path serves");
+    }
+    let s = read.snapshot();
+    assert_eq!(s.reports_deferred, 252, "42 requests x 6 peer rows");
+    assert_eq!(s.reports_dropped, 0, "own rows and garbage are not drops");
+    // The 43rd fills the last four slots; two peer rows and everything
+    // the next request carries find the mailbox full.
+    read.try_serve(&request(42), 10).unwrap();
+    read.try_serve(&request(43), 10).unwrap();
+    let s = read.snapshot();
+    assert_eq!((s.reports_deferred, s.reports_dropped), (256, 2 + 9));
+
+    // The tick drains it: the six peers at their newest queued report.
+    e.tick(100);
+    let peers = e.peer_summaries();
+    assert_eq!(peers.len(), 6);
+    assert!(peers.iter().take(4).all(|p| p.ts_ms == 43), "{peers:?}");
+    assert!(peers.iter().skip(4).all(|p| p.ts_ms == 42), "{peers:?}");
+    read.try_serve(&request(44), 110).unwrap();
+    assert_eq!(read.snapshot().reports_deferred, 262);
+}
+
 /// Read-path hits flow into LDG hit accounting (and hence Algorithm 1's
 /// statistics) via the tick-drained mailbox.
 #[test]

@@ -9,6 +9,7 @@
 use crate::metrics::BalanceMetric;
 use crate::ServerId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One server's load measurement as stored in the GLT.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +40,33 @@ impl LoadInfo {
     }
 }
 
+/// One row: a server's measurement, and beside it the text the table's
+/// owner last encoded it to (see [`GlobalLoadTable::encoded_peers`]).
+///
+/// The fields are private to this module and [`Row::set`] is the only way
+/// the measurement changes, so the encoded text can never describe
+/// anything but the measurement it sits beside.
+#[derive(Debug, Clone)]
+struct Row {
+    info: LoadInfo,
+    encoded: Option<Arc<str>>,
+}
+
+impl Row {
+    fn new(info: LoadInfo) -> Row {
+        Row {
+            info,
+            encoded: None,
+        }
+    }
+
+    /// Replace the measurement, dropping the text encoded from the old one.
+    fn set(&mut self, info: LoadInfo) {
+        self.info = info;
+        self.encoded = None;
+    }
+}
+
 /// Best-effort global load table: this server's view of the group.
 ///
 /// Rows are kept ordered by server id. Every reader that needs a
@@ -49,14 +77,14 @@ impl LoadInfo {
 #[derive(Debug, Clone)]
 pub struct GlobalLoadTable {
     self_id: ServerId,
-    rows: BTreeMap<ServerId, LoadInfo>,
+    rows: BTreeMap<ServerId, Row>,
 }
 
 impl GlobalLoadTable {
     /// A table for server `self_id`, knowing only itself (at zero load).
     pub fn new(self_id: ServerId) -> Self {
         let mut rows = BTreeMap::new();
-        rows.insert(self_id.clone(), LoadInfo::UNHEARD);
+        rows.insert(self_id.clone(), Row::new(LoadInfo::UNHEARD));
         GlobalLoadTable { self_id, rows }
     }
 
@@ -68,7 +96,9 @@ impl GlobalLoadTable {
     /// Register a peer with no load information yet (joins at ts 0, so any
     /// real report immediately supersedes it).
     pub fn add_peer(&mut self, peer: ServerId) {
-        self.rows.entry(peer).or_insert(LoadInfo::UNHEARD);
+        self.rows
+            .entry(peer)
+            .or_insert_with(|| Row::new(LoadInfo::UNHEARD));
     }
 
     /// Remove a peer entirely (it was declared dead by the pinger).
@@ -82,39 +112,71 @@ impl GlobalLoadTable {
     /// (last-writer-wins). Returns whether the table changed.
     pub fn update(&mut self, server: ServerId, info: LoadInfo) -> bool {
         match self.rows.get_mut(&server) {
-            Some(cur) if cur.ts_ms >= info.ts_ms => false,
+            Some(cur) if cur.info.ts_ms >= info.ts_ms => false,
             Some(cur) => {
-                *cur = info;
+                cur.set(info);
                 true
             }
             None => {
-                self.rows.insert(server, info);
+                self.rows.insert(server, Row::new(info));
                 true
             }
         }
     }
 
+    /// Whether [`Self::update`] would keep a report about `server`
+    /// measured at `ts_ms`: the server is unknown, or the report is
+    /// strictly newer than its row. Takes the id as text, so a receiver
+    /// can drop a stale report before building anything from it.
+    pub fn would_accept(&self, server: &str, ts_ms: u64) -> bool {
+        match self.rows.get(server) {
+            Some(cur) => cur.info.ts_ms < ts_ms,
+            None => true,
+        }
+    }
+
     /// Overwrite our own entry with a fresh local measurement.
     pub fn set_self(&mut self, cps: f64, bps: f64, ts_ms: u64) {
-        *self
-            .rows
+        self.rows
             .get_mut(&self.self_id)
-            .expect("the self row is never removed") = LoadInfo { cps, bps, ts_ms };
+            .expect("the self row is never removed")
+            .set(LoadInfo { cps, bps, ts_ms });
     }
 
     /// Our own current entry.
     pub fn self_info(&self) -> LoadInfo {
-        self.rows[&self.self_id]
+        self.rows[&self.self_id].info
     }
 
     /// Look up a server's info.
     pub fn get(&self, server: &ServerId) -> Option<LoadInfo> {
-        self.rows.get(server).copied()
+        self.rows.get(server).map(|r| r.info)
     }
 
     /// Every row (self included) in id order, by reference.
     pub fn iter(&self) -> impl Iterator<Item = (&ServerId, &LoadInfo)> {
-        self.rows.iter()
+        self.rows.iter().map(|(s, r)| (s, &r.info))
+    }
+
+    /// Every peer's row (self excluded) in id order, as the text `encode`
+    /// makes of it. The text is kept beside the row: `encode` runs for a
+    /// row only if it has not run since the row was last written, and a
+    /// reader that stops early encodes nothing past where it stopped.
+    /// Every write to a row (`update`, `set_self`, removal) drops its
+    /// text, so what this yields is always `encode` of the current row —
+    /// provided the caller always passes the same pure `encode`.
+    pub fn encoded_peers<'a>(
+        &'a mut self,
+        mut encode: impl FnMut(&ServerId, &LoadInfo) -> Arc<str> + 'a,
+    ) -> impl Iterator<Item = &'a Arc<str>> + 'a {
+        let self_id = &self.self_id;
+        self.rows
+            .iter_mut()
+            .filter(move |(sid, _)| *sid != self_id)
+            .map(move |(sid, row)| {
+                let Row { info, encoded } = row;
+                &*encoded.get_or_insert_with(|| encode(sid, info))
+            })
     }
 
     /// All known servers (including self), in id order.
@@ -138,8 +200,7 @@ impl GlobalLoadTable {
     /// table"*. Ties break on server id for determinism: the walk is in
     /// id order and `min_by` keeps the first of equal minima.
     pub fn least_loaded(&self, metric: BalanceMetric, exclude: &[ServerId]) -> Option<ServerId> {
-        self.rows
-            .iter()
+        self.iter()
             .filter(|(s, _)| **s != self.self_id && !exclude.contains(s))
             .min_by(|(_, a), (_, b)| {
                 a.value(metric)
@@ -153,8 +214,7 @@ impl GlobalLoadTable {
     /// candidates for an artificial pinger transfer (§4.5) — in id
     /// order, by reference.
     pub fn stale(&self, now_ms: u64, max_age_ms: u64) -> impl Iterator<Item = &ServerId> {
-        self.rows
-            .iter()
+        self.iter()
             .filter(move |(s, i)| {
                 **s != self.self_id && now_ms.saturating_sub(i.ts_ms) > max_age_ms
             })
@@ -168,7 +228,7 @@ impl GlobalLoadTable {
 
     /// Copy of every entry in id order.
     pub fn snapshot(&self) -> Vec<(ServerId, LoadInfo)> {
-        self.rows.iter().map(|(s, i)| (s.clone(), *i)).collect()
+        self.iter().map(|(s, i)| (s.clone(), *i)).collect()
     }
 }
 
@@ -304,6 +364,90 @@ mod tests {
         assert_eq!(t.len(), 1);
         t.remove_peer(&me);
         assert_eq!(t.len(), 1, "self entry cannot be removed");
+    }
+
+    #[test]
+    fn would_accept_is_updates_verdict() {
+        let mut t = GlobalLoadTable::new(ServerId::new("me:1"));
+        t.update(ServerId::new("p:1"), info(5.0, 100));
+        for (server, ts) in [
+            ("p:1", 99),
+            ("p:1", 100),
+            ("p:1", 101),
+            ("q:1", 0),
+            ("me:1", 0),
+        ] {
+            let mut probe = t.clone();
+            assert_eq!(
+                t.would_accept(server, ts),
+                probe.update(ServerId::new(server), info(1.0, ts)),
+                "{server} at {ts}"
+            );
+        }
+    }
+
+    /// The texts `encoded_peers` yields, with how often it had to encode.
+    fn encoded(t: &mut GlobalLoadTable) -> (Vec<String>, usize) {
+        let mut runs = 0;
+        let texts = t
+            .encoded_peers(|s, i| {
+                runs += 1;
+                format!("{s}@{}:{}", i.ts_ms, i.cps).into()
+            })
+            .map(|e| e.to_string())
+            .collect();
+        (texts, runs)
+    }
+
+    #[test]
+    fn encoded_peers_encodes_a_row_once_per_write() {
+        let mut t = GlobalLoadTable::new(ServerId::new("me:1"));
+        t.update(ServerId::new("b:1"), info(1.0, 1));
+        t.update(ServerId::new("a:1"), info(2.0, 1));
+        // Id order, self excluded; everything encoded on first sight.
+        assert_eq!(
+            encoded(&mut t),
+            (vec!["a:1@1:2".to_string(), "b:1@1:1".to_string()], 2)
+        );
+        assert_eq!(encoded(&mut t).1, 0, "unchanged rows are not re-encoded");
+        // Writes that leave a row as it was keep its text.
+        assert!(!t.update(ServerId::new("a:1"), info(9.0, 1)));
+        t.add_peer(ServerId::new("a:1"));
+        t.set_self(7.0, 7.0, 7);
+        assert_eq!(encoded(&mut t).1, 0);
+        // An accepted report drops that row's text, and only that row's.
+        assert!(t.update(ServerId::new("a:1"), info(3.0, 2)));
+        assert_eq!(
+            encoded(&mut t),
+            (vec!["a:1@2:3".to_string(), "b:1@1:1".to_string()], 1)
+        );
+        // A new row has none yet.
+        t.add_peer(ServerId::new("0:1"));
+        let (texts, runs) = encoded(&mut t);
+        assert_eq!((texts[0].as_str(), runs), ("0:1@0:0", 1));
+        // A removed row takes its text with it.
+        t.remove_peer(&ServerId::new("a:1"));
+        t.add_peer(ServerId::new("a:1"));
+        let (texts, runs) = encoded(&mut t);
+        assert_eq!((texts[1].as_str(), runs), ("a:1@0:0", 1));
+    }
+
+    #[test]
+    fn encoded_peers_stops_encoding_where_the_reader_stops() {
+        let mut t = GlobalLoadTable::new(ServerId::new("me:1"));
+        for id in ["a:1", "b:1", "c:1"] {
+            t.add_peer(ServerId::new(id));
+        }
+        let mut runs = 0;
+        let first = t
+            .encoded_peers(|s, _| {
+                runs += 1;
+                s.as_str().into()
+            })
+            .take(2)
+            .count();
+        assert_eq!((first, runs), (2, 2));
+        assert_eq!(encoded(&mut t).1, 1, "only c:1 was still to encode");
     }
 
     #[test]

@@ -89,6 +89,15 @@ impl From<&str> for ServerId {
     }
 }
 
+/// Maps and sets keyed by `ServerId` answer lookups by the id's text, so
+/// a caller holding only a `&str` need not build a `ServerId` to ask.
+/// (Sound because equality, ordering and hashing are the text's.)
+impl std::borrow::Borrow<str> for ServerId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

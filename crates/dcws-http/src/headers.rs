@@ -1,6 +1,7 @@
 //! Ordered, case-insensitive HTTP header map.
 
 use crate::error::{HttpError, Result};
+use std::borrow::Cow;
 
 /// An ordered multimap of HTTP headers with case-insensitive name lookup.
 ///
@@ -10,11 +11,16 @@ use crate::error::{HttpError, Result};
 /// preserving the relative order of same-named fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    /// `(name, value)` in insertion order. A name is borrowed when it is
+    /// one of this crate's own constants ([`Self::push_static`]), owned
+    /// otherwise.
+    entries: Vec<(Cow<'static, str>, String)>,
 }
 
+/// Case-insensitive name equality. Names nearly always arrive in the
+/// spelling they are asked for in, which a plain comparison settles.
 fn name_eq(a: &str, b: &str) -> bool {
-    a.eq_ignore_ascii_case(b)
+    a == b || a.eq_ignore_ascii_case(b)
 }
 
 /// Returns true if `name` is a valid RFC 2616 token.
@@ -69,10 +75,21 @@ impl Headers {
     /// CR/LF (which would permit response-splitting attacks).
     pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) -> Result<()> {
         let name = name.into();
-        let value = value.into();
         if !valid_name(&name) {
             return Err(HttpError::BadHeader(name));
         }
+        self.push_checking_value(name.into(), value.into())
+    }
+
+    /// Append a field named by one of this crate's own constants: the
+    /// name is known to be a token and is kept by reference, so only the
+    /// value is checked and nothing is allocated for the name.
+    pub(crate) fn push_static(&mut self, name: &'static str, value: String) -> Result<()> {
+        debug_assert!(valid_name(name));
+        self.push_checking_value(Cow::Borrowed(name), value)
+    }
+
+    fn push_checking_value(&mut self, name: Cow<'static, str>, value: String) -> Result<()> {
         if !valid_value(&value) {
             return Err(HttpError::BadHeader(format!("{name}: {value}")));
         }
@@ -84,7 +101,13 @@ impl Headers {
     /// already passed (the head parser checks while it scans).
     pub(crate) fn push_validated(&mut self, name: &str, value: &str) {
         debug_assert!(valid_name(name) && valid_value(value));
-        self.entries.push((name.to_string(), value.to_string()));
+        self.entries
+            .push((name.to_string().into(), value.to_string()));
+    }
+
+    /// Make room for `additional` more fields at once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
     }
 
     /// Replace all fields named `name` with a single field.
@@ -124,7 +147,7 @@ impl Headers {
 
     /// Iterate `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (&**n, v.as_str()))
     }
 
     /// Parsed `Content-Length`, if present.

@@ -42,10 +42,39 @@ pub struct LoadReport {
 impl LoadReport {
     /// Encode as the header value.
     pub fn encode(&self) -> String {
-        format!(
-            "server={}; cps={:.3}; bps={:.3}; ts={}",
-            self.server, self.cps, self.bps, self.ts_ms
-        )
+        Self::encode_fields(&self.server, self.cps, self.bps, self.ts_ms)
+    }
+
+    /// [`Self::encode`] for a caller that holds the fields apart (a load
+    /// table row) and would otherwise copy the id into a `LoadReport`
+    /// only to format it. The one place the wire text is produced.
+    pub fn encode_fields(server: &str, cps: f64, bps: f64, ts_ms: u64) -> String {
+        format!("server={server}; cps={cps:.3}; bps={bps:.3}; ts={ts_ms}")
+    }
+
+    /// The `(server, ts)` a value carries, read by slice — no float is
+    /// parsed and nothing allocated — when the value has exactly the
+    /// shape [`Self::encode`] emits; `None` for anything else (reordered,
+    /// repeated or unknown keys, other spacing, a `ts` that is not a
+    /// `u64`).
+    ///
+    /// A receiver merges last-writer-wins on exactly this pair, so it can
+    /// drop its own row, or one no newer than the row it holds, on this
+    /// answer alone: whenever this returns `Some((server, ts))`,
+    /// [`Self::decode`] of the same value either fails or yields that
+    /// `server` and `ts_ms`.
+    pub fn peek(value: &str) -> Option<(&str, u64)> {
+        // `decode` splits on every `;`, so the canonical value is the one
+        // with exactly three, each followed by the next key.
+        let (server, rest) = value.strip_prefix("server=")?.split_once(';')?;
+        let (_cps, rest) = rest.strip_prefix(" cps=")?.split_once(';')?;
+        let (_bps, rest) = rest.strip_prefix(" bps=")?.split_once(';')?;
+        let ts = rest.strip_prefix(" ts=")?;
+        // An id `decode` would trim is not the id it would report.
+        if server != server.trim() {
+            return None;
+        }
+        Some((server, ts.parse().ok()?))
     }
 
     /// Decode from a header value.
@@ -106,8 +135,14 @@ impl LoadReport {
 
     /// Attach this report to a header map.
     pub fn attach(&self, headers: &mut Headers) {
+        Self::attach_encoded(headers, self.encode());
+    }
+
+    /// Attach a value [`Self::encode`] produced earlier: a copy of the
+    /// text (or, given the `String` itself, a move), nothing formatted.
+    pub fn attach_encoded(headers: &mut Headers, encoded: impl Into<String>) {
         headers
-            .insert(PIGGYBACK_HEADER, self.encode())
+            .push_static(PIGGYBACK_HEADER, encoded.into())
             .expect("encoded report is a valid header value");
     }
 
@@ -193,6 +228,85 @@ mod tests {
         h.insert(PIGGYBACK_HEADER, "garbage").unwrap();
         let out = LoadReport::extract_all(&h);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn encode_fields_is_encode() {
+        let r = sample();
+        assert_eq!(
+            LoadReport::encode_fields(&r.server, r.cps, r.bps, r.ts_ms),
+            r.encode()
+        );
+    }
+
+    #[test]
+    fn peek_reads_what_encode_wrote() {
+        let r = sample();
+        assert_eq!(LoadReport::peek(&r.encode()), Some(("h1:8001", 42_000)));
+        // Rates `decode` will refuse are not peek's business: the pair
+        // is read, and the row dropped or handed to `decode` on it.
+        let odd = LoadReport::encode_fields("h:1", f64::NAN, -1.0, u64::MAX);
+        assert_eq!(LoadReport::peek(&odd), Some(("h:1", u64::MAX)));
+        assert_eq!(LoadReport::peek("server=; cps=; bps=; ts=0"), Some(("", 0)));
+        assert_eq!(
+            LoadReport::peek("server=a=b; cps=1; bps=2; ts=7"),
+            Some(("a=b", 7))
+        );
+    }
+
+    #[test]
+    fn peek_declines_anything_but_the_canonical_shape() {
+        for v in [
+            "",
+            "garbage",
+            "server=h:1; cps=1.000; bps=2.000",
+            "server=h:1; cps=1.000; bps=2.000; ts=",
+            "server=h:1; cps=1.000; bps=2.000; ts=-5",
+            "server=h:1; cps=1.000; bps=2.000; ts= 5",
+            "server=h:1; cps=1.000; bps=2.000; ts=5 ",
+            "server=h:1; cps=1.000; bps=2.000; ts=5;",
+            "server=h:1; cps=1.000; bps=2.000; ts=18446744073709551616",
+            "server=h:1; cps=1.000; bps=2.000; ts=5; future=x",
+            "server=h:1; cps=1.000; bps=2.000; ts=5; ts=9",
+            "server=h:1; server=h:2; cps=1.000; bps=2.000; ts=5",
+            "server=h:1;cps=1.000;bps=2.000;ts=5",
+            " server=h:1; cps=1.000; bps=2.000; ts=5",
+            "server= h:1; cps=1.000; bps=2.000; ts=5",
+            "server=h:1 ; cps=1.000; bps=2.000; ts=5",
+            "server=h:1\u{a0}; cps=1.000; bps=2.000; ts=5",
+            "server=h:1; bps=2.000; cps=1.000; ts=5",
+            "ts=5; server=h:1; cps=1.000; bps=2.000",
+            "Server=h:1; cps=1.000; bps=2.000; ts=5",
+        ] {
+            assert_eq!(LoadReport::peek(v), None, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn attach_encoded_is_attach() {
+        let (mut a, mut b, mut c) = (Headers::new(), Headers::new(), Headers::new());
+        sample().attach(&mut a);
+        LoadReport::attach_encoded(&mut b, sample().encode());
+        LoadReport::attach_encoded(&mut c, sample().encode().as_str());
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        // The name, kept by reference, behaves as an owned one does.
+        let mut owned = Headers::new();
+        owned.insert("X-DCWS-Load", sample().encode()).unwrap();
+        assert_eq!(a, owned);
+        assert_eq!(a.get("x-dcws-load"), Some(sample().encode().as_str()));
+        let (mut wire, mut owned_wire) = (Vec::new(), Vec::new());
+        a.write_to(&mut wire);
+        owned.write_to(&mut owned_wire);
+        assert_eq!(wire, owned_wire);
+        assert_eq!(wire.len(), a.wire_len());
+        assert_eq!(a.remove("X-DCWS-LOAD"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid header value")]
+    fn attach_encoded_refuses_a_line_break() {
+        LoadReport::attach_encoded(&mut Headers::new(), "server=h\r\nEvil: 1");
     }
 
     #[test]

@@ -254,7 +254,13 @@ fn piggybacked_load_report_is_deferred_and_answered() {
             .map(|v| LoadReport::decode(v).expect("decodable report"))
             .collect();
         assert!(!attached.is_empty(), "no reports attached: {}", r.head);
-        assert_eq!(attached, server.read_path().published_reports());
+        let published: Vec<_> = server
+            .read_path()
+            .published_reports()
+            .iter()
+            .map(|v| LoadReport::decode(v).expect("decodable report"))
+            .collect();
+        assert_eq!(attached, published);
         assert_eq!(inline_served(server) - before, 1);
         assert_eq!(server.read_path().snapshot().reports_deferred, 1);
         // The deferred report reaches the GLT at the next tick.

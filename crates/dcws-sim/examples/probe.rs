@@ -1,5 +1,6 @@
 //! One simulation run, with the simulator's own decomposition: wall time,
-//! events/s and how many events of each kind were handled.
+//! events/s, how many events of each kind were handled, and what the
+//! control plane did with its gossip.
 //!
 //! ```text
 //! probe [servers] [clients] [duration_ms] [accel] [dataset] [seed]
@@ -52,6 +53,11 @@ fn main() {
         n.server_tick,
         n.client_wake,
         n.other
+    );
+    let g = r.gossip;
+    println!(
+        "gossip: pings_sent={} reports_merged={} reports_skipped={} reports_encoded={}",
+        g.pings_sent, g.reports_merged, g.reports_skipped, g.reports_encoded
     );
     println!("digest: {}", r.digest());
     for s in &r.samples {

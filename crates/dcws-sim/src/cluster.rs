@@ -19,7 +19,7 @@
 
 use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Origin, Purpose, SimTime};
-use crate::metrics::{Counters, EventCounts, LatencyHist, Sample, SimResult};
+use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
 use dcws_core::{EventRecord, MemStore, Outcome, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
@@ -521,12 +521,17 @@ impl SimCluster {
         let mut regenerations = 0;
         let mut migrations = 0;
         let mut revocations = 0;
+        let mut gossip = GossipCounts::default();
         let mut cache = dcws_cache::CacheStats::default();
         for (i, s) in self.servers.iter_mut().enumerate() {
             let st = s.engine.stats();
             regenerations += st.regenerations;
             migrations += st.migrations;
             revocations += st.revocations;
+            gossip.pings_sent += st.pings_sent;
+            gossip.reports_merged += st.reports_merged;
+            gossip.reports_skipped += st.reports_skipped;
+            gossip.reports_encoded += st.reports_encoded;
             cache = cache
                 .merged(&s.engine.regen_cache().stats())
                 .merged(&s.engine.coop_cache().stats());
@@ -548,6 +553,7 @@ impl SimCluster {
             regenerations,
             migrations,
             revocations,
+            gossip,
             cache,
             mean_response_ms: if self.latency_n == 0 {
                 0.0
@@ -698,9 +704,9 @@ impl SimCluster {
         let Some((req, origin)) = srv.queue.pop_front() else {
             return;
         };
-        let regen_before = srv.engine.stats().regenerations;
+        let regen_before = srv.engine.regenerations();
         let outcome = srv.engine.handle_request(&req, now_ms);
-        let regens = srv.engine.stats().regenerations - regen_before;
+        let regens = srv.engine.regenerations() - regen_before;
         match outcome {
             Outcome::Response(_) | Outcome::Stream { .. } => {
                 // The discrete-event model charges CPU per byte either

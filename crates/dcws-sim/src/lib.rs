@@ -46,6 +46,6 @@ pub mod trace;
 pub use cluster::{run_sim, OwnershipAudit, SimCluster};
 pub use config::{ClientModel, HotEntry, NetModel, SimConfig};
 pub use cost::CostModel;
-pub use metrics::{Counters, EventCounts, LatencyHist, Sample, SimResult};
+pub use metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 pub use scenario::{Scenario, ScenarioKind};
 pub use trace::{Trace, TraceEvent};

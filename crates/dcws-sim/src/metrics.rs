@@ -154,6 +154,22 @@ pub struct Sample {
     pub per_server_cps: Vec<f64>,
 }
 
+/// What the control plane cost a run, summed across servers: pings sent
+/// (§4.5), and what became of the load reports that rode on every
+/// inter-server message (§3.3). See the `EngineStats` fields of the same
+/// names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GossipCounts {
+    /// Artificial pinger transfers emitted.
+    pub pings_sent: u64,
+    /// Received reports the GLTs accepted.
+    pub reports_merged: u64,
+    /// Received reports dropped before parsing (own row, or not newer).
+    pub reports_skipped: u64,
+    /// Reports formatted for sending (the rest were copies).
+    pub reports_encoded: u64,
+}
+
 /// Result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -167,6 +183,9 @@ pub struct SimResult {
     pub migrations: u64,
     /// Total revocations across servers.
     pub revocations: u64,
+    /// Control-plane totals across servers. Not part of [`Self::digest`]:
+    /// they describe how the gossip was processed, not what it decided.
+    pub gossip: GossipCounts,
     /// Document-cache statistics (regen + co-op caches) merged across
     /// every server, for the budget-vs-hit-ratio experiments.
     pub cache: CacheStats,
@@ -328,6 +347,7 @@ mod tests {
             regenerations: 0,
             migrations: 0,
             revocations: 0,
+            gossip: GossipCounts::default(),
             cache: CacheStats::default(),
             mean_response_ms: 0.0,
             latency: LatencyHist::default(),

@@ -38,6 +38,20 @@ step cargo test -q -p dcws-net --test chaos_tests seeded_chaos_no_document_lost
 # regression on the hot path shows as its own step.
 step cargo test -q -p dcws-net --test alloc_probe
 
+# Behaviour gate: the simulator on the benchmark's sim-lod configuration
+# (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
+# event, the digests this configuration has had since PR 15 — a perf
+# change to the engine or the simulator that moves either has changed a
+# protocol decision, whatever its tests say. ~0.7 s a seed.
+if [[ $quick -eq 0 ]]; then
+    sim_digest() {
+        cargo run --release -q -p dcws-sim --example probe -- 64 1024 100000 1 lod "$1" \
+            | grep -F "digest: $2"
+    }
+    step sim_digest 1999 "completed=95476 bytes=228397946 drops=133225 redirects=365 failures=0 sessions=1192 migrations=10 revocations=0 regenerations=9 events=659527 samples=10 latencies=95476 p99_us=131071 engine_events=37"
+    step sim_digest 2024 "completed=95439 bytes=229420215 drops=134602 redirects=342 failures=0 sessions=1143 migrations=10 revocations=0 regenerations=9 events=661575 samples=10 latencies=95439 p99_us=131071 engine_events=37"
+fi
+
 # The benchmark is a workspace of its own, so nothing above compiles
 # it: a break of the public API it uses would otherwise surface only
 # when the benchmark pipeline runs.

@@ -87,10 +87,11 @@ pub struct ServerConfig {
     /// the default is generous rather than unbounded.
     pub cache_budget_bytes: u64,
     /// Bodies at or above this size are served by the streaming path
-    /// (chunked reads straight from the [`DocStore`](crate::DocStore),
-    /// bypassing the regen cache and serve table) instead of being
-    /// buffered whole. `0` disables streaming. The default keeps every
-    /// LOD document buffered and streams only Sequoia-class objects.
+    /// (chunked reads straight from the [`DocStore`](crate::DocStore);
+    /// the regen cache never sees them and the serve table keeps a
+    /// reader for them, not their bytes) instead of being buffered
+    /// whole. `0` disables streaming. The default keeps every LOD
+    /// document buffered and streams only Sequoia-class objects.
     pub stream_threshold_bytes: u64,
     /// Cache admission rule: an object costing more than this fraction
     /// of one cache shard's budget is never admitted to the LRU (served

@@ -226,6 +226,7 @@ impl ServerEngine {
         s.redirects += r.redirects;
         s.conditional_not_modified += r.conditional_not_modified;
         s.bytes_sent += r.bytes_sent;
+        s.streamed_serves += r.streamed_serves;
         s.stale_serves += r.stale_serves;
         s
     }
@@ -239,7 +240,7 @@ impl ServerEngine {
     }
 
     /// The shared read-mostly serve path. Transport hosts clone the `Arc`
-    /// and call [`ReadPath::try_serve`] before taking the engine lock.
+    /// and call [`ReadPath::serve`] before taking the engine lock.
     pub fn read_path(&self) -> &Arc<ReadPath> {
         &self.read
     }

@@ -14,11 +14,14 @@
 //! * a **sharded serve table** (`RwLock` per shard) mapping home-document
 //!   paths to prebuilt routes: the wire head serialized once at prime
 //!   time plus the shared entity [`Body`], for a document's `200` or a
-//!   migrated document's `301`. The table is *primed* by the engine's
-//!   exclusive serve path on first serve and *invalidated* by every
-//!   mutation (publish, dirty settlement, migrate/revoke — including the
-//!   link-sources those dirty). Readers therefore see either the current
-//!   route or a vacancy, never a stale body;
+//!   migrated document's `301` — or, for an object at or over
+//!   `stream_threshold_bytes`, plus a shared positional [`DocReader`]
+//!   over the store's copy, which every hit clones into the
+//!   [`StreamBody`] a front end drains. The table is *primed* by the
+//!   engine's exclusive serve path on first serve and *invalidated* by
+//!   every mutation (publish, dirty settlement, migrate/revoke —
+//!   including the link-sources those dirty). Readers therefore see
+//!   either the current route or a vacancy, never a stale body;
 //! * the shared co-op [`DocCache`] (internally sharded already), so warm
 //!   co-op hits need no engine lock either;
 //! * **mailboxes** for the write-side effects a serve produces: per-doc
@@ -33,14 +36,15 @@
 //! rare variants (`If-Modified-Since`, `Range`, piggybacked load reports)
 //! build a [`Response`] and serialize a head of their own.
 
-use crate::engine::coop_cache_key;
+use crate::engine::{coop_cache_key, Modified};
 use crate::naming::decode_migrate_path;
+use crate::stream::{stream_answer, DocReader};
 use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_http_date, parse_response_head,
-    range_spec, Body, Headers, LoadReport, Method, Request, RequestHead, Response, Url,
-    PIGGYBACK_HEADER, RANGE_HEADER,
+    range_spec, Body, Headers, LoadReport, Method, RangeSpec, Request, RequestHead, Response,
+    StreamBody, Url, PIGGYBACK_HEADER, RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,6 +56,13 @@ const N_SHARDS: usize = 8;
 
 /// Fixed per-route bookkeeping charge against the table budget.
 const ROUTE_OVERHEAD: u64 = 64;
+
+/// What a stream route's resident reader is charged against the table
+/// budget, whatever its object's length: it pins no bytes, but it may pin
+/// a descriptor, and the budget is what bounds those — one per 64 KiB,
+/// so the default table (32 MiB) holds at most 512 of them, half the
+/// usual soft limit of 1024 open files.
+const STREAM_ROUTE_COST: u64 = 64 * 1024;
 
 /// Deferred-report mailbox bound. Gossip is lossy by design; overflow
 /// drops the report (counted) rather than growing without bound.
@@ -110,40 +121,102 @@ enum ServeRoute {
     Doc { served: Served, modified_ms: u64 },
     /// A migrated document: the prebuilt `301` to its co-op.
     Moved(Served),
+    /// A home-resident object too large to buffer (boxed: a table of
+    /// small documents should not pay for its fields in every entry).
+    Stream(Box<StreamRoute>),
+}
+
+/// What the table keeps of a large object: the head of its plain `200`
+/// serialized at prime time, and the store's copy behind a reader
+/// positioned at its start. A hit clones the reader — a refcount, never
+/// an `open` — so one descriptor serves every concurrent transfer, and a
+/// transfer in flight when the route is dropped finishes on the
+/// descriptor (and inode) it started on.
+struct StreamRoute {
+    head: Body,
+    reader: DocReader,
+    content_type: &'static str,
+    modified: Modified,
 }
 
 impl ServeRoute {
     /// Budget cost of this route under `path`.
     fn cost(&self, path: &str) -> u64 {
-        let (ServeRoute::Doc { served, .. } | ServeRoute::Moved(served)) = self;
-        (path.len() + served.head.len() + served.body.len()) as u64 + ROUTE_OVERHEAD
+        let resident = match self {
+            ServeRoute::Doc { served, .. } | ServeRoute::Moved(served) => {
+                (served.head.len() + served.body.len()) as u64
+            }
+            ServeRoute::Stream(route) => route.head.len() as u64 + STREAM_ROUTE_COST,
+        };
+        path.len() as u64 + resident + ROUTE_OVERHEAD
     }
 }
 
-/// What the read path looks at in a request's header fields.
-#[derive(Default)]
+/// Who is asking the read path, which decides what it may answer and how
+/// a decline is counted.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Caller {
+    /// A front end that owns the socket: it can drain a [`StreamBody`],
+    /// so stream routes answer too.
+    FrontEnd,
+    /// A caller that needs a whole [`Response`]: stream routes decline.
+    Message,
+    /// A spill worker looking again at a request a [`Caller::FrontEnd`]
+    /// lookup already declined, and already counted as a fallback.
+    Spilled,
+}
+
+/// What the read path looks at in a request's head.
 struct Wanted<'a> {
+    method: Method,
     if_modified_since: Option<&'a str>,
-    range: Option<&'a str>,
+    /// The usable byte range the request asks for.
+    range: Option<RangeSpec>,
     /// The request piggybacks `X-DCWS-Load` reports.
     has_load: bool,
 }
 
 /// A route's answer to one request: the prebuilt wire form, or a response
-/// built for this request alone (304, co-op copy).
+/// built for this request alone (304, co-op copy, a large object's range).
 enum Hit {
     Prebuilt(Served),
     Built(Response),
 }
 
+/// A [`Hit`] and, for a large object's `GET`, the entity that follows its
+/// head in place of a buffered body.
+type Answer = (Hit, Option<StreamBody>);
+
 /// One shard of the hit mailbox: `path -> (hits, bytes)`.
 type HitShard = Mutex<HashMap<String, (u64, u64)>>;
 
-/// One serve-table shard: routes plus their resident cost.
+/// One serve-table shard: routes, their resident cost, and how many of
+/// them are stream routes.
 #[derive(Default)]
 struct TableShard {
     map: HashMap<String, ServeRoute>,
     bytes: u64,
+    streams: u64,
+}
+
+impl TableShard {
+    /// Add `route` under `path`, which must be vacant.
+    fn insert(&mut self, path: &str, route: ServeRoute) {
+        self.bytes += route.cost(path);
+        self.streams += u64::from(matches!(route, ServeRoute::Stream(_)));
+        self.map.insert(path.to_string(), route);
+    }
+
+    fn remove(&mut self, path: &str) {
+        if let Some(old) = self.map.remove(path) {
+            self.bytes = self.bytes.saturating_sub(old.cost(path));
+            self.streams -= u64::from(matches!(old, ServeRoute::Stream(_)));
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = TableShard::default();
+    }
 }
 
 /// Monotonic counters for work done on the read path; folded into
@@ -157,6 +230,7 @@ struct ReadCounters {
     redirects: AtomicU64,
     conditional_not_modified: AtomicU64,
     bytes_sent: AtomicU64,
+    streamed_serves: AtomicU64,
     stale_serves: AtomicU64,
     fallbacks: AtomicU64,
     shard_clears: AtomicU64,
@@ -179,9 +253,14 @@ pub struct ReadPathStats {
     pub conditional_not_modified: u64,
     /// Body bytes sent in read-path 200s.
     pub bytes_sent: u64,
+    /// 200s and 206s of large objects handed to the front end as a
+    /// stream (counted in `served_home` too).
+    pub streamed_serves: u64,
     /// 200s served from a stale-marked co-op copy (failed T_val).
     pub stale_serves: u64,
-    /// Requests the read path declined (engine lock taken instead).
+    /// Requests the read path declined (engine lock taken instead); a
+    /// request a front end declined and its spill worker declined again
+    /// counts once.
     pub fallbacks: u64,
     /// Serve-table shards cleared wholesale on budget overflow.
     pub shard_clears: u64,
@@ -193,6 +272,9 @@ pub struct ReadPathStats {
     pub table_entries: u64,
     /// Budget cost of resident routes.
     pub table_bytes: u64,
+    /// Stream routes among `table_entries`: resident readers, each of
+    /// which may hold a descriptor open.
+    pub stream_routes: u64,
 }
 
 /// The concurrent read-mostly serve path (see module docs).
@@ -255,19 +337,34 @@ impl ReadPath {
 
     /// Try to serve `req` without the engine lock. `None` means the
     /// request needs the exclusive path (anything inter-server, any miss,
-    /// any non-GET/HEAD) — hand it to `ServerEngine::handle_request`.
-    /// This is [`Self::serve`] for callers holding owned messages (spill
-    /// workers, tests).
+    /// any non-GET/HEAD, any large object — a stream is not a
+    /// [`Response`]) — hand it to `ServerEngine::handle_request`. This is
+    /// [`Self::serve`] for callers holding owned messages.
     pub fn try_serve(&self, req: &Request, _now_ms: u64) -> Option<Response> {
-        self.serve_parts(req.method, &req.target, req.headers.iter())
-            .map(Served::into_response)
+        self.serve_owned(req, Caller::Message)
+    }
+
+    /// [`Self::try_serve`] for the spill worker a front end handed `req`
+    /// to after [`Self::serve`] declined it: another worker may have
+    /// primed the route meanwhile, so the look is worth taking, but the
+    /// request was counted as a fallback when it spilled and is not
+    /// counted again.
+    pub fn try_serve_spilled(&self, req: &Request) -> Option<Response> {
+        self.serve_owned(req, Caller::Spilled)
+    }
+
+    fn serve_owned(&self, req: &Request, caller: Caller) -> Option<Response> {
+        self.serve_parts(req.method, &req.target, req.headers.iter(), caller)
+            .map(|(served, _)| served.into_response())
     }
 
     /// [`Self::try_serve`] for a front end that parsed the request in
-    /// place, answering in wire form. A plain `GET`/`HEAD` of a primed
-    /// route allocates nothing.
-    pub fn serve(&self, req: &RequestHead<'_>) -> Option<Served> {
-        self.serve_parts(req.method, req.target, req.headers())
+    /// place and owns the socket: the answer in wire form, and for the
+    /// `200`/`206` of a large object the entity to drain behind the head
+    /// (the [`Served::body`] is then empty). A plain `GET`/`HEAD` of a
+    /// primed document or redirect allocates nothing.
+    pub fn serve(&self, req: &RequestHead<'_>) -> Option<(Served, Option<StreamBody>)> {
+        self.serve_parts(req.method, req.target, req.headers(), Caller::FrontEnd)
     }
 
     fn serve_parts<'a>(
@@ -275,55 +372,63 @@ impl ReadPath {
         method: Method,
         target: &str,
         headers: impl Iterator<Item = (&'a str, &'a str)> + Clone,
-    ) -> Option<Served> {
+        caller: Caller,
+    ) -> Option<(Served, Option<StreamBody>)> {
         if method != Method::Get && method != Method::Head {
-            return self.fallback();
+            return self.fallback(caller);
         }
         // Inter-server extension headers force the exclusive path —
         // except pure piggyback, whose GLT merge we defer to tick.
-        let mut want = Wanted::default();
+        let (mut if_modified_since, mut range, mut has_load) = (None, None, false);
         for (name, value) in headers.clone() {
             if name.len() >= 7 && name.as_bytes()[..7].eq_ignore_ascii_case(b"x-dcws-") {
                 if name.eq_ignore_ascii_case(PIGGYBACK_HEADER) {
-                    want.has_load = true;
+                    has_load = true;
                 } else {
-                    return self.fallback();
+                    return self.fallback(caller);
                 }
             } else if name.eq_ignore_ascii_case("If-Modified-Since") {
-                want.if_modified_since.get_or_insert(value);
+                if_modified_since.get_or_insert(value);
             } else if name.eq_ignore_ascii_case(RANGE_HEADER) {
-                want.range.get_or_insert(value);
+                range.get_or_insert(value);
             }
         }
+        let want = Wanted {
+            method,
+            if_modified_since,
+            range: range_spec(method, range),
+            has_load,
+        };
         let Ok(path) = Url::request_path(target) else {
-            return self.fallback();
+            return self.fallback(caller);
         };
         let path = &*path;
         if is_reserved_path(path) {
             // The transport answers /dcws/* itself; never a fallback.
             return None;
         }
-        let hit = match decode_migrate_path(path) {
-            Err(_) => return self.fallback(),
+        let answer = match decode_migrate_path(path) {
+            Err(_) => return self.fallback(caller),
             Ok(Some(t)) if t.home != self.id => self.serve_coop_hit(&t.home, &t.path, &want),
-            Ok(Some(t)) => self.serve_table(&t.path, &want),
-            Ok(None) => self.serve_table(path, &want),
+            Ok(Some(t)) => self.serve_table(&t.path, &want, caller),
+            Ok(None) => self.serve_table(path, &want, caller),
         };
-        let Some(hit) = hit else {
-            return self.fallback();
+        let Some((hit, stream)) = answer else {
+            return self.fallback(caller);
         };
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         // Client GETs may carry a byte range; 304s pass through untouched
-        // (If-Modified-Since wins). Bodies here are buffered snapshots —
-        // large objects never enter the table (cost > shard budget) and
-        // take the engine's streamed path instead.
-        let range = range_spec(method, want.range);
+        // (If-Modified-Since wins). A buffered snapshot is sliced here; a
+        // stream route resolved its range when it built the answer (its
+        // prebuilt head is never offered to a ranged request).
         let resp = match hit {
-            Hit::Prebuilt(served) if range.is_none() && !want.has_load => return Some(served),
+            Hit::Prebuilt(served) if want.range.is_none() && !want.has_load => {
+                return Some((served, stream))
+            }
             Hit::Prebuilt(served) => served.into_response(),
             Hit::Built(resp) => resp,
         };
-        let mut resp = apply_range_spec(range, resp);
+        let mut resp = apply_range_spec(want.range, resp);
         if want.has_load {
             self.defer_reports(
                 headers
@@ -332,12 +437,15 @@ impl ReadPath {
             );
             self.attach_published(&mut resp.headers);
         }
-        Some(Served::from_response(resp))
+        Some((Served::from_response(resp), stream))
     }
 
-    /// Count a declined request and return `None`.
-    fn fallback(&self) -> Option<Served> {
-        self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+    /// Count a declined request (once: not again for the spill worker's
+    /// second look) and return `None`.
+    fn fallback<T>(&self, caller: Caller) -> Option<T> {
+        if caller != Caller::Spilled {
+            self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
         None
     }
 
@@ -356,7 +464,7 @@ impl ReadPath {
     }
 
     /// A warm co-op copy, straight from the shared cache.
-    fn serve_coop_hit(&self, home: &ServerId, path: &str, want: &Wanted<'_>) -> Option<Hit> {
+    fn serve_coop_hit(&self, home: &ServerId, path: &str, want: &Wanted<'_>) -> Option<Answer> {
         let key = coop_cache_key(home, path);
         // Peek first so a miss/negative doesn't skew the cache counters:
         // the engine fallback will run its own counted lookup.
@@ -371,7 +479,7 @@ impl ReadPath {
         }
         if let Some(resp) = self.not_modified(want, doc.modified_ms) {
             self.record_traffic(0);
-            return Some(Hit::Built(resp));
+            return Some((Hit::Built(resp), None));
         }
         self.counters.served_coop.fetch_add(1, Ordering::Relaxed);
         if doc.stale {
@@ -382,21 +490,21 @@ impl ReadPath {
             .bytes_sent
             .fetch_add(doc.bytes.len() as u64, Ordering::Relaxed);
         self.record_traffic(doc.bytes.len() as u64);
-        Some(Hit::Built(
-            Response::ok(doc.bytes, &doc.content_type)
-                .with_header("Last-Modified", &http_date(doc.modified_ms)),
-        ))
+        let resp = Response::ok(doc.bytes, &doc.content_type)
+            .with_header("Last-Modified", &http_date(doc.modified_ms));
+        Some((Hit::Built(resp), None))
     }
 
     /// A primed home-document route from the serve table.
-    fn serve_table(&self, path: &str, want: &Wanted<'_>) -> Option<Hit> {
+    fn serve_table(&self, path: &str, want: &Wanted<'_>, caller: Caller) -> Option<Answer> {
         let idx = self.shard_idx(path);
         let shard = self.table[idx].read().unwrap_or_else(|e| e.into_inner());
+        let c = &self.counters;
         match shard.map.get(path)? {
             ServeRoute::Moved(served) => {
-                self.counters.redirects.fetch_add(1, Ordering::Relaxed);
+                c.redirects.fetch_add(1, Ordering::Relaxed);
                 self.record_traffic(served.body.len() as u64);
-                Some(Hit::Prebuilt(served.clone()))
+                Some((Hit::Prebuilt(served.clone()), None))
             }
             ServeRoute::Doc {
                 served,
@@ -405,14 +513,64 @@ impl ReadPath {
                 if let Some(resp) = self.not_modified(want, *modified_ms) {
                     self.note_hit(idx, path, 0);
                     self.record_traffic(0);
-                    return Some(Hit::Built(resp));
+                    return Some((Hit::Built(resp), None));
                 }
                 let len = served.body.len() as u64;
-                self.counters.served_home.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
+                c.served_home.fetch_add(1, Ordering::Relaxed);
+                c.bytes_sent.fetch_add(len, Ordering::Relaxed);
                 self.note_hit(idx, path, len);
                 self.record_traffic(len);
-                Some(Hit::Prebuilt(served.clone()))
+                Some((Hit::Prebuilt(served.clone()), None))
+            }
+            ServeRoute::Stream(_) if caller != Caller::FrontEnd => None,
+            ServeRoute::Stream(route) => {
+                let StreamRoute {
+                    head,
+                    reader,
+                    content_type,
+                    modified,
+                } = &**route;
+                if let Some(resp) = self.not_modified(want, modified.ms) {
+                    self.note_hit(idx, path, 0);
+                    self.record_traffic(0);
+                    return Some((Hit::Built(resp), None));
+                }
+                // The whole object to a GET, or its head to a HEAD, goes
+                // out behind the prebuilt head; a range gets its own.
+                let (hit, stream) = match want.range {
+                    None => {
+                        let served = Served {
+                            head: head.clone(),
+                            body: Body::empty(),
+                        };
+                        let entity =
+                            (want.method == Method::Get).then(|| reader.slice(0, reader.len()));
+                        (Hit::Prebuilt(served), entity)
+                    }
+                    Some(_) => {
+                        let (resp, entity) = stream_answer(
+                            reader,
+                            content_type,
+                            &modified.http_date,
+                            want.method,
+                            want.range,
+                        );
+                        (Hit::Built(resp), entity)
+                    }
+                };
+                // The exclusive path's accounting for the same answer: a
+                // `416` is traffic but no hit.
+                let len = stream.as_ref().map_or(0, StreamBody::len);
+                if stream.is_some() {
+                    c.streamed_serves.fetch_add(1, Ordering::Relaxed);
+                    c.bytes_sent.fetch_add(len, Ordering::Relaxed);
+                }
+                if stream.is_some() || want.method == Method::Head {
+                    c.served_home.fetch_add(1, Ordering::Relaxed);
+                    self.note_hit(idx, path, len);
+                }
+                self.record_traffic(len);
+                Some((hit, stream))
             }
         }
     }
@@ -465,6 +623,44 @@ impl ReadPath {
         self.install(path, ServeRoute::Moved(Served::from_response(resp)));
     }
 
+    /// Prime a large object's route with `reader`, positioned at the
+    /// start of the store's copy.
+    pub(crate) fn install_stream(
+        &self,
+        path: &str,
+        reader: DocReader,
+        content_type: &'static str,
+        modified: Modified,
+    ) {
+        let (resp, _) = stream_answer(
+            &reader,
+            content_type,
+            &modified.http_date,
+            Method::Head,
+            None,
+        );
+        let route = StreamRoute {
+            head: Served::from_response(resp).head,
+            reader,
+            content_type,
+            modified,
+        };
+        self.install(path, ServeRoute::Stream(Box::new(route)));
+    }
+
+    /// The resident reader of `path`'s stream route, if primed: the
+    /// exclusive path serves from it instead of opening the object again
+    /// (every mutation that could stale it has dropped the route).
+    pub(crate) fn stream_reader(&self, path: &str) -> Option<DocReader> {
+        let shard = self.table[self.shard_idx(path)]
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
+        match shard.map.get(path)? {
+            ServeRoute::Stream(route) => Some(route.reader.clone()),
+            _ => None,
+        }
+    }
+
     fn install(&self, path: &str, route: ServeRoute) {
         let per_shard = self.table_budget.load(Ordering::Relaxed) / self.table.len() as u64;
         let cost = route.cost(path);
@@ -474,30 +670,25 @@ impl ReadPath {
         let mut shard = self.table[self.shard_idx(path)]
             .write()
             .unwrap_or_else(|e| e.into_inner());
-        if let Some(old) = shard.map.remove(path) {
-            shard.bytes = shard.bytes.saturating_sub(old.cost(path));
-        }
+        shard.remove(path);
         if shard.bytes + cost > per_shard {
             // Snapshot cache, not a store: clearing the shard is always
             // safe (the exclusive path re-primes on demand) and keeps the
-            // structure allocation-bounded without LRU bookkeeping.
-            shard.map.clear();
-            shard.bytes = 0;
+            // structure — and the descriptors its stream routes hold —
+            // bounded without LRU bookkeeping.
+            shard.clear();
             self.counters.shard_clears.fetch_add(1, Ordering::Relaxed);
         }
-        shard.map.insert(path.to_string(), route);
-        shard.bytes += cost;
+        shard.insert(path, route);
     }
 
     /// Drop the route for `path`, if primed. Every mutation that changes
     /// what `path` (or a document linking to it) serves must call this.
     pub(crate) fn invalidate(&self, path: &str) {
-        let mut shard = self.table[self.shard_idx(path)]
+        self.table[self.shard_idx(path)]
             .write()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(old) = shard.map.remove(path) {
-            shard.bytes = shard.bytes.saturating_sub(old.cost(path));
-        }
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(path);
     }
 
     /// Re-budget the serve table; over-budget shards are cleared.
@@ -507,8 +698,7 @@ impl ReadPath {
         for shard in self.table.iter() {
             let mut s = shard.write().unwrap_or_else(|e| e.into_inner());
             if s.bytes > per_shard {
-                s.map.clear();
-                s.bytes = 0;
+                s.clear();
                 self.counters.shard_clears.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -617,11 +807,12 @@ impl ReadPath {
     /// Counter + occupancy snapshot.
     pub fn snapshot(&self) -> ReadPathStats {
         let c = &self.counters;
-        let (mut entries, mut bytes) = (0u64, 0u64);
+        let (mut entries, mut bytes, mut streams) = (0u64, 0u64, 0u64);
         for shard in self.table.iter() {
             let s = shard.read().unwrap_or_else(|e| e.into_inner());
             entries += s.map.len() as u64;
             bytes += s.bytes;
+            streams += s.streams;
         }
         ReadPathStats {
             requests: c.requests.load(Ordering::Relaxed),
@@ -630,6 +821,7 @@ impl ReadPath {
             redirects: c.redirects.load(Ordering::Relaxed),
             conditional_not_modified: c.conditional_not_modified.load(Ordering::Relaxed),
             bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
+            streamed_serves: c.streamed_serves.load(Ordering::Relaxed),
             stale_serves: c.stale_serves.load(Ordering::Relaxed),
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
             shard_clears: c.shard_clears.load(Ordering::Relaxed),
@@ -637,6 +829,7 @@ impl ReadPath {
             reports_dropped: c.reports_dropped.load(Ordering::Relaxed),
             table_entries: entries,
             table_bytes: bytes,
+            stream_routes: streams,
         }
     }
 }

@@ -3,12 +3,12 @@
 use crate::engine::{coop_cache_key, Modified, ServerEngine, PENDING_SERVE_CAP};
 use crate::events::EngineEvent;
 use crate::naming::decode_migrate_path;
+use crate::stream::stream_answer;
 use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{
-    apply_range, body_checksum, checksum_matches, content_range, content_range_unsatisfied,
-    http_date, parse_http_date, requested_range, Method, Request, ResolvedRange, Response,
-    StatusCode, StreamBody, Url, CHECKSUM_HEADER, STREAM_CHUNK,
+    apply_range, body_checksum, checksum_matches, http_date, parse_http_date, range_spec, Method,
+    Request, Response, StatusCode, StreamBody, Url, CHECKSUM_HEADER, RANGE_HEADER, STREAM_CHUNK,
 };
 
 /// Result of handing a request to the engine.
@@ -246,10 +246,8 @@ impl ServerEngine {
                 // Settle the Dirty bit first so the modification time the
                 // conditional check compares against is current.
                 self.settle_dirty(path);
-                let Modified {
-                    ms: modified,
-                    http_date: last_modified,
-                } = self.doc_modified(path);
+                let at = self.doc_modified(path);
+                let (modified, last_modified) = (at.ms, &*at.http_date);
                 if let Some(since) = req
                     .headers
                     .get("If-Modified-Since")
@@ -260,14 +258,14 @@ impl ServerEngine {
                         self.stats.conditional_not_modified += 1;
                         self.ldg.record_hit(path, 0);
                         return Outcome::Response(
-                            Response::not_modified().with_header("Last-Modified", &last_modified),
+                            Response::not_modified().with_header("Last-Modified", last_modified),
                         );
                     }
                 }
                 // Sequoia-class objects stream straight from the store:
-                // no whole-body buffer, no regen-cache or serve-table
-                // copy, first chunk on the wire after one read.
-                if let Some(out) = self.try_stream_home(path, req, &last_modified) {
+                // no whole-body buffer, no regen-cache copy, first chunk
+                // on the wire after one read.
+                if let Some(out) = self.try_stream_home(path, req, &at) {
                     return out;
                 }
                 let Some((bytes, ct)) = self.home_content(path) else {
@@ -282,70 +280,57 @@ impl ServerEngine {
                 // are served without the engine lock, sharing this body.
                 self.read.install_doc(path, bytes.clone(), ct, modified);
                 Outcome::Response(
-                    Response::ok(bytes, ct).with_header("Last-Modified", &last_modified),
+                    Response::ok(bytes, ct).with_header("Last-Modified", last_modified),
                 )
             }
         }
     }
 
-    /// The streamed serve of a large home object, when `path` qualifies:
-    /// a plain client `GET` of a non-HTML document (served verbatim,
-    /// never link-regenerated) at least `stream_threshold_bytes` long.
-    /// Any `Range` is resolved before the first read, so a resumed
-    /// transfer seeks instead of discarding a prefix. Returns `None` to
-    /// fall back to the buffered path.
-    fn try_stream_home(
-        &mut self,
-        path: &str,
-        req: &Request,
-        last_modified: &str,
-    ) -> Option<Outcome> {
+    /// The serve of a large home object, when `path` qualifies: a `GET`
+    /// or `HEAD` of a non-HTML document (served verbatim, never
+    /// link-regenerated) published at least `stream_threshold_bytes`
+    /// long. The object is opened once — by the first serve after
+    /// anything changed it — and the reader primes the read path, which
+    /// from then on answers plain clients itself; serves that still come
+    /// here (inter-server requests, hosts without a streaming front end)
+    /// share that resident reader. Any `Range` is resolved before the
+    /// first read, so a resumed transfer starts at its offset, and a
+    /// `HEAD` reads nothing at all. Returns `None` to fall back to the
+    /// buffered path.
+    fn try_stream_home(&mut self, path: &str, req: &Request, at: &Modified) -> Option<Outcome> {
         let threshold = self.cfg.stream_threshold_bytes;
-        if threshold == 0 || req.method != Method::Get {
+        if threshold == 0 || !matches!(req.method, Method::Get | Method::Head) {
             return None;
         }
-        let kind = self.ldg.get(path).map(|e| e.kind)?;
-        if kind == DocKind::Html {
+        let entry = self.ldg.get(path)?;
+        if entry.kind == DocKind::Html || entry.size < threshold {
             return None;
         }
-        let total = self.originals.size(path)?;
-        if total < threshold {
-            return None;
-        }
-        let (status, start, end) = match requested_range(req, total) {
-            None => (StatusCode::Ok, 0, total),
-            Some(ResolvedRange::Slice { start, end }) => (StatusCode::PartialContent, start, end),
-            Some(ResolvedRange::Unsatisfiable) => {
-                let mut resp = Response::new(StatusCode::RangeNotSatisfiable);
-                resp.headers
-                    .set("Content-Length", "0")
-                    .expect("static header");
-                resp.headers
-                    .set("Content-Range", content_range_unsatisfied(total))
-                    .expect("valid header");
-                return Some(Outcome::Response(resp));
+        let content_type = entry.kind.content_type();
+        let reader = match self.read.stream_reader(path) {
+            Some(resident) => resident,
+            None => {
+                let opened = self.originals.open_stream(path)?;
+                self.read
+                    .install_stream(path, opened.clone(), content_type, at.clone());
+                opened
             }
         };
-        let mut reader = self.originals.open_stream(path)?;
-        if reader.seek_to(start).is_err() {
-            return None; // store raced shorter than its stat: buffer instead
-        }
-        let len = end - start;
-        let mut resp = Response::new(status)
-            .with_header("Content-Type", kind.content_type())
-            .with_header("Content-Length", &len.to_string())
-            .with_header("Last-Modified", last_modified);
-        if status == StatusCode::PartialContent {
-            resp = resp.with_header("Content-Range", &content_range(start, end, total));
-        }
-        self.ldg.record_hit(path, len);
+        let range = range_spec(req.method, req.headers.get(RANGE_HEADER));
+        let (resp, body) = stream_answer(&reader, content_type, &at.http_date, req.method, range);
+        let Some(body) = body else {
+            // A head alone: the `200`'s for a HEAD (a hit), or a `416`.
+            if req.method == Method::Head {
+                self.ldg.record_hit(path, 0);
+                self.stats.served_home += 1;
+            }
+            return Some(Outcome::Response(resp));
+        };
+        self.ldg.record_hit(path, body.len());
         self.stats.served_home += 1;
         self.stats.streamed_serves += 1;
-        self.stats.bytes_sent += len;
-        Some(Outcome::Stream {
-            resp,
-            body: StreamBody::new(Box::new(reader), len),
-        })
+        self.stats.bytes_sent += body.len();
+        Some(Outcome::Stream { resp, body })
     }
 
     /// Whether `requester` is (one of) the co-op(s) currently assigned to

@@ -280,6 +280,7 @@ impl ServerEngine {
                 Json::from(r.conditional_not_modified),
             ),
             ("bytes_sent", Json::from(r.bytes_sent)),
+            ("streamed_serves", Json::from(r.streamed_serves)),
             ("stale_serves", Json::from(r.stale_serves)),
             ("fallbacks", Json::from(r.fallbacks)),
             ("shard_clears", Json::from(r.shard_clears)),
@@ -287,6 +288,7 @@ impl ServerEngine {
             ("reports_dropped", Json::from(r.reports_dropped)),
             ("table_entries", Json::from(r.table_entries)),
             ("table_bytes", Json::from(r.table_bytes)),
+            ("stream_routes", Json::from(r.stream_routes)),
         ]);
 
         Json::obj(vec![

@@ -44,8 +44,9 @@ pub trait DocStore: Send {
         self.get(name).map(|b| b.len() as u64)
     }
     /// Open a chunked reader over a document (`None` if absent). The
-    /// default buffers; [`DiskStore`] overrides with an incremental
-    /// `File` handle so large documents are never loaded whole.
+    /// default buffers a copy; [`DiskStore`] overrides with a `File`
+    /// handle so large documents are never loaded whole, [`MemStore`]
+    /// with a share of its resident body.
     fn open_stream(&self, name: &str) -> Option<DocReader> {
         self.get(name).map(DocReader::from_bytes)
     }
@@ -103,6 +104,9 @@ impl DocStore for MemStore {
     }
     fn size(&self, name: &str) -> Option<u64> {
         self.map.get(name).map(|b| b.len() as u64)
+    }
+    fn open_stream(&self, name: &str) -> Option<DocReader> {
+        self.get_body(name).map(DocReader::from_body)
     }
     fn len(&self) -> usize {
         self.map.len()
@@ -185,19 +189,14 @@ impl DocStore for DiskStore {
         meta.is_file().then_some(meta.len())
     }
 
-    /// An incremental `File` handle: chunked serves read at an offset
-    /// and never buffer the document.
+    /// A `File` handle: chunked serves read at an offset and never
+    /// buffer the document. One open, and the length is the opened
+    /// handle's own — a writer renaming a new version into place between
+    /// two path lookups cannot give the reader another inode's length.
     fn open_stream(&self, name: &str) -> Option<DocReader> {
-        let p = self.path_for(name)?;
-        let len = {
-            let meta = std::fs::metadata(&p).ok()?;
-            if !meta.is_file() {
-                return None;
-            }
-            meta.len()
-        };
-        let f = std::fs::File::open(&p).ok()?;
-        Some(DocReader::from_file(f, len))
+        let f = std::fs::File::open(self.path_for(name)?).ok()?;
+        let meta = f.metadata().ok()?;
+        meta.is_file().then(|| DocReader::from_file(f, meta.len()))
     }
 
     fn remove(&mut self, name: &str) -> bool {
@@ -375,5 +374,27 @@ mod tests {
         let mut out = Vec::new();
         r.read_to_end(&mut out).unwrap();
         assert_eq!(out, s.get("/a.bin").unwrap());
+        assert!(s.open_stream("/none.bin").is_none());
+    }
+
+    /// A reader opened before a republish stays on the replaced inode:
+    /// old bytes, old length, to the end.
+    #[test]
+    fn disk_store_reader_survives_replacement() {
+        use std::io::Read;
+        let dir = tmp_dir("replace");
+        let mut s = DiskStore::open(&dir).unwrap();
+        s.put("/img.bin", vec![1u8; 3000]).unwrap();
+        let mut old = s.open_stream("/img.bin").unwrap();
+        s.put("/img.bin", vec![2u8; 500]).unwrap();
+        assert_eq!(old.len(), 3000);
+        let mut out = Vec::new();
+        old.read_to_end(&mut out).unwrap();
+        assert_eq!(out, vec![1u8; 3000]);
+        assert_eq!(s.open_stream("/img.bin").unwrap().len(), 500);
+        // A directory is not a document.
+        s.put("/sub/doc.bin", b"x".to_vec()).unwrap();
+        assert!(s.open_stream("/sub").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -289,12 +289,23 @@ fn read_path_serves_prebuilt_redirects_and_honors_revoke() {
 }
 
 /// Parse `req`'s wire form in place and serve it on the read path, as the
-/// reactor does.
-fn serve_borrowed(e: &ServerEngine, req: &Request) -> Option<dcws_core::Served> {
+/// reactor does: the wire form and, for a large object, its entity.
+fn serve_front_end(
+    e: &ServerEngine,
+    req: &Request,
+) -> Option<(dcws_core::Served, Option<dcws_http::StreamBody>)> {
     let wire = req.to_bytes();
     let text = std::str::from_utf8(&wire).unwrap();
     let head = dcws_http::RequestHead::parse(text, wire.len()).expect("valid request");
     e.read_path().serve(&head)
+}
+
+/// [`serve_front_end`] for documents below the streaming threshold.
+fn serve_borrowed(e: &ServerEngine, req: &Request) -> Option<dcws_core::Served> {
+    serve_front_end(e, req).map(|(served, stream)| {
+        assert!(stream.is_none(), "a buffered document has no stream");
+        served
+    })
 }
 
 /// For every document, the head the serve table prebuilt at prime time
@@ -435,4 +446,171 @@ fn close_connection_matches_with_header() {
         &served.head[..],
         &resp.with_header("Connection", "close").head_bytes()[..]
     );
+}
+
+/// A request the front end's lookup declines spills to a worker, which
+/// looks again before taking the engine lock. Both looks decline; the
+/// request is one fallback. `try_serve` on its own still counts its own.
+#[test]
+fn a_spilled_request_counts_one_fallback() {
+    let mut e = engine("home:8080");
+    e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
+    let read = e.read_path().clone();
+    const N: u64 = 9;
+    let spilled = [
+        Request::get("/doc.html"), // not primed yet
+        Request::get("/missing.html"),
+        Request::get("/doc.html").with_header("X-DCWS-Pull", "1"),
+    ];
+    let before = read.snapshot().fallbacks;
+    for i in 0..N {
+        let req = &spilled[i as usize % spilled.len()];
+        assert!(serve_front_end(&e, req).is_none());
+        assert!(read.try_serve_spilled(req).is_none());
+    }
+    assert_eq!(read.snapshot().fallbacks - before, N);
+    assert!(read.try_serve(&spilled[0], 0).is_none());
+    assert_eq!(read.snapshot().fallbacks - before, N + 1);
+    // Another worker primed the route between the two looks: the second
+    // one serves, and the request still counted once.
+    e.handle_request(&spilled[0], 0).into_response().unwrap();
+    assert!(read.try_serve_spilled(&spilled[0]).is_some());
+    assert_eq!(read.snapshot().fallbacks - before, N + 1);
+}
+
+/// A [`MemStore`] that counts whole-document fetches.
+struct CountingStore {
+    inner: MemStore,
+    fetches: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl CountingStore {
+    fn count(&self) {
+        self.fetches
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+impl dcws_core::DocStore for CountingStore {
+    fn get(&self, name: &str) -> Option<Vec<u8>> {
+        self.count();
+        self.inner.get(name)
+    }
+    fn get_body(&self, name: &str) -> Option<dcws_http::Body> {
+        self.count();
+        self.inner.get_body(name)
+    }
+    fn put(&mut self, name: &str, bytes: Vec<u8>) -> std::io::Result<()> {
+        self.inner.put(name, bytes)
+    }
+    fn remove(&mut self, name: &str) -> bool {
+        self.inner.remove(name)
+    }
+    fn contains(&self, name: &str) -> bool {
+        self.inner.contains(name)
+    }
+    fn size(&self, name: &str) -> Option<u64> {
+        self.inner.size(name)
+    }
+    fn open_stream(&self, name: &str) -> Option<dcws_core::DocReader> {
+        self.inner.open_stream(name)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+}
+
+/// Above the default 256 KiB streaming threshold.
+const BIG_LEN: usize = 700 * 1024;
+
+/// A `HEAD` of a large object is answered from metadata on both paths:
+/// the store is never asked for the document, and neither is it for the
+/// `GET`s, which read through `open_stream`.
+#[test]
+fn large_object_head_never_fetches_the_document() {
+    let fetches = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let mut e = ServerEngine::new(
+        dcws_graph::ServerId::new("home:8080"),
+        ServerConfig::paper_defaults(),
+        Box::new(CountingStore {
+            inner: MemStore::new(),
+            fetches: fetches.clone(),
+        }),
+    );
+    e.publish("/big.img", vec![7u8; BIG_LEN], DocKind::Image, false);
+    e.publish("/small.img", vec![7u8; 4096], DocKind::Image, false);
+    let fetched = || fetches.load(std::sync::atomic::Ordering::Relaxed);
+
+    // Exclusive path, route not primed: the head, and no entity.
+    let head = Request::head("/big.img");
+    let resp = match e.handle_request(&head, 0) {
+        dcws_core::Outcome::Response(resp) => resp,
+        other => panic!("a HEAD streams nothing: {other:?}"),
+    };
+    assert_eq!(resp.status, StatusCode::Ok);
+    assert_eq!(
+        resp.headers.get("Content-Length"),
+        Some(&*BIG_LEN.to_string())
+    );
+    assert!(resp.body.is_empty());
+    assert_eq!(fetched(), 0, "the HEAD loaded the document");
+
+    // It primed the route all the same: read path, inline.
+    let (served, stream) = serve_front_end(&e, &head).expect("route primed by the HEAD");
+    assert!(stream.is_none() && served.body.is_empty());
+    assert_eq!(&served.head[..], &resp.head_bytes()[..]);
+    let (_, stream) = serve_front_end(&e, &Request::get("/big.img")).unwrap();
+    assert_eq!(stream.expect("a GET streams").len(), BIG_LEN as u64);
+    e.handle_request(&Request::get("/big.img"), 1);
+    assert_eq!(fetched(), 0);
+    let stats = e.stats();
+    assert_eq!((stats.served_home, stats.streamed_serves), (4, 2));
+
+    // The wrapper does count: a buffered document is fetched.
+    e.handle_request(&Request::get("/small.img"), 2);
+    assert_eq!(fetched(), 1);
+}
+
+/// What the reactor serves of a large object reaches Algorithm 1 and the
+/// rate window at the next tick, as a small document's hits do, and
+/// `try_serve` — whose caller could not drain a stream — declines.
+#[test]
+fn stream_route_hits_are_counted_and_try_serve_declines() {
+    let mut e = engine("home:8080");
+    e.publish("/big.img", vec![7u8; BIG_LEN], DocKind::Image, false);
+    let get = Request::get("/big.img");
+    assert!(serve_front_end(&e, &get).is_none(), "not primed yet");
+    e.handle_request(&get, 0);
+    let snap = e.read_path().snapshot();
+    assert_eq!((snap.stream_routes, snap.table_entries), (1, 1));
+    assert!(snap.table_bytes >= 64 * 1024, "a descriptor's charge");
+
+    let ranged = get.clone().with_header("Range", "bytes=0-99999");
+    for req in [&get, &ranged, &get] {
+        let (_, stream) = serve_front_end(&e, req).expect("primed");
+        assert!(stream.is_some());
+    }
+    let before = e.read_path().snapshot();
+    assert!(e.read_path().try_serve(&get, 1).is_none());
+    assert!(e.read_path().try_serve_spilled(&get).is_none());
+    let after = e.read_path().snapshot();
+    assert_eq!(after.fallbacks - before.fallbacks, 1);
+    assert_eq!(after.requests, before.requests, "a decline serves nothing");
+    assert_eq!(after.streamed_serves, 3);
+    assert_eq!(after.bytes_sent, 2 * BIG_LEN as u64 + 100_000);
+
+    e.tick(50);
+    let hot = e.hot_docs(1);
+    assert_eq!(hot[0].name, "/big.img");
+    // 1 exclusive-path serve + 3 read-path serves.
+    assert_eq!(hot[0].hits_total, 4);
+    assert_eq!(e.stats().streamed_serves, 4);
+
+    // Republishing drops the route and the reader with it.
+    e.publish("/big.img", vec![8u8; BIG_LEN], DocKind::Image, false);
+    assert_eq!(e.read_path().snapshot().stream_routes, 0);
+    assert!(serve_front_end(&e, &get).is_none());
 }

@@ -23,7 +23,9 @@
 //!   nonblockingly, resumes each ready connection's incremental
 //!   [`MsgBuf`](crate::MsgBuf) parse mid-head, answers common-case GETs
 //!   inline via `ReadPath::serve` (parsed in place, served from a
-//!   prebuilt head: one `read`, one `writev`, no heap allocation),
+//!   prebuilt head: one `read`, one `writev`, no heap allocation; a
+//!   large object's entity is read from the route's shared descriptor
+//!   slice by slice as the socket drains),
 //!   and hands engine-locked work (misses, mutations, `/dcws/*`,
 //!   inter-server verbs) to the worker pool, demoted to a bounded
 //!   **spillover**: workers compute the response and post it back
@@ -58,7 +60,7 @@ use crate::conn::{READ_CHUNK, READ_TIMEOUT};
 use crate::lock::assert_engine_unlocked;
 use crate::server::{Shared, SpillJob};
 use dcws_core::Served;
-use dcws_http::{Method, Response, StreamBody, STREAM_CHUNK};
+use dcws_http::{Method, Response, StreamBody};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -72,7 +74,7 @@ mod poller;
 mod stats;
 mod sys;
 
-use outq::{OutQueue, MAX_IOVECS};
+use outq::{OutQueue, RefillPool, MAX_IOVECS};
 pub use poller::{Event, Poller};
 pub use stats::ReactorStats;
 
@@ -219,7 +221,8 @@ const MAX_READ_PER_EVENT: usize = 256 * 1024;
 /// Per-connection cap on streamed-entity bytes refilled per flush, so a
 /// single Sequoia-class transfer cannot monopolize the event loop
 /// (writable interest stays armed while the stream is parked, so the
-/// next readiness turn resumes it).
+/// next readiness turn resumes it). Also the size of a refill buffer:
+/// one read, one segment, one `writev` per turn.
 const MAX_WRITE_PER_EVENT: usize = 256 * 1024;
 
 /// Retry-After hint on spillover-full 503s (§5.2's graceful drop).
@@ -232,10 +235,11 @@ struct ClientConn {
     /// Pending response segments not yet taken by the kernel, flushed
     /// with `writev` (heads owned, bodies shared zero-copy).
     out: OutQueue,
-    /// In-progress streamed entity: refilled into `out` chunk by chunk
+    /// In-progress streamed entity: refilled into `out` slice by slice
     /// as the socket drains, so a 2.8 MB serve never occupies more than
-    /// one chunk of reactor memory. While present, reads are paused and
-    /// pipelined requests stay buffered — responses keep request order.
+    /// one refill buffer of reactor memory. While present, reads are
+    /// paused and pipelined requests stay buffered — responses keep
+    /// request order.
     stream_body: Option<StreamBody>,
     /// A spillover job is in flight; reads are paused (interest drops to
     /// hangup-only, giving natural TCP backpressure) and further
@@ -286,6 +290,9 @@ pub(crate) struct Reactor {
     /// memset, and shared, so ten thousand parked connections hold no
     /// read buffers of their own.
     scratch: Box<[u8]>,
+    /// The buffers streamed entities are read into, lent to a
+    /// connection's `out` for as long as the socket takes to drain them.
+    refills: RefillPool,
     conns: Vec<Option<ClientConn>>,
     free: Vec<usize>,
     live: usize,
@@ -353,6 +360,7 @@ impl Reactor {
             n_shards: cfg.n_shards.max(1),
             rr: 0,
             scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            refills: RefillPool::new(MAX_WRITE_PER_EVENT),
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -613,7 +621,11 @@ impl Reactor {
         let Some(idx) = self.conn_at(token) else {
             return;
         };
-        if writable && !self.flush(idx) {
+        // Reads were paused while an entity streamed, so pipelined
+        // requests may already sit in the buffer, and no readable event
+        // will fire for those: once the stream's last slice is queued,
+        // serve them (behind whatever the socket has yet to take).
+        if writable && !(self.flush(idx) && self.process_buffered(idx)) {
             return;
         }
         if readable && !self.fill(idx) {
@@ -725,25 +737,25 @@ impl Reactor {
                 .is_some_and(|c| c.eq_ignore_ascii_case("close"));
         let method = req.head.method;
         let consumed = req.head.wire_len();
-        // Fast path: prebuilt route, warm co-op copy, or ready 301 —
-        // answered on this thread from the borrowed head, with zero
-        // locks, body copies or (for a plain GET) allocations.
-        // Everything else (misses, non-GET, inter-server verbs,
-        // /dcws/*) needs the engine and spills to the worker pool as an
-        // owned request; the reactor thread itself never takes the
-        // engine lock.
+        // Fast path: prebuilt route, warm co-op copy, ready 301, or a
+        // large object's resident reader — answered on this thread from
+        // the borrowed head, with zero locks, body copies or (for a
+        // plain GET of a buffered document) allocations. Everything else
+        // (misses, non-GET, inter-server verbs, /dcws/*) needs the
+        // engine and spills to the worker pool as an owned request; the
+        // reactor thread itself never takes the engine lock.
         let routed = match self.shared.read.serve(&req.head) {
-            Some(served) => Ok(served),
+            Some(answer) => Ok(answer),
             None => Err(req.head.to_request(req.body)),
         };
         conn.mb.consume(consumed);
         let req = match routed {
-            Ok(served) => {
+            Ok((served, stream)) => {
                 self.bump(|s| {
                     s.inline_served.fetch_add(1, Ordering::Relaxed);
                 });
                 return Ok(Some(
-                    self.queue_response(idx, served, None, method, keep_alive, started),
+                    self.queue_response(idx, served, stream, method, keep_alive, started),
                 ));
             }
             Err(req) => req,
@@ -784,7 +796,7 @@ impl Reactor {
     /// socket allows: head and entity as two shared segments, so the
     /// serve is two `Arc` refcount bumps and the bytes leave user space
     /// exactly once, via `writev`. A streamed entity (`stream`) parks on
-    /// the connection and is refilled chunk by chunk as the socket
+    /// the connection and is refilled slice by slice as the socket
     /// drains. Returns `false` if the connection was closed.
     fn queue_response(
         &mut self,
@@ -808,7 +820,7 @@ impl Reactor {
         let with_body = method != Method::Head && !served.body.is_empty();
         if method != Method::Head {
             conn.out.push_shared(served.body);
-            // Streamed entity: head now, the first chunk on this flush,
+            // Streamed entity: head now, the first slice on this flush,
             // the rest as the socket drains.
             conn.stream_body = stream;
         }
@@ -841,7 +853,6 @@ impl Reactor {
     /// front offset, and the next writable event resumes mid-segment.
     fn flush(&mut self, idx: usize) -> bool {
         let mut refilled = 0usize;
-        let mut stream_finished = false;
         loop {
             // Drain the segment queue.
             loop {
@@ -857,7 +868,7 @@ impl Reactor {
                         return false;
                     }
                     Ok(n) => {
-                        conn.out.advance(n);
+                        conn.out.advance(n, &mut self.refills);
                         conn.last_activity = Instant::now();
                         self.bump(|s| {
                             s.writev_calls.fetch_add(1, Ordering::Relaxed);
@@ -873,59 +884,43 @@ impl Reactor {
                 }
             }
             let conn = self.conns[idx].as_mut().unwrap();
-            if let Some(body) = conn.stream_body.as_mut() {
-                if refilled >= MAX_WRITE_PER_EVENT {
-                    // Fairness cap: writable interest stays armed (the
-                    // stream is still parked), so level-triggered
-                    // readiness resumes this transfer next turn.
-                    return true;
+            let Some(body) = conn.stream_body.as_mut() else {
+                if conn.close_after_flush {
+                    self.close_conn(idx);
+                    return false;
                 }
-                // Batch chunks up to the per-event budget into one owned
-                // segment, so the writev above covers the whole refill
-                // instead of one 64 KiB piece each.
-                let mut batch = Vec::new();
-                let mut chunk = vec![0u8; STREAM_CHUNK];
-                loop {
-                    match body.read_chunk(&mut chunk) {
-                        Ok(0) => {
-                            conn.stream_body = None;
-                            stream_finished = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            refilled += n;
-                            batch.extend_from_slice(&chunk[..n]);
-                            if refilled >= MAX_WRITE_PER_EVENT {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            // The Content-Length framing is already on
-                            // the wire; a dry source is unrecoverable.
-                            self.close_conn(idx);
-                            return false;
-                        }
+                return true;
+            };
+            if refilled >= MAX_WRITE_PER_EVENT {
+                // Fairness cap: writable interest stays armed (the
+                // stream is still parked), so level-triggered
+                // readiness resumes this transfer next turn.
+                return true;
+            }
+            // The queue is empty — the head left first, on its own — so
+            // the next slice of the entity is read straight into a
+            // pooled buffer, which the writev above gathers from: no
+            // staging chunk, no copy, one buffer on loan at a time.
+            let mut buf = self.refills.take();
+            let mut n = 0;
+            while n < buf.len() && !body.done() {
+                match body.read_chunk(&mut buf[n..]) {
+                    Ok(k) => n += k,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        // The Content-Length framing is already on the
+                        // wire; a dry source is unrecoverable.
+                        self.close_conn(idx);
+                        return false;
                     }
                 }
-                let conn = self.conns[idx].as_mut().unwrap();
-                conn.out.push_owned(batch);
-                if !conn.out.is_empty() {
-                    continue;
-                }
             }
-            if self.conns[idx].as_ref().unwrap().close_after_flush {
-                self.close_conn(idx);
-                return false;
+            refilled += n;
+            if body.done() {
+                conn.stream_body = None;
             }
-            break;
+            conn.out.push_refill(buf, n);
         }
-        if stream_finished {
-            // Reads were paused while the entity streamed; pipelined
-            // requests may already sit parsed in the buffer — serve
-            // them now (a readable event won't fire for them).
-            return self.process_buffered(idx);
-        }
-        true
     }
 
     /// Reconcile the poller's interest set with the connection's state:
@@ -1042,7 +1037,7 @@ impl Reactor {
                 let Some(conn) = self.conns[idx].as_ref() else {
                     continue;
                 };
-                if !conn.awaiting_spill && conn.out.is_empty() {
+                if !conn.awaiting_spill && conn.out.is_empty() && conn.stream_body.is_none() {
                     self.close_conn(idx);
                 }
             }

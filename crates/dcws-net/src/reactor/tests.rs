@@ -121,6 +121,69 @@ fn inline_serve_during_shutdown_says_connection_close() {
     }
 }
 
+/// A transfer parked on a reader that takes 4 KiB at a time has a
+/// refill buffer on loan while a slice of it waits on the socket — one,
+/// never two — and none between slices; the shard ends with the one
+/// buffer it ever allocated back in its pool.
+#[test]
+fn parked_stream_borrows_one_refill_buffer() {
+    // More than the loopback socket buffers hold for a reader that has
+    // not started reading (about 3 MB).
+    const LEN: usize = 16 << 20;
+    const GET: &[u8] = b"GET /big.bin HTTP/1.1\r\nHost: x\r\n\r\n";
+    for force_poll in [false, true] {
+        let (shared, mut reactor) = test_reactor_on(force_poll);
+        let body: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        {
+            let mut engine = shared.engine.lock();
+            engine.publish("/big.bin", body.clone(), dcws_graph::DocKind::Image, false);
+            // The exclusive serve primes the stream route.
+            engine.handle_request(&dcws_http::Request::get("/big.bin"), 0);
+        }
+        let addr = reactor.listener.as_ref().unwrap().local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client.write_all(GET).unwrap();
+        // Accept, read, serve, and write until the socket is full.
+        for _ in 0..40 {
+            reactor.poll_once(Duration::from_millis(5));
+        }
+        assert_eq!(reactor.stats.inline_served.load(Ordering::Relaxed), 1);
+        let parked = |reactor: &Reactor| {
+            let conn = reactor.conns.iter().flatten().next().expect("connected");
+            // Mid-transfer, what waits in `out` is a slice of the entity.
+            (conn.stream_body.is_some(), !conn.out.is_empty())
+        };
+        let (mid_transfer, on_loan) = parked(&reactor);
+        assert!(mid_transfer, "the socket took 16 MiB unread");
+        assert_eq!(reactor.refills.spare() + usize::from(on_loan), 1);
+
+        let mut got = Vec::with_capacity(LEN + 256);
+        let mut chunk = [0u8; 4096];
+        while got.len() < LEN || !got.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "closed mid-transfer");
+            got.extend_from_slice(&chunk[..n]);
+            reactor.poll_once(Duration::ZERO);
+            let on_loan = usize::from(parked(&reactor).1);
+            assert_eq!(reactor.refills.spare() + on_loan, 1, "one buffer in all");
+            if got.len() >= LEN {
+                // Past the head at the latest: is the entity complete?
+                let head_end = got.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+                if got.len() - head_end == LEN {
+                    assert!(got[head_end..] == body[..], "force_poll={force_poll}");
+                    break;
+                }
+            }
+        }
+        assert_eq!(parked(&reactor), (false, false));
+        assert_eq!(reactor.refills.spare(), 1);
+        assert_eq!(reactor.live, 1, "keep-alive holds the connection");
+    }
+}
+
 #[test]
 fn token_packing_round_trips() {
     // The reserved tokens correspond to slab indices ≥ 2^32 − 2,

@@ -696,10 +696,10 @@ pub(crate) fn serve_one(shared: &Arc<Shared>, req: Request) -> (Response, Option
             return (shared.reserved_response(url.path()), None);
         }
     }
-    // Common case first: a primed home document, prebuilt 301, or warm
-    // co-op copy is answered on the concurrent read path — no engine
-    // lock taken at all.
-    if let Some(resp) = shared.read.try_serve(&req, shared.now_ms()) {
+    // The reactor's read-path lookup declined this request, but another
+    // worker may have primed its route since: look again (uncounted —
+    // the request is already a fallback) before taking the engine lock.
+    if let Some(resp) = shared.read.try_serve_spilled(&req) {
         return (resp, None);
     }
     // Two attempts: a co-op miss performs (or joins) the lazy pull, then

@@ -7,10 +7,15 @@
 //! it must not grow with the number of requests. The reactor's own
 //! syscall counters must show one `read` and one `writev` per request.
 //!
+//! The same probe then drives keep-alive GETs of two primed large
+//! objects, 1 MB and 2.8 MB: none spills, and what the server allocates
+//! per GET does not grow with the object's length — the entity is read
+//! into a pooled buffer, slice by slice.
+//!
 //! Deliberately a **single** `#[test]`: the allocation counter is
 //! process-global, and parallel tests would interleave their counts.
 
-use dcws_core::{MemStore, ServerConfig, ServerEngine};
+use dcws_core::{DiskStore, MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_net::{DcwsServer, NetConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,6 +64,106 @@ fn exchange(stream: &mut TcpStream, buf: &mut [u8], reply_len: usize) {
         got += n;
     }
     assert_eq!(got, reply_len, "reply longer than the primed one");
+}
+
+/// One exchange of `request` for a large object: write it, then take
+/// the `reply_len` bytes of the reply through `buf`. No allocation.
+fn fetch_large(stream: &mut TcpStream, request: &[u8], buf: &mut [u8], reply_len: usize) {
+    stream.write_all(request).unwrap();
+    let mut got = 0;
+    while got < reply_len {
+        let want = buf.len().min(reply_len - got);
+        let n = stream.read(&mut buf[..want]).unwrap();
+        assert!(n > 0, "server closed mid-reply");
+        got += n;
+    }
+}
+
+/// After priming, `K` GETs of a 1 MB and of a 2.8 MB object are all
+/// served inline, and cost the same number of allocations.
+fn large_gets_stay_inline_and_allocate_alike(force_poll: bool) {
+    const K: u64 = 40;
+    const OBJECTS: [(&[u8], usize); 2] = [
+        (b"GET /one.bin HTTP/1.1\r\nHost: probe\r\n\r\n", 1_000_000),
+        (b"GET /big.bin HTTP/1.1\r\nHost: probe\r\n\r\n", 2_800_000),
+    ];
+    let dir = std::env::temp_dir().join(format!(
+        "dcws-alloc-probe-{force_poll}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine = ServerEngine::new(
+        ServerId::new("placeholder:0"),
+        ServerConfig::paper_defaults(),
+        Box::new(DiskStore::open(&dir).unwrap()),
+    );
+    engine.publish("/one.bin", vec![1u8; OBJECTS[0].1], DocKind::Image, false);
+    engine.publish("/big.bin", vec![2u8; OBJECTS[1].1], DocKind::Image, false);
+    let mut net = NetConfig::new(Duration::from_millis(500));
+    net.reactor_shards = 1;
+    net.reactor_force_poll = force_poll;
+    let server = DcwsServer::spawn_with(engine, "127.0.0.1:0", net).unwrap();
+    let stats = server.reactor_stats();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 65536];
+
+    // Priming: the first GET of each spills and tells the head's length;
+    // a few more warm the refill pool, the hit mailbox and the out queue.
+    let mut reply_lens = [0usize; 2];
+    for (i, (request, len)) in OBJECTS.iter().enumerate() {
+        stream.write_all(request).unwrap();
+        let mut got = stream.read(&mut buf).unwrap();
+        let head_end = loop {
+            if let Some(at) = buf[..got].windows(4).position(|w| w == b"\r\n\r\n") {
+                break at + 4;
+            }
+            got += stream.read(&mut buf[got..]).unwrap();
+        };
+        assert!(buf.starts_with(b"HTTP/1.1 200"));
+        reply_lens[i] = head_end + len;
+        while got < reply_lens[i] {
+            let want = buf.len().min(reply_lens[i] - got);
+            got += stream.read(&mut buf[..want]).unwrap();
+        }
+        for _ in 0..4 {
+            fetch_large(&mut stream, request, &mut buf, reply_lens[i]);
+        }
+    }
+
+    let mut counts = [0u64; 2];
+    for (i, (request, _)) in OBJECTS.iter().enumerate() {
+        let spilled0 = stats.spillover_jobs.load(Ordering::Relaxed);
+        let inline0 = stats.inline_served.load(Ordering::Relaxed);
+        let allocs0 = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..K {
+            fetch_large(&mut stream, request, &mut buf, reply_lens[i]);
+        }
+        counts[i] = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+        assert_eq!(
+            stats.spillover_jobs.load(Ordering::Relaxed) - spilled0,
+            0,
+            "force_poll={force_poll}: a primed large GET spilled"
+        );
+        assert_eq!(
+            stats.inline_served.load(Ordering::Relaxed) - inline0,
+            K,
+            "force_poll={force_poll}: every large GET must be served inline"
+        );
+    }
+    // One per GET (the entity's boxed reader) and the same for both, but
+    // for the ticks that landed in either window — where an allocation
+    // per refill would show as seven more per GET of the larger object.
+    assert!(
+        counts[0].abs_diff(counts[1]) <= ALLOWANCE && counts[1] <= K + ALLOWANCE,
+        "force_poll={force_poll}: {counts:?} allocations over {K} GETs of 1 MB and of 2.8 MB"
+    );
+    drop(stream);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A pinger tick that lands inside a measured window allocates two or
@@ -178,5 +283,7 @@ fn warm_gets_allocate_nothing_and_cost_one_read_one_writev() {
         let (_, io1) = syscalls();
         assert_eq!(io1 - io0, 1, "teardown is the read that returns EOF");
         server.shutdown();
+
+        large_gets_stay_inline_and_allocate_alike(force_poll);
     }
 }

@@ -544,3 +544,29 @@ fn warm_gets_served_inline_while_cold_pull_is_parked() {
     server.shutdown();
     stub.join().unwrap();
 }
+
+/// A request the reactor cannot serve inline is looked up twice — by the
+/// reactor, then by the spill worker before it takes the engine lock —
+/// and is one fallback: N spilled requests, N fallbacks.
+#[test]
+fn a_spilled_request_is_one_read_path_fallback() {
+    const N: u64 = 24;
+    let server = spawn_reactor(ServerConfig::paper_defaults(), |net| net.reactor_shards = 1);
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let stats = server.reactor_stats();
+    let spilled0 = stats.spillover_jobs.load(Ordering::Relaxed);
+    let fallbacks0 = server.read_path().snapshot().fallbacks;
+    for i in 0..N {
+        let req = match i % 3 {
+            0 => format!("GET /missing-{i}.html HTTP/1.1\r\n\r\n"),
+            1 => "GET /hello.html HTTP/1.1\r\nX-DCWS-Coop: peer:1\r\n\r\n".to_string(),
+            _ => "POST /hello.html HTTP/1.1\r\nContent-Length: 0\r\n\r\n".to_string(),
+        };
+        s.write_all(req.as_bytes()).unwrap();
+        dcws_net::conn::read_response(&mut s, dcws_http::Method::Get).unwrap();
+    }
+    assert_eq!(stats.spillover_jobs.load(Ordering::Relaxed) - spilled0, N);
+    assert_eq!(server.read_path().snapshot().fallbacks - fallbacks0, N);
+    server.shutdown();
+}

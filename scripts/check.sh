@@ -38,6 +38,13 @@ step cargo test -q -p dcws-net --test chaos_tests seeded_chaos_no_document_lost
 # regression on the hot path shows as its own step.
 step cargo test -q -p dcws-net --test alloc_probe
 
+# Stream route: once primed, every plain-client shape of a request for a
+# large object (GET, HEAD, Range, If-Modified-Since, pipelined, slow
+# reader) is answered on the reactor, byte for byte as the exclusive
+# path would, with no engine lock, no worker and no leaked descriptor —
+# both pollers, DiskStore and MemStore. Named for the same reason.
+step cargo test -q -p dcws-net --test stream_route_tests
+
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf
@@ -74,7 +81,8 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # reactor and exits nonzero unless served concurrency beats the worker
 # count with zero accept errors, so an event-loop regression fails
 # here too; bigpress --quick serves a 2.8 MB corpus streamed vs
-# buffered and exits nonzero unless streamed TTFB beats buffered and
+# buffered and exits nonzero unless streamed TTFB beats buffered, the
+# streamed arm spills at most once per document after warm-up, and
 # the cache admission rule protects the small-doc working set, so a
 # broken streaming path fails the gate; scalepress --quick runs the
 # simulator at 240 servers / 3,000 clients and exits nonzero unless

@@ -34,7 +34,7 @@
 //! exceeds the worker count with zero accept errors — the CI smoke gate
 //! for the event loop itself.
 
-use dcws_bench::{fmt_thousands, write_csv};
+use dcws_bench::{fmt_thousands, quick, write_csv, write_report};
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::Method;
@@ -55,12 +55,8 @@ struct Params {
     measure: Duration,
 }
 
-fn quick_mode() -> bool {
-    dcws_bench::quick() || std::env::args().any(|a| a == "--quick")
-}
-
 fn params() -> Params {
-    if quick_mode() {
+    if quick() {
         Params {
             conns: 1_000,
             think: Duration::from_millis(400),
@@ -88,9 +84,8 @@ fn spawn_server() -> DcwsServer {
     );
     engine.publish("/doc.html", b"<p>c10k</p>".to_vec(), DocKind::Html, true);
     let mut net = NetConfig::new(Duration::from_millis(500));
-    // Single-loop premise: the batch-size histogram and fairness gates
-    // reason about one event loop holding every connection; sharding
-    // (benched separately by `corepress`) would dilute both.
+    // Single-loop premise: the question is how many connections one
+    // event loop holds; sharding would divide them.
     net.reactor_shards = 1;
     DcwsServer::spawn_with(engine, "127.0.0.1:0", net).expect("spawn server")
 }
@@ -508,7 +503,7 @@ fn main() {
         p.think,
         p.measure,
         if split { " [split client process]" } else { "" },
-        if quick_mode() { " [quick]" } else { "" }
+        if quick() { " [quick]" } else { "" }
     );
     println!(
         "{:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
@@ -531,7 +526,7 @@ fn main() {
     println!(
         "\nreactor held {} served conns concurrently (worker pool: {n_workers}){}",
         fmt_thousands(r.d.max_concurrent_served as f64),
-        if quick_mode() {
+        if quick() {
             String::new()
         } else {
             format!(" — 10k target: {}", if pass_10k { "PASS" } else { "MISS" })
@@ -579,41 +574,26 @@ fn main() {
     write_csv("c10kpress", &csv);
 
     use dcws_core::Json;
-    let json = Json::obj(vec![
-        ("bench", Json::from("c10kpress")),
-        ("quick", Json::from(quick_mode())),
-        ("split_client_process", Json::from(split)),
-        (
-            "host_parallelism",
-            Json::from(
-                std::thread::available_parallelism()
-                    .map(|n| n.get() as u64)
-                    .unwrap_or(0),
-            ),
-        ),
-        (
-            "params",
-            Json::obj(vec![
-                ("conns", Json::from(p.conns as u64)),
-                ("think_ms", Json::from(p.think.as_millis() as u64)),
-                ("measure_ms", Json::from(p.measure.as_millis() as u64)),
-                ("n_workers", Json::from(n_workers as u64)),
-                ("nofile_limit", Json::from(limit)),
-            ]),
-        ),
-        ("reactor", run_json(&r)),
-        ("pass_10k", Json::from(pass_10k)),
-    ]);
-    let path = dcws_bench::results_dir().join("BENCH_c10kpress.json");
-    match std::fs::write(&path, json.to_string()) {
-        Ok(()) => println!("[json written to {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    write_report(
+        "c10kpress",
+        vec![
+            ("conns", Json::from(p.conns as u64)),
+            ("think_ms", Json::from(p.think.as_millis() as u64)),
+            ("measure_ms", Json::from(p.measure.as_millis() as u64)),
+            ("n_workers", Json::from(n_workers as u64)),
+            ("nofile_limit", Json::from(limit)),
+        ],
+        vec![
+            ("split_client_process", Json::from(split)),
+            ("reactor", run_json(&r)),
+            ("pass_10k", Json::from(pass_10k)),
+        ],
+    );
 
     // Quick mode is the CI smoke gate: the reactor must demonstrably
     // hold more served connections than the worker pool could, with a
     // clean accept loop.
-    if quick_mode() {
+    if quick() {
         let mut fail = Vec::new();
         if r.d.max_concurrent_served <= n_workers {
             fail.push(format!(

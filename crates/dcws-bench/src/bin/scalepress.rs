@@ -30,7 +30,7 @@
 //! nonzero when a floor, the wall-clock bound, or determinism fails.
 
 use dcws_baselines::Strategy;
-use dcws_bench::{fmt_thousands, write_csv};
+use dcws_bench::{fmt_thousands, quick, write_csv, write_report};
 use dcws_sim::{NetModel, SimCluster, SimConfig, SimResult};
 use dcws_workloads::{uniform_site, SyntheticConfig};
 use std::time::{Duration, Instant};
@@ -45,12 +45,8 @@ struct Params {
     max_wall: Duration,
 }
 
-fn quick_mode() -> bool {
-    dcws_bench::quick() || std::env::args().any(|a| a == "--quick")
-}
-
 fn params() -> Params {
-    if quick_mode() {
+    if quick() {
         Params {
             servers: 240,
             clients: 3_000,
@@ -167,7 +163,7 @@ fn main() {
         fmt_thousands(p.clients as f64),
         p.duration_ms / 1_000,
         fmt_thousands(p.min_sessions as f64),
-        if quick_mode() { " [quick]" } else { "" }
+        if quick() { " [quick]" } else { "" }
     );
 
     let arms = vec![
@@ -238,33 +234,26 @@ fn main() {
     write_csv("scalepress", &csv);
 
     use dcws_core::Json;
-    let json = Json::obj(vec![
-        ("bench", Json::from("scalepress")),
-        ("quick", Json::from(quick_mode())),
-        ("seed", Json::from(SEED)),
-        (
-            "params",
-            Json::obj(vec![
-                ("servers", Json::from(p.servers as u64)),
-                ("clients", Json::from(p.clients as u64)),
-                ("duration_ms", Json::from(p.duration_ms)),
-                ("min_sessions", Json::from(p.min_sessions)),
-                ("max_wall_ms", Json::from(p.max_wall.as_millis() as u64)),
-            ]),
-        ),
-        (
-            "arms",
-            Json::Arr(arms.iter().map(arm_json).collect::<Vec<_>>()),
-        ),
-        ("peak_rss_kb", Json::from(rss_kb)),
-        ("deterministic", Json::from(deterministic)),
-        ("pass", Json::from(fail.is_empty())),
-    ]);
-    let path = dcws_bench::results_dir().join("BENCH_scalepress.json");
-    match std::fs::write(&path, json.to_string()) {
-        Ok(()) => println!("[json written to {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    write_report(
+        "scalepress",
+        vec![
+            ("seed", Json::from(SEED)),
+            ("servers", Json::from(p.servers as u64)),
+            ("clients", Json::from(p.clients as u64)),
+            ("duration_ms", Json::from(p.duration_ms)),
+            ("min_sessions", Json::from(p.min_sessions)),
+            ("max_wall_ms", Json::from(p.max_wall.as_millis() as u64)),
+        ],
+        vec![
+            (
+                "arms",
+                Json::Arr(arms.iter().map(arm_json).collect::<Vec<_>>()),
+            ),
+            ("peak_rss_kb", Json::from(rss_kb)),
+            ("deterministic", Json::from(deterministic)),
+            ("pass", Json::from(fail.is_empty())),
+        ],
+    );
 
     if !fail.is_empty() {
         eprintln!("FAIL: {}", fail.join("; "));

@@ -19,13 +19,9 @@
 //! [`Scenario::quick`] sizes and exits nonzero when any audit fails —
 //! the same invariants the test suite checks, exercised standalone.
 
-use dcws_bench::write_csv;
+use dcws_bench::{quick, write_csv, write_report};
 use dcws_sim::{NetModel, OwnershipAudit, Scenario, ScenarioKind, SimResult};
 use std::time::Instant;
-
-fn quick_mode() -> bool {
-    dcws_bench::quick() || std::env::args().any(|a| a == "--quick")
-}
 
 const SEED: u64 = 1999;
 
@@ -38,7 +34,7 @@ struct Run {
 }
 
 fn run_one(kind: ScenarioKind, net: NetModel, net_name: &'static str) -> Run {
-    let base = if quick_mode() {
+    let base = if quick() {
         Scenario::quick(kind, SEED)
     } else {
         Scenario::full(kind, SEED)
@@ -120,7 +116,7 @@ fn run_json(r: &Run) -> dcws_core::Json {
 fn main() {
     println!(
         "scenarios: seed {SEED}, {} sizes, both switch models",
-        if quick_mode() { "quick" } else { "full" }
+        if quick() { "quick" } else { "full" }
     );
 
     let mut runs = Vec::new();
@@ -152,21 +148,17 @@ fn main() {
         .collect();
 
     use dcws_core::Json;
-    let json = Json::obj(vec![
-        ("bench", Json::from("scenarios")),
-        ("quick", Json::from(quick_mode())),
-        ("seed", Json::from(SEED)),
-        (
-            "runs",
-            Json::Arr(runs.iter().map(run_json).collect::<Vec<_>>()),
-        ),
-        ("all_clean", Json::from(dirty.is_empty())),
-    ]);
-    let path = dcws_bench::results_dir().join("BENCH_scenarios.json");
-    match std::fs::write(&path, json.to_string()) {
-        Ok(()) => println!("[json written to {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    write_report(
+        "scenarios",
+        vec![("seed", Json::from(SEED))],
+        vec![
+            (
+                "runs",
+                Json::Arr(runs.iter().map(run_json).collect::<Vec<_>>()),
+            ),
+            ("all_clean", Json::from(dirty.is_empty())),
+        ],
+    );
 
     if !dirty.is_empty() {
         eprintln!("FAIL: invariant audit dirty for {}", dirty.join(", "));

@@ -13,14 +13,19 @@
 //! | `overhead` | §5.3 parse/reconstruction overhead measurements |
 //! | `ablation` | DCWS vs baselines, plus design-choice ablations |
 //! | `cachepress` | cache budget vs hit ratio / response time sweep |
-//! | `connpress` | pooled keep-alive vs connect-per-request transport sweep |
 //! | `c10kpress` | concurrent keep-alive clients held by the reactor |
 //! | `scalepress` | simulator scale-out proof: 1,000+ servers, 10⁶+ sessions, determinism at scale |
 //! | `scenarios` | seeded scenario suite (flash crowd, diurnal, restarts, co-op failures) + invariant audits |
 //!
-//! Binaries honor `DCWS_BENCH_QUICK=1` for a fast smoke pass (fewer
-//! points, shorter runs) and write machine-readable CSV next to their
-//! stdout tables into `bench_results/`.
+//! Request-path performance is not measured here: the end-to-end ruler
+//! and its per-layer probes are the standalone `benchmark/` package
+//! (`BENCHMARK.json`).
+//!
+//! Every binary honors `--quick` / `DCWS_BENCH_QUICK=1` for a fast smoke
+//! pass (fewer points, shorter runs) and writes machine-readable CSV —
+//! the last three also a `BENCH_<name>.json` report — next to its stdout
+//! tables into `bench_results/` (`DCWS_BENCH_OUT` redirects; the smokes
+//! must, since `bench_results/` holds full runs only).
 //!
 //! Passing `--status-dump` (or setting `DCWS_STATUS_DUMP=1`) additionally
 //! writes each run's merged engine event trace —
@@ -36,14 +41,24 @@ pub mod chart;
 
 pub use chart::ascii_chart;
 
+use dcws_core::Json;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Whether the quick smoke mode is requested.
+/// Whether `flag` is among `args` or the switch's environment variable
+/// reads `1`.
+fn requested(args: impl IntoIterator<Item = String>, flag: &str, env: Option<&str>) -> bool {
+    env == Some("1") || args.into_iter().any(|a| a == flag)
+}
+
+/// Whether the quick smoke mode is requested: `--quick` on the command
+/// line, or `DCWS_BENCH_QUICK=1`.
 pub fn quick() -> bool {
-    std::env::var("DCWS_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    requested(
+        std::env::args(),
+        "--quick",
+        std::env::var("DCWS_BENCH_QUICK").ok().as_deref(),
+    )
 }
 
 /// `base` scaled down in quick mode.
@@ -76,13 +91,33 @@ pub fn write_csv(name: &str, rows: &[Vec<String>]) {
     println!("\n[csv written to {}]", path.display());
 }
 
+/// Write `BENCH_<bench>.json` in [`results_dir`]: the envelope every
+/// report shares — `bench`, `quick`, `host_parallelism`, `params` —
+/// followed by the binary's own `body` keys.
+pub fn write_report(bench: &str, params: Vec<(&str, Json)>, body: Vec<(&str, Json)>) {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let mut pairs = vec![
+        ("bench", Json::from(bench)),
+        ("quick", Json::from(quick())),
+        ("host_parallelism", Json::from(cores)),
+        ("params", Json::obj(params)),
+    ];
+    pairs.extend(body);
+    let path = results_dir().join(format!("BENCH_{bench}.json"));
+    match std::fs::write(&path, Json::obj(pairs).to_string()) {
+        Ok(()) => println!("[json written to {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+}
+
 /// Whether `--status-dump` was passed on the command line (or
 /// `DCWS_STATUS_DUMP=1` set): also write engine event traces.
 pub fn status_dump() -> bool {
-    std::env::args().any(|a| a == "--status-dump")
-        || std::env::var("DCWS_STATUS_DUMP")
-            .map(|v| v == "1")
-            .unwrap_or(false)
+    requested(
+        std::env::args(),
+        "--status-dump",
+        std::env::var("DCWS_STATUS_DUMP").ok().as_deref(),
+    )
 }
 
 /// When [`status_dump`] is on, write `result`'s merged engine event
@@ -163,10 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn scaled_respects_quick() {
-        // Not quick by default in tests.
-        if !quick() {
-            assert_eq!(scaled(100, 5), 100);
+    fn switch_is_the_exact_flag_or_the_env_value_one() {
+        let cases: [(&[&str], Option<&str>, bool); 6] = [
+            (&["fig6"], None, false),
+            (&["fig6", "--quick"], None, true),
+            (&["fig6"], Some("1"), true),
+            (&["fig6", "--status-dump", "--quick"], Some("0"), true),
+            (&["fig6", "--quickly"], Some(""), false),
+            (&["fig6", "--status-dump"], Some("true"), false),
+        ];
+        for (argv, env, want) in cases {
+            let args = argv.iter().map(|a| a.to_string());
+            assert_eq!(requested(args, "--quick", env), want, "{argv:?} {env:?}");
         }
     }
 }

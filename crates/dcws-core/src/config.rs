@@ -1,7 +1,9 @@
 //! Server configuration — Table 1 of the paper plus the knobs the paper
-//! leaves implicit (overload detection, piggyback fan-out) and the
-//! extensions we implement for ablations (eager migration, hot-spot
-//! replication).
+//! leaves implicit (migration triggers, piggyback fan-out, dead-peer
+//! detection) and the extensions we implement for ablations (eager
+//! migration, hot-spot replication). A value no caller outside the tests
+//! sets is a constant beside its use, not a field here
+//! (docs/ARCHITECTURE.md, "Options").
 
 use dcws_graph::BalanceMetric;
 
@@ -57,9 +59,6 @@ pub struct ServerConfig {
     pub balance_metric: BalanceMetric,
     /// Algorithm 1 threshold T: minimum window hits to justify migration.
     pub selection_threshold: u64,
-    /// Overload test: migrate when our metric exceeds the least-loaded
-    /// peer's by this ratio.
-    pub overload_ratio: f64,
     /// Don't bother migrating below this CPS — an idle server is balanced
     /// by definition.
     pub min_cps_to_migrate: f64,
@@ -77,10 +76,6 @@ pub struct ServerConfig {
     pub naive_selection: bool,
     /// Future-work extension: replicate hot documents to several co-ops.
     pub hot_replication: Option<HotReplication>,
-    /// How many structured engine events to retain in the in-memory ring
-    /// buffer (see `dcws_core::events`). `0` disables retention; events
-    /// are still counted but never stored.
-    pub event_log_capacity: usize,
     /// Total byte budget shared by the two document caches (regenerated
     /// home bodies and pulled co-op copies, half each). `u64::MAX`
     /// disables eviction; the paper's testbed never filled memory, so
@@ -93,12 +88,6 @@ pub struct ServerConfig {
     /// whole. `0` disables streaming. The default keeps every LOD
     /// document buffered and streams only Sequoia-class objects.
     pub stream_threshold_bytes: u64,
-    /// Cache admission rule: an object costing more than this fraction
-    /// of one cache shard's budget is never admitted to the LRU (served
-    /// pass-through instead), so a single Sequoia image cannot evict a
-    /// shard's whole small-document working set. `1.0` admits anything
-    /// that fits a shard — the pre-streaming behaviour.
-    pub cache_admit_fraction: f64,
 }
 
 impl ServerConfig {
@@ -114,17 +103,14 @@ impl ServerConfig {
             coop_migration_interval_ms: 60_000,
             balance_metric: BalanceMetric::Cps,
             selection_threshold: 10,
-            overload_ratio: 1.5,
             min_cps_to_migrate: 1.0,
             ping_failure_limit: 3,
             piggyback_max: 8,
             eager_migration: false,
             naive_selection: false,
             hot_replication: None,
-            event_log_capacity: 512,
             cache_budget_bytes: 64 * 1024 * 1024,
             stream_threshold_bytes: 256 * 1024,
-            cache_admit_fraction: 0.25,
         }
     }
 }
@@ -154,7 +140,6 @@ mod tests {
         assert!(c.hot_replication.is_none());
         assert_eq!(c.cache_budget_bytes, 64 * 1024 * 1024);
         assert_eq!(c.stream_threshold_bytes, 256 * 1024);
-        assert!((c.cache_admit_fraction - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -54,6 +54,20 @@ pub(crate) fn pull_variant_key(name: &str) -> String {
 /// exceeds the co-op cache's per-shard budget slice.
 pub(crate) const PENDING_SERVE_CAP: usize = 16;
 
+/// Overload test: migrate when our metric exceeds the least-loaded
+/// peer's by this ratio.
+const OVERLOAD_RATIO: f64 = 1.5;
+
+/// Structured engine events retained in the in-memory ring buffer (see
+/// `dcws_core::events`); older ones are counted, not kept.
+const EVENT_LOG_CAPACITY: usize = 512;
+
+/// Cache admission rule: an object costing more than this fraction of
+/// one cache shard's budget is never admitted to the LRU (served
+/// pass-through instead), so a single Sequoia image cannot evict a
+/// shard's whole small-document working set.
+const CACHE_ADMIT_FRACTION: f64 = 0.25;
+
 /// Split the configured total budget between the two caches, half
 /// each, without losing bytes to integer division.
 fn split_cache_budget(total: u64) -> (u64, u64) {
@@ -170,10 +184,8 @@ impl ServerEngine {
         let (regen_budget, coop_budget) = split_cache_budget(cfg.cache_budget_bytes);
         let coop_cache = Arc::new(DocCache::new(CacheConfig::new(coop_budget)));
         let regen_cache = Arc::new(DocCache::new(CacheConfig::new(regen_budget)));
-        // Admission rule: a single Sequoia-class object must not evict a
-        // shard's whole small-document working set (it streams instead).
-        coop_cache.set_admit_fraction(cfg.cache_admit_fraction);
-        regen_cache.set_admit_fraction(cfg.cache_admit_fraction);
+        coop_cache.set_admit_fraction(CACHE_ADMIT_FRACTION);
+        regen_cache.set_admit_fraction(CACHE_ADMIT_FRACTION);
         let read = Arc::new(ReadPath::new(id.clone(), coop_cache.clone(), regen_budget));
         ServerEngine {
             glt: GlobalLoadTable::new(id.clone()),
@@ -198,7 +210,7 @@ impl ServerEngine {
             ping_failures: HashMap::new(),
             dead_peers: HashSet::new(),
             stats: EngineStats::default(),
-            events: EventLog::new(cfg.event_log_capacity),
+            events: EventLog::new(EVENT_LOG_CAPACITY),
             now_ms: 0,
             cfg,
         }
@@ -645,7 +657,7 @@ impl ServerEngine {
                         .get(&target)
                         .map(|i| i.value(metric))
                         .unwrap_or(0.0);
-                    if coop_load > 2.0 * self.cfg.overload_ratio * target_load.max(0.001) {
+                    if coop_load > 2.0 * OVERLOAD_RATIO * target_load.max(0.001) {
                         let dirtied = self.ldg.migrate(&name, target.clone(), now_ms);
                         self.invalidate_routes(&name, &dirtied);
                         self.coop_last_migration.insert(target.clone(), now_ms);
@@ -725,7 +737,7 @@ impl ServerEngine {
             .get(&target)
             .map(|i| i.value(metric))
             .unwrap_or(0.0);
-        if me.value(metric) <= self.cfg.overload_ratio * target_load {
+        if me.value(metric) <= OVERLOAD_RATIO * target_load {
             return;
         }
         let selected = if self.cfg.naive_selection {

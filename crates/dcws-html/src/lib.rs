@@ -6,12 +6,13 @@
 //! into a stream of HTML tokens, and then written back to its HTML source
 //! file."*
 //!
-//! This crate provides exactly that pipeline, built from scratch:
+//! This crate provides that pipeline, built from scratch, without the
+//! tree: a hyperlink is an attribute of one tag, so extraction and
+//! replacement run over the token stream and nothing needs the nesting.
 //!
 //! * [`tokenizer`] — a forgiving HTML tokenizer that preserves the original
 //!   source text of every token, so re-serializing an untouched document is
 //!   **byte-identical** (verified by property tests),
-//! * [`tree`] — the "simple parse tree" with void-element handling,
 //! * [`links`] — extraction of hyperlinks (`a href`, `area href`,
 //!   `frame src`, …) and embedded references (`img src`, …), the two
 //!   classes the paper's client benchmark treats differently,
@@ -43,13 +44,11 @@ pub mod links;
 pub mod rewrite;
 pub mod token;
 pub mod tokenizer;
-pub mod tree;
 
 pub use links::{extract_links, LinkKind, LinkRef};
 pub use rewrite::rewrite_links;
 pub use token::{Attr, Quote, Tag, Token};
 pub use tokenizer::tokenize;
-pub use tree::{parse_tree, Node};
 
 /// Serialize a token stream back to HTML text.
 ///

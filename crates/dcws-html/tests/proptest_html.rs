@@ -1,6 +1,6 @@
 //! Property tests for the HTML substrate.
 
-use dcws_html::{extract_links, parse_tree, rewrite_links, serialize, tokenize};
+use dcws_html::{extract_links, rewrite_links, serialize, tokenize};
 use proptest::prelude::*;
 
 /// Arbitrary "HTML-ish" soup: guaranteed to stress the tokenizer's
@@ -77,12 +77,6 @@ proptest! {
         let before = extract_links(&doc);
         let after = extract_links(&serialize(&tokenize(&doc)));
         prop_assert_eq!(before, after);
-    }
-
-    #[test]
-    fn parse_tree_never_panics(doc in html_soup()) {
-        let t = parse_tree(&doc);
-        let _ = t.element_count();
     }
 
     #[test]

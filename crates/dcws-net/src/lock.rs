@@ -14,9 +14,9 @@
 //! (normal operation).
 
 use dcws_core::ServerEngine;
-use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard};
 
 thread_local! {
     /// How many [`EngineGuard`]s the current thread holds.
@@ -35,7 +35,7 @@ impl EngineLock {
 
     /// Acquire the exclusive engine lock.
     pub fn lock(&self) -> EngineGuard<'_> {
-        let guard = self.0.lock();
+        let guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
         HELD.with(|h| h.set(h.get() + 1));
         EngineGuard { guard }
     }

@@ -5,10 +5,10 @@
 //! pool of blocking workers, which caps *concurrent* client connections
 //! at roughly the worker count: a keep-alive client parked between
 //! requests pins a whole thread (EXPERIMENTS.md, "C10kpress", is the
-//! record of that comparison). `connpress` showed per-connection setup
-//! is the dominant fixed cost of small transfers, so the scaling move is
-//! to hold idle connections cheaply and spend threads only on work that
-//! actually blocks. This module does that with a hand-rolled readiness
+//! record of that comparison). Per-connection setup is the dominant
+//! fixed cost of small transfers ("Connpress", same file), so the scaling
+//! move is to hold idle connections cheaply and spend threads only on work
+//! that actually blocks. This module does that with a hand-rolled readiness
 //! loop — no async runtime (the workspace's vendored-deps constraint
 //! forbids tokio), just nonblocking sockets and the kernel's readiness
 //! API behind a tiny FFI shim (`sys`, which keeps every foreign call of
@@ -35,10 +35,10 @@
 //! Backpressure is explicit and two-runged, consistent with the
 //! fresh→stale→503 degradation ladder (docs/RESILIENCE.md):
 //!
-//! 1. **accept-pause** — past `NetConfig::max_reactor_conns` registered
-//!    connections the listener is deregistered from the poller (counted
-//!    in `reactor.accept_pauses`) and re-armed once the count drops
-//!    below 90 % of the limit; the kernel backlog, then SYN queue,
+//! 1. **accept-pause** — past 16,384 registered connections (a constant
+//!    in `server.rs`) the listener is deregistered from the poller
+//!    (counted in `reactor.accept_pauses`) and re-armed once the count
+//!    drops below 90 % of the limit; the kernel backlog, then SYN queue,
 //!    absorb the burst;
 //! 2. **spillover 503** — when the bounded spillover queue (the paper's
 //!    L_sq) is full, the reactor answers `503` + `Retry-After` inline
@@ -260,7 +260,7 @@ pub(crate) struct ShardConfig {
     /// Total reactor shards the server runs.
     pub n_shards: usize,
     /// This shard's registered-connection ceiling. Under `SO_REUSEPORT`
-    /// each shard gets an equal slice of `max_reactor_conns`; under
+    /// each shard gets an equal slice of the server's ceiling; under
     /// hand-off the distributor caps on the aggregate gauge instead.
     pub max_conns: usize,
     pub keepalive_idle: Duration,
@@ -469,19 +469,6 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    // Inbound fault injection: a delay stalls the
-                    // accept path (modelling a congested link into this
-                    // host), a refusal closes the socket before any read.
-                    if let Some(inj) = &self.shared.inbound {
-                        let d = inj.inbound();
-                        if d.delay_ms > 0 {
-                            std::thread::sleep(Duration::from_millis(d.delay_ms));
-                        }
-                        if d.refuse {
-                            drop(stream);
-                            continue;
-                        }
-                    }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }

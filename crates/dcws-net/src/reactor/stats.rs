@@ -15,7 +15,7 @@ pub struct ReactorStats {
     pub accepted: AtomicU64,
     /// Accept-loop errors (excluding WouldBlock).
     pub accept_errors: AtomicU64,
-    /// Times the listener was paused for hitting `max_reactor_conns`.
+    /// Times the listener was paused for hitting its connection ceiling.
     pub accept_pauses: AtomicU64,
     /// Requests answered inline on the reactor thread (read-path hits).
     pub inline_served: AtomicU64,

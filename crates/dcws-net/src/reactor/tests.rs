@@ -187,7 +187,7 @@ fn parked_stream_borrows_one_refill_buffer() {
 #[test]
 fn token_packing_round_trips() {
     // The reserved tokens correspond to slab indices ≥ 2^32 − 2,
-    // which `max_reactor_conns` keeps unreachable; any realistic
+    // which the 16,384-connection ceiling keeps unreachable; any realistic
     // (idx, gen) must round-trip and stay clear of them.
     for (idx, gen) in [(0usize, 1u32), (42, 7), (1_000_000, u32::MAX)] {
         let t = pack_token(idx, gen);

@@ -4,7 +4,6 @@
 use crate::faults::FaultInjector;
 use crate::lock::EngineLock;
 use crate::metrics::TransportMetrics;
-use crate::pool::PoolConfig;
 use crate::queue::SocketQueue;
 use crate::reactor::{
     bind_reuseport, spill_bridge, Completion, Reactor, ReactorStats, ShardConfig, SpillBridge,
@@ -37,6 +36,15 @@ enum PullResult {
     Unreachable,
 }
 
+/// Registered-connection ceiling of the whole server. At the ceiling
+/// the listener is paused (kernel backlog absorbs the burst) and re-armed
+/// once occupancy drops below 90 % of it.
+const MAX_REACTOR_CONNS: usize = 16_384;
+
+/// How long a keep-alive connection may park at a request boundary
+/// before the sweep closes it.
+const REACTOR_KEEPALIVE_IDLE: Duration = Duration::from_secs(60);
+
 /// Host-level transport configuration for [`DcwsServer::spawn_with`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -47,24 +55,6 @@ pub struct NetConfig {
     pub retry: RetryPolicy,
     /// Fault injector applied to every *outbound* inter-server call.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Fault injector consulted per *inbound* accepted connection
-    /// (refusals close the socket before any read; delays stall the
-    /// accepting shard, modelling a slow network path into this host).
-    pub inbound_faults: Option<Arc<FaultInjector>>,
-    /// Idle keep-alive connections retained per peer by the transport's
-    /// [`ConnPool`](crate::ConnPool); `0` disables pooling (every
-    /// inter-server call dials fresh).
-    pub pool_max_per_peer: usize,
-    /// How long a pooled connection may sit idle before the next
-    /// checkout reaps it.
-    pub pool_idle_ttl: Duration,
-    /// Registered-connection ceiling. At the ceiling the
-    /// listener is paused (kernel backlog absorbs the burst) and
-    /// re-armed once occupancy drops below 90 % of it.
-    pub max_reactor_conns: usize,
-    /// How long a keep-alive connection may park at a
-    /// request boundary before the sweep closes it.
-    pub reactor_keepalive_idle: Duration,
     /// Force the portable `poll(2)` backend even where `epoll` is
     /// available. `poll` is the only backend off Linux, and this flag
     /// is how Linux CI covers it; only tests set it.
@@ -81,31 +71,18 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// Defaults: the given control interval, the stock inter-server
-    /// retry policy, no fault injection, and default pool sizing.
+    /// retry policy, no fault injection, the epoll backend where there
+    /// is one, a shard per core up to eight.
     pub fn new(control_interval: Duration) -> NetConfig {
-        let pool = PoolConfig::default();
         NetConfig {
             control_interval,
             retry: RetryPolicy::default_inter_server(),
             faults: None,
-            inbound_faults: None,
-            pool_max_per_peer: pool.max_per_peer,
-            pool_idle_ttl: pool.idle_ttl,
-            max_reactor_conns: 16_384,
-            reactor_keepalive_idle: Duration::from_secs(60),
             reactor_force_poll: false,
             reactor_shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-        }
-    }
-
-    /// The transport pool knobs as a [`PoolConfig`].
-    pub fn pool_config(&self) -> PoolConfig {
-        PoolConfig {
-            max_per_peer: self.pool_max_per_peer,
-            idle_ttl: self.pool_idle_ttl,
         }
     }
 }
@@ -146,8 +123,6 @@ pub(crate) struct Shared {
     /// Retrying, fault-aware inter-server I/O (pulls, pushes, pings,
     /// validations all go through here — never a raw socket call).
     transport: Transport,
-    /// Inbound-side fault injector, consulted by the accepting shard.
-    pub(crate) inbound: Option<Arc<FaultInjector>>,
     pub(crate) dropped: AtomicU64,
     /// The bounded spillover queue (the paper's L_sq).
     pub(crate) queue: SocketQueue<SpillJob>,
@@ -176,8 +151,7 @@ impl Shared {
             read,
             metrics: TransportMetrics::default(),
             pulls: SingleFlight::new(),
-            transport: Transport::with_pool(net.retry, net.faults.clone(), net.pool_config()),
-            inbound: net.inbound_faults.clone(),
+            transport: Transport::new(net.retry, net.faults.clone()),
             dropped: AtomicU64::new(0),
             queue: SocketQueue::new(queue_len),
             reactor: ReactorStats::default(),
@@ -322,26 +296,15 @@ impl Shared {
                 ])
             }),
             ("faults", {
-                // Outbound + inbound injections, zeros when no injector
-                // is installed so the section shape is stable.
-                let mut f = self
+                // Zeros when no injector is installed, so the section
+                // shape is stable.
+                let f = self
                     .transport
                     .faults()
                     .map(|i| i.snapshot())
                     .unwrap_or_default();
-                if let Some(inb) = &self.inbound {
-                    let s = inb.snapshot();
-                    f.decisions += s.decisions;
-                    f.refusals += s.refusals;
-                    f.drops += s.drops;
-                    f.garbles += s.garbles;
-                    f.delays += s.delays;
-                }
                 Json::obj(vec![
-                    (
-                        "enabled",
-                        Json::from(self.transport.faults().is_some() || self.inbound.is_some()),
-                    ),
+                    ("enabled", Json::from(self.transport.faults().is_some())),
                     ("injected", Json::from(f.injected())),
                     ("refusals", Json::from(f.refusals)),
                     ("drops", Json::from(f.drops)),
@@ -494,7 +457,7 @@ impl DcwsServer {
         // SO_REUSEPORT; the hand-off distributor instead caps on the
         // aggregate gauge, so the whole-server limit holds in both
         // layouts.
-        let per_shard_cap = (net.max_reactor_conns / n_shards).max(1);
+        let per_shard_cap = (MAX_REACTOR_CONNS / n_shards).max(1);
         for (shard, waker_rx) in wakers.into_iter().enumerate() {
             let listener = listeners[shard].take();
             let distributes = !reuseport && shard == 0 && n_shards > 1;
@@ -505,11 +468,11 @@ impl DcwsServer {
                     shard,
                     n_shards,
                     max_conns: if distributes {
-                        net.max_reactor_conns.max(1)
+                        MAX_REACTOR_CONNS
                     } else {
                         per_shard_cap
                     },
-                    keepalive_idle: net.reactor_keepalive_idle,
+                    keepalive_idle: REACTOR_KEEPALIVE_IDLE,
                     force_poll_backend: net.reactor_force_poll,
                 },
                 listener,

@@ -112,7 +112,7 @@ fn poisoned_pooled_connection_redials_transparently() {
 }
 
 /// A steady single-peer workload reuses one connection for everything:
-/// reuse ratio beyond 0.9 (the same bar `connpress --quick` enforces).
+/// reuse ratio beyond 0.9 (the bar the retired `connpress` smoke enforced).
 #[test]
 fn steady_workload_reuse_ratio_exceeds_target() {
     let (peer, _accepted) = keepalive_server(b"payload");

@@ -4,7 +4,8 @@
 //! would have. Each test drives a real one-shard reactor over TCP, on the
 //! epoll and on the `poll(2)` backend, over a `DiskStore` and a
 //! `MemStore`, and compares what arrives with what a second engine
-//! holding the same content and clock answers through `handle_request`.
+//! holding the same content and clock answers through `handle_request`;
+//! one more runs four shards over the one table.
 
 use dcws_core::{DiskStore, DocStore, MemStore, Outcome, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
@@ -96,15 +97,17 @@ fn engine(id: &ServerId, cfg: ServerConfig, store: Box<dyn DocStore>) -> ServerE
     e
 }
 
-/// A one-shard server bound to a port reserved beforehand, so the
-/// engine's identity is the address clients reach (a `~migrate` name for
-/// this server must decode to itself), and a reference engine with the
-/// same identity, content and clock that no front end ever touches.
+/// A server of `shards` reactor shards bound to a port reserved
+/// beforehand, so the engine's identity is the address clients reach (a
+/// `~migrate` name for this server must decode to itself), and a
+/// reference engine with the same identity, content and clock that no
+/// front end ever touches.
 fn spawn(
     scratch: &Scratch,
     backing: Backing,
     force_poll: bool,
     cfg: ServerConfig,
+    shards: usize,
 ) -> (DcwsServer, ServerEngine) {
     let reserved = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = reserved.local_addr().unwrap();
@@ -113,7 +116,7 @@ fn spawn(
     let live = engine(&id, cfg.clone(), scratch.store(backing, "live"));
     let reference = engine(&id, cfg, scratch.store(backing, "reference"));
     let mut net = NetConfig::new(Duration::from_millis(50));
-    net.reactor_shards = 1;
+    net.reactor_shards = shards;
     net.reactor_force_poll = force_poll;
     let server = DcwsServer::spawn_with(live, &addr.to_string(), net).unwrap();
     (server, reference)
@@ -129,6 +132,7 @@ fn on_every_server(tag: &str, test: impl Fn(&DcwsServer, &mut ServerEngine, &Scr
                 backing,
                 force_poll,
                 ServerConfig::paper_defaults(),
+                1,
             );
             test(&server, &mut reference, &scratch, backing);
             server.shutdown();
@@ -689,7 +693,7 @@ fn table_budget_bounds_resident_descriptors() {
     // Half of it is the serve table's, spread over its 8 shards: 160 KiB
     // a shard, and a stream route is charged a little over 64 KiB.
     cfg.cache_budget_bytes = 2 * 8 * 160 * 1024;
-    let (server, _) = spawn(&scratch, Backing::Disk, false, cfg);
+    let (server, _) = spawn(&scratch, Backing::Disk, false, cfg, 1);
     const DOCS: usize = 64;
     {
         let mut engine = server.engine().lock();
@@ -723,7 +727,7 @@ fn primed_large_gets_need_neither_the_engine_lock_nor_a_worker() {
         let scratch = Scratch::new(&format!("witness-{force_poll}"));
         let mut cfg = ServerConfig::paper_defaults();
         cfg.n_workers = 1;
-        let (server, mut reference) = spawn(&scratch, Backing::Disk, force_poll, cfg);
+        let (server, mut reference) = spawn(&scratch, Backing::Disk, force_poll, cfg, 1);
         prime(&server);
         let shapes = shapes("/img/raster.bin", RASTER, &server.server_id());
         let mut c = Client::connect(&server);
@@ -748,4 +752,51 @@ fn primed_large_gets_need_neither_the_engine_lock_nor_a_worker() {
         assert_eq!(server.read_path().snapshot().streamed_serves, streamed);
         server.shutdown();
     }
+}
+
+/// Four shards read the one serve table: whichever shard the kernel
+/// hands a connection to streams a primed object from the route's shared
+/// reader, sixteen transfers in flight at once, and the one descriptor
+/// goes at the drain.
+#[test]
+fn four_shards_stream_one_route_over_many_connections() {
+    const CONNS: usize = 16;
+    let scratch = Scratch::new("shards");
+    let cfg = ServerConfig::paper_defaults();
+    let (server, mut reference) = spawn(&scratch, Backing::Disk, false, cfg, 4);
+    prime(&server);
+    let (_, spilled0) = counters(&server);
+    let streamed0 = server.read_path().snapshot().streamed_serves;
+    let mut clients: Vec<Client> = (0..CONNS).map(|_| Client::connect(&server)).collect();
+    let whole = Request::get("/img/raster.bin");
+    let ranged = Request::get("/img/raster.bin").with_header("Range", "bytes=1000000-1999999");
+    for req in [&whole, &ranged] {
+        let want = exclusive_wire(&mut reference, req);
+        for c in &mut clients {
+            c.send(req);
+        }
+        for (i, c) in clients.iter_mut().enumerate() {
+            assert!(c.read_reply(Method::Get) == want, "conn {i}: {req:?}");
+        }
+    }
+    assert_eq!(counters(&server).1, spilled0, "a primed GET spilled");
+    assert_eq!(
+        server.read_path().snapshot().streamed_serves - streamed0,
+        2 * CONNS as u64
+    );
+    // Sixteen connections on one shard of four: 4^-15 under the kernel's
+    // hashing, impossible under round-robin hand-off.
+    let status = server.status_json();
+    let shards = status.get("reactor").and_then(|r| r.get("shards"));
+    let serving = shards
+        .and_then(|s| s.as_arr())
+        .expect("reactor.shards")
+        .iter()
+        .filter(|s| s.get("inline_served").and_then(|n| n.as_u64()) > Some(0))
+        .count();
+    assert!(serving > 1, "one shard served every connection");
+    drop(clients);
+    server.shutdown();
+    drop(reference);
+    assert_eq!(scratch.open_descriptors(), 0, "a descriptor outlived drain");
 }

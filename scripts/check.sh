@@ -75,47 +75,29 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # and the press bins must run end to end and emit their CSVs (quick
 # mode keeps this fast). Every smoke writes under target/bench-smoke
 # (DCWS_BENCH_OUT), never over the committed full-run artifacts in
-# bench_results/. connpress --quick exits nonzero if the pooled arm's
-# connection reuse ratio is <= 0.9, so a silently disabled pool fails
-# the gate; c10kpress --quick holds 1k keep-alive clients against the
-# reactor and exits nonzero unless served concurrency beats the worker
-# count with zero accept errors, so an event-loop regression fails
-# here too; bigpress --quick serves a 2.8 MB corpus streamed vs
-# buffered and exits nonzero unless streamed TTFB beats buffered, the
-# streamed arm spills at most once per document after warm-up, and
-# the cache admission rule protects the small-doc working set, so a
-# broken streaming path fails the gate; scalepress --quick runs the
-# simulator at 240 servers / 3,000 clients and exits nonzero unless
-# every arm clears 10^5 sessions inside the wall-clock bound and the
-# shared-bandwidth re-run reproduces its digest exactly, so an
-# event-core scale or determinism regression fails the gate
-# (docs/SIMULATION.md); corepress --quick sweeps reactor shards and
-# exits nonzero unless every arm served with zero per-serve body copies
-# (counter assertion) and — on hosts with >= 4 cores — the 4-shard arm
-# beats 1.5× the 1-shard CPS, so a broken zero-copy path or an inert
-# shard toggle fails here.
+# bench_results/ — the closing `git diff` fails the gate if one did.
+# c10kpress --quick holds 1k keep-alive clients against the reactor and
+# exits nonzero unless served concurrency beats the worker count with
+# zero accept errors, so an event-loop regression fails here;
+# scalepress --quick runs the simulator at 240 servers / 3,000 clients
+# and exits nonzero unless every arm clears 10^5 sessions inside the
+# wall-clock bound and the shared-bandwidth re-run reproduces its digest
+# exactly, so an event-core scale or determinism regression fails the
+# gate (docs/SIMULATION.md).
 if [[ $quick -eq 0 ]]; then
     smoke=target/bench-smoke
     export DCWS_BENCH_OUT=$smoke
-    step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin fig6 -- --status-dump
-    step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin cachepress -- --status-dump
-    step cargo run --release -q -p dcws-bench --bin connpress -- --quick
+    step cargo run --release -q -p dcws-bench --bin fig6 -- --quick --status-dump
+    step cargo run --release -q -p dcws-bench --bin cachepress -- --quick --status-dump
     step cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
-    step cargo run --release -q -p dcws-bench --bin bigpress -- --quick
     step cargo run --release -q -p dcws-bench --bin scalepress -- --quick
-    step cargo run --release -q -p dcws-bench --bin corepress -- --quick
     test -s $smoke/fig6.csv
     test -s $smoke/cachepress.csv
-    test -s $smoke/connpress.csv
-    test -s $smoke/BENCH_connpress.json
     test -s $smoke/c10kpress.csv
     test -s $smoke/BENCH_c10kpress.json
-    test -s $smoke/bigpress.csv
-    test -s $smoke/BENCH_bigpress.json
     test -s $smoke/scalepress.csv
     test -s $smoke/BENCH_scalepress.json
-    test -s $smoke/corepress.csv
-    test -s $smoke/BENCH_corepress.json
+    step git diff --exit-code -- bench_results
 fi
 
 echo

@@ -1,9 +1,9 @@
 //! Simulator scale-out proof: 1,000+ servers, 10⁶+ client sessions, one
 //! process, bounded wall-clock.
 //!
-//! The discrete-event core (index-addressed slabs, allocation-free heap
-//! pops, per-component seed streams — see `docs/SIMULATION.md`) claims to
-//! hold cluster sizes three orders of magnitude past the paper's
+//! The discrete-event core (index-addressed slabs, an allocation-free
+//! index heap, per-component seed streams — see `docs/SIMULATION.md`)
+//! claims to hold cluster sizes three orders of magnitude past the paper's
 //! 64-workstation testbed. This binary is the claim's receipt: it runs a
 //! replicated round-robin-DNS deployment — the configuration that puts
 //! *every* server on the data plane with no migration warm-up — over a
@@ -109,11 +109,13 @@ fn run_arm(p: &Params, name: &'static str, net: NetModel) -> Arm {
     let wall = t0.elapsed();
     let events_per_sec = result.events as f64 / wall.as_secs_f64().max(1e-9);
     println!(
-        "{name:>16}: {} sessions, {} events in {wall:.2?} ({} events/s, peak {} switch flows)",
+        "{name:>16}: {} sessions, {} events in {wall:.2?} ({} events/s, peak {} switch flows, \
+         {} queued events)",
         fmt_thousands(result.totals.sessions as f64),
         fmt_thousands(result.events as f64),
         fmt_thousands(events_per_sec),
         fmt_thousands(result.switch_peak_flows as f64),
+        fmt_thousands(result.queue_peak as f64),
     );
     Arm {
         name,
@@ -149,6 +151,7 @@ fn arm_json(a: &Arm) -> dcws_core::Json {
         ("wall_ms", Json::from(a.wall.as_millis() as u64)),
         ("events_per_sec", Json::from(a.events_per_sec)),
         ("switch_peak_flows", Json::from(a.result.switch_peak_flows)),
+        ("queue_peak", Json::from(a.result.queue_peak)),
         ("p50_ms", Json::from(a.result.latency.p50_ms())),
         ("p99_ms", Json::from(a.result.latency.p99_ms())),
         ("digest", Json::from(a.result.digest().as_str())),
@@ -212,6 +215,7 @@ fn main() {
         "wall_ms".into(),
         "events_per_sec".into(),
         "switch_peak_flows".into(),
+        "queue_peak".into(),
         "p50_ms".into(),
         "p99_ms".into(),
     ]];
@@ -227,6 +231,7 @@ fn main() {
             a.wall.as_millis().to_string(),
             format!("{:.0}", a.events_per_sec),
             a.result.switch_peak_flows.to_string(),
+            a.result.queue_peak.to_string(),
             format!("{:.3}", a.result.latency.p50_ms()),
             format!("{:.3}", a.result.latency.p99_ms()),
         ]);

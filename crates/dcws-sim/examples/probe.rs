@@ -1,6 +1,6 @@
 //! One simulation run, with the simulator's own decomposition: wall time,
-//! events/s, how many events of each kind were handled, and what the
-//! control plane did with its gossip.
+//! events/s, how many events of each kind were handled, what the control
+//! plane did with its gossip, and how full the event queue got.
 //!
 //! ```text
 //! probe [servers] [clients] [duration_ms] [accel] [dataset] [seed]
@@ -31,6 +31,9 @@ fn main() {
     if let Some(seed) = seed {
         cfg.seed = seed;
     }
+    // The event-queue presize of `SimCluster::with_crashes`, restated:
+    // a run whose peak stays under it never grows the queue in the loop.
+    let presized = cfg.n_clients * (cfg.client.helpers + 1) + 3 * cfg.n_servers + 64;
     let t0 = std::time::Instant::now();
     let cluster = dcws_sim::SimCluster::new(cfg);
     let setup = t0.elapsed();
@@ -59,6 +62,7 @@ fn main() {
         "gossip: pings_sent={} reports_merged={} reports_skipped={} reports_encoded={}",
         g.pings_sent, g.reports_merged, g.reports_skipped, g.reports_encoded
     );
+    println!("queue: peak={} presized={presized}", r.queue_peak);
     println!("digest: {}", r.digest());
     for s in &r.samples {
         println!(

@@ -165,13 +165,15 @@ pub struct SimCluster {
     /// Active flows under [`NetModel::SharedBandwidth`].
     switch_flows: u64,
     switch_peak_flows: u64,
+    /// Most events ever pending at once.
+    queue_peak: usize,
     counters: Counters,
     samples: Vec<Sample>,
     last_counters: Counters,
     last_server_served: Vec<u64>,
-    /// Scheduled crashes (ms, server index) from the config.
+    /// Crash schedule (ms, server index) from the config.
     crashes: Vec<(u64, usize)>,
-    /// Scheduled cold restarts (ms, server index); see
+    /// Cold-restart schedule (ms, server index); see
     /// [`SimCluster::with_restart_schedule`].
     restarts: Vec<(u64, usize)>,
     /// Memoized client-side parse results keyed by final URL and valid
@@ -357,9 +359,14 @@ impl SimCluster {
             .collect();
 
         let n = servers.len();
-        // Steady state keeps roughly a few events in flight per client plus
-        // one tick per server; presizing keeps heap growth out of the loop.
-        let queue_cap = (cfg.n_clients * 8 + n * 2 + 64).next_power_of_two();
+        // What a closed-loop run can have pending: per client its image
+        // helpers plus one document fetch or wake, per server a tick, a
+        // service completion and a response in flight, plus the sampler,
+        // crashes and restarts. A hint, not a bound — replay primes the
+        // whole trace up front, and a pinger round is quadratic in the
+        // group (256 servers: 256 x 255 pings in one burst) — so `push`
+        // still grows the queue when it must.
+        let queue_cap = cfg.n_clients * (cfg.client.helpers + 1) + 3 * n + 64;
         SimCluster {
             cfg,
             queue: EventQueue::with_capacity(queue_cap),
@@ -377,6 +384,7 @@ impl SimCluster {
             switch_free_at: 0,
             switch_flows: 0,
             switch_peak_flows: 0,
+            queue_peak: 0,
             counters: Counters::default(),
             samples: Vec::new(),
             last_counters: Counters::default(),
@@ -462,6 +470,9 @@ impl SimCluster {
         let mut crash_iter = crashes.into_iter().peekable();
 
         loop {
+            // Handlers only push, so the length before a pop is a local
+            // maximum and the largest of them is the run's peak.
+            self.queue_peak = self.queue_peak.max(self.queue.len());
             // The queue pop itself must never allocate: it is the one
             // operation every single event pays for. The probe harness
             // (tests/alloc_probe.rs) arms this assert.
@@ -564,6 +575,7 @@ impl SimCluster {
             events: self.event_counts.total(),
             event_counts: self.event_counts,
             switch_peak_flows: self.switch_peak_flows,
+            queue_peak: self.queue_peak as u64,
             duration_ms: self.cfg.duration_ms,
             trace: if self.cfg.record_trace {
                 Some(crate::trace::Trace::new(std::mem::take(

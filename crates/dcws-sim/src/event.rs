@@ -1,14 +1,21 @@
 //! The discrete-event core: virtual time and the event queue.
 //!
-//! The queue is a hand-rolled binary min-heap over a flat `Vec`, keyed by
-//! `(virtual time, insertion sequence)`. The explicit sequence number
-//! gives **FIFO tie-breaking** on equal timestamps — the property every
-//! determinism guarantee in this crate rests on — and the flat layout
-//! makes `pop` allocation-free: popping swaps the root with the tail slot
-//! and sifts down in place, never touching the allocator. `push` only
-//! allocates when the backing `Vec` grows, which a steady-state run
-//! amortizes to zero (see `tests/alloc_probe.rs`, which arms the
-//! debug-build micro-assert in the run loop with a counting allocator).
+//! The queue is an index heap: a std [`BinaryHeap`] of 24-byte
+//! `(virtual time, insertion sequence, slot)` keys over a slab that holds
+//! the events themselves. The sequence number is unique, so the key is a
+//! total order and any correct heap pops one sequence: earliest first,
+//! **FIFO on equal timestamps** — the property every determinism
+//! guarantee in this crate rests on, and the key's promise, not the
+//! heap's. Keys and payloads are split because an [`Event`] is 128 bytes:
+//! sifting moves keys only, and an event is written once when pushed and
+//! read once when popped. `pop` never allocates — it shrinks the key heap
+//! and threads the vacated slot onto a free list kept inside the slab —
+//! and `push` allocates only when more events are pending than ever
+//! before (see `tests/alloc_probe.rs`, which arms the debug-build
+//! micro-assert in the run loop with a counting allocator).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use dcws_http::{Request, Response};
 
@@ -132,29 +139,27 @@ pub enum Event {
     },
 }
 
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl Scheduled {
-    /// Heap ordering key: earliest time first, then insertion order.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
+/// One slab entry: a pending event, or a link of the free list.
+enum Slot {
+    Full(Event),
+    /// Vacant; holds the next vacant slot, if any.
+    Free(Option<u32>),
 }
 
 /// Earliest-first event queue with deterministic FIFO tie-breaking.
 ///
-/// A flat-`Vec` binary min-heap: `pop` is allocation-free, `push`
-/// allocates only on capacity growth. Use [`EventQueue::with_capacity`]
-/// (or [`EventQueue::reserve`]) to pre-size for the expected event
-/// population so the steady-state loop never grows it.
+/// `pop` is allocation-free; `push` allocates only when the pending
+/// population exceeds every earlier peak. [`EventQueue::with_capacity`]
+/// pre-sizes for an expected peak so a steady-state loop never grows it.
 #[derive(Default)]
 pub struct EventQueue {
-    heap: Vec<Scheduled>,
+    /// Min-heap of `(at, seq, slot)`; `seq` is unique, so the order is total.
+    keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Event storage; a key's `slot` indexes it. Never shrinks: popped
+    /// slots are reused, most recently vacated first.
+    slab: Vec<Slot>,
+    /// Head of the free list threaded through the slab's `Free` slots.
+    free: Option<u32>,
     seq: u64,
 }
 
@@ -164,89 +169,55 @@ impl EventQueue {
         Self::default()
     }
 
-    /// An empty queue with room for `cap` events before any growth.
+    /// An empty queue with room for `cap` pending events before any growth.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Vec::with_capacity(cap),
-            seq: 0,
+            keys: BinaryHeap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            ..Self::default()
         }
-    }
-
-    /// Ensure room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Current backing capacity (diagnostics for the allocation probe).
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
     }
 
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
         self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
+        let slot = match self.free {
+            Some(slot) => {
+                let vacant = std::mem::replace(&mut self.slab[slot as usize], Slot::Full(event));
+                let Slot::Free(next) = vacant else {
+                    unreachable!("free list names a full slot")
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(Slot::Full(event));
+                slot
+            }
+        };
+        self.keys.push(Reverse((at, self.seq, slot)));
     }
 
     /// Pop the earliest event, if any. Never allocates.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let s = self.heap.pop().expect("non-empty heap pops");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((s.at, s.event))
+        let Reverse((at, _, slot)) = self.keys.pop()?;
+        let taken = std::mem::replace(&mut self.slab[slot as usize], Slot::Free(self.free));
+        let Slot::Full(event) = taken else {
+            unreachable!("a key names a vacant slot")
+        };
+        self.free = Some(slot);
+        Some((at, event))
     }
 
     /// Pending event count.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.keys.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].key() < self.heap[parent].key() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut smallest = i;
-            if l < n && self.heap[l].key() < self.heap[smallest].key() {
-                smallest = l;
-            }
-            if r < n && self.heap[r].key() < self.heap[smallest].key() {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+        self.keys.is_empty()
     }
 }
 
@@ -307,7 +278,26 @@ mod tests {
     #[test]
     fn with_capacity_presizes() {
         let q = EventQueue::with_capacity(1024);
-        assert!(q.capacity() >= 1024);
+        assert!(q.keys.capacity() >= 1024 && q.slab.capacity() >= 1024);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slots_are_reused_at_standing_length() {
+        // Popped slots are reused — a burst of pops leaves a chain of
+        // them for the pushes that follow — so 10^5 push/pop cycles
+        // around a standing length never grow the slab past the peak.
+        const L: usize = 100;
+        let mut q = EventQueue::new();
+        (0..L).for_each(|_| q.push(1, Event::Sample));
+        for round in 0..25_000 {
+            // One over the standing length, then 1..=7 under it and back.
+            q.push(2, Event::Sample);
+            let burst = 2 + round % 7;
+            (0..burst).for_each(|_| assert!(q.pop().is_some()));
+            (1..burst).for_each(|_| q.push(2, Event::Sample));
+        }
+        assert_eq!(q.len(), L);
+        assert!(q.slab.len() <= L + 1, "slab crept to {}", q.slab.len());
     }
 }

@@ -204,6 +204,10 @@ pub struct SimResult {
     /// Peak number of concurrent switch flows observed (always 0 under
     /// [`crate::NetModel::ConstantBandwidth`], which serializes).
     pub switch_peak_flows: u64,
+    /// Most events pending in the queue at once — what the queue's
+    /// presize has to cover for the run loop never to grow it. Not part
+    /// of [`Self::digest`].
+    pub queue_peak: u64,
     /// Run length, ms.
     pub duration_ms: u64,
     /// The access log recorded during the run, when
@@ -354,6 +358,7 @@ mod tests {
             events: 0,
             event_counts: EventCounts::default(),
             switch_peak_flows: 0,
+            queue_peak: 0,
             duration_ms: cps.len() as u64 * 10_000,
             trace: None,
             engine_events: Vec::new(),

@@ -193,7 +193,7 @@ impl Scenario {
         cfg
     }
 
-    /// Scheduled crashes `(t_ms, server)`. Server 0 (the home, holding the
+    /// Crash schedule `(t_ms, server)`. Server 0 (the home, holding the
     /// originals) is never faulted.
     pub fn crashes(&self) -> Vec<(u64, usize)> {
         match self.kind {
@@ -218,7 +218,7 @@ impl Scenario {
         }
     }
 
-    /// Scheduled cold restarts `(t_ms, server)` pairing the rolling
+    /// Cold-restart schedule `(t_ms, server)` pairing the rolling
     /// restart's crashes; each server stays down for half a spacing —
     /// comfortably past the ~3-pinger-period dead-peer detection, so the
     /// group really does revoke and re-admit it.

@@ -13,6 +13,7 @@
 //! process-global, and parallel tests would interleave their counts.
 
 use dcws_sim::alloc::CountingAlloc;
+use dcws_sim::event::{Event, EventQueue};
 use dcws_sim::{NetModel, Scenario, ScenarioKind};
 
 #[global_allocator]
@@ -27,6 +28,26 @@ fn event_loop_pops_never_allocate() {
     assert!(
         dcws_sim::alloc::allocations() > before,
         "CountingAlloc is not installed; the micro-asserts are vacuous"
+    );
+
+    // The bare queue, grown well past its presize (so both the key heap
+    // and the slab have reallocated): popping it empty leaves the counter
+    // where it was. Freed slots go onto a list inside the slab, not into
+    // a side vector that could grow.
+    let mut q = EventQueue::with_capacity(64);
+    for i in 0..10_000u64 {
+        q.push(i.wrapping_mul(0x9e37_79b9) % 1_000, Event::Sample);
+    }
+    let before = dcws_sim::alloc::allocations();
+    let mut pops = 0;
+    while q.pop().is_some() {
+        pops += 1;
+    }
+    assert_eq!(pops, 10_000);
+    assert_eq!(
+        dcws_sim::alloc::allocations(),
+        before,
+        "10,000 pops of a bare queue allocated"
     );
 
     // A fault scenario covers the hottest pop paths: request routing,

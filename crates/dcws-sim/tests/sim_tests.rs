@@ -80,6 +80,8 @@ fn deterministic_given_seed() {
     let b = run_sim(small_lod(2, 8, 20_000));
     assert_eq!(a.totals, b.totals);
     assert_eq!(a.migrations, b.migrations);
+    assert!(a.queue_peak > 0, "no event was ever pending");
+    assert_eq!(a.queue_peak, b.queue_peak);
     let mut cfg = small_lod(2, 8, 20_000);
     cfg.seed = 1234;
     let c = run_sim(cfg);

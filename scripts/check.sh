@@ -45,6 +45,15 @@ step cargo test -q -p dcws-net --test alloc_probe
 # both pollers, DiskStore and MemStore. Named for the same reason.
 step cargo test -q -p dcws-net --test stream_route_tests
 
+# Event core: the simulator's queue pops exactly what a sorted model of
+# it pops — payloads included, through slot reuse, growth and drains —
+# and neither a bare queue nor a whole fault scenario allocates on a pop.
+# A debug build, so the per-pop assert in `run_loop` is armed. Both run
+# inside the workspace tests too; named so that a queue regression shows
+# as its own step. No timing gate: the behaviour gate below runs the
+# exact sim-lod configuration.
+step cargo test -q -p dcws-sim --test alloc_probe --test queue_proptest
+
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf

@@ -23,7 +23,7 @@ fn measure_corpus(name: &str) -> (usize, f64, f64, f64) {
         .collect();
     let total_bytes: usize = docs.iter().map(|d| d.len()).sum();
 
-    // Parse (tokenize + link extraction, what the LDG build needs).
+    // Parse (one scan for every link, what the LDG build needs).
     let t0 = Instant::now();
     let mut links = 0usize;
     for d in &docs {
@@ -31,8 +31,8 @@ fn measure_corpus(name: &str) -> (usize, f64, f64, f64) {
     }
     let parse_us = t0.elapsed().as_secs_f64() * 1e6 / docs.len() as f64;
 
-    // Reconstruct (full §4.3 round trip: parse, rewrite every link,
-    // serialize).
+    // Reconstruct (the full §4.3 job: find every link, rewrite it, and
+    // write the document out again).
     let t0 = Instant::now();
     let mut out_bytes = 0usize;
     for d in &docs {

@@ -1,4 +1,4 @@
-//! HTML parsing, hyperlink extraction, and hyperlink rewriting for DCWS.
+//! Hyperlink extraction and hyperlink rewriting for DCWS.
 //!
 //! The DCWS paper (§4.3) describes the mechanism: *"a HTML parser builds a
 //! simple parse tree from an HTML source file of the document. Any modified
@@ -6,18 +6,14 @@
 //! into a stream of HTML tokens, and then written back to its HTML source
 //! file."*
 //!
-//! This crate provides that pipeline, built from scratch, without the
-//! tree: a hyperlink is an attribute of one tag, so extraction and
-//! replacement run over the token stream and nothing needs the nesting.
-//!
-//! * [`tokenizer`] — a forgiving HTML tokenizer that preserves the original
-//!   source text of every token, so re-serializing an untouched document is
-//!   **byte-identical** (verified by property tests),
-//! * [`links`] — extraction of hyperlinks (`a href`, `area href`,
-//!   `frame src`, …) and embedded references (`img src`, …), the two
-//!   classes the paper's client benchmark treats differently,
-//! * [`rewrite`] — in-place hyperlink replacement driven by a mapping
-//!   closure; only tags that actually change are re-serialized.
+//! A hyperlink is one attribute of one tag, so this crate needs neither the
+//! tree nor the token stream: one borrowed scan of the source finds every
+//! start tag and its attributes. [`extract_links`] reads the URL-bearing
+//! attributes off it (hyperlinks and embedded references, the two classes
+//! the paper's client treats differently); [`rewrite_links`] copies the
+//! source around the tags whose URL a mapping changed, so an untouched
+//! document comes back **byte-identical**. Malformed markup degrades to
+//! text; nothing fails.
 //!
 //! # Example
 //!
@@ -40,36 +36,14 @@
 
 #![warn(missing_docs)]
 
-pub mod links;
-pub mod rewrite;
-pub mod token;
-pub mod tokenizer;
+mod links;
+mod rewrite;
+mod scan;
 
 pub use links::{extract_links, LinkKind, LinkRef};
 pub use rewrite::rewrite_links;
-pub use token::{Attr, Quote, Tag, Token};
-pub use tokenizer::tokenize;
 
-/// Serialize a token stream back to HTML text.
-///
-/// Untouched tokens emit their original source bytes, so
-/// `serialize(tokenize(doc)) == doc` for any input document.
-pub fn serialize(tokens: &[Token]) -> String {
-    let mut out = String::new();
-    for t in tokens {
-        t.write_to(&mut out);
-    }
-    out
-}
-
+// Unit tests of the scan's rules, kept under the module paths of the
+// pipeline they were first written for.
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tokenize_serialize_identity_smoke() {
-        let doc = "<!DOCTYPE html>\n<html>\n<!-- c -->\n<body class=x>\
-                   <a href='/a'>text</a><img src=/i.gif></body></html>";
-        assert_eq!(serialize(&tokenize(doc)), doc);
-    }
-}
+include!("../tests/unit/rules.rs");

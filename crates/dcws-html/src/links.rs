@@ -11,8 +11,7 @@
 //!   is what makes images prime migration candidates (and, when shared by
 //!   every page, the hot spots that cap SBLog/MAPUG scalability in Fig. 7).
 
-use crate::token::Tag;
-use crate::tokenizer::tokenize;
+use crate::scan::start_tags;
 
 /// How a referenced URL is consumed by a browser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,9 +30,9 @@ pub struct LinkRef {
     /// Reference class.
     pub kind: LinkKind,
     /// Lowercased element name the reference came from.
-    pub tag: String,
+    pub tag: &'static str,
     /// Lowercased attribute name that held the URL.
-    pub attr: String,
+    pub attr: &'static str,
 }
 
 /// `(tag, attr, kind)` table of URL-bearing attributes we recognize.
@@ -53,32 +52,13 @@ const URL_ATTRS: &[(&str, &str, LinkKind)] = &[
     ("embed", "src", LinkKind::Embedded),
 ];
 
-/// Whether `tag.attrs[attr]` is a URL-bearing attribute, and its class.
-pub fn classify(tag: &str, attr: &str) -> Option<LinkKind> {
+/// The URL-bearing attribute of element `tag` (names match in any case):
+/// `(tag, attr, kind)` in lower case. Each element has at most one.
+pub(crate) fn url_attr(tag: &str) -> Option<(&'static str, &'static str, LinkKind)> {
     URL_ATTRS
         .iter()
-        .find(|(t, a, _)| *t == tag && *a == attr)
-        .map(|(_, _, k)| *k)
-}
-
-fn links_of_tag(tag: &Tag, out: &mut Vec<LinkRef>) {
-    if tag.is_end {
-        return;
-    }
-    for (t, a, kind) in URL_ATTRS {
-        if tag.name == *t {
-            if let Some(url) = tag.attr(a) {
-                if !url.is_empty() && !is_non_http(url) {
-                    out.push(LinkRef {
-                        url: url.to_string(),
-                        kind: *kind,
-                        tag: tag.name.clone(),
-                        attr: (*a).to_string(),
-                    });
-                }
-            }
-        }
-    }
+        .find(|(t, _, _)| t.eq_ignore_ascii_case(tag))
+        .copied()
 }
 
 /// URLs DCWS can never serve or rewrite (mail, anchors-only, other schemes).
@@ -93,11 +73,26 @@ fn is_non_http(url: &str) -> bool {
 
 /// Extract every recognized reference from an HTML document, in document
 /// order. Duplicate URLs are preserved (hit accounting needs them).
+///
+/// A tag that names its URL attribute twice contributes the first; if
+/// that one is bare (`<a href>`), the tag contributes nothing.
 pub fn extract_links(html: &str) -> Vec<LinkRef> {
     let mut out = Vec::new();
-    for token in tokenize(html) {
-        if let Some(tag) = token.as_tag() {
-            links_of_tag(tag, &mut out);
+    for tag in start_tags(html) {
+        let Some((tag_name, attr, kind)) = url_attr(tag.name) else {
+            continue;
+        };
+        let url = tag
+            .attrs()
+            .find(|a| a.name.eq_ignore_ascii_case(attr))
+            .and_then(|a| a.value);
+        if let Some(url) = url.filter(|u| !u.is_empty() && !is_non_http(u)) {
+            out.push(LinkRef {
+                url: url.to_string(),
+                kind,
+                tag: tag_name,
+                attr,
+            });
         }
     }
     out
@@ -176,10 +171,11 @@ mod tests {
 
     #[test]
     fn classify_table() {
-        assert_eq!(classify("a", "href"), Some(LinkKind::Hyperlink));
-        assert_eq!(classify("img", "src"), Some(LinkKind::Embedded));
-        assert_eq!(classify("a", "src"), None);
-        assert_eq!(classify("p", "href"), None);
+        assert_eq!(url_attr("a"), Some(("a", "href", LinkKind::Hyperlink)));
+        assert_eq!(url_attr("IMG"), Some(("img", "src", LinkKind::Embedded)));
+        assert_eq!(url_attr("p"), None);
+        // Only the element's own URL attribute counts.
+        assert!(extract_links("<a src=/x.html><p href=/y.html>").is_empty());
     }
 
     #[test]

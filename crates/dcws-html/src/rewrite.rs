@@ -2,51 +2,91 @@
 //! reconstruction (§4.3).
 //!
 //! When a document's `Dirty` bit is set (one of its `LinkTo` targets
-//! migrated), the server re-parses the source, substitutes the affected
-//! URLs, and writes the regenerated document back. [`rewrite_links`] does
-//! the parse → substitute → serialize pipeline in one call; tags whose
-//! attributes didn't change are emitted from their original source bytes,
-//! so a no-op rewrite returns the document unchanged, byte for byte.
+//! migrated), the server substitutes the affected URLs and serves the
+//! regenerated document. Only the tags whose URL changed are written anew;
+//! every other byte is copied from the source.
 
-use crate::links::classify;
-use crate::token::Token;
-use crate::tokenizer::tokenize;
+use crate::links::url_attr;
+use crate::scan::{start_tags, Attr, Quote, StartTag};
 
 /// Rewrite every recognized URL-bearing attribute with `map`.
 ///
 /// `map` receives the raw attribute value and returns `Some(new)` to
 /// substitute or `None` to leave it alone. Returns the regenerated document
 /// and the number of substitutions performed.
+///
+/// A tag with a substitution is written in canonical form: its name and
+/// attributes as written, separated by single spaces, each value quoted
+/// as in the source unless the value needs other quotes, and ` /` before
+/// the `>` of a self-closing tag.
 pub fn rewrite_links(html: &str, mut map: impl FnMut(&str) -> Option<String>) -> (String, usize) {
-    let mut tokens = tokenize(html);
+    let mut out = String::with_capacity(html.len() + html.len() / 4);
+    let mut copied = 0;
     let mut replaced = 0;
-    for token in &mut tokens {
-        let Token::Tag(tag) = token else { continue };
-        if tag.is_end {
+    // The attributes of the tag in hand, each with its new value if `map`
+    // changed it.
+    let mut attrs: Vec<(Attr, Option<String>)> = Vec::new();
+    for tag in start_tags(html) {
+        let Some((_, url, _)) = url_attr(tag.name) else {
+            continue;
+        };
+        attrs.clear();
+        let mut changed = 0;
+        for attr in tag.attrs() {
+            let new = attr
+                .value
+                .filter(|_| attr.name.eq_ignore_ascii_case(url))
+                .and_then(|value| map(value).filter(|new| new != value));
+            changed += usize::from(new.is_some());
+            attrs.push((attr, new));
+        }
+        if changed == 0 {
             continue;
         }
-        // Collect (index, new value) first to appease the borrow checker.
-        let mut updates: Vec<(usize, String)> = Vec::new();
-        for (i, attr) in tag.attrs.iter().enumerate() {
-            if classify(&tag.name, &attr.name).is_none() {
-                continue;
-            }
-            let Some(value) = attr.value.as_deref() else {
-                continue;
-            };
-            if let Some(new) = map(value) {
-                if new != value {
-                    updates.push((i, new));
-                }
-            }
-        }
-        for (i, new) in updates {
-            tag.attrs[i].value = Some(new);
-            tag.modified = true;
-            replaced += 1;
+        out.push_str(&html[copied..tag.span.start]);
+        write_tag(&mut out, &tag, &attrs);
+        copied = tag.span.end;
+        replaced += changed;
+    }
+    out.push_str(&html[copied..]);
+    (out, replaced)
+}
+
+/// Write `tag` in canonical form, with the new values in `attrs` in place.
+fn write_tag(out: &mut String, tag: &StartTag, attrs: &[(Attr, Option<String>)]) {
+    out.push('<');
+    out.push_str(tag.name);
+    for (attr, new) in attrs {
+        out.push(' ');
+        out.push_str(attr.name);
+        if let Some(v) = new.as_deref().or(attr.value) {
+            out.push('=');
+            push_value(out, v, attr.quote);
         }
     }
-    (crate::serialize(&tokens), replaced)
+    if tag.self_closing {
+        out.push_str(" /");
+    }
+    out.push('>');
+}
+
+/// Append `v` quoted as in the source, or with quotes that can hold it.
+fn push_value(out: &mut String, v: &str, quote: Quote) {
+    let bare_ok = || {
+        !v.is_empty()
+            && !v
+                .bytes()
+                .any(|c| c.is_ascii_whitespace() || b"'\">".contains(&c))
+    };
+    let q = match quote {
+        Quote::Double if v.contains('"') => "'",
+        Quote::Single if !v.contains('\'') => "'",
+        Quote::Bare if bare_ok() => "",
+        _ => "\"",
+    };
+    for s in [q, v, q] {
+        out.push_str(s);
+    }
 }
 
 #[cfg(test)]

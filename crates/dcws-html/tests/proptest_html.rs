@@ -1,9 +1,9 @@
 //! Property tests for the HTML substrate.
 
-use dcws_html::{extract_links, rewrite_links, serialize, tokenize};
+use dcws_html::{extract_links, rewrite_links};
 use proptest::prelude::*;
 
-/// Arbitrary "HTML-ish" soup: guaranteed to stress the tokenizer's
+/// Arbitrary "HTML-ish" soup: guaranteed to stress the scan's
 /// error-recovery paths.
 fn html_soup() -> impl Strategy<Value = String> {
     proptest::string::string_regex(r#"([a-z <>/='"!?-]|<a href=/[a-z]{1,8}>|<img src='/[a-z]{1,8}\.gif'>|</a>|<!-- [a-z]* -->){0,40}"#)
@@ -35,15 +35,16 @@ fn well_formed_doc() -> impl Strategy<Value = String> {
 
 proptest! {
     #[test]
-    fn tokenize_serialize_is_identity(doc in html_soup()) {
-        prop_assert_eq!(serialize(&tokenize(&doc)), doc);
+    fn identity_rewrite_is_identity(doc in html_soup()) {
+        // Mapping every URL to itself changes no tag.
+        prop_assert_eq!(rewrite_links(&doc, |u| Some(u.to_string())), (doc.clone(), 0));
     }
 
     #[test]
-    fn tokenize_serialize_identity_on_unicode(doc in "\\PC{0,200}") {
-        // Arbitrary unicode text must survive (tokenizer slices at ASCII
+    fn noop_rewrite_identity_on_unicode(doc in "\\PC{0,200}") {
+        // Arbitrary unicode text must survive (the scan slices at ASCII
         // delimiters only; this guards against char-boundary panics).
-        prop_assert_eq!(serialize(&tokenize(&doc)), doc);
+        prop_assert_eq!(rewrite_links(&doc, |_| None).0, doc);
     }
 
     #[test]
@@ -75,7 +76,7 @@ proptest! {
     #[test]
     fn extracted_links_survive_roundtrip(doc in well_formed_doc()) {
         let before = extract_links(&doc);
-        let after = extract_links(&serialize(&tokenize(&doc)));
+        let after = extract_links(&rewrite_links(&doc, |_| None).0);
         prop_assert_eq!(before, after);
     }
 

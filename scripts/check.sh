@@ -62,6 +62,13 @@ step cargo test -q -p dcws-sim --test alloc_probe --test queue_proptest
 # request path cost nothing; a count that rises fails here.
 step cargo test -q -p dcws-core --test cost_probe
 
+# HTML scanner equivalence: extract_links and rewrite_links against the
+# tokenizer pipeline they replaced, kept verbatim as the oracle — every
+# HTML page of the four datasets, HTML soup and seeded mutants agree on
+# every link, every output byte, every count and every value passed to
+# the mapping; a page of unclosed tags stays linear.
+step cargo test -q -p dcws-html
+
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf

@@ -11,7 +11,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`http`] | HTTP/1.x substrate: messages, incremental parser, `X-DCWS-Load` piggyback codec |
-//! | [`html`] | HTML substrate: tokenizer, parse tree, link extraction, hyperlink rewriting |
+//! | [`html`] | HTML substrate: link extraction and hyperlink rewriting over one borrowed scan |
 //! | [`graph`] | Local Document Graph, Global Load Table, load metrics, Algorithm 1 |
 //! | [`core`] | The sans-IO DCWS engine: migration, regeneration, redirects, consistency timers |
 //! | [`net`] | Real threaded TCP transport (front-end / workers / pinger) |

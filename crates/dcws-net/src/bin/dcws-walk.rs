@@ -6,10 +6,15 @@
 //!           --clients 8 --duration 30 [--max-steps 25] [--seed 42]
 //! ```
 //!
-//! Each client thread repeats: reset its cache, jump to a random entry
-//! point, walk `random(1..max-steps)` hyperlinks (fetching embedded images
-//! through four helper threads, following 301s, exponentially backing off
-//! on 503), and reports aggregate CPS/BPS — the §5.3 measures.
+//! Each client thread drives one [`Walker`] — the same state machine the
+//! simulator's clients are — through [`dcws_net::walk`]: reset its cache,
+//! jump to a random entry point, walk `random(1..max-steps)` hyperlinks
+//! (fetching embedded images through four helper threads, following
+//! 301s, backing off 1 s, 2 s, 4 s … ±25 % on 503), and report aggregate
+//! CPS/BPS — the §5.3 measures. A page already in the session cache is
+//! walked without a fetch (only its uncached images are fetched), and a
+//! refused connection ends the session after a back-off instead of
+//! retrying the dead host at once.
 //!
 //! With `--status`, after the run each entry-point server's
 //! `GET /dcws/status` document is fetched and a one-line server-side
@@ -18,23 +23,17 @@
 
 use dcws_graph::ServerId;
 use dcws_http::{Request, StatusCode, Url};
-use dcws_net::fetch_from;
+use dcws_net::{fetch_from, walk, ClientModel, WalkTally, Walker};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::num::{NonZeroU32, ParseIntError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Clone)]
-struct Shared {
-    completed: Arc<AtomicU64>,
-    bytes: Arc<AtomicU64>,
-    drops: Arc<AtomicU64>,
-    redirects: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-}
-
 struct Args {
-    entries: Vec<Url>,
+    entries: Vec<Arc<Url>>,
     clients: usize,
     duration: Duration,
     max_steps: u32,
@@ -43,31 +42,28 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut entries = Vec::new();
-    let mut clients = 4usize;
-    let mut duration = Duration::from_secs(30);
-    let mut max_steps = 25u32;
-    let mut seed = 42u64;
-    let mut status = false;
+    let mut args = Args {
+        entries: Vec::new(),
+        clients: 4,
+        duration: Duration::from_secs(30),
+        max_steps: 25,
+        seed: 42,
+        status: false,
+    };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = || it.next().ok_or(format!("{a} needs a value"));
+        let bad = |e: ParseIntError| format!("bad {a}: {e}");
         match a.as_str() {
             "--entry" => {
-                entries.push(Url::parse(&val()?).map_err(|e| format!("bad --entry: {e}"))?)
+                let url = Url::parse(&val()?).map_err(|e| format!("bad --entry: {e}"))?;
+                args.entries.push(Arc::new(url));
             }
-            "--clients" => clients = val()?.parse().map_err(|e| format!("bad --clients: {e}"))?,
-            "--duration" => {
-                duration =
-                    Duration::from_secs(val()?.parse().map_err(|e| format!("bad --duration: {e}"))?)
-            }
-            "--max-steps" => {
-                max_steps = val()?
-                    .parse()
-                    .map_err(|e| format!("bad --max-steps: {e}"))?
-            }
-            "--seed" => seed = val()?.parse().map_err(|e| format!("bad --seed: {e}"))?,
-            "--status" => status = true,
+            "--clients" => args.clients = val()?.parse().map_err(bad)?,
+            "--duration" => args.duration = Duration::from_secs(val()?.parse().map_err(bad)?),
+            "--max-steps" => args.max_steps = val()?.parse::<NonZeroU32>().map_err(bad)?.get(),
+            "--seed" => args.seed = val()?.parse().map_err(bad)?,
+            "--status" => args.status = true,
             "--help" | "-h" => {
                 return Err("usage: dcws-walk --entry URL [--entry URL]... \
                             [--clients N] [--duration SECS] [--max-steps N] [--seed N] \
@@ -77,151 +73,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    if entries.is_empty() {
+    if args.entries.is_empty() {
         return Err("at least one --entry URL is required (try --help)".into());
     }
-    Ok(Args {
-        entries,
-        clients,
-        duration,
-        max_steps,
-        seed,
-        status,
-    })
-}
-
-/// Minimal xorshift RNG so the binary needs no extra dependencies.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// GET with redirect-following and 503 back-off; returns the final
-/// response and URL, or `None` when the walk should give up on this URL.
-fn get(url: &Url, shared: &Shared) -> Option<(dcws_http::Response, Url)> {
-    let mut current = url.clone();
-    let mut backoff = 1u64;
-    for _ in 0..12 {
-        if shared.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        let host = current.host()?;
-        let server = ServerId::new(format!("{host}:{}", current.port()));
-        let resp = fetch_from(&server, &Request::get(current.path())).ok()?;
-        match resp.status {
-            StatusCode::ServiceUnavailable => {
-                // §5.2 exponential back-off: 1 s, 2 s, 4 s, ...
-                shared.drops.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_secs(backoff));
-                backoff = (backoff * 2).min(64);
-            }
-            StatusCode::MovedPermanently => {
-                shared.redirects.fetch_add(1, Ordering::Relaxed);
-                current = resp.location()?;
-            }
-            StatusCode::Ok => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .bytes
-                    .fetch_add(resp.body.len() as u64, Ordering::Relaxed);
-                return Some((resp, current));
-            }
-            _ => return None,
-        }
-    }
-    None
-}
-
-fn client_loop(entries: Vec<Url>, max_steps: u32, seed: u64, shared: Shared) {
-    let mut rng = Rng(seed | 1);
-    while !shared.stop.load(Ordering::Relaxed) {
-        // New session: fresh cache, random entry point, random length.
-        let mut cache: HashSet<String> = HashSet::new();
-        let mut current = entries[rng.below(entries.len() as u64) as usize].clone();
-        let steps = 1 + rng.below(max_steps as u64) as u32;
-        for _ in 0..steps {
-            if shared.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let key = current.to_string();
-            let (anchors, embeds): (Vec<Url>, Vec<Url>) = if cache.contains(&key) {
-                (Vec::new(), Vec::new()) // cached: no fetch, dead end for simplicity
-            } else {
-                let Some((resp, final_url)) = get(&current, &shared) else {
-                    break;
-                };
-                cache.insert(key);
-                cache.insert(final_url.to_string());
-                let is_html = resp
-                    .headers
-                    .get("Content-Type")
-                    .is_some_and(|c| c.starts_with("text/html"));
-                if !is_html {
-                    break; // opaque document: dead end
-                }
-                let html = String::from_utf8_lossy(&resp.body);
-                let mut anchors = Vec::new();
-                let mut embeds = Vec::new();
-                for l in dcws_html::extract_links(&html) {
-                    if let Ok(u) = final_url.join(&l.url) {
-                        match l.kind {
-                            dcws_html::LinkKind::Hyperlink => anchors.push(u),
-                            dcws_html::LinkKind::Embedded => embeds.push(u),
-                        }
-                    }
-                }
-                (anchors, embeds)
-            };
-            // Fetch uncached embedded images with 4 parallel helpers.
-            let todo: Vec<Url> = embeds
-                .into_iter()
-                .filter(|u| !cache.contains(&u.to_string()))
-                .collect();
-            for u in &todo {
-                cache.insert(u.to_string());
-            }
-            std::thread::scope(|scope| {
-                for chunk in todo.chunks(todo.len().div_ceil(4).max(1)) {
-                    let shared = shared.clone();
-                    scope.spawn(move || {
-                        for u in chunk {
-                            let _ = get(u, &shared);
-                        }
-                    });
-                }
-            });
-            // Pick the next hyperlink at random.
-            if anchors.is_empty() {
-                break;
-            }
-            current = anchors[rng.below(anchors.len() as u64) as usize].clone();
-        }
-    }
+    Ok(args)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let shared = Shared {
-        completed: Arc::new(AtomicU64::new(0)),
-        bytes: Arc::new(AtomicU64::new(0)),
-        drops: Arc::new(AtomicU64::new(0)),
-        redirects: Arc::new(AtomicU64::new(0)),
-        stop: Arc::new(AtomicBool::new(false)),
-    };
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     println!(
         "dcws-walk: {} clients, {} entry point(s), up to {} steps/session, {:?}",
         args.clients,
@@ -229,46 +91,50 @@ fn main() {
         args.max_steps,
         args.duration
     );
-    let mut handles = Vec::new();
-    for i in 0..args.clients {
-        let entries = args.entries.clone();
-        let shared = shared.clone();
-        let seed = args.seed ^ (0x9e37_79b9 * (i as u64 + 1));
-        let max_steps = args.max_steps;
-        handles.push(std::thread::spawn(move || {
-            client_loop(entries, max_steps, seed, shared)
-        }));
-    }
-
+    let model = ClientModel {
+        max_steps: args.max_steps,
+        ..ClientModel::default()
+    };
+    let tally = WalkTally::default();
+    let stop = AtomicBool::new(false);
     let start = Instant::now();
-    let (mut last_c, mut last_b) = (0u64, 0u64);
-    while start.elapsed() < args.duration {
-        std::thread::sleep(Duration::from_secs(5).min(args.duration));
-        let c = shared.completed.load(Ordering::Relaxed);
-        let b = shared.bytes.load(Ordering::Relaxed);
-        println!(
-            "t={:>4.0}s  cps={:>8.1}  bps={:>12.0}  drops={}  redirects={}",
-            start.elapsed().as_secs_f64(),
-            (c - last_c) as f64 / 5.0,
-            (b - last_b) as f64 / 5.0,
-            shared.drops.load(Ordering::Relaxed),
-            shared.redirects.load(Ordering::Relaxed),
-        );
-        (last_c, last_b) = (c, b);
-    }
-    shared.stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
+    std::thread::scope(|scope| {
+        for i in 0..args.clients {
+            let rng = StdRng::seed_from_u64(args.seed ^ (0x9e37_79b9 * (i as u64 + 1)));
+            let mut walker: Walker = Walker::new(model.clone(), rng);
+            let (entries, tally, stop) = (&args.entries, &tally, &stop);
+            scope.spawn(move || walk(&mut walker, entries, tally, stop, |_| {}));
+        }
+        let (mut last_c, mut last_b) = (0u64, 0u64);
+        while start.elapsed() < args.duration {
+            std::thread::sleep(Duration::from_secs(5).min(args.duration));
+            let c = tally.completed.load(Ordering::Relaxed);
+            let b = tally.bytes.load(Ordering::Relaxed);
+            println!(
+                "t={:>4.0}s  cps={:>8.1}  bps={:>12.0}  drops={}  redirects={}",
+                start.elapsed().as_secs_f64(),
+                (c - last_c) as f64 / 5.0,
+                (b - last_b) as f64 / 5.0,
+                tally.drops.load(Ordering::Relaxed),
+                tally.redirects.load(Ordering::Relaxed),
+            );
+            (last_c, last_b) = (c, b);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
     let secs = start.elapsed().as_secs_f64();
+    let completed = tally.completed.load(Ordering::Relaxed);
+    let bytes = tally.bytes.load(Ordering::Relaxed);
     println!(
-        "total: {} transfers ({:.1} CPS), {} bytes ({:.0} BPS), {} drops, {} redirects",
-        shared.completed.load(Ordering::Relaxed),
-        shared.completed.load(Ordering::Relaxed) as f64 / secs,
-        shared.bytes.load(Ordering::Relaxed),
-        shared.bytes.load(Ordering::Relaxed) as f64 / secs,
-        shared.drops.load(Ordering::Relaxed),
-        shared.redirects.load(Ordering::Relaxed),
+        "total: {completed} transfers ({:.1} CPS), {bytes} bytes ({:.0} BPS), {} drops, \
+         {} redirects, {} failures, {} sessions, mean response {:.1} ms",
+        completed as f64 / secs,
+        bytes as f64 / secs,
+        tally.drops.load(Ordering::Relaxed),
+        tally.redirects.load(Ordering::Relaxed),
+        tally.failures.load(Ordering::Relaxed),
+        tally.sessions.load(Ordering::Relaxed),
+        tally.latency_us.load(Ordering::Relaxed) as f64 / completed.max(1) as f64 / 1_000.0,
     );
     if args.status {
         print_server_status(&args.entries);
@@ -276,7 +142,7 @@ fn main() {
 }
 
 /// Fetch and summarize `GET /dcws/status` from every distinct entry host.
-fn print_server_status(entries: &[Url]) {
+fn print_server_status(entries: &[Arc<Url>]) {
     let mut seen = HashSet::new();
     for url in entries {
         let Some(host) = url.host() else { continue };
@@ -302,38 +168,29 @@ fn print_server_status(entries: &[Url]) {
                 continue;
             }
         };
-        let counter = |name: &str| {
-            doc.get("stats")
-                .and_then(|s| s.get(name))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-        };
-        let p95 = doc
-            .get("transport")
-            .and_then(|t| t.get("service_time"))
-            .and_then(|s| s.get("p95_us"))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
+        let field = |path: &[&str]| path.iter().try_fold(&doc, |d, key| d.get(key));
+        let num = |path: &[&str]| field(path).and_then(|v| v.as_u64()).unwrap_or(0);
+        let (stat, cache) = (|k| num(&["stats", k]), |k| num(&["cache", k]));
         println!(
             "status {server}: served_home={} served_coop={} redirects={} migrations={} \
-             pulls={} regens={} service_p95={p95}us",
-            counter("served_home"),
-            counter("served_coop"),
-            counter("redirects"),
-            counter("migrations"),
-            counter("pulls_served"),
-            counter("regenerations"),
+             pulls={} regens={} service_p95={}us",
+            stat("served_home"),
+            stat("served_coop"),
+            stat("redirects"),
+            stat("migrations"),
+            stat("pulls_served"),
+            stat("regenerations"),
+            num(&["transport", "service_time", "p95_us"]),
         );
-        let cache = |name: &str| doc.get("cache").and_then(|c| c.get(name));
-        let hit_ratio = cache("hit_ratio").and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let num = |name: &str| cache(name).and_then(|v| v.as_u64()).unwrap_or(0);
+        let hit_ratio = field(&["cache", "hit_ratio"]).and_then(|v| v.as_f64());
         println!(
-            "cache  {server}: hit_ratio={hit_ratio:.3} bytes_resident={} evictions={} \
+            "cache  {server}: hit_ratio={:.3} bytes_resident={} evictions={} \
              coalesced_waits={} conditional_304s={}",
-            num("bytes_resident"),
-            num("evictions"),
-            num("coalesced_waits"),
-            counter("conditional_not_modified"),
+            hit_ratio.unwrap_or(0.0),
+            cache("bytes_resident"),
+            cache("evictions"),
+            cache("coalesced_waits"),
+            stat("conditional_not_modified"),
         );
     }
 }

@@ -1,12 +1,18 @@
-//! A small blocking HTTP client for inter-server transfers and examples.
+//! A small blocking HTTP client for inter-server transfers and examples,
+//! and [`walk`], the blocking driver of the Algorithm-2 [`Walker`] that
+//! `dcws-walk` runs one of per client thread.
 
 use crate::conn::{read_response, read_response_buf, write_request, MsgBuf, READ_TIMEOUT};
 use crate::transport::is_conn_death;
+use crate::walker::{Heard, Links, Next, Walker};
 use dcws_graph::ServerId;
 use dcws_http::{Request, Response, Url, Version};
+use std::hash::BuildHasher;
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// Send `req` to `server` (connect, one request, one response, close).
 pub fn fetch_from(server: &ServerId, req: &Request) -> io::Result<Response> {
@@ -109,6 +115,113 @@ fn dial(server: &ServerId, timeout: Duration) -> io::Result<(TcpStream, MsgBuf)>
 fn exchange(stream: &mut TcpStream, mb: &mut MsgBuf, req: &Request) -> io::Result<Response> {
     write_request(stream, req)?;
     read_response_buf(stream, req.method, mb)
+}
+
+/// What [`walk`] drivers count, shared by every client thread.
+#[derive(Debug, Default)]
+pub struct WalkTally {
+    /// `200`s: completed transfers.
+    pub completed: AtomicU64,
+    /// Entity bytes of the completed transfers.
+    pub bytes: AtomicU64,
+    /// Sum of their response times (redirect hops included), µs.
+    pub latency_us: AtomicU64,
+    /// `503`s.
+    pub drops: AtomicU64,
+    /// `301`s.
+    pub redirects: AtomicU64,
+    /// Refused connections and other statuses.
+    pub failures: AtomicU64,
+    /// Sessions walked to their end.
+    pub sessions: AtomicU64,
+}
+
+impl WalkTally {
+    fn count(&self, heard: Heard, now: u64, bytes: usize) {
+        let counter = match heard {
+            Heard::Stale => return,
+            Heard::Completed { issued_at } => {
+                self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+                self.latency_us
+                    .fetch_add(now - issued_at, Ordering::Relaxed);
+                &self.completed
+            }
+            Heard::Dropped => &self.drops,
+            Heard::Redirected => &self.redirects,
+            Heard::Failed => &self.failures,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// How often a waiting driver looks at its stop flag.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// Drive `walker` over blocking TCP until `stop` is set: sessions start at
+/// `entries`, each fetch is a [`fetch_from`] on a scoped helper thread of
+/// its own (the walker keeps at most `helpers` in flight), wakes are
+/// sleeps, and the client's own processing time is what it really takes.
+/// `on_fetch` sees each URL as it is sent, in the walker's order.
+pub fn walk<S: BuildHasher + Default>(
+    walker: &mut Walker<S>,
+    entries: &[Arc<Url>],
+    tally: &WalkTally,
+    stop: &AtomicBool,
+    mut on_fetch: impl FnMut(&Url),
+) {
+    let clock = Instant::now();
+    let now = || clock.elapsed().as_micros() as u64;
+    let (done_tx, done) = mpsc::channel();
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::Relaxed) {
+            if walker.between_sessions() {
+                walker.begin_session(now(), entries, None);
+            } else {
+                walker.wake(now());
+            }
+            let pause_us = loop {
+                match walker.poll() {
+                    Some(Next::Fetch { token, url }) => {
+                        on_fetch(&url);
+                        let done_tx = done_tx.clone();
+                        scope.spawn(move || done_tx.send((token, get(&url))));
+                    }
+                    Some(Next::SessionEnd) => {
+                        tally.sessions.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(Next::Wake { think_us }) => break think_us,
+                    Some(Next::Backoff { delay_us }) => break delay_us,
+                    // Nothing to do until a fetch in flight comes back.
+                    None => match done.recv_timeout(STOP_POLL) {
+                        _ if stop.load(Ordering::Relaxed) => return,
+                        Ok((token, Ok(resp))) => {
+                            let heard = walker.on_reply(now(), token, &resp, |base, body| {
+                                Arc::new(Links::parse(base, body))
+                            });
+                            tally.count(heard, now(), resp.body.len());
+                        }
+                        Ok((token, Err(_))) => {
+                            tally.count(walker.on_failed(now(), token), now(), 0)
+                        }
+                        Err(_) => {}
+                    },
+                }
+            };
+            let until = Instant::now() + Duration::from_micros(pause_us);
+            while !stop.load(Ordering::Relaxed) && Instant::now() < until {
+                std::thread::sleep(STOP_POLL.min(until - Instant::now()));
+            }
+        }
+    });
+}
+
+/// One `GET` of an absolute URL: connect, request, response, close.
+fn get(url: &Url) -> io::Result<Response> {
+    let host = url.host().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "a walk fetches absolute URLs")
+    })?;
+    let server = ServerId::new(format!("{host}:{}", url.port()));
+    fetch_from(&server, &Request::get(url.path()))
 }
 
 #[cfg(test)]

@@ -59,7 +59,9 @@
 //! and the "Connection reuse" section of `docs/PERFORMANCE.md`).
 //!
 //! [`client`] provides the small blocking HTTP client used for
-//! inter-server transfers and by the examples.
+//! inter-server transfers and by the examples. [`walker`] is the paper's
+//! benchmark client (Algorithm 2) as a sans-IO state machine, driven by
+//! [`client::walk`] in `dcws-walk` and by the simulator's client adapter.
 
 #![warn(missing_docs)]
 
@@ -74,8 +76,9 @@ pub mod reactor;
 pub mod retry;
 pub mod server;
 pub mod transport;
+pub mod walker;
 
-pub use client::{fetch, fetch_from};
+pub use client::{fetch, fetch_from, walk, WalkTally};
 pub use conn::{BufferedRequest, MsgBuf, READ_CHUNK};
 pub use faults::{Blackout, Decision, FaultInjector, FaultPlan, FaultSnapshot, FirstFaultKind};
 pub use lock::{assert_engine_unlocked, EngineGuard, EngineLock};
@@ -86,3 +89,4 @@ pub use reactor::{raise_nofile_limit, Event, Poller, ReactorStats};
 pub use retry::RetryPolicy;
 pub use server::{DcwsServer, NetConfig};
 pub use transport::{IoSnapshot, OpClass, Transport};
+pub use walker::{ClientModel, Heard, Links, Next, Walker};

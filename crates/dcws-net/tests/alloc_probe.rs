@@ -1,6 +1,7 @@
 //! The warm keep-alive GET costs no heap allocation and three syscalls.
 //!
-//! This binary installs a counting global allocator, primes a one-shard
+//! This binary installs the workspace's counting global allocator
+//! (`dcws_sim::alloc::CountingAlloc`), primes a one-shard
 //! reactor, then drives plain keep-alive GETs from a client that itself
 //! allocates nothing (constant request bytes, a stack buffer for the
 //! replies). Whatever the process allocates meanwhile is the server's:
@@ -18,35 +19,11 @@
 use dcws_core::{DiskStore, MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_net::{DcwsServer, NetConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
+use dcws_sim::alloc::{allocations, CountingAlloc};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches no memory
-// the allocator manages.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` is passed on as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static PROBE: CountingAlloc = CountingAlloc;
@@ -138,11 +115,11 @@ fn large_gets_stay_inline_and_allocate_alike(force_poll: bool) {
     for (i, (request, _)) in OBJECTS.iter().enumerate() {
         let spilled0 = stats.spillover_jobs.load(Ordering::Relaxed);
         let inline0 = stats.inline_served.load(Ordering::Relaxed);
-        let allocs0 = ALLOCATIONS.load(Ordering::Relaxed);
+        let allocs0 = allocations();
         for _ in 0..K {
             fetch_large(&mut stream, request, &mut buf, reply_lens[i]);
         }
-        counts[i] = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+        counts[i] = allocations() - allocs0;
         assert_eq!(
             stats.spillover_jobs.load(Ordering::Relaxed) - spilled0,
             0,
@@ -174,10 +151,10 @@ const ALLOWANCE: u64 = 24;
 #[test]
 fn warm_gets_allocate_nothing_and_cost_one_read_one_writev() {
     // Prove the probe is armed before trusting a low count.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     drop(std::hint::black_box(vec![1u64, 2, 3]));
     assert!(
-        ALLOCATIONS.load(Ordering::Relaxed) > before,
+        allocations() > before,
         "the counting allocator is not installed"
     );
 
@@ -241,11 +218,11 @@ fn warm_gets_allocate_nothing_and_cost_one_read_one_writev() {
         let mut counts = Vec::new();
         for requests in [1_000u64, 3_000] {
             let (waits0, io0) = syscalls();
-            let allocs0 = ALLOCATIONS.load(Ordering::Relaxed);
+            let allocs0 = allocations();
             for _ in 0..requests {
                 exchange(&mut stream, &mut buf, reply_len);
             }
-            let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+            let allocs = allocations() - allocs0;
             let (waits1, io1) = syscalls();
             assert_eq!(
                 io1 - io0,

@@ -13,14 +13,17 @@
 //! (`tests/alloc_probe.rs`) installs it as its `#[global_allocator]`,
 //! which **arms** the micro-asserts: in any build without the probe
 //! allocator the counter never moves and the asserts are vacuous, and in
-//! release builds they compile out entirely.
+//! release builds they compile out entirely. It is the one counting
+//! allocator of the workspace: `dcws-core`'s `cost_probe` and
+//! `dcws-net`'s `alloc_probe` install it too, through a dev-dependency.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of allocator calls (alloc + realloc) observed so far. Always 0
+/// Number of allocator calls (alloc, alloc_zeroed, realloc) observed so
+/// far. Always 0
 /// unless [`CountingAlloc`] is the process's global allocator.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
@@ -31,24 +34,30 @@ pub fn allocations() -> u64 {
 /// allocation micro-asserts.
 pub struct CountingAlloc;
 
-// SAFETY: defers every operation to `System`; only adds a relaxed counter.
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches no memory
+// the allocator manages.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: the caller's `layout` is passed on as received.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        // SAFETY: the caller's `layout` is passed on as received.
+        unsafe { System.alloc_zeroed(layout) }
     }
 }

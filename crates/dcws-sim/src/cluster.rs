@@ -1,10 +1,12 @@
 //! The simulated cluster: servers with CPU/NIC/backlog models, Algorithm-2
-//! clients, and the event loop that binds them.
+//! clients (driven by the adapter in `client.rs`), and the event loop that
+//! binds them.
 //!
 //! Every server hosts a real [`ServerEngine`] — the same code that runs on
 //! TCP in `dcws-net` — so migrations, hyperlink rewrites, redirects,
 //! piggybacked gossip, pulls, validations, and pings all actually happen;
-//! only wire time and CPU time are modeled.
+//! and every client is a real [`dcws_net::walker::Walker`], the one
+//! `dcws-walk` drives over TCP; only wire time and CPU time are modeled.
 //!
 //! # Scale-out structure
 //!
@@ -17,28 +19,26 @@
 //! peer list — are either cold-path or deterministic-ordered (`BTreeMap`),
 //! which is what makes crash schedules replay byte-identically.
 
+use crate::client::{ParseCache, SimWalker};
 use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Origin, Purpose, SimTime};
-use crate::fxhash::FxHashMap;
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
 use dcws_core::{EventRecord, MemStore, Outcome, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Body, Request, Response, StatusCode, Url};
+use dcws_http::{Request, Response, StatusCode, Url};
 use dcws_workloads::{materialize::materialize, PageKind};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Synthetic `from` index for connection-level failures.
-const FROM_NONE: usize = usize::MAX;
+/// The home index of a `~migrate` URL that names no simulated server.
+const NO_SERVER: usize = usize::MAX;
 
 /// Estimated header bytes per response on the wire (request + response
 /// heads + TCP setup/teardown packets).
 const WIRE_OVERHEAD_BYTES: usize = 300;
 
-struct ServerSt {
+pub(crate) struct ServerSt {
     engine: ServerEngine,
     /// Socket queue of backlogged requests (L_sq limit applies).
     queue: VecDeque<(Request, Origin)>,
@@ -50,116 +50,26 @@ struct ServerSt {
     /// Ordered so crash-time drains replay deterministically.
     parked: BTreeMap<(usize, String), Vec<(Request, Origin)>>,
     crashed: bool,
-    /// 503s issued by the front end.
-    drops: u64,
-}
-
-/// The outgoing links of one fetched page, resolved against the URL it
-/// was fetched from. Parsed once per distinct body and then shared — by
-/// the cluster-wide parse cache, by every client cache entry for the
-/// page, and by the client walking it — so a page view clones refcounts,
-/// never strings. (`Arc`, not `Rc`: the cluster stays `Send`.)
-#[derive(Debug)]
-struct Links {
-    /// Hyperlinks, in document order (the walk draws from these).
-    anchors: Vec<Arc<Url>>,
-    /// Embedded objects, sorted by URL text and deduplicated.
-    embeds: Vec<Arc<Url>>,
-}
-
-#[derive(Debug, Clone)]
-enum CacheEntry {
-    Html(Arc<Links>),
-    Other,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
-    NewSession,
-    IssueDoc,
-    AwaitDoc,
-    Images,
-    NextStep,
-}
-
-struct PendingFetch {
-    url: Arc<Url>,
-    redirects_left: u32,
-    /// When the first request of this fetch left the client, for
-    /// end-to-end response-time accounting (redirect hops and lazy-pull
-    /// waits included).
-    issued_at: SimTime,
-}
-
-struct ClientSt {
-    rng: StdRng,
-    state: CState,
-    /// Session cache. Keys are URLs the simulator built, never a peer's
-    /// choice, hence the fixed hasher (see `fxhash`).
-    cache: FxHashMap<Arc<Url>, CacheEntry>,
-    steps_left: u32,
-    current_url: Option<Arc<Url>>,
-    /// The page being walked; `None` at a session start or a dead end.
-    current_page: Option<Arc<Links>>,
-    pending_doc: Option<(u64, PendingFetch)>,
-    /// Outstanding image fetches (≤ `helpers` entries); a flat vec beats
-    /// a map at this size and keeps the hot path allocation-light.
-    images_pending: Vec<(u64, PendingFetch)>,
-    images_queue: VecDeque<Arc<Url>>,
-    next_token: u64,
-    backoff_pow: u32,
-}
-
-impl ClientSt {
-    /// Queue the current page's embedded objects for the image helpers,
-    /// skipping (when the session cache is on) those already fetched.
-    fn queue_embeds(&mut self, cache_enabled: bool) {
-        self.images_queue.clear();
-        let Some(page) = &self.current_page else {
-            return;
-        };
-        let cache = &self.cache;
-        self.images_queue.extend(
-            page.embeds
-                .iter()
-                .filter(|e| !cache_enabled || !cache.contains_key(*e))
-                .cloned(),
-        );
-    }
-
-    /// The in-flight image fetch for `token`, if any.
-    fn image_mut(&mut self, token: u64) -> Option<&mut PendingFetch> {
-        self.images_pending
-            .iter_mut()
-            .find(|(t, _)| *t == token)
-            .map(|(_, p)| p)
-    }
-
-    /// Remove and return the in-flight image fetch for `token`.
-    fn image_take(&mut self, token: u64) -> Option<PendingFetch> {
-        let pos = self.images_pending.iter().position(|(t, _)| *t == token)?;
-        Some(self.images_pending.remove(pos).1)
-    }
 }
 
 /// The simulated cluster. Construct with [`SimCluster::new`], then call
 /// [`SimCluster::run`] (or use the [`crate::run_sim`] convenience).
 pub struct SimCluster {
-    cfg: SimConfig,
-    queue: EventQueue,
-    now: SimTime,
-    servers: Vec<ServerSt>,
-    clients: Vec<ClientSt>,
+    pub(crate) cfg: SimConfig,
+    pub(crate) queue: EventQueue,
+    pub(crate) now: SimTime,
+    pub(crate) servers: Vec<ServerSt>,
+    pub(crate) clients: Vec<SimWalker>,
     /// Cold-path id→index map (peer lookups, DNS results). The hot client
     /// route parses `s<idx>` hosts directly and never touches this.
-    id_to_idx: HashMap<ServerId, usize>,
+    pub(crate) id_to_idx: HashMap<ServerId, usize>,
     /// Index→id slab, for restarts and control-plane targets.
     server_ids: Vec<ServerId>,
     /// The effective per-server engine config (strategy adjustments
     /// applied), kept for cold restarts.
     server_config: ServerConfig,
-    entry_urls: Vec<Arc<Url>>,
-    dns: Option<RoundRobinDns>,
+    pub(crate) entry_urls: Vec<Arc<Url>>,
+    pub(crate) dns: Option<RoundRobinDns>,
     router: Option<CentralRouter>,
     /// Router pseudo-server CPU/queue state.
     router_queue: VecDeque<(Request, Origin)>,
@@ -170,7 +80,7 @@ pub struct SimCluster {
     switch_peak_flows: u64,
     /// Most events ever pending at once.
     queue_peak: usize,
-    counters: Counters,
+    pub(crate) counters: Counters,
     samples: Vec<Sample>,
     last_counters: Counters,
     last_server_served: Vec<u64>,
@@ -179,16 +89,10 @@ pub struct SimCluster {
     /// Cold-restart schedule (ms, server index); see
     /// [`SimCluster::with_restart_schedule`].
     restarts: Vec<(u64, usize)>,
-    /// Memoized client-side parse results keyed by final URL and valid
-    /// for the body they were parsed from: clients re-fetch the same
-    /// served bytes constantly, and parsing is a pure function of them.
-    /// Servers hand out one shared `Body` per document version, so the
-    /// check is a pointer compare nearly always and a byte compare
-    /// otherwise; a regenerated document fails both and is re-parsed.
-    /// Simulator-built keys, fixed hasher, as for the session caches.
-    parse_cache: FxHashMap<Arc<Url>, (Body, Arc<Links>)>,
+    /// The clients' page parses (see [`ParseCache`]).
+    pub(crate) parse_cache: ParseCache,
     /// Access log accumulated when `record_trace` is set.
-    trace_out: Vec<crate::trace::TraceEvent>,
+    pub(crate) trace_out: Vec<crate::trace::TraceEvent>,
     /// Engine events drained from every server at each sample point
     /// (so the bounded per-engine ring never overflows between samples),
     /// tagged with the server index.
@@ -197,17 +101,15 @@ pub struct SimCluster {
     replay_pending: HashMap<u64, (usize, u32)>,
     replay_next_token: u64,
     /// Sum of end-to-end fetch latencies (200-completed only), µs.
-    latency_us_sum: u64,
-    /// Number of latencies in `latency_us_sum`.
-    latency_n: u64,
+    pub(crate) latency_us_sum: u64,
     /// Log₂-bucketed end-to-end latency distribution (200-completed only).
-    latency: LatencyHist,
+    pub(crate) latency: LatencyHist,
     /// Events handled by the run loop, by kind.
     event_counts: EventCounts,
 }
 
 /// Index used for the router pseudo-server in events.
-fn router_idx(n_servers: usize) -> usize {
+pub(crate) fn router_idx(n_servers: usize) -> usize {
     n_servers
 }
 
@@ -274,7 +176,6 @@ impl SimCluster {
                 nic_free_at: 0,
                 parked: BTreeMap::new(),
                 crashed: false,
-                drops: 0,
             })
             .collect();
 
@@ -346,19 +247,10 @@ impl SimCluster {
 
         // Each client draws from its own named stream off the master seed,
         // so adding clients (or scenario draws) never perturbs existing ones.
-        let clients: Vec<ClientSt> = (0..cfg.n_clients)
-            .map(|i| ClientSt {
-                rng: crate::seed::stream(cfg.seed, "client", i as u64),
-                state: CState::NewSession,
-                cache: FxHashMap::default(),
-                steps_left: 0,
-                current_url: None,
-                current_page: None,
-                pending_doc: None,
-                images_pending: Vec::new(),
-                images_queue: VecDeque::new(),
-                next_token: 0,
-                backoff_pow: 0,
+        let clients: Vec<SimWalker> = (0..cfg.n_clients)
+            .map(|i| {
+                let rng = crate::seed::stream(cfg.seed, "client", i as u64);
+                SimWalker::new(cfg.client.clone(), rng)
             })
             .collect();
 
@@ -395,13 +287,12 @@ impl SimCluster {
             last_server_served: vec![0; n],
             crashes,
             restarts: Vec::new(),
-            parse_cache: FxHashMap::default(),
+            parse_cache: ParseCache::default(),
             trace_out: Vec::new(),
             engine_events: Vec::new(),
             replay_pending: HashMap::new(),
             replay_next_token: 0,
             latency_us_sum: 0,
-            latency_n: 0,
             latency: LatencyHist::default(),
             event_counts: EventCounts::default(),
         }
@@ -526,7 +417,6 @@ impl SimCluster {
                 Event::Deliver {
                     origin,
                     delivery: Delivery::Failed,
-                    from: FROM_NONE,
                 },
             );
         }
@@ -570,11 +460,9 @@ impl SimCluster {
             revocations,
             gossip,
             cache,
-            mean_response_ms: if self.latency_n == 0 {
-                0.0
-            } else {
-                self.latency_us_sum as f64 / self.latency_n as f64 / 1_000.0
-            },
+            mean_response_ms: self.latency_us_sum as f64
+                / self.latency.count().max(1) as f64
+                / 1_000.0,
             latency: self.latency.clone(),
             events: self.event_counts.total(),
             event_counts: self.event_counts,
@@ -601,11 +489,7 @@ impl SimCluster {
                 origin,
             } => self.request_arrive(server, req, origin),
             Event::ServiceDone { server } => self.service_done(server),
-            Event::Deliver {
-                origin,
-                delivery,
-                from,
-            } => self.deliver(origin, delivery, from),
+            Event::Deliver { origin, delivery } => self.deliver(origin, delivery),
             Event::ServerTick { server } => self.server_tick(server),
             Event::ClientWake { client } => self.client_wake(client),
             Event::Sample => self.sample(),
@@ -688,21 +572,18 @@ impl SimCluster {
                 Event::Deliver {
                     origin,
                     delivery: Delivery::Failed,
-                    from: FROM_NONE,
                 },
             );
             return;
         }
         if srv.queue.len() >= srv.engine.config().socket_queue_len {
             // Graceful 503 from the front end (§5.2).
-            srv.drops += 1;
             let resp = Response::service_unavailable(1);
             self.queue.push(
                 self.now + latency + self.cfg.cost.drop_cpu_us,
                 Event::Deliver {
                     origin,
                     delivery: Delivery::Response(resp),
-                    from: server,
                 },
             );
             return;
@@ -740,7 +621,7 @@ impl SimCluster {
                 // Park the request; first parker triggers the pull, later
                 // ones coalesce onto it (the simulator's analogue of the
                 // transport singleflight).
-                let home = self.id_to_idx.get(&home).copied().unwrap_or(FROM_NONE);
+                let home = self.id_to_idx.get(&home).copied().unwrap_or(NO_SERVER);
                 let key = (home, path.clone());
                 let first = !srv.parked.contains_key(&key);
                 if !first {
@@ -756,14 +637,13 @@ impl SimCluster {
                         id: server,
                         purpose: Purpose::Pull { home, path },
                     };
-                    if home == FROM_NONE {
+                    if home == NO_SERVER {
                         // Unknown home: immediate failure.
                         self.queue.push(
                             self.now + 1,
                             Event::Deliver {
                                 origin,
                                 delivery: Delivery::Failed,
-                                from: FROM_NONE,
                             },
                         );
                     } else {
@@ -825,7 +705,6 @@ impl SimCluster {
                 Event::Deliver {
                     origin,
                     delivery: Delivery::Response(resp),
-                    from: server,
                 },
             );
         }
@@ -925,12 +804,12 @@ impl SimCluster {
 
     // --------------------------------------------------------------- delivery
 
-    fn deliver(&mut self, origin: Origin, delivery: Delivery, from: usize) {
+    fn deliver(&mut self, origin: Origin, delivery: Delivery) {
         match origin {
             Origin::Client { id, token } if self.cfg.replay.is_some() => {
                 self.replay_deliver(id, token, delivery)
             }
-            Origin::Client { id, token } => self.client_deliver(id, token, delivery, from),
+            Origin::Client { id, token } => self.client_deliver(id, token, delivery),
             Origin::Server { id, purpose } => self.server_deliver(id, purpose, delivery),
         }
     }
@@ -1043,7 +922,6 @@ impl SimCluster {
                             Event::Deliver {
                                 origin,
                                 delivery: Delivery::Response(resp.clone()),
-                                from: server,
                             },
                         );
                     }
@@ -1077,447 +955,6 @@ impl SimCluster {
                 }
             }
             Purpose::Push => {}
-        }
-    }
-
-    // ---------------------------------------------------------------- clients
-
-    /// Resolve a simulator host name (`s<idx>`, port 80) to a server slab
-    /// index without building a `ServerId` — this sits on every client
-    /// request, and is what keeps routing allocation-free.
-    fn host_to_idx(&self, host: &str, port: u16) -> Option<usize> {
-        if port != 80 {
-            return None;
-        }
-        let idx: usize = host.strip_prefix('s')?.parse().ok()?;
-        (idx < self.servers.len()).then_some(idx)
-    }
-
-    /// Route a client request for `url` to a server index per strategy.
-    fn route(&mut self, client: usize, url: &Url) -> Option<usize> {
-        match &self.cfg.strategy {
-            Strategy::Dcws => {
-                let host = url.host()?;
-                self.host_to_idx(host, url.port())
-            }
-            Strategy::Single => Some(0),
-            Strategy::RoundRobinDns { .. } => {
-                let dns = self.dns.as_mut().expect("dns strategy has resolver");
-                let sid = dns.resolve(client, self.now / 1_000);
-                self.id_to_idx.get(&sid).copied()
-            }
-            Strategy::CentralRouter { .. } => Some(router_idx(self.servers.len())),
-        }
-    }
-
-    fn send_client_request(&mut self, client: usize, url: &Url, token: u64) {
-        if self.cfg.record_trace {
-            self.trace_out.push(crate::trace::TraceEvent {
-                t_ms: self.now / 1_000,
-                client,
-                url: url.to_string(),
-            });
-        }
-        let Some(target) = self.route(client, url) else {
-            // Unroutable (e.g. absolute link to a host outside the group):
-            // synthesize a failure.
-            self.queue.push(
-                self.now + 1,
-                Event::Deliver {
-                    origin: Origin::Client { id: client, token },
-                    delivery: Delivery::Failed,
-                    from: FROM_NONE,
-                },
-            );
-            return;
-        };
-        let req = Request::get(url.path());
-        self.queue.push(
-            self.now + self.cfg.cost.latency_us,
-            Event::RequestArrive {
-                server: target,
-                req,
-                origin: Origin::Client { id: client, token },
-            },
-        );
-    }
-
-    /// Exponential back-off with +-25 % client-specific jitter; without
-    /// jitter the whole client population retries in synchronized waves
-    /// and the cluster oscillates between overload and idleness.
-    fn backoff_us(&mut self, client: usize, pow: u32) -> SimTime {
-        let base = 1_000_000u64 << pow.min(self.cfg.client.max_backoff_pow);
-        let jitter = self.clients[client].rng.gen_range(0..=base / 2);
-        base * 3 / 4 + jitter
-    }
-
-    fn client_wake(&mut self, client: usize) {
-        match self.clients[client].state {
-            CState::NewSession => {
-                if let Some(stops) = &self.cfg.client_stops {
-                    // Retired client: the session that would start now never
-                    // does (diurnal ramp-down). No further wakes.
-                    if self.now / 1_000 >= stops[client] {
-                        return;
-                    }
-                }
-                let hot = match &self.cfg.hot_entry {
-                    Some(h) if self.now / 1_000 >= h.from_ms && h.entry < self.entry_urls.len() => {
-                        Some(h.clone())
-                    }
-                    _ => None,
-                };
-                let c = &mut self.clients[client];
-                c.cache.clear();
-                c.steps_left = c.rng.gen_range(1..=self.cfg.client.max_steps);
-                let e = match hot {
-                    Some(h) if c.rng.gen_bool(h.prob) => h.entry,
-                    _ => c.rng.gen_range(0..self.entry_urls.len()),
-                };
-                c.current_url = Some(self.entry_urls[e].clone());
-                c.current_page = None;
-                c.state = CState::IssueDoc;
-                self.client_issue_doc(client);
-            }
-            CState::IssueDoc => self.client_issue_doc(client),
-            CState::Images => self.client_launch_images(client),
-            CState::NextStep => self.client_next_step(client),
-            CState::AwaitDoc => {} // spurious wake; response will drive us
-        }
-    }
-
-    fn client_issue_doc(&mut self, client: usize) {
-        let c = &mut self.clients[client];
-        let url = c.current_url.clone().expect("IssueDoc has a current URL");
-        if self.cfg.client.cache_enabled {
-            if let Some(CacheEntry::Html(page)) = c.cache.get(&url).cloned() {
-                // Cache hit: no request; straight to the image phase
-                // (embeds were cached along with the page in this session).
-                c.current_page = Some(page);
-                c.queue_embeds(true);
-                c.state = CState::Images;
-                let overhead = self.cfg.cost.client_overhead_us;
-                self.queue
-                    .push(self.now + overhead, Event::ClientWake { client });
-                return;
-            }
-        }
-        let token = c.next_token;
-        c.next_token += 1;
-        c.pending_doc = Some((
-            token,
-            PendingFetch {
-                url: url.clone(),
-                redirects_left: self.cfg.client.max_redirects,
-                issued_at: self.now,
-            },
-        ));
-        c.state = CState::AwaitDoc;
-        self.send_client_request(client, &url, token);
-    }
-
-    fn client_launch_images(&mut self, client: usize) {
-        let helpers = self.cfg.client.helpers;
-        loop {
-            let c = &mut self.clients[client];
-            if c.images_pending.len() >= helpers {
-                break;
-            }
-            let Some(url) = c.images_queue.pop_front() else {
-                break;
-            };
-            if self.cfg.client.cache_enabled && c.cache.contains_key(&url) {
-                continue;
-            }
-            let token = c.next_token;
-            c.next_token += 1;
-            c.images_pending.push((
-                token,
-                PendingFetch {
-                    url: url.clone(),
-                    redirects_left: self.cfg.client.max_redirects,
-                    issued_at: self.now,
-                },
-            ));
-            self.send_client_request(client, &url, token);
-        }
-        let c = &mut self.clients[client];
-        if c.images_pending.is_empty() && c.images_queue.is_empty() {
-            c.state = CState::NextStep;
-            let overhead = self.cfg.cost.client_overhead_us;
-            self.queue
-                .push(self.now + overhead, Event::ClientWake { client });
-        }
-    }
-
-    fn client_next_step(&mut self, client: usize) {
-        // Client processing plus (optional) user think time before the
-        // next navigation.
-        let think = self.cfg.client.think_time_ms;
-        let c = &mut self.clients[client];
-        c.steps_left = c.steps_left.saturating_sub(1);
-        let overhead = self.cfg.cost.client_overhead_us
-            + if think > 0 {
-                c.rng.gen_range(0..=2 * think) * 1_000
-            } else {
-                0
-            };
-        let anchors = c.current_page.as_ref().map_or(&[][..], |p| &p.anchors);
-        if c.steps_left == 0 || anchors.is_empty() {
-            // Session over (walk length reached, or dead end).
-            self.counters.sessions += 1;
-            c.state = CState::NewSession;
-        } else {
-            let pick = c.rng.gen_range(0..anchors.len());
-            c.current_url = Some(anchors[pick].clone());
-            c.state = CState::IssueDoc;
-        }
-        self.queue
-            .push(self.now + overhead, Event::ClientWake { client });
-    }
-
-    fn client_deliver(&mut self, client: usize, token: u64, delivery: Delivery, _from: usize) {
-        let is_doc = self.clients[client]
-            .pending_doc
-            .as_ref()
-            .is_some_and(|(t, _)| *t == token);
-        if is_doc {
-            self.client_doc_response(client, token, delivery);
-        } else if self.clients[client]
-            .images_pending
-            .iter()
-            .any(|(t, _)| *t == token)
-        {
-            self.client_image_response(client, token, delivery);
-        }
-        // else: stale token (e.g. response after a crash reset) — drop.
-    }
-
-    fn client_doc_response(&mut self, client: usize, token: u64, delivery: Delivery) {
-        let overhead = self.cfg.cost.client_overhead_us;
-        let resp = match delivery {
-            Delivery::Failed => {
-                // Connection refused (crashed server): a real user gives up
-                // on the link and re-enters through the front door, rather
-                // than hammering a dead host. 503s, by contrast, get the
-                // paper's exponential back-off retry.
-                self.counters.failures += 1;
-                let c = &mut self.clients[client];
-                c.pending_doc = None;
-                let pow = c.backoff_pow;
-                c.backoff_pow = (c.backoff_pow + 1).min(self.cfg.client.max_backoff_pow);
-                c.state = CState::NewSession;
-                let delay = self.backoff_us(client, pow);
-                self.queue
-                    .push(self.now + delay, Event::ClientWake { client });
-                return;
-            }
-            Delivery::Response(r) => r,
-        };
-        match resp.status {
-            StatusCode::ServiceUnavailable => {
-                self.counters.drops += 1;
-                self.client_backoff_retry(client);
-            }
-            StatusCode::MovedPermanently => {
-                self.counters.redirects += 1;
-                let c = &mut self.clients[client];
-                let (_, pending) = c.pending_doc.as_mut().expect("doc response has pending");
-                if pending.redirects_left == 0 {
-                    // Redirect storm: give up on this step.
-                    c.pending_doc = None;
-                    c.state = CState::NextStep;
-                    self.queue
-                        .push(self.now + overhead, Event::ClientWake { client });
-                    return;
-                }
-                pending.redirects_left -= 1;
-                match resp.location() {
-                    Some(loc) if loc.is_absolute() => {
-                        let loc = Arc::new(loc);
-                        pending.url = loc.clone();
-                        self.send_client_request(client, &loc, token);
-                    }
-                    _ => {
-                        self.clients[client].pending_doc = None;
-                        self.clients[client].state = CState::NextStep;
-                        self.queue
-                            .push(self.now + overhead, Event::ClientWake { client });
-                    }
-                }
-            }
-            StatusCode::Ok => {
-                self.counters.completed += 1;
-                self.counters.bytes += resp.body.len() as u64;
-                let c = &mut self.clients[client];
-                c.backoff_pow = 0;
-                let (_, pending) = c.pending_doc.take().expect("doc response has pending");
-                let delta = self.now.saturating_sub(pending.issued_at);
-                self.latency_us_sum += delta;
-                self.latency_n += 1;
-                self.latency.record_us(delta);
-                let final_url = pending.url;
-                let requested = c.current_url.clone();
-                let is_html = resp
-                    .headers
-                    .get("Content-Type")
-                    .is_some_and(|ct| ct.starts_with("text/html"));
-                let page = if is_html {
-                    Some(self.parsed_links(&final_url, &resp.body))
-                } else {
-                    // Opaque document (an image reached by hyperlink, the
-                    // Sequoia pattern): dead end for the walk.
-                    None
-                };
-                let entry = page.clone().map_or(CacheEntry::Other, CacheEntry::Html);
-                let c = &mut self.clients[client];
-                c.cache.insert(final_url, entry.clone());
-                if let Some(requested) = requested {
-                    c.cache.insert(requested, entry);
-                }
-                c.current_page = page;
-                if c.current_page.is_some() {
-                    c.queue_embeds(self.cfg.client.cache_enabled);
-                    c.state = CState::Images;
-                    self.client_launch_images(client);
-                } else {
-                    c.state = CState::NextStep;
-                    self.queue
-                        .push(self.now + overhead, Event::ClientWake { client });
-                }
-            }
-            _ => {
-                // 404/500 etc.: count as failure, end the step.
-                self.counters.failures += 1;
-                let c = &mut self.clients[client];
-                c.pending_doc = None;
-                c.state = CState::NextStep;
-                self.queue
-                    .push(self.now + overhead, Event::ClientWake { client });
-            }
-        }
-    }
-
-    /// The links of the HTML page `body` fetched from `url`, from the
-    /// parse cache when it holds them for exactly these bytes.
-    fn parsed_links(&mut self, url: &Arc<Url>, body: &Body) -> Arc<Links> {
-        if let Some((parsed_from, links)) = self.parse_cache.get_mut(&**url) {
-            if parsed_from == body {
-                // Equal bytes under a new allocation (a re-pulled copy):
-                // remember it, so the next compare is by pointer again.
-                *parsed_from = body.clone();
-                return links.clone();
-            }
-        }
-        let html = String::from_utf8_lossy(body);
-        let mut anchors = Vec::new();
-        let mut embeds = Vec::new();
-        for l in dcws_html::extract_links(&html) {
-            let Ok(abs) = url.join(&l.url) else {
-                continue;
-            };
-            match l.kind {
-                dcws_html::LinkKind::Hyperlink => anchors.push(Arc::new(abs)),
-                dcws_html::LinkKind::Embedded => embeds.push(Arc::new(abs)),
-            }
-        }
-        // Image fetch order is the order of the URLs' text.
-        embeds.sort_by_cached_key(|u| u.to_string());
-        embeds.dedup();
-        let links = Arc::new(Links { anchors, embeds });
-        self.parse_cache
-            .insert(url.clone(), (body.clone(), links.clone()));
-        links
-    }
-
-    fn client_backoff_retry(&mut self, client: usize) {
-        // §5.2: "a client thread sleeps for a second at the first drop,
-        // two at the second, four at the third, and so forth" — then
-        // retries the same request.
-        let c = &mut self.clients[client];
-        c.pending_doc = None;
-        let pow = c.backoff_pow;
-        c.backoff_pow += 1;
-        c.state = CState::IssueDoc;
-        let delay = self.backoff_us(client, pow);
-        self.queue
-            .push(self.now + delay, Event::ClientWake { client });
-    }
-
-    fn client_image_response(&mut self, client: usize, token: u64, delivery: Delivery) {
-        let resp = match delivery {
-            Delivery::Failed => {
-                // Connection refused: skip this image entirely.
-                self.counters.failures += 1;
-                let _ = self.clients[client].image_take(token);
-                self.client_launch_images(client);
-                return;
-            }
-            Delivery::Response(r) => r,
-        };
-        match resp.status {
-            StatusCode::ServiceUnavailable => {
-                self.counters.drops += 1;
-                self.client_image_retry(client, token);
-            }
-            StatusCode::MovedPermanently => {
-                self.counters.redirects += 1;
-                let c = &mut self.clients[client];
-                let pending = c.image_mut(token).expect("image pending");
-                if pending.redirects_left == 0 {
-                    let _ = c.image_take(token);
-                    self.client_launch_images(client);
-                    return;
-                }
-                pending.redirects_left -= 1;
-                match resp.location() {
-                    Some(loc) if loc.is_absolute() => {
-                        let loc = Arc::new(loc);
-                        pending.url = loc.clone();
-                        self.send_client_request(client, &loc, token);
-                    }
-                    _ => {
-                        let _ = c.image_take(token);
-                        self.client_launch_images(client);
-                    }
-                }
-            }
-            StatusCode::Ok => {
-                self.counters.completed += 1;
-                self.counters.bytes += resp.body.len() as u64;
-                let c = &mut self.clients[client];
-                c.backoff_pow = 0;
-                if let Some(p) = c.image_take(token) {
-                    let delta = self.now.saturating_sub(p.issued_at);
-                    self.latency_us_sum += delta;
-                    self.latency_n += 1;
-                    self.latency.record_us(delta);
-                    let c = &mut self.clients[client];
-                    c.cache.insert(p.url, CacheEntry::Other);
-                }
-                self.client_launch_images(client);
-            }
-            _ => {
-                self.counters.failures += 1;
-                let _ = self.clients[client].image_take(token);
-                self.client_launch_images(client);
-            }
-        }
-    }
-
-    fn client_image_retry(&mut self, client: usize, token: u64) {
-        // Push the image back on the queue; the helper slot frees up and a
-        // back-off wake relaunches if nothing else is in flight.
-        let c = &mut self.clients[client];
-        if let Some(p) = c.image_take(token) {
-            c.images_queue.push_back(p.url);
-        }
-        let pow = c.backoff_pow;
-        c.backoff_pow += 1;
-        if c.images_pending.is_empty() {
-            let delay = self.backoff_us(client, pow);
-            self.queue
-                .push(self.now + delay, Event::ClientWake { client });
         }
     }
 
@@ -1559,11 +996,6 @@ impl SimCluster {
             self.now + self.cfg.sample_interval_ms * 1_000,
             Event::Sample,
         );
-    }
-
-    /// Total front-end 503 drops across servers (test/diagnostic access).
-    pub fn total_server_drops(&self) -> u64 {
-        self.servers.iter().map(|s| s.drops).sum()
     }
 
     // ------------------------------------------------------------------ audit

@@ -37,40 +37,7 @@ pub struct HotEntry {
     pub prob: f64,
 }
 
-/// Client-benchmark parameters (Algorithm 2, Figure 5).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClientModel {
-    /// Maximum random walk length per session: `no_steps ← random(1..max)`.
-    pub max_steps: u32,
-    /// Parallel image-fetch helper threads per client (the prototype
-    /// benchmark used 4).
-    pub helpers: usize,
-    /// Whether the per-session client cache is enabled (the paper's
-    /// benchmark builds one in; disabling it is an ablation).
-    pub cache_enabled: bool,
-    /// Maximum 301 redirects followed per fetch before giving up.
-    pub max_redirects: u32,
-    /// Cap on exponential back-off exponent (sleep = 2^k seconds).
-    pub max_backoff_pow: u32,
-    /// Mean user think time between walk steps, ms (drawn uniformly from
-    /// `0..=2*mean` per step). The paper's benchmark used zero and lists
-    /// think time as future work (§6); non-zero values model humans
-    /// reading pages and lower each client's offered load accordingly.
-    pub think_time_ms: u64,
-}
-
-impl Default for ClientModel {
-    fn default() -> Self {
-        ClientModel {
-            max_steps: 25,
-            helpers: 4,
-            cache_enabled: true,
-            max_redirects: 4,
-            max_backoff_pow: 6,
-            think_time_ms: 0,
-        }
-    }
-}
+pub use dcws_net::walker::ClientModel;
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]

@@ -103,12 +103,8 @@ pub enum Event {
     Deliver {
         /// The requester.
         origin: Origin,
-        /// What arrived. For `Origin::Server` pings/validations the target
-        /// server id rides along in `from`.
+        /// What arrived.
         delivery: Delivery,
-        /// Index of the server that produced it (or `usize::MAX` for
-        /// synthetic failures).
-        from: usize,
     },
     /// Periodic control-plane tick for one server.
     ServerTick {

@@ -12,9 +12,11 @@
 //! Clients implement Algorithm 2 (Figure 5) faithfully: random-length
 //! walks from well-known entry points, a per-session client-side cache,
 //! four parallel image-fetch helpers, 301 following, and exponential
-//! back-off on 503 drops. They parse the *actual served bytes* with
-//! `dcws-html` to pick the next link — so stale links, rewritten links,
-//! and redirect chains behave exactly as they would against real servers.
+//! back-off on 503 drops. Each is a [`dcws_net::walker::Walker`] — the
+//! state machine `dcws-walk` drives over TCP — under the adapter in
+//! `client.rs`. They parse the *actual served bytes* with `dcws-html` to
+//! pick the next link — so stale links, rewritten links, and redirect
+//! chains behave exactly as they would against real servers.
 //!
 //! Baselines (round-robin DNS, central TCP router, single server) plug in
 //! via [`dcws_baselines::Strategy`].
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+mod client;
 pub mod cluster;
 pub mod config;
 pub mod cost;

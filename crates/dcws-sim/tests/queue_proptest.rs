@@ -53,7 +53,6 @@ fn event(id: usize) -> Event {
                 },
             },
             delivery: Delivery::Response(Response::ok(format!("body {id}"), "text/plain")),
-            from: id,
         },
         _ => Event::ClientWake { client: id },
     }
@@ -77,9 +76,10 @@ fn id_of(ev: &Event) -> usize {
         Event::Deliver {
             origin,
             delivery: Delivery::Response(resp),
-            from,
         } => {
-            let id = *from;
+            let Origin::Server { id, .. } = *origin else {
+                panic!("a delivery to a client was never pushed: {origin:?}");
+            };
             assert_eq!(resp.body, format!("body {id}").into_bytes());
             let purpose = Purpose::Pull {
                 home: id,

@@ -69,6 +69,18 @@ step cargo test -q -p dcws-core --test cost_probe
 # the mapping; a page of unclosed tags stays linear.
 step cargo test -q -p dcws-html
 
+# One Algorithm 2: the walker's rules (back-off ladder, redirect budget,
+# cache hits, image 503s, stale tokens, refused connections) on scripted
+# replies, then the simulator's adapter and the blocking driver dcws-walk
+# runs, each on the same seed, fetching the same sequence from the same
+# site. Both run inside the workspace tests too; named so that a client
+# that drifts between substrates shows as its own step.
+one_algorithm_2() {
+    cargo test -q -p dcws-net walker
+    cargo test -q -p dcws-sim --test walker_equivalence
+}
+step one_algorithm_2
+
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf

@@ -604,12 +604,24 @@ impl ServerEngine {
         out
     }
 
-    /// Drain the read path's mailboxes into the engine's own state.
-    fn drain_read_path(&mut self, now_ms: u64) {
+    /// Fold the connections and bytes the read path served since the last
+    /// fold into the CPS/BPS rate window at `now_ms` — which is also the
+    /// engine's time from here on, as if the serves had gone through
+    /// [`handle_request`](Self::handle_request). A host that answers on the
+    /// read path and wants every load report stamped exactly as the
+    /// exclusive path would have stamped it (the simulator) calls this at
+    /// each serve's own time; TCP front ends leave it to [`Self::tick`].
+    pub fn fold_read_traffic(&mut self, now_ms: u64) {
+        self.now_ms = self.now_ms.max(now_ms);
         let (conns, bytes) = self.read.take_traffic();
         if conns > 0 {
             self.window.record_n(now_ms, conns, bytes);
         }
+    }
+
+    /// Drain the read path's mailboxes into the engine's own state.
+    fn drain_read_path(&mut self, now_ms: u64) {
+        self.fold_read_traffic(now_ms);
         for (path, hits, bytes) in self.read.take_hits() {
             self.ldg.record_hits(&path, hits, bytes);
         }

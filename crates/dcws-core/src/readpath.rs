@@ -44,7 +44,7 @@ use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_http_date, parse_response_head,
     range_spec, Body, Headers, LoadReport, Method, RangeSpec, Request, RequestHead, Response,
-    StreamBody, Url, PIGGYBACK_HEADER, RANGE_HEADER,
+    StatusCode, StreamBody, Url, PIGGYBACK_HEADER, RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +90,31 @@ impl Served {
                 resp.body
             },
         }
+    }
+
+    /// The status of the head's status line.
+    pub fn status(&self) -> StatusCode {
+        // "HTTP/1.1 200 ...": the code is the three digits after the
+        // version, which `Response::head_bytes` always writes.
+        std::str::from_utf8(&self.head[9..12])
+            .ok()
+            .and_then(|code| code.parse().ok())
+            .and_then(|code| StatusCode::from_code(code).ok())
+            .expect("a Served head is a serialized Response head")
+    }
+
+    /// The value of the head's first `name` field (ASCII case-insensitive),
+    /// read in place.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.head.split(|&b| b == b'\n').skip(1).find_map(|line| {
+            let colon = line.iter().position(|&b| b == b':')?;
+            let (field, value) = line.split_at(colon);
+            if !field.eq_ignore_ascii_case(name.as_bytes()) {
+                return None;
+            }
+            let value = value[1..].trim_ascii();
+            std::str::from_utf8(value).ok()
+        })
     }
 
     /// Back to the message form, for callers that work on [`Response`]s.
@@ -159,7 +184,9 @@ enum Caller {
     /// A front end that owns the socket: it can drain a [`StreamBody`],
     /// so stream routes answer too.
     FrontEnd,
-    /// A caller that needs a whole [`Response`]: stream routes decline.
+    /// A caller that needs the entity buffered (an owned [`Response`], or
+    /// a simulated server with no socket to drain a stream into): stream
+    /// routes decline.
     Message,
     /// A spill worker looking again at a request a [`Caller::FrontEnd`]
     /// lookup already declined, and already counted as a fallback.
@@ -335,13 +362,27 @@ impl ReadPath {
         (fnv1a(path.as_bytes()) & (N_SHARDS as u64 - 1)) as usize
     }
 
-    /// Try to serve `req` without the engine lock. `None` means the
-    /// request needs the exclusive path (anything inter-server, any miss,
-    /// any non-GET/HEAD, any large object — a stream is not a
-    /// [`Response`]) — hand it to `ServerEngine::handle_request`. This is
-    /// [`Self::serve`] for callers holding owned messages.
+    /// Try to serve the request held as its parts — `method`, `target`
+    /// and header pairs — without the engine lock, in wire form. `None`
+    /// means the request needs the exclusive path (anything inter-server,
+    /// any miss, any non-GET/HEAD, any large object: a stream needs a
+    /// front end to drain it) — hand it to `ServerEngine::handle_request`.
+    /// A plain `GET`/`HEAD` of a primed document or redirect is one table
+    /// lookup and two refcounts, and allocates nothing.
+    pub fn serve_parts<'a>(
+        &self,
+        method: Method,
+        target: &str,
+        headers: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+    ) -> Option<Served> {
+        self.answer(method, target, headers, Caller::Message)
+            .map(|(served, _)| served)
+    }
+
+    /// [`Self::serve_parts`] for callers holding owned messages.
     pub fn try_serve(&self, req: &Request, _now_ms: u64) -> Option<Response> {
-        self.serve_owned(req, Caller::Message)
+        self.serve_parts(req.method, &req.target, req.headers.iter())
+            .map(Served::into_response)
     }
 
     /// [`Self::try_serve`] for the spill worker a front end handed `req`
@@ -350,24 +391,19 @@ impl ReadPath {
     /// request was counted as a fallback when it spilled and is not
     /// counted again.
     pub fn try_serve_spilled(&self, req: &Request) -> Option<Response> {
-        self.serve_owned(req, Caller::Spilled)
-    }
-
-    fn serve_owned(&self, req: &Request, caller: Caller) -> Option<Response> {
-        self.serve_parts(req.method, &req.target, req.headers.iter(), caller)
+        self.answer(req.method, &req.target, req.headers.iter(), Caller::Spilled)
             .map(|(served, _)| served.into_response())
     }
 
-    /// [`Self::try_serve`] for a front end that parsed the request in
-    /// place and owns the socket: the answer in wire form, and for the
-    /// `200`/`206` of a large object the entity to drain behind the head
-    /// (the [`Served::body`] is then empty). A plain `GET`/`HEAD` of a
-    /// primed document or redirect allocates nothing.
+    /// [`Self::serve_parts`] for a front end that parsed the request in
+    /// place and owns the socket: for the `200`/`206` of a large object
+    /// also the entity to drain behind the head (the [`Served::body`] is
+    /// then empty).
     pub fn serve(&self, req: &RequestHead<'_>) -> Option<(Served, Option<StreamBody>)> {
-        self.serve_parts(req.method, req.target, req.headers(), Caller::FrontEnd)
+        self.answer(req.method, req.target, req.headers(), Caller::FrontEnd)
     }
 
-    fn serve_parts<'a>(
+    fn answer<'a>(
         &self,
         method: Method,
         target: &str,

@@ -448,6 +448,29 @@ fn close_connection_matches_with_header() {
     );
 }
 
+/// A wire-form answer reads as its message: the status line's code and
+/// each header's value, names matched without regard to case.
+#[test]
+fn served_reads_its_status_and_headers_in_place() {
+    let url = dcws_http::Url::parse("http://s1:80/~migrate/s0/80/x.html").unwrap();
+    let answers = [
+        dcws_http::Response::ok(&b"<p>x</p>"[..], "text/html").with_header("Last-Modified", "t"),
+        dcws_http::Response::moved_permanently(&url),
+        dcws_http::Response::service_unavailable(1),
+        dcws_http::Response::not_modified(),
+    ];
+    for resp in answers {
+        let served = dcws_core::Served::from_response(resp.clone());
+        assert_eq!(served.status(), resp.status);
+        for (name, value) in resp.headers.iter() {
+            assert_eq!(served.header(name), Some(value), "{name}");
+            assert_eq!(served.header(&name.to_ascii_uppercase()), Some(value));
+        }
+        assert_eq!(served.header("X-Absent"), None);
+        assert_eq!(served.into_response(), resp);
+    }
+}
+
 /// A request the front end's lookup declines spills to a worker, which
 /// looks again before taking the engine lock. Both looks decline; the
 /// request is one fallback. `try_serve` on its own still counts its own.

@@ -16,6 +16,7 @@
 //! `think_time_ms > 0`), then the hyperlink; one draw per back-off
 //! actually scheduled.
 
+use dcws_core::Served;
 use dcws_http::{Body, Response, StatusCode, Url};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -90,6 +91,61 @@ impl Links {
         links.embeds.dedup();
         links
     }
+}
+
+/// A reply as the walker reads it: its status, whether it is an HTML
+/// page, its body, and — asked of a `301` only — where it points. A driver
+/// hands over whichever form it holds: a parsed [`Response`], or a
+/// read-path answer still in wire form ([`Served`]).
+pub trait Reply {
+    /// The status code.
+    fn status(&self) -> StatusCode;
+    /// Whether `Content-Type` names an HTML page.
+    fn is_html(&self) -> bool;
+    /// The entity.
+    fn body(&self) -> &Body;
+    /// The `Location` header parsed as a URL, if present and valid.
+    fn location(&self) -> Option<Url>;
+}
+
+impl Reply for Response {
+    fn status(&self) -> StatusCode {
+        self.status
+    }
+
+    fn is_html(&self) -> bool {
+        is_html(self.headers.get("Content-Type"))
+    }
+
+    fn body(&self) -> &Body {
+        &self.body
+    }
+
+    fn location(&self) -> Option<Url> {
+        Response::location(self)
+    }
+}
+
+impl Reply for Served {
+    fn status(&self) -> StatusCode {
+        Served::status(self)
+    }
+
+    fn is_html(&self) -> bool {
+        is_html(self.header("Content-Type"))
+    }
+
+    fn body(&self) -> &Body {
+        &self.body
+    }
+
+    fn location(&self) -> Option<Url> {
+        Url::parse(self.header("Location")?).ok()
+    }
+}
+
+fn is_html(content_type: Option<&str>) -> bool {
+    content_type.is_some_and(|ct| ct.starts_with("text/html"))
 }
 
 /// What the walker asks its driver to do, as [`Walker::poll`] hands it out.
@@ -242,14 +298,14 @@ impl<S: BuildHasher + Default> Walker<S> {
         &mut self,
         now: u64,
         token: u64,
-        resp: &Response,
+        reply: &(impl Reply + ?Sized),
         parse: impl FnOnce(&Arc<Url>, &Body) -> Arc<Links>,
     ) -> Heard {
         let Some(i) = self.fetches.iter().position(|(t, _)| *t == token) else {
             return Heard::Stale;
         };
         let doc = self.phase == Phase::AwaitDoc;
-        match resp.status {
+        match reply.status() {
             StatusCode::Ok => {
                 self.backoff_pow = 0;
                 let InFlight { url, issued_at, .. } = self.fetches.remove(i).1;
@@ -260,10 +316,7 @@ impl<S: BuildHasher + Default> Walker<S> {
                 }
                 // Anything but HTML (an image reached by hyperlink, the
                 // Sequoia pattern) is a dead end for the walk.
-                let ct = resp.headers.get("Content-Type");
-                self.page = ct
-                    .is_some_and(|ct| ct.starts_with("text/html"))
-                    .then(|| parse(&url, &resp.body));
+                self.page = reply.is_html().then(|| parse(&url, reply.body()));
                 self.cache.insert(url, self.page.clone());
                 if let Some(requested) = self.url.clone() {
                     self.cache.insert(requested, self.page.clone());
@@ -297,7 +350,7 @@ impl<S: BuildHasher + Default> Walker<S> {
             }
             StatusCode::MovedPermanently => {
                 let pending = &mut self.fetches[i].1;
-                let target = resp.location().filter(Url::is_absolute);
+                let target = reply.location().filter(Url::is_absolute);
                 match (pending.redirects_left.checked_sub(1), target) {
                     (Some(left), Some(loc)) => {
                         pending.redirects_left = left;

@@ -1,6 +1,7 @@
 //! One simulation run, with the simulator's own decomposition: wall time,
 //! events/s, how many events of each kind were handled, what the control
-//! plane did with its gossip, and how full the event queue got.
+//! plane did with its gossip, how full the event queue got, and how many
+//! client GETs the servers' read paths answered or handed to the engine.
 //!
 //! ```text
 //! probe [servers] [clients] [duration_ms] [accel] [dataset] [seed]
@@ -63,6 +64,11 @@ fn main() {
         g.pings_sent, g.reports_merged, g.reports_skipped, g.reports_encoded
     );
     println!("queue: peak={} presized={presized}", r.queue_peak);
+    let (answered, declined) = r
+        .read_path
+        .iter()
+        .fold((0, 0), |(a, d), s| (a + s.requests, d + s.fallbacks));
+    println!("read path: answered={answered} declined={declined}");
     println!("digest: {}", r.digest());
     for s in &r.samples {
         println!(

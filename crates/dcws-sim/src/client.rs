@@ -9,10 +9,10 @@
 //! (`cluster.rs`) sends through the same router without a walker.
 
 use crate::cluster::{router_idx, SimCluster};
-use crate::event::{Delivery, Event, Origin};
+use crate::event::{Delivery, Event, Incoming, Origin};
 use crate::fxhash::{FxHashMap, FxHasher};
 use dcws_baselines::Strategy;
-use dcws_http::{Body, Request, Url};
+use dcws_http::{Body, Url};
 use dcws_net::walker::{Heard, Links, Next, Walker};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
@@ -54,13 +54,13 @@ impl SimCluster {
     /// The reply to a client's fetch `token`, or its failure.
     pub(crate) fn client_deliver(&mut self, client: usize, token: u64, delivery: Delivery) {
         let (now, walker, cache) = (self.now, &mut self.clients[client], &mut self.parse_cache);
-        let (heard, bytes) = match &delivery {
-            Delivery::Failed => (walker.on_failed(now, token), 0),
-            Delivery::Response(resp) => {
-                let parse = |url: &_, body: &_| parsed_links(cache, url, body);
-                (walker.on_reply(now, token, resp, parse), resp.body.len())
-            }
+        let heard = match delivery.reply() {
+            None => walker.on_failed(now, token),
+            Some(reply) => walker.on_reply(now, token, reply, |url, body| {
+                parsed_links(cache, url, body)
+            }),
         };
+        let bytes = delivery.body_len();
         let c = &mut self.counters;
         match heard {
             // E.g. a response after a crash reset: dropped, uncounted.
@@ -84,7 +84,7 @@ impl SimCluster {
         while let Some(next) = self.clients[client].poll() {
             let wake_at = match next {
                 Next::Fetch { token, url } => {
-                    self.send_client_request(client, &url, token);
+                    self.send_client_request(client, url, token);
                     continue;
                 }
                 Next::SessionEnd => {
@@ -126,7 +126,9 @@ impl SimCluster {
         }
     }
 
-    pub(crate) fn send_client_request(&mut self, client: usize, url: &Url, token: u64) {
+    /// Send a client's `GET url`. It travels as the URL: the server builds
+    /// a [`Request`](dcws_http::Request) only if its read path declines.
+    pub(crate) fn send_client_request(&mut self, client: usize, url: Arc<Url>, token: u64) {
         if self.cfg.record_trace {
             self.trace_out.push(crate::trace::TraceEvent {
                 t_ms: self.now / 1_000,
@@ -134,7 +136,7 @@ impl SimCluster {
                 url: url.to_string(),
             });
         }
-        let Some(target) = self.route(client, url) else {
+        let Some(target) = self.route(client, &url) else {
             // Unroutable (e.g. absolute link to a host outside the group):
             // synthesize a failure.
             self.queue.push(
@@ -146,12 +148,11 @@ impl SimCluster {
             );
             return;
         };
-        let req = Request::get(url.path());
         self.queue.push(
             self.now + self.cfg.cost.latency_us,
             Event::RequestArrive {
                 server: target,
-                req,
+                req: Incoming::ClientGet(url),
                 origin: Origin::Client { id: client, token },
             },
         );

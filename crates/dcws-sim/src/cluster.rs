@@ -5,8 +5,11 @@
 //! Every server hosts a real [`ServerEngine`] — the same code that runs on
 //! TCP in `dcws-net` — so migrations, hyperlink rewrites, redirects,
 //! piggybacked gossip, pulls, validations, and pings all actually happen;
-//! and every client is a real [`dcws_net::walker::Walker`], the one
-//! `dcws-walk` drives over TCP; only wire time and CPU time are modeled.
+//! it answers in the order the TCP reactor does (socket-queue `503`, then
+//! the engine's [`ReadPath`](dcws_core::ReadPath), then `handle_request`
+//! for what the read path declines); and every client is a real
+//! [`dcws_net::walker::Walker`], the one `dcws-walk` drives over TCP. Only
+//! wire time and CPU time are modeled.
 //!
 //! # Scale-out structure
 //!
@@ -21,12 +24,12 @@
 
 use crate::client::{ParseCache, SimWalker};
 use crate::config::{NetModel, SimConfig};
-use crate::event::{Delivery, Event, EventQueue, Origin, Purpose, SimTime};
+use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
-use dcws_core::{EventRecord, MemStore, Outcome, ServerConfig, ServerEngine};
+use dcws_core::{EventRecord, MemStore, Outcome, Served, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Request, Response, StatusCode, Url};
+use dcws_http::{Method, Request, Response, StatusCode, Url};
 use dcws_workloads::{materialize::materialize, PageKind};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -41,14 +44,14 @@ const WIRE_OVERHEAD_BYTES: usize = 300;
 pub(crate) struct ServerSt {
     engine: ServerEngine,
     /// Socket queue of backlogged requests (L_sq limit applies).
-    queue: VecDeque<(Request, Origin)>,
+    queue: VecDeque<(Incoming, Origin)>,
     busy: bool,
-    /// The response being serviced, shipped at `ServiceDone`.
-    in_service: Option<(Response, Origin)>,
+    /// The answer being serviced, shipped at `ServiceDone`.
+    in_service: Option<(Delivery, Origin)>,
     nic_free_at: SimTime,
     /// Requests parked awaiting a lazy pull, by (home index, path).
     /// Ordered so crash-time drains replay deterministically.
-    parked: BTreeMap<(usize, String), Vec<(Request, Origin)>>,
+    parked: BTreeMap<(usize, String), Vec<(Incoming, Origin)>>,
     crashed: bool,
 }
 
@@ -72,7 +75,7 @@ pub struct SimCluster {
     pub(crate) dns: Option<RoundRobinDns>,
     router: Option<CentralRouter>,
     /// Router pseudo-server CPU/queue state.
-    router_queue: VecDeque<(Request, Origin)>,
+    router_queue: VecDeque<(Incoming, Origin)>,
     router_busy: bool,
     switch_free_at: SimTime,
     /// Active flows under [`NetModel::SharedBandwidth`].
@@ -80,6 +83,9 @@ pub struct SimCluster {
     switch_peak_flows: u64,
     /// Most events ever pending at once.
     queue_peak: usize,
+    /// The front end's graceful drop (§5.2), serialized once: every 503
+    /// is a copy of it by refcount.
+    unavailable: Served,
     pub(crate) counters: Counters,
     samples: Vec<Sample>,
     last_counters: Counters,
@@ -281,6 +287,7 @@ impl SimCluster {
             switch_flows: 0,
             switch_peak_flows: 0,
             queue_peak: 0,
+            unavailable: Served::from_response(Response::service_unavailable(1)),
             counters: Counters::default(),
             samples: Vec::new(),
             last_counters: Counters::default(),
@@ -404,10 +411,10 @@ impl SimCluster {
         srv.busy = false;
         srv.in_service = None;
         // Connections die: every queued requester sees a failure.
-        let dead: Vec<(Request, Origin)> = srv.queue.drain(..).collect();
+        let dead: Vec<(Incoming, Origin)> = srv.queue.drain(..).collect();
         // BTreeMap: drains in key order, so the failure deliveries replay
         // identically run to run.
-        let parked: Vec<(Request, Origin)> = std::mem::take(&mut srv.parked)
+        let parked: Vec<(Incoming, Origin)> = std::mem::take(&mut srv.parked)
             .into_values()
             .flatten()
             .collect();
@@ -428,7 +435,9 @@ impl SimCluster {
         let mut revocations = 0;
         let mut gossip = GossipCounts::default();
         let mut cache = dcws_cache::CacheStats::default();
+        let mut read_path = Vec::with_capacity(self.servers.len());
         for (i, s) in self.servers.iter_mut().enumerate() {
+            read_path.push(s.engine.read_path().snapshot());
             let st = s.engine.stats();
             regenerations += st.regenerations;
             migrations += st.migrations;
@@ -460,6 +469,7 @@ impl SimCluster {
             revocations,
             gossip,
             cache,
+            read_path,
             mean_response_ms: self.latency_us_sum as f64
                 / self.latency.count().max(1) as f64
                 / 1_000.0,
@@ -555,7 +565,11 @@ impl SimCluster {
 
     // ---------------------------------------------------------------- servers
 
-    fn request_arrive(&mut self, server: usize, req: Request, origin: Origin) {
+    // The server model takes the reactor's order (docs/SIMULATION.md,
+    // "The server model"): the socket-queue 503 at arrival; then, when
+    // the request reaches the CPU, the read path for a client GET; the
+    // engine only for what the read path declines.
+    fn request_arrive(&mut self, server: usize, req: Incoming, origin: Origin) {
         // Router pseudo-server.
         if self.router.is_some() && server == router_idx(self.servers.len()) {
             self.router_queue.push_back((req, origin));
@@ -578,12 +592,11 @@ impl SimCluster {
         }
         if srv.queue.len() >= srv.engine.config().socket_queue_len {
             // Graceful 503 from the front end (§5.2).
-            let resp = Response::service_unavailable(1);
             self.queue.push(
                 self.now + latency + self.cfg.cost.drop_cpu_us,
                 Event::Deliver {
                     origin,
-                    delivery: Delivery::Response(resp),
+                    delivery: Delivery::Served(self.unavailable.clone()),
                 },
             );
             return;
@@ -598,11 +611,32 @@ impl SimCluster {
         let now_ms = self.now / 1_000;
         let cost = &self.cfg.cost;
         let srv = &mut self.servers[server];
-        let Some((req, origin)) = srv.queue.pop_front() else {
+        let Some((msg, origin)) = srv.queue.pop_front() else {
             return;
         };
+        let built;
+        let req = match &msg {
+            Incoming::ClientGet(url) => {
+                let read = srv.engine.read_path();
+                if let Some(served) = read.serve_parts(Method::Get, url.path(), std::iter::empty())
+                {
+                    // What the engine would have recorded in its rate
+                    // window for this serve, recorded at the same time.
+                    srv.engine.fold_read_traffic(now_ms);
+                    let service = cost.service_us(served.body.len());
+                    srv.in_service = Some((Delivery::Served(served), origin));
+                    srv.busy = true;
+                    self.queue
+                        .push(self.now + service, Event::ServiceDone { server });
+                    return;
+                }
+                built = Request::get(url.path());
+                &built
+            }
+            Incoming::Request(req) => req,
+        };
         let regen_before = srv.engine.regenerations();
-        let outcome = srv.engine.handle_request(&req, now_ms);
+        let outcome = srv.engine.handle_request(req, now_ms);
         let regens = srv.engine.regenerations() - regen_before;
         match outcome {
             Outcome::Response(_) | Outcome::Stream { .. } => {
@@ -612,7 +646,7 @@ impl SimCluster {
                     .into_response()
                     .expect("response/stream outcome drains to a response");
                 let service = cost.service_us(resp.body.len()) + regens * cost.regen_cpu_us;
-                srv.in_service = Some((resp, origin));
+                srv.in_service = Some((Delivery::Response(resp), origin));
                 srv.busy = true;
                 self.queue
                     .push(self.now + service, Event::ServiceDone { server });
@@ -627,12 +661,12 @@ impl SimCluster {
                 if !first {
                     srv.engine.coop_cache().record_coalesced_wait();
                 }
-                srv.parked.entry(key).or_default().push((req, origin));
+                srv.parked.entry(key).or_default().push((msg, origin));
                 srv.busy = true;
                 self.queue
                     .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
                 if first {
-                    let req = srv.engine.make_pull_request(&path, now_ms);
+                    let req = Incoming::Request(srv.engine.make_pull_request(&path, now_ms));
                     let origin = Origin::Server {
                         id: server,
                         purpose: Purpose::Pull { home, path },
@@ -676,9 +710,9 @@ impl SimCluster {
             return;
         }
         srv.busy = false;
-        if let Some((resp, origin)) = srv.in_service.take() {
+        if let Some((delivery, origin)) = srv.in_service.take() {
             // Transmission: serialize on the server NIC, then the switch.
-            let bytes = resp.body.len() + WIRE_OVERHEAD_BYTES;
+            let bytes = delivery.body_len() + WIRE_OVERHEAD_BYTES;
             let tx_start = self.now.max(srv.nic_free_at);
             let tx_end = tx_start + cost.tx_us(bytes);
             srv.nic_free_at = tx_end;
@@ -702,10 +736,7 @@ impl SimCluster {
             };
             self.queue.push(
                 sw_end + cost.latency_us,
-                Event::Deliver {
-                    origin,
-                    delivery: Delivery::Response(resp),
-                },
+                Event::Deliver { origin, delivery },
             );
         }
         if !self.servers[server].queue.is_empty() {
@@ -724,7 +755,7 @@ impl SimCluster {
                         self.now + latency,
                         Event::RequestArrive {
                             server: idx,
-                            req,
+                            req: Incoming::Request(req),
                             origin: Origin::Server {
                                 id: server,
                                 purpose: Purpose::Ping { peer: idx },
@@ -740,7 +771,7 @@ impl SimCluster {
                         self.now + latency,
                         Event::RequestArrive {
                             server: idx,
-                            req,
+                            req: Incoming::Request(req),
                             origin: Origin::Server {
                                 id: server,
                                 purpose: Purpose::Validate { home: idx, path },
@@ -755,7 +786,7 @@ impl SimCluster {
                         self.now + latency,
                         Event::RequestArrive {
                             server: idx,
-                            req,
+                            req: Incoming::Request(req),
                             origin: Origin::Server {
                                 id: server,
                                 purpose: Purpose::Push,
@@ -831,7 +862,7 @@ impl SimCluster {
         self.replay_next_token += 1;
         self.replay_pending
             .insert(token, (client, self.cfg.client.max_redirects));
-        self.send_client_request(client, &url, token);
+        self.send_client_request(client, Arc::new(url), token);
     }
 
     /// Digest a response to a replayed request: count it, follow 301s,
@@ -840,17 +871,14 @@ impl SimCluster {
         let Some((client, redirects_left)) = self.replay_pending.remove(&token) else {
             return;
         };
-        let resp = match delivery {
-            Delivery::Failed => {
-                self.counters.failures += 1;
-                return;
-            }
-            Delivery::Response(r) => r,
+        let Some(reply) = delivery.reply() else {
+            self.counters.failures += 1;
+            return;
         };
-        match resp.status {
+        match reply.status() {
             StatusCode::Ok => {
                 self.counters.completed += 1;
-                self.counters.bytes += resp.body.len() as u64;
+                self.counters.bytes += reply.body().len() as u64;
             }
             StatusCode::ServiceUnavailable => {
                 self.counters.drops += 1;
@@ -858,11 +886,11 @@ impl SimCluster {
             StatusCode::MovedPermanently => {
                 self.counters.redirects += 1;
                 if redirects_left > 0 {
-                    if let Some(loc) = resp.location() {
+                    if let Some(loc) = reply.location() {
                         if loc.is_absolute() {
                             self.replay_pending
                                 .insert(token, (client, redirects_left - 1));
-                            self.send_client_request(client, &loc, token);
+                            self.send_client_request(client, Arc::new(loc), token);
                         }
                     }
                 }
@@ -878,6 +906,9 @@ impl SimCluster {
             return;
         }
         let now_ms = self.now / 1_000;
+        // The engine's callbacks read headers: a wire-form answer (only
+        // ever a 503 here) is parsed back; `None` is a failed connection.
+        let answer = delivery.into_response();
         match purpose {
             Purpose::Pull { home, path } => {
                 // `None`: the `~migrate` URL named no simulated server, so
@@ -887,11 +918,10 @@ impl SimCluster {
                     .parked
                     .remove(&(home, path.clone()))
                     .unwrap_or_default();
-                let ok = match (&delivery, home_id) {
-                    (Delivery::Response(resp), Some(home_id)) if resp.status == StatusCode::Ok => {
-                        self.servers[server]
-                            .engine
-                            .store_pulled(home_id, &path, resp, now_ms)
+                let engine = &mut self.servers[server].engine;
+                let ok = match (&answer, home_id) {
+                    (Some(resp), Some(home_id)) if resp.status == StatusCode::Ok => {
+                        engine.store_pulled(home_id, &path, resp, now_ms)
                     }
                     _ => false,
                 };
@@ -907,14 +937,9 @@ impl SimCluster {
                 } else {
                     // Home declined or is unreachable: learn from a
                     // redirect answer, then relay to the waiters.
-                    let resp = match delivery {
-                        Delivery::Response(r) => r,
-                        Delivery::Failed => Response::service_unavailable(1),
-                    };
+                    let resp = answer.unwrap_or_else(|| Response::service_unavailable(1));
                     if let Some(home_id) = home_id {
-                        self.servers[server]
-                            .engine
-                            .pull_rejected(home_id, &path, &resp, now_ms);
+                        engine.pull_rejected(home_id, &path, &resp, now_ms);
                     }
                     for (_, origin) in parked {
                         self.queue.push(
@@ -930,26 +955,26 @@ impl SimCluster {
             Purpose::Validate { home, path } => {
                 let home = &self.server_ids[home];
                 let engine = &mut self.servers[server].engine;
-                match delivery {
-                    Delivery::Response(resp) => {
+                match answer {
+                    Some(resp) => {
                         engine.handle_validation_response(home, &path, &resp, now_ms);
                     }
                     // Home unreachable: the copy is served stale rather than
                     // discarded (graceful degradation, docs/RESILIENCE.md).
-                    Delivery::Failed => engine.validation_failed(home, &path, now_ms),
+                    None => engine.validation_failed(home, &path, now_ms),
                 }
             }
             Purpose::Ping { peer } => {
                 let peer = &self.server_ids[peer];
                 let engine = &mut self.servers[server].engine;
-                match delivery {
+                match answer {
                     // ANY response proves the peer is alive — a 503 means
                     // overloaded, not dead. Only connection failure counts
                     // against it.
-                    Delivery::Response(resp) => {
+                    Some(resp) => {
                         engine.ping_result(peer, true, Some(&resp.headers));
                     }
-                    Delivery::Failed => {
+                    None => {
                         engine.ping_result(peer, false, None);
                     }
                 }

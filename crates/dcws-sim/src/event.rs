@@ -16,8 +16,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use dcws_http::{Request, Response};
+use dcws_core::Served;
+use dcws_http::{Request, Response, Url};
+use dcws_net::walker::Reply;
 
 /// Virtual time in microseconds.
 pub type SimTime = u64;
@@ -72,14 +75,52 @@ pub enum Origin {
     },
 }
 
+/// What reaches a server's front end.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Incoming {
+    /// A client's plain `GET` of the URL's path. The read path answers it
+    /// from the parts; a [`Request`] is built only if the engine must.
+    ClientGet(Arc<Url>),
+    /// A request the engine handles (every inter-server message).
+    Request(Request),
+}
+
 /// What landed at a recipient: a real response, or a connection-level
 /// failure (crashed peer / refused connection).
 #[derive(Debug, Clone)]
 pub enum Delivery {
-    /// An HTTP response (possibly a 503 drop).
+    /// An HTTP response built by the engine.
     Response(Response),
+    /// An answer in wire form: the read path's, or a front-end 503.
+    Served(Served),
     /// The connection failed outright — no HTTP exchange happened.
     Failed,
+}
+
+impl Delivery {
+    /// The answer as a client reads it, or `None` for a failure.
+    pub fn reply(&self) -> Option<&dyn Reply> {
+        match self {
+            Delivery::Response(resp) => Some(resp),
+            Delivery::Served(served) => Some(served),
+            Delivery::Failed => None,
+        }
+    }
+
+    /// Entity bytes on the wire (none for a failure).
+    pub fn body_len(&self) -> usize {
+        self.reply().map_or(0, |reply| reply.body().len())
+    }
+
+    /// The answer as a [`Response`] (a wire-form one parsed back), or
+    /// `None` for a failure.
+    pub fn into_response(self) -> Option<Response> {
+        match self {
+            Delivery::Response(resp) => Some(resp),
+            Delivery::Served(served) => Some(served.into_response()),
+            Delivery::Failed => None,
+        }
+    }
 }
 
 /// One scheduled occurrence.
@@ -90,7 +131,7 @@ pub enum Event {
         /// Destination server index (router pseudo-server allowed).
         server: usize,
         /// The request.
-        req: Request,
+        req: Incoming,
         /// Who to answer.
         origin: Origin,
     },

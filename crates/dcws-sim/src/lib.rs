@@ -2,7 +2,8 @@
 //! paper's 64-workstation testbed (§5.2).
 //!
 //! The simulator runs **real** [`dcws_core::ServerEngine`]s (the same code
-//! the TCP transport hosts): documents really migrate, hyperlinks are
+//! the TCP transport hosts, reached the same way: the read path first, the
+//! engine for what it declines): documents really migrate, hyperlinks are
 //! really rewritten, piggybacked gossip really flows. What's modeled is
 //! hardware: per-server CPU and NIC, the switch's aggregate bandwidth,
 //! socket-queue backlog with graceful 503 drops, and client workstation

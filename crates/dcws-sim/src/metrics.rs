@@ -3,7 +3,7 @@
 
 use crate::event::{Event, Origin};
 use dcws_cache::CacheStats;
-use dcws_core::EventRecord;
+use dcws_core::{EventRecord, ReadPathStats};
 use std::io::Write;
 use std::path::Path;
 
@@ -189,6 +189,9 @@ pub struct SimResult {
     /// Document-cache statistics (regen + co-op caches) merged across
     /// every server, for the budget-vs-hit-ratio experiments.
     pub cache: CacheStats,
+    /// Each server's read path at the end of the run, by server index:
+    /// what it answered without the engine, and what it declined.
+    pub read_path: Vec<ReadPathStats>,
     /// Mean client-observed fetch latency over completed (200) fetches,
     /// ms — redirect hops and lazy-pull waits included.
     pub mean_response_ms: f64,
@@ -353,6 +356,7 @@ mod tests {
             revocations: 0,
             gossip: GossipCounts::default(),
             cache: CacheStats::default(),
+            read_path: Vec::new(),
             mean_response_ms: 0.0,
             latency: LatencyHist::default(),
             events: 0,

@@ -13,7 +13,7 @@
 //! event's payload must fail here, not in a digest three layers up.
 
 use dcws_http::{Request, Response};
-use dcws_sim::event::{Delivery, Event, EventQueue, Origin, Purpose, SimTime};
+use dcws_sim::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -38,7 +38,7 @@ fn event(id: usize) -> Event {
     match id % 3 {
         0 => Event::RequestArrive {
             server: id,
-            req: Request::get(format!("/doc/{id}")),
+            req: Incoming::Request(Request::get(format!("/doc/{id}"))),
             origin: Origin::Client {
                 id,
                 token: id as u64,
@@ -68,7 +68,7 @@ fn id_of(ev: &Event) -> usize {
             origin,
         } => {
             let id = *server;
-            assert_eq!(req.target, format!("/doc/{id}"));
+            assert_eq!(*req, Incoming::Request(Request::get(format!("/doc/{id}"))));
             let token = id as u64;
             assert_eq!(*origin, Origin::Client { id, token });
             id

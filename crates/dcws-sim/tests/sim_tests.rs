@@ -38,6 +38,24 @@ fn migrations_happen_under_load() {
     assert!(r.totals.redirects > 0);
 }
 
+/// The simulated servers answer in the reactor's order, so a warm client
+/// GET leaves on the read path: on a LOD run the home's read path gives
+/// at least 90 % of the client 200s (the rest are first serves and
+/// regenerations on the exclusive path, and the co-ops' share).
+#[test]
+fn read_path_answers_most_client_gets() {
+    let r = run_sim(warm_lod(4, 16, 60_000));
+    assert!(r.migrations > 0 && r.totals.completed > 1_000);
+    let home = r.read_path[0];
+    assert!(
+        home.served_home * 10 >= r.totals.completed * 9,
+        "home read path: {} of {} client 200s",
+        home.served_home,
+        r.totals.completed
+    );
+    assert!(r.read_path[1..].iter().any(|c| c.served_coop > 0));
+}
+
 #[test]
 fn single_server_never_migrates() {
     let r = run_sim(small_lod(1, 8, 20_000));

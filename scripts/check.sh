@@ -85,14 +85,17 @@ step one_algorithm_2
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf
 # change to the engine or the simulator that moves either has changed a
-# protocol decision, whatever its tests say. ~0.7 s a seed.
+# protocol decision, whatever its tests say. ~0.3 s a seed. The third
+# line is the same site on 256 servers and 2,048 clients, where the
+# control plane (pings, gossip) is most of the work. ~1.2 s.
 if [[ $quick -eq 0 ]]; then
     sim_digest() {
-        cargo run --release -q -p dcws-sim --example probe -- 64 1024 100000 1 lod "$1" \
-            | grep -F "digest: $2"
+        cargo run --release -q -p dcws-sim --example probe -- "$1" "$2" 100000 1 lod "$3" \
+            | grep -F "digest: $4"
     }
-    step sim_digest 1999 "completed=95476 bytes=228397946 drops=133225 redirects=365 failures=0 sessions=1192 migrations=10 revocations=0 regenerations=9 events=659527 samples=10 latencies=95476 p99_us=131071 engine_events=37"
-    step sim_digest 2024 "completed=95439 bytes=229420215 drops=134602 redirects=342 failures=0 sessions=1143 migrations=10 revocations=0 regenerations=9 events=661575 samples=10 latencies=95439 p99_us=131071 engine_events=37"
+    step sim_digest 64 1024 1999 "completed=95476 bytes=228397946 drops=133225 redirects=365 failures=0 sessions=1192 migrations=10 revocations=0 regenerations=9 events=659527 samples=10 latencies=95476 p99_us=131071 engine_events=37"
+    step sim_digest 64 1024 2024 "completed=95439 bytes=229420215 drops=134602 redirects=342 failures=0 sessions=1143 migrations=10 revocations=0 regenerations=9 events=661575 samples=10 latencies=95439 p99_us=131071 engine_events=37"
+    step sim_digest 256 2048 1999 "completed=95620 bytes=221298784 drops=179651 redirects=520 failures=0 sessions=1417 migrations=10 revocations=0 regenerations=9 events=1425788 samples=10 latencies=95620 p99_us=131071 engine_events=37"
 fi
 
 # The benchmark is a workspace of its own, so nothing above compiles

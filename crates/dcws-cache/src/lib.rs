@@ -18,9 +18,6 @@
 //! * **Negative entries** — a revoked co-op copy flips to `negative`
 //!   rather than being dropped, so the §4.5 crash-insurance path can
 //!   still serve stale bytes when the home is dead.
-//! * **[`SingleFlight`]** — miss coalescing: N concurrent misses for
-//!   the same document produce exactly one pull; followers block on the
-//!   leader's slot and reuse its result.
 //! * **[`CacheStats`]** / **[`SizeHistogram`]** — cheap snapshots for
 //!   the `/dcws/status` observability endpoint.
 //!
@@ -45,11 +42,9 @@
 
 mod histogram;
 mod shard;
-mod singleflight;
 mod stats;
 
 pub use histogram::{SizeHistogram, N_SIZE_BUCKETS};
-pub use singleflight::{Flight, FlightStats, SingleFlight};
 pub use stats::CacheStats;
 
 use dcws_http::{fnv1a, Body};
@@ -411,8 +406,8 @@ impl DocCache {
     }
 
     /// Record that a request waited on another request's in-flight
-    /// pull instead of pulling itself (singleflight follower, or a
-    /// parked request in the simulator).
+    /// pull instead of pulling itself (a follower parked in
+    /// `dcws_core::Front`'s waiter table).
     pub fn record_coalesced_wait(&self) {
         self.counters
             .coalesced_waits

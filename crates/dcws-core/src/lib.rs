@@ -10,8 +10,9 @@
 //!   pulls and validations, and issuing `301` redirects for migrated
 //!   documents (§4.4);
 //! * the **co-op** data plane — serving `~migrate` URLs (§3.4), pulling
-//!   content lazily on first request (§4.2), revalidating on the T_val
-//!   timer and honoring revocations (§4.5);
+//!   content lazily on first request, one pull however many wait
+//!   ([`Front`], §4.2), revalidating on the T_val timer and honoring
+//!   revocations (§4.5);
 //! * the **control plane** — windowed CPS/BPS measurement, gossip via
 //!   piggybacked `X-DCWS-Load` headers (§3.3), the Algorithm 1 migration
 //!   decision under the Table 1 rate limits, T_home re-migration, and the
@@ -52,6 +53,7 @@ pub mod clock;
 pub mod config;
 pub mod engine;
 pub mod events;
+pub mod front;
 pub mod json;
 pub mod naming;
 pub mod readpath;
@@ -66,6 +68,7 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{HotReplication, ServerConfig};
 pub use engine::{ServerEngine, TickOutput};
 pub use events::{EngineEvent, EventLog, EventRecord, RevokeReason};
+pub use front::{unavailable, Front, PullFlights, Pulled, Settled, Step, Waiter, RETRY_AFTER_SECS};
 pub use json::{Json, JsonError};
 pub use naming::{decode_migrate_path, migrate_url, MigrateTarget, MIGRATE_PREFIX};
 pub use readpath::{ReadPath, ReadPathStats, Served};

@@ -385,14 +385,14 @@ impl ReadPath {
             .map(Served::into_response)
     }
 
-    /// [`Self::try_serve`] for the spill worker a front end handed `req`
+    /// [`Self::serve_parts`] for the spill worker a front end handed `req`
     /// to after [`Self::serve`] declined it: another worker may have
     /// primed the route meanwhile, so the look is worth taking, but the
     /// request was counted as a fallback when it spilled and is not
     /// counted again.
-    pub fn try_serve_spilled(&self, req: &Request) -> Option<Response> {
+    pub fn try_serve_spilled(&self, req: &Request) -> Option<Served> {
         self.answer(req.method, &req.target, req.headers.iter(), Caller::Spilled)
-            .map(|(served, _)| served.into_response())
+            .map(|(served, _)| served)
     }
 
     /// [`Self::serve_parts`] for a front end that parsed the request in

@@ -28,9 +28,10 @@ pub enum Outcome {
         /// Chunked entity producer, already positioned for any `Range`.
         body: StreamBody,
     },
-    /// Co-op miss (§4.2 case 1): the host must pull `path` from `home`
-    /// (via [`ServerEngine::make_pull_request`]), deliver the result to
-    /// [`ServerEngine::store_pulled`], then retry the original request.
+    /// Co-op miss (§4.2 case 1): `path` must be pulled from `home` before
+    /// the request can be answered. [`Front`](crate::Front) turns this
+    /// into one pull per document, settles it, and retries or degrades
+    /// every request that waited on it.
     FetchNeeded {
         /// Home server to pull from.
         home: ServerId,

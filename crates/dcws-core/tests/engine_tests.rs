@@ -660,8 +660,17 @@ fn conditional_get_answers_304_with_zero_body() {
 
 #[test]
 fn eight_concurrent_misses_coalesce_to_one_pull() {
-    use dcws_cache::{Flight, SingleFlight};
+    use dcws_core::{Front, Pulled, Settled, Step, Waiter};
+    use std::sync::mpsc::{channel, Sender};
     use std::sync::{Arc, Barrier, Mutex};
+
+    /// A thread's request and where its answer goes.
+    struct Asker(Request, Sender<Response>);
+    impl Waiter for Asker {
+        fn request(&self) -> std::borrow::Cow<'_, Request> {
+            std::borrow::Cow::Borrowed(&self.0)
+        }
+    }
 
     const THREADS: usize = 8;
     let mut home = make_home(ServerConfig::paper_defaults());
@@ -669,8 +678,9 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
     let now = T_ST + 5;
 
     let home = Arc::new(Mutex::new(home));
-    let coop = Arc::new(Mutex::new(make_coop()));
-    let flights: Arc<SingleFlight<bool>> = Arc::new(SingleFlight::new());
+    // The co-op and its front under one lock, as a host keeps them: a
+    // miss and its parking are one step.
+    let coop = Arc::new(Mutex::new((make_coop(), Front::<Asker>::default())));
     let barrier = Arc::new(Barrier::new(THREADS));
     let migrate_path = "/~migrate/home/8000/d.html";
 
@@ -678,43 +688,43 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
         .map(|_| {
             let home = Arc::clone(&home);
             let coop = Arc::clone(&coop);
-            let flights = Arc::clone(&flights);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                let (tx, rx) = channel();
                 barrier.wait();
-                loop {
-                    let outcome = coop
-                        .lock()
-                        .unwrap()
-                        .handle_request(&Request::get(migrate_path), now);
-                    match outcome {
-                        Outcome::Response(r) => return r,
-                        Outcome::Stream { .. } => {
-                            return outcome.into_response().expect("streamed response")
-                        }
-                        Outcome::FetchNeeded { home: h, path } => {
-                            // The transport-level coalescing protocol: one
-                            // leader pulls, everyone else waits on it.
-                            let flight = flights.run(&path, || {
-                                // Hold the flight open so the other
-                                // threads arrive while it is pending.
-                                std::thread::sleep(std::time::Duration::from_millis(30));
-                                let pull = coop.lock().unwrap().make_pull_request(&path, now);
-                                let resp = home
-                                    .lock()
-                                    .unwrap()
-                                    .handle_request(&pull, now)
-                                    .into_response()
-                                    .unwrap();
-                                coop.lock().unwrap().store_pulled(&h, &path, &resp, now)
-                            });
-                            assert!(flight.clone().into_inner(), "pull must succeed");
-                            if let Flight::Coalesced(_) = flight {
-                                coop.lock().unwrap().coop_cache().record_coalesced_wait();
-                            }
+                let asker = Asker(Request::get(migrate_path), tx);
+                let step = {
+                    let (engine, front) = &mut *coop.lock().unwrap();
+                    front.serve(engine, asker, now)
+                };
+                match step {
+                    Step::Answer(Asker(_, tx), answer) => {
+                        tx.send(answer.into_response().unwrap()).unwrap()
+                    }
+                    Step::Parked => {}
+                    Step::Pull { home: h, path } => {
+                        // Hold the pull open so the other threads arrive
+                        // while it is in flight.
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        let pull = coop.lock().unwrap().0.make_pull_request(&path, now);
+                        let resp = home
+                            .lock()
+                            .unwrap()
+                            .handle_request(&pull, now)
+                            .into_response()
+                            .unwrap();
+                        // The leader answers every waiter, itself included.
+                        let (engine, front) = &mut *coop.lock().unwrap();
+                        for s in front.settle(engine, &h, &path, Pulled::Reply(resp), now) {
+                            let Settled::Retry(asker) = s else {
+                                panic!("pull must succeed");
+                            };
+                            let (Asker(_, tx), answer) = front.retry(engine, asker, now);
+                            tx.send(answer.into_response().unwrap()).unwrap();
                         }
                     }
                 }
+                rx.recv().unwrap()
             })
         })
         .collect();
@@ -729,12 +739,12 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
         1,
         "8 concurrent misses must produce exactly one pull"
     );
-    let coop = coop.lock().unwrap();
+    let (coop, front) = &*coop.lock().unwrap();
     assert_eq!(
         coop.coop_cache().stats().coalesced_waits,
         THREADS as u64 - 1
     );
-    assert_eq!(flights.stats().led, 1);
+    assert_eq!(front.flights().led, 1);
 }
 
 #[test]

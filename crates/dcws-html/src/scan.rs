@@ -72,6 +72,7 @@ pub(crate) fn start_tags(html: &str) -> StartTags<'_> {
         src: html,
         pos: 0,
         last_gt: html.bytes().rposition(|b| b == b'>'),
+        dead: Vec::new(),
     }
 }
 
@@ -83,6 +84,11 @@ pub(crate) struct StartTags<'a> {
     /// so one opened after it is text at once — which keeps a document of
     /// unclosed `<a`s linear instead of a tag parse to the end per `<`.
     last_gt: Option<usize>,
+    /// A bit per byte a failed tag's walk read between attributes or as a
+    /// name. A later walk that lands on one goes on as that one did and
+    /// fails the same way, so it stops there: `<a ` repeated before one
+    /// unclosed quote stays linear too.
+    dead: Vec<u64>,
 }
 
 impl<'a> Iterator for StartTags<'a> {
@@ -124,9 +130,15 @@ impl<'a> StartTags<'a> {
     fn start_tag(&mut self, lt: usize) -> Option<StartTag<'a>> {
         let b = self.src.as_bytes();
         let name = &self.src[lt + 1..skip(b, lt + 1, is_name_byte)];
-        let mut attrs = Attrs::new(self.src, lt + 1 + name.len());
-        attrs.by_ref().for_each(drop);
-        let end = attrs.end?;
+        let from = lt + 1 + name.len();
+        if self.is_dead(from) {
+            return None;
+        }
+        let attrs = self.walk(from, false);
+        let Some(end) = attrs.end else {
+            self.walk(from, true);
+            return None;
+        };
         self.pos = end;
         if !attrs.self_closing
             && RAW_TEXT_ELEMENTS
@@ -141,6 +153,47 @@ impl<'a> StartTags<'a> {
             self_closing: attrs.self_closing,
             src: self.src,
         })
+    }
+
+    fn is_dead(&self, i: usize) -> bool {
+        self.dead
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Walk the attributes from `from` to the tag's `>` (`end` set) or to
+    /// where it cannot close; `bury` marks dead what the walk read between
+    /// attributes and as their names.
+    fn walk(&mut self, from: usize, bury: bool) -> Attrs<'a> {
+        let b = self.src.as_bytes();
+        let mut attrs = Attrs::new(self.src, from);
+        loop {
+            let between = attrs.i;
+            let start = attrs.name_start();
+            if bury {
+                self.mark(between..start.unwrap_or(b.len()));
+            }
+            let Some(start) = start.filter(|&s| !self.is_dead(s)) else {
+                return attrs;
+            };
+            let end = name_end(b, start);
+            let joined = self.is_dead(end - 1);
+            if bury {
+                self.mark(start..end);
+            }
+            if joined || attrs.attr_at(start, end).is_none() {
+                return attrs;
+            }
+        }
+    }
+
+    fn mark(&mut self, bytes: Range<usize>) {
+        if self.dead.is_empty() {
+            self.dead = vec![0; self.src.len() / 64 + 1];
+        }
+        for i in bytes {
+            self.dead[i / 64] |= 1 << (i % 64);
+        }
     }
 }
 
@@ -162,15 +215,10 @@ impl<'a> Attrs<'a> {
             self_closing: false,
         }
     }
-}
 
-impl<'a> Iterator for Attrs<'a> {
-    type Item = Attr<'a>;
-
-    /// The next attribute; `None` at the tag's `>` (which sets `end`), or
-    /// where the tag cannot close — an unclosed quote, or the document
-    /// ending inside the tag (which leaves `end` unset).
-    fn next(&mut self) -> Option<Attr<'a>> {
+    /// Where the next attribute's name starts; `None` at the tag's `>`
+    /// (which sets `end`) or at the end of the document.
+    fn name_start(&mut self) -> Option<usize> {
         let b = self.src.as_bytes();
         loop {
             self.i = skip(b, self.i, |c| c.is_ascii_whitespace());
@@ -185,13 +233,15 @@ impl<'a> Iterator for Attrs<'a> {
                 }
                 // An attribute with no name: the `=` is junk, skipped.
                 b'=' => self.i += 1,
-                _ => break,
+                _ => return Some(self.i),
             }
         }
-        let start = self.i;
-        let name_end = skip(b, start, |c| {
-            !c.is_ascii_whitespace() && !matches!(c, b'=' | b'>' | b'/')
-        });
+    }
+
+    /// The attribute named by `start..name_end`, with its value; `None`
+    /// where the value's quote never closes.
+    fn attr_at(&mut self, start: usize, name_end: usize) -> Option<Attr<'a>> {
+        let b = self.src.as_bytes();
         let eq = skip(b, name_end, |c| c.is_ascii_whitespace());
         let (value, quote, next) = if b.get(eq) != Some(&b'=') {
             (None, Quote::Bare, name_end)
@@ -216,13 +266,35 @@ impl<'a> Iterator for Attrs<'a> {
     }
 }
 
+impl<'a> Iterator for Attrs<'a> {
+    type Item = Attr<'a>;
+
+    /// The next attribute; `None` at the tag's `>` (which sets `end`), or
+    /// where the tag cannot close — an unclosed quote, or the document
+    /// ending inside the tag (which leaves `end` unset).
+    fn next(&mut self) -> Option<Attr<'a>> {
+        let start = self.name_start()?;
+        self.attr_at(start, name_end(self.src.as_bytes(), start))
+    }
+}
+
+/// Where the attribute name starting at `start` ends.
+fn name_end(b: &[u8], start: usize) -> usize {
+    skip(b, start, |c| {
+        !c.is_ascii_whitespace() && !matches!(c, b'=' | b'>' | b'/')
+    })
+}
+
 fn is_name_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'-' | b':')
 }
 
 /// Offset of the first byte at or after `from` that `keep` rejects.
-fn skip(b: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
-    from + b[from..].iter().take_while(|&&c| keep(c)).count()
+fn skip(b: &[u8], mut from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while b.get(from).is_some_and(|&c| keep(c)) {
+        from += 1;
+    }
+    from
 }
 
 /// Offset of the first `needle` at or after `from`, eight bytes at a time.

@@ -980,14 +980,23 @@ proptest! {
 }
 
 /// `<a` repeated, `</a` repeated and `<a href="x` repeated, each with no
-/// `>` anywhere: every `<` opens a tag that can never close. Linear, and
-/// the reference's answer on a 10 KB prefix.
+/// `>` anywhere: every `<` opens a tag that can never close. Then `<a `
+/// and `<a` repeated before one `x=">`: the document ends in a `>`, but
+/// each tag's last value opens a quote that runs past it. Linear, and the
+/// reference's answer on a 10 KB prefix.
 #[test]
 fn unclosed_tags_are_linear() {
-    for unit in ["<a", "</a", "<a href=\"x"] {
-        let small = unit.repeat(10 * 1024 / unit.len());
+    let doc = |unit: &str, tail: &str, len: usize| unit.repeat(len / unit.len()) + tail;
+    for (unit, tail) in [
+        ("<a", ""),
+        ("</a", ""),
+        ("<a href=\"x", ""),
+        ("<a ", "x=\">"),
+        ("<a", " x=\">"),
+    ] {
+        let small = doc(unit, tail, 10 * 1024);
         assert!(check(&small, &|_| Some("/y".into())).unwrap());
-        let big = unit.repeat((1 << 20) / unit.len());
+        let big = doc(unit, tail, 1 << 20);
         let t0 = Instant::now();
         assert!(extract_links(&big).is_empty());
         assert_eq!(rewrite_links(&big, |_| Some("/y".into())).1, 0);

@@ -142,7 +142,8 @@ pub(crate) struct Completion {
     pub method: Method,
     pub keep_alive: bool,
     pub started: Instant,
-    pub resp: Response,
+    /// The answer in wire form, serialized by the worker.
+    pub served: Served,
     /// Present for large-object serves: the chunked entity producer.
     /// The reactor parks it on the connection as resumable write-state
     /// and refills the output buffer as the socket drains.
@@ -224,9 +225,6 @@ const MAX_READ_PER_EVENT: usize = 256 * 1024;
 /// next readiness turn resumes it). Also the size of a refill buffer:
 /// one read, one segment, one `writev` per turn.
 const MAX_WRITE_PER_EVENT: usize = 256 * 1024;
-
-/// Retry-After hint on spillover-full 503s (§5.2's graceful drop).
-const RETRY_AFTER_SECS: u32 = 1;
 
 struct ClientConn {
     stream: TcpStream,
@@ -772,8 +770,7 @@ impl Reactor {
                     s.spillover_rejected.fetch_add(1, Ordering::Relaxed);
                 });
                 self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::service_unavailable(RETRY_AFTER_SECS);
-                let served = Served::from_response(resp);
+                let served = self.shared.unavailable.clone();
                 self.queue_response(idx, served, None, method, keep_alive, started)
             }
         }))
@@ -960,10 +957,7 @@ impl Reactor {
                 continue;
             };
             self.conns[idx].as_mut().unwrap().awaiting_spill = false;
-            // A bodyless status carries no entity, streamed or otherwise.
-            let stream = c.stream.filter(|_| !c.resp.status.bodyless());
-            let served = Served::from_response(c.resp);
-            if !self.queue_response(idx, served, stream, c.method, c.keep_alive, c.started) {
+            if !self.queue_response(idx, c.served, c.stream, c.method, c.keep_alive, c.started) {
                 continue;
             }
             // Reads were paused while the job ran; pipelined requests

@@ -253,7 +253,7 @@ fn cross_shard_completion_never_resurrects() {
         method: Method::Get,
         keep_alive: true,
         started: Instant::now(),
-        resp: Response::ok(b"misrouted".to_vec(), "text/plain"),
+        served: Served::from_response(Response::ok(b"misrouted".to_vec(), "text/plain")),
         stream: None,
     });
     shard_b.poll_once(Duration::from_millis(10));

@@ -10,31 +10,17 @@ use crate::reactor::{
 };
 use crate::retry::RetryPolicy;
 use crate::transport::{OpClass, Transport};
-use dcws_cache::SingleFlight;
-use dcws_core::{Json, Outcome, ReadPath, ServerEngine};
+use dcws_core::{
+    unavailable, Front, Json, Outcome, Pulled, ReadPath, Served, ServerEngine, Settled, Step,
+    Waiter,
+};
 use dcws_graph::ServerId;
-use dcws_http::{is_reserved_path, Request, Response, StatusCode, StreamBody, STATUS_PATH};
+use dcws_http::{is_reserved_path, Request, Response, StreamBody, STATUS_PATH};
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Retry-After hint (seconds) on graceful 503 drops; the benchmark
-/// client's exponential back-off starts at one second (§5.2).
-const RETRY_AFTER_SECS: u32 = 1;
-
-/// Outcome of a (possibly coalesced) lazy pull, cloneable so follower
-/// workers can reuse the leader's result.
-#[derive(Clone)]
-enum PullResult {
-    /// The copy is now in the co-op cache (or staged); retry the request.
-    Stored,
-    /// The home declined (redirect, 404, …); relay its answer as-is.
-    Rejected(Response),
-    /// The home is unreachable after the transport's retries; each
-    /// waiter degrades to a stale retained copy or a 503.
-    Unreachable,
-}
 
 /// Registered-connection ceiling of the whole server. At the ceiling
 /// the listener is paused (kernel backlog absorbs the burst) and re-armed
@@ -108,6 +94,12 @@ pub(crate) struct SpillJob {
     pub started: Instant,
 }
 
+impl Waiter for SpillJob {
+    fn request(&self) -> Cow<'_, Request> {
+        Cow::Borrowed(&self.req)
+    }
+}
+
 /// Everything the worker, reactor, and pinger threads share.
 /// Crate-visible so the `reactor` module (and its tests) can drive the
 /// serve paths directly.
@@ -117,9 +109,14 @@ pub(crate) struct Shared {
     /// answer common-case GETs here without touching `engine` at all.
     pub(crate) read: Arc<ReadPath>,
     pub(crate) metrics: TransportMetrics,
-    /// Coalesces concurrent lazy pulls for the same document: the first
-    /// worker to miss leads the pull, the rest wait on its flight.
-    pulls: SingleFlight<PullResult>,
+    /// Jobs parked on a lazy pull, by document: the first worker to miss
+    /// leads the pull and answers them all; a follower parks its job and
+    /// goes back to the queue. Only ever locked inside the engine lock
+    /// (or alone), so a miss and its parking are one step.
+    front: Mutex<Front<SpillJob>>,
+    /// The graceful 503, serialized once: every spill-full drop is a
+    /// copy of it by refcount.
+    pub(crate) unavailable: Served,
     /// Retrying, fault-aware inter-server I/O (pulls, pushes, pings,
     /// validations all go through here — never a raw socket call).
     transport: Transport,
@@ -150,7 +147,8 @@ impl Shared {
             engine: EngineLock::new(engine),
             read,
             metrics: TransportMetrics::default(),
-            pulls: SingleFlight::new(),
+            front: Mutex::new(Front::default()),
+            unavailable: Served::from_response(unavailable()),
             transport: Transport::new(net.retry, net.faults.clone()),
             dropped: AtomicU64::new(0),
             queue: SocketQueue::new(queue_len),
@@ -167,6 +165,10 @@ impl Shared {
 
     pub(crate) fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
+    }
+
+    fn front(&self) -> MutexGuard<'_, Front<SpillJob>> {
+        self.front.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// EWMA smoothing factor for per-peer ping RTT: responsive enough to
@@ -227,11 +229,11 @@ impl Shared {
                 ),
             ),
             ("pull_flights", {
-                let fs = self.pulls.stats();
+                let fs = self.front().flights();
                 Json::obj(vec![
                     ("led", Json::from(fs.led)),
                     ("coalesced", Json::from(fs.coalesced)),
-                    ("in_flight", Json::from(self.pulls.in_flight())),
+                    ("in_flight", Json::from(fs.in_flight)),
                 ])
             }),
             ("retries", {
@@ -509,12 +511,7 @@ impl DcwsServer {
                     .spawn(move || {
                         while let Some(q) = shared.queue.pop() {
                             shared.metrics.queue_wait.record(q.enqueued_at.elapsed());
-                            // Route the completion to the shard that owns
-                            // the connection — tokens are per-shard.
-                            let bridge = bridges
-                                .get(q.item.shard)
-                                .expect("spill job without a bridge");
-                            serve_spill(&shared, bridge, q.item);
+                            serve_spill(&shared, &bridges, q.item);
                         }
                     })
                     .expect("spawn worker"),
@@ -630,108 +627,106 @@ impl Drop for DcwsServer {
     }
 }
 
-/// Run one spillover job on a worker thread and post the completion
-/// back to the reactor. The worker computes the response — engine lock,
-/// lazy pull, and all — but never touches the client socket; the
-/// reactor owns all client I/O.
-fn serve_spill(shared: &Arc<Shared>, bridge: &SpillBridge, job: SpillJob) {
-    let method = job.req.method;
-    let (resp, stream) = serve_one(shared, job.req);
-    bridge.push(Completion {
-        token: job.token,
-        method,
-        keep_alive: job.keep_alive,
-        started: job.started,
-        resp,
-        stream,
-    });
-}
-
-/// Produce the response for one request, performing any lazy pull. A
-/// large-object serve returns the finished head plus the chunked entity
-/// producer; the reactor owns writing it (parked on the connection as
-/// resumable write-state).
-pub(crate) fn serve_one(shared: &Arc<Shared>, req: Request) -> (Response, Option<StreamBody>) {
+/// Run one spillover job on a worker thread. The worker computes the
+/// answer — engine lock, lazy pull, and all — and posts it back to the
+/// reactor shard that owns the connection; it never touches the client
+/// socket. A co-op miss parks the job in the [`Front`]: the worker that
+/// leads the pull answers every job parked on it, and a follower goes
+/// straight back to the queue.
+fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
     // Reserved introspection namespace: answered by the transport, never
     // entering the engine's document path.
-    if let Ok(url) = req.url() {
+    if let Ok(url) = job.req.url() {
         if is_reserved_path(url.path()) {
-            return (shared.reserved_response(url.path()), None);
+            let served = Served::from_response(shared.reserved_response(url.path()));
+            return complete(bridges, job, served, None);
         }
     }
     // The reactor's read-path lookup declined this request, but another
     // worker may have primed its route since: look again (uncounted —
     // the request is already a fallback) before taking the engine lock.
-    if let Some(resp) = shared.read.try_serve_spilled(&req) {
-        return (resp, None);
+    if let Some(served) = shared.read.try_serve_spilled(&job.req) {
+        return complete(bridges, job, served, None);
     }
-    // Two attempts: a co-op miss performs (or joins) the lazy pull, then
-    // retries the request against the now-warm cache.
-    for attempt in 0..2 {
-        let now = shared.now_ms();
-        let outcome = shared.engine.lock().handle_request(&req, now);
-        let (home, path) = match outcome {
-            Outcome::Response(r) => return (r, None),
-            Outcome::Stream { resp, body } => return (resp, Some(body)),
-            Outcome::FetchNeeded { home, path } => (home, path),
-        };
-        if attempt > 0 {
-            // The pull landed but the copy is already gone (evicted under
-            // pressure, or a concurrent request consumed a staged
-            // oversize body): give up rather than pull in a loop.
-            return (Response::new(StatusCode::InternalServerError), None);
+    let now = shared.now_ms();
+    let step = {
+        let mut eng = shared.engine.lock();
+        shared.front().serve(&mut eng, job, now)
+    };
+    match step {
+        Step::Answer(job, answer) => answer_job(bridges, job, answer),
+        Step::Parked => {}
+        Step::Pull { home, path } => lead_pull(shared, bridges, &home, &path),
+    }
+}
+
+/// Lazy physical migration (§4.2): pull `path` from `home`, settle it,
+/// and answer every job that waited on it. The pull request needs no
+/// engine state beyond identity and the published load-report snapshot,
+/// so it is built lock-free, and the engine lock is taken once, *after*
+/// the network round-trip, to settle the pull and serve the waiters again.
+fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, path: &str) {
+    let pull = shared.read.make_pull_request(path);
+    let pulled = match shared.transport.call(home, &pull, OpClass::Pull) {
+        Ok(resp) => Pulled::Reply(resp),
+        // Unreachable after the transport's retries.
+        Err(_) => Pulled::Unreachable,
+    };
+    let now = shared.now_ms();
+    let answers: Vec<(SpillJob, Outcome)> = {
+        let mut eng = shared.engine.lock();
+        let mut front = shared.front();
+        let settled = front.settle(&mut eng, home, path, pulled, now);
+        settled
+            .into_iter()
+            .map(|s| match s {
+                Settled::Retry(job) => front.retry(&mut eng, job, now),
+                Settled::Answer(job, resp) => (job, Outcome::Response(resp)),
+            })
+            .collect()
+    };
+    for (job, answer) in answers {
+        answer_job(bridges, job, answer);
+    }
+}
+
+/// Serialize `answer` off the reactor thread and post it. A large-object
+/// serve keeps its chunked entity producer beside the head; the reactor
+/// parks it on the connection as resumable write-state.
+fn answer_job(bridges: &[Arc<SpillBridge>], job: SpillJob, answer: Outcome) {
+    let (resp, stream) = match answer {
+        // A bodyless status carries no entity, streamed or otherwise.
+        Outcome::Stream { resp, body } => {
+            let stream = (!resp.status.bodyless()).then_some(body);
+            (resp, stream)
         }
-        // Lazy physical migration (§4.2), coalesced: concurrent misses
-        // for the same document ride one pull (the flight key carries
-        // the home so identically-named docs of different homes don't
-        // collide).
-        let flight_key = format!("{home} {path}");
-        let flight = shared.pulls.run(&flight_key, || {
-            // The pull request needs no engine state beyond identity and
-            // the published load-report snapshot, so it is built lock-free
-            // and the engine lock is taken exactly once, *after* the
-            // network round-trip, to install (or reject) the result.
-            let pull = shared.read.make_pull_request(&path);
-            match shared.transport.call(&home, &pull, OpClass::Pull) {
-                Ok(pull_resp) => {
-                    let now = shared.now_ms();
-                    let mut eng = shared.engine.lock();
-                    if eng.store_pulled(&home, &path, &pull_resp, now) {
-                        PullResult::Stored
-                    } else {
-                        // Home declined (301 to the current host, 404, …):
-                        // remember redirects, relay the answer as-is.
-                        eng.pull_rejected(&home, &path, &pull_resp, now);
-                        PullResult::Rejected(pull_resp)
-                    }
-                }
-                // Home unreachable (after retries) and we hold no fresh
-                // copy: mark any retained one stale, count the failure.
-                Err(_) => {
-                    let now = shared.now_ms();
-                    shared.engine.lock().note_pull_failure(&home, &path, now);
-                    PullResult::Unreachable
-                }
-            }
+        other => (
+            other.into_response().expect("an answer is never a miss"),
+            None,
+        ),
+    };
+    complete(bridges, job, Served::from_response(resp), stream);
+}
+
+/// Post `job`'s answer to the shard that owns its connection (tokens are
+/// per-shard).
+fn complete(
+    bridges: &[Arc<SpillBridge>],
+    job: SpillJob,
+    served: Served,
+    stream: Option<StreamBody>,
+) {
+    bridges
+        .get(job.shard)
+        .expect("spill job without a bridge")
+        .push(Completion {
+            token: job.token,
+            method: job.req.method,
+            keep_alive: job.keep_alive,
+            started: job.started,
+            served,
+            stream,
         });
-        if !flight.led() {
-            shared.engine.lock().coop_cache().record_coalesced_wait();
-        }
-        match flight.into_inner() {
-            PullResult::Stored => continue,
-            PullResult::Rejected(resp) => return (resp, None),
-            PullResult::Unreachable => {
-                // Degradation ladder (docs/RESILIENCE.md): a retained copy
-                // — even a stale or negative one — beats an error page.
-                let now = shared.now_ms();
-                if let Some(resp) = shared.engine.lock().serve_stale(&home, &path, now) {
-                    return (resp, None);
-                }
-                return (Response::service_unavailable(RETRY_AFTER_SECS), None);
-            }
-        }
-    }
-    unreachable!("serve_one returns within two attempts")
 }
 
 /// Perform the network side of a tick: pings, validations, eager pushes.

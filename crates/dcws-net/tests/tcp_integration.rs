@@ -131,8 +131,8 @@ fn migration_redirect_and_pull_over_tcp() {
 #[test]
 fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
     // Eight clients hit the co-op for the same migrated document at once;
-    // the transport's singleflight must turn those misses into exactly one
-    // pull against the home server.
+    // the co-op's `Front` must turn those misses into exactly one pull
+    // against the home server.
     let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let p_home = l1.local_addr().unwrap().port();
     let l2 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -201,6 +201,98 @@ fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
         "concurrent misses must coalesce into a single pull"
     );
     assert_eq!(coop.engine().lock().stats().served_coop, 8);
+
+    home.shutdown();
+    coop.shutdown();
+}
+
+/// A miss parks its job, not its worker. The co-op has two workers and
+/// every pull it sends takes two seconds: one worker leads the pull of
+/// eight concurrent misses, and the other — a follower under a blocking
+/// scheme — is free to answer a cold GET of another document while the
+/// pull is still on its way to the home.
+#[test]
+fn a_parked_miss_holds_no_worker() {
+    use dcws_net::{FaultInjector, FaultPlan, NetConfig};
+    use std::sync::atomic::Ordering;
+
+    let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let p_home = l1.local_addr().unwrap().port();
+    let l2 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let p_coop = l2.local_addr().unwrap().port();
+    drop((l1, l2));
+    let home_id = ServerId::new(format!("127.0.0.1:{p_home}"));
+    let coop_id = ServerId::new(format!("127.0.0.1:{p_coop}"));
+
+    let mut home_engine = engine(&home_id, fast_config());
+    home_engine.publish(
+        "/index.html",
+        br#"<a href="/d.html">D</a>"#.to_vec(),
+        DocKind::Html,
+        true,
+    );
+    home_engine.publish(
+        "/d.html",
+        b"<p>payload-D</p>".to_vec(),
+        DocKind::Html,
+        false,
+    );
+    home_engine.add_peer(coop_id.clone());
+    let mut coop_engine = engine(
+        &coop_id,
+        ServerConfig {
+            n_workers: 2,
+            ..fast_config()
+        },
+    );
+    coop_engine.publish("/own.html", b"<p>own</p>".to_vec(), DocKind::Html, true);
+    let slow_pulls = FaultPlan::new(7).with_delay(1.0, (2_000, 2_001));
+    let coop = DcwsServer::spawn_with(
+        coop_engine,
+        &coop_id.to_string(),
+        NetConfig {
+            faults: Some(std::sync::Arc::new(FaultInjector::new(slow_pulls))),
+            ..NetConfig::new(Duration::from_millis(25))
+        },
+    )
+    .unwrap();
+    let home =
+        DcwsServer::spawn(home_engine, &home_id.to_string(), Duration::from_millis(25)).unwrap();
+
+    for _ in 0..60 {
+        let r = fetch_from(&home_id, &Request::get("/d.html")).unwrap();
+        assert!(r.status.is_success() || r.status.is_redirect());
+    }
+    assert!(wait_for(Duration::from_secs(5), || {
+        home.engine().lock().stats().migrations >= 1
+    }));
+
+    let migrate_path = format!("/~migrate/127.0.0.1/{p_home}/d.html");
+    let spilled = coop.reactor_stats().spillover_jobs.load(Ordering::Relaxed);
+    let misses: Vec<_> = (0..8)
+        .map(|_| {
+            let coop_id = coop_id.clone();
+            let path = migrate_path.clone();
+            std::thread::spawn(move || fetch_from(&coop_id, &Request::get(&path)).unwrap())
+        })
+        .collect();
+    assert!(wait_for(Duration::from_secs(1), || {
+        coop.reactor_stats().spillover_jobs.load(Ordering::Relaxed) >= spilled + 8
+    }));
+
+    let cold = fetch_from(&coop_id, &Request::get("/own.html")).unwrap();
+    assert_eq!(cold.status, StatusCode::Ok);
+    assert_eq!(
+        home.engine().lock().stats().pulls_served,
+        0,
+        "the cold GET waited for the pull"
+    );
+    for m in misses {
+        let resp = m.join().unwrap();
+        assert_eq!(resp.status, StatusCode::Ok);
+        assert!(String::from_utf8_lossy(&resp.body).contains("payload-D"));
+    }
+    assert_eq!(home.engine().lock().stats().pulls_served, 1);
 
     home.shutdown();
     coop.shutdown();

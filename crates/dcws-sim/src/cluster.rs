@@ -18,40 +18,60 @@
 //! naming directly instead of building `ServerId` keys, so steady-state
 //! event handling performs no per-event map allocation (the run loop
 //! carries a debug-build micro-assert, armed by `tests/alloc_probe.rs`).
-//! The few id-keyed structures left — pull parking, the DNS resolver's
-//! peer list — are either cold-path or deterministic-ordered (`BTreeMap`),
-//! which is what makes crash schedules replay byte-identically.
+//! The few id-keyed structures left — each server's [`Front`] of requests
+//! parked on a pull, the DNS resolver's peer list — are either cold-path
+//! or deterministic-ordered (`BTreeMap`), which is what makes crash
+//! schedules replay byte-identically.
 
 use crate::client::{ParseCache, SimWalker};
 use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
-use dcws_core::{EventRecord, MemStore, Outcome, Served, ServerConfig, ServerEngine};
+use dcws_core::{
+    decode_migrate_path, unavailable, EventRecord, Front, MemStore, Pulled, Served, ServerConfig,
+    ServerEngine, Settled, Step, Waiter,
+};
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Method, Request, Response, StatusCode, Url};
+use dcws_http::{Method, Request, StatusCode, Url};
 use dcws_workloads::{materialize::materialize, PageKind};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// The home index of a `~migrate` URL that names no simulated server.
-const NO_SERVER: usize = usize::MAX;
 
 /// Estimated header bytes per response on the wire (request + response
 /// heads + TCP setup/teardown packets).
 const WIRE_OVERHEAD_BYTES: usize = 300;
 
+/// A request in a simulated server's socket queue, or parked on a pull.
+pub(crate) struct Job {
+    msg: Incoming,
+    origin: Origin,
+    /// Served again after the pull it waited on landed: a second miss is
+    /// answered, not pulled for again ([`Front::retry`]).
+    retry: bool,
+}
+
+impl Waiter for Job {
+    fn request(&self) -> Cow<'_, Request> {
+        match &self.msg {
+            Incoming::ClientGet(url) => Cow::Owned(Request::get(url.path())),
+            Incoming::Request(req) => Cow::Borrowed(req),
+        }
+    }
+}
+
 pub(crate) struct ServerSt {
     engine: ServerEngine,
+    /// What the engine declines to answer outright: requests parked on a
+    /// lazy pull, and the pull's settle step.
+    front: Front<Job>,
     /// Socket queue of backlogged requests (L_sq limit applies).
-    queue: VecDeque<(Incoming, Origin)>,
+    queue: VecDeque<Job>,
     busy: bool,
     /// The answer being serviced, shipped at `ServiceDone`.
     in_service: Option<(Delivery, Origin)>,
     nic_free_at: SimTime,
-    /// Requests parked awaiting a lazy pull, by (home index, path).
-    /// Ordered so crash-time drains replay deterministically.
-    parked: BTreeMap<(usize, String), Vec<(Incoming, Origin)>>,
     crashed: bool,
 }
 
@@ -176,11 +196,11 @@ impl SimCluster {
                     server_config.clone(),
                     Box::new(MemStore::new()),
                 ),
+                front: Front::default(),
                 queue: VecDeque::new(),
                 busy: false,
                 in_service: None,
                 nic_free_at: 0,
-                parked: BTreeMap::new(),
                 crashed: false,
             })
             .collect();
@@ -287,7 +307,7 @@ impl SimCluster {
             switch_flows: 0,
             switch_peak_flows: 0,
             queue_peak: 0,
-            unavailable: Served::from_response(Response::service_unavailable(1)),
+            unavailable: Served::from_response(unavailable()),
             counters: Counters::default(),
             samples: Vec::new(),
             last_counters: Counters::default(),
@@ -410,19 +430,14 @@ impl SimCluster {
         srv.crashed = true;
         srv.busy = false;
         srv.in_service = None;
-        // Connections die: every queued requester sees a failure.
-        let dead: Vec<(Incoming, Origin)> = srv.queue.drain(..).collect();
-        // BTreeMap: drains in key order, so the failure deliveries replay
-        // identically run to run.
-        let parked: Vec<(Incoming, Origin)> = std::mem::take(&mut srv.parked)
-            .into_values()
-            .flatten()
-            .collect();
-        for (_, origin) in dead.into_iter().chain(parked) {
+        // Connections die: every queued or parked requester sees a
+        // failure — the parked ones in the front's key order, so the
+        // failure deliveries replay identically run to run.
+        for job in srv.queue.drain(..).chain(srv.front.drain()) {
             self.queue.push(
                 self.now + 1,
                 Event::Deliver {
-                    origin,
+                    origin: job.origin,
                     delivery: Delivery::Failed,
                 },
             );
@@ -552,7 +567,6 @@ impl SimCluster {
         srv.busy = false;
         srv.in_service = None;
         srv.nic_free_at = self.now;
-        srv.parked.clear();
         srv.crashed = false;
         // The fresh engine's served counter restarts at zero; realign the
         // per-sample CPS baseline or the next sample underflows.
@@ -601,7 +615,11 @@ impl SimCluster {
             );
             return;
         }
-        srv.queue.push_back((req, origin));
+        srv.queue.push_back(Job {
+            msg: req,
+            origin,
+            retry: false,
+        });
         if !srv.busy {
             self.start_service(server);
         }
@@ -611,87 +629,102 @@ impl SimCluster {
         let now_ms = self.now / 1_000;
         let cost = &self.cfg.cost;
         let srv = &mut self.servers[server];
-        let Some((msg, origin)) = srv.queue.pop_front() else {
+        let Some(job) = srv.queue.pop_front() else {
             return;
         };
-        let built;
-        let req = match &msg {
-            Incoming::ClientGet(url) => {
-                let read = srv.engine.read_path();
-                if let Some(served) = read.serve_parts(Method::Get, url.path(), std::iter::empty())
-                {
-                    // What the engine would have recorded in its rate
-                    // window for this serve, recorded at the same time.
-                    srv.engine.fold_read_traffic(now_ms);
-                    let service = cost.service_us(served.body.len());
-                    srv.in_service = Some((Delivery::Served(served), origin));
-                    srv.busy = true;
-                    self.queue
-                        .push(self.now + service, Event::ServiceDone { server });
-                    return;
-                }
-                built = Request::get(url.path());
-                &built
-            }
-            Incoming::Request(req) => req,
-        };
-        let regen_before = srv.engine.regenerations();
-        let outcome = srv.engine.handle_request(req, now_ms);
-        let regens = srv.engine.regenerations() - regen_before;
-        match outcome {
-            Outcome::Response(_) | Outcome::Stream { .. } => {
-                // The discrete-event model charges CPU per byte either
-                // way, so streamed outcomes collapse to buffered here.
-                let resp = outcome
-                    .into_response()
-                    .expect("response/stream outcome drains to a response");
-                let service = cost.service_us(resp.body.len()) + regens * cost.regen_cpu_us;
-                srv.in_service = Some((Delivery::Response(resp), origin));
+        if let Incoming::ClientGet(url) = &job.msg {
+            let read = srv.engine.read_path();
+            if let Some(served) = read.serve_parts(Method::Get, url.path(), std::iter::empty()) {
+                // What the engine would have recorded in its rate window
+                // for this serve, recorded at the same time.
+                srv.engine.fold_read_traffic(now_ms);
+                let service = cost.service_us(served.body.len());
+                srv.in_service = Some((Delivery::Served(served), job.origin));
                 srv.busy = true;
                 self.queue
                     .push(self.now + service, Event::ServiceDone { server });
+                return;
             }
-            Outcome::FetchNeeded { home, path } => {
-                // Park the request; first parker triggers the pull, later
-                // ones coalesce onto it (the simulator's analogue of the
-                // transport singleflight).
-                let home = self.id_to_idx.get(&home).copied().unwrap_or(NO_SERVER);
-                let key = (home, path.clone());
-                let first = !srv.parked.contains_key(&key);
-                if !first {
-                    srv.engine.coop_cache().record_coalesced_wait();
-                }
-                srv.parked.entry(key).or_default().push((msg, origin));
-                srv.busy = true;
-                self.queue
-                    .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
-                if first {
-                    let req = Incoming::Request(srv.engine.make_pull_request(&path, now_ms));
-                    let origin = Origin::Server {
-                        id: server,
-                        purpose: Purpose::Pull { home, path },
-                    };
-                    if home == NO_SERVER {
-                        // Unknown home: immediate failure.
-                        self.queue.push(
-                            self.now + 1,
-                            Event::Deliver {
-                                origin,
-                                delivery: Delivery::Failed,
-                            },
-                        );
-                    } else {
-                        self.queue.push(
-                            self.now + cost.latency_us,
-                            Event::RequestArrive {
-                                server: home,
-                                req,
-                                origin,
-                            },
-                        );
-                    }
-                }
+        }
+        let regen_before = srv.engine.regenerations();
+        let step = if job.retry {
+            let (job, answer) = srv.front.retry(&mut srv.engine, job, now_ms);
+            Step::Answer(job, answer)
+        } else {
+            srv.front.serve(&mut srv.engine, job, now_ms)
+        };
+        let regens = srv.engine.regenerations() - regen_before;
+        srv.busy = true;
+        let Step::Answer(job, answer) = step else {
+            // Parked on a pull: the connection's setup is all the CPU it
+            // costs until the pull settles.
+            self.queue
+                .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
+            if let Step::Pull { home, path } = step {
+                self.send_pull(server, home, path, now_ms);
             }
+            return;
+        };
+        // The discrete-event model charges CPU per byte either way, so
+        // streamed answers collapse to buffered here.
+        let resp = answer.into_response().expect("an answer is never a miss");
+        let service = cost.service_us(resp.body.len()) + regens * cost.regen_cpu_us;
+        srv.in_service = Some((Delivery::Response(resp), job.origin));
+        self.queue
+            .push(self.now + service, Event::ServiceDone { server });
+    }
+
+    /// Send the lazy pull `server`'s front asked for. A `~migrate` URL
+    /// whose home is no simulated server has nowhere to pull from: the
+    /// pull fails on the spot.
+    fn send_pull(&mut self, server: usize, home: ServerId, path: String, now_ms: u64) {
+        let Some(&idx) = self.id_to_idx.get(&home) else {
+            return self.settle_pull(server, &home, &path, Pulled::Unreachable);
+        };
+        let req = self.servers[server].engine.make_pull_request(&path, now_ms);
+        self.queue.push(
+            self.now + self.cfg.cost.latency_us,
+            Event::RequestArrive {
+                server: idx,
+                req: Incoming::Request(req),
+                origin: Origin::Server {
+                    id: server,
+                    purpose: Purpose::Pull { home: idx, path },
+                },
+            },
+        );
+    }
+
+    /// Settle a pull at `server` and release the requests parked on it:
+    /// the ones to serve again go back to the head of the line in arrival
+    /// order, the rest are answered at once.
+    fn settle_pull(&mut self, server: usize, home: &ServerId, path: &str, pulled: Pulled) {
+        let now_ms = self.now / 1_000;
+        let srv = &mut self.servers[server];
+        let mut retries = Vec::new();
+        for settled in srv
+            .front
+            .settle(&mut srv.engine, home, path, pulled, now_ms)
+        {
+            match settled {
+                Settled::Retry(job) => retries.push(Job { retry: true, ..job }),
+                Settled::Answer(job, resp) => self.queue.push(
+                    self.now + 1,
+                    Event::Deliver {
+                        origin: job.origin,
+                        delivery: Delivery::Response(resp),
+                    },
+                ),
+            }
+        }
+        if retries.is_empty() {
+            return;
+        }
+        for job in retries.into_iter().rev() {
+            srv.queue.push_front(job);
+        }
+        if !srv.busy {
+            self.start_service(server);
         }
     }
 
@@ -911,46 +944,12 @@ impl SimCluster {
         let answer = delivery.into_response();
         match purpose {
             Purpose::Pull { home, path } => {
-                // `None`: the `~migrate` URL named no simulated server, so
-                // there is no engine-side pull to settle — only waiters.
-                let home_id = self.server_ids.get(home);
-                let parked = self.servers[server]
-                    .parked
-                    .remove(&(home, path.clone()))
-                    .unwrap_or_default();
-                let engine = &mut self.servers[server].engine;
-                let ok = match (&answer, home_id) {
-                    (Some(resp), Some(home_id)) if resp.status == StatusCode::Ok => {
-                        engine.store_pulled(home_id, &path, resp, now_ms)
-                    }
-                    _ => false,
+                let pulled = match answer {
+                    Some(resp) => Pulled::Reply(resp),
+                    None => Pulled::Unreachable,
                 };
-                if ok {
-                    // Requeue the parked requests at the head of the line.
-                    let srv = &mut self.servers[server];
-                    for item in parked.into_iter().rev() {
-                        srv.queue.push_front(item);
-                    }
-                    if !srv.busy {
-                        self.start_service(server);
-                    }
-                } else {
-                    // Home declined or is unreachable: learn from a
-                    // redirect answer, then relay to the waiters.
-                    let resp = answer.unwrap_or_else(|| Response::service_unavailable(1));
-                    if let Some(home_id) = home_id {
-                        engine.pull_rejected(home_id, &path, &resp, now_ms);
-                    }
-                    for (_, origin) in parked {
-                        self.queue.push(
-                            self.now + 1,
-                            Event::Deliver {
-                                origin,
-                                delivery: Delivery::Response(resp.clone()),
-                            },
-                        );
-                    }
-                }
+                let home = self.server_ids[home].clone();
+                self.settle_pull(server, &home, &path, pulled);
             }
             Purpose::Validate { home, path } => {
                 let home = &self.server_ids[home];
@@ -1101,34 +1100,28 @@ impl SimCluster {
                 return false;
             }
             let req = Request::get(&path);
-            match self.servers[target].engine.handle_request(&req, now_ms) {
-                Outcome::FetchNeeded { home, .. } => {
-                    return self
-                        .id_to_idx
-                        .get(&home)
-                        .is_some_and(|&h| !self.servers[h].crashed);
-                }
-                out => {
-                    let Some(resp) = out.into_response() else {
+            let out = self.servers[target].engine.handle_request(&req, now_ms);
+            let Some(resp) = out.into_response() else {
+                // A co-op miss: the copy is one pull away from the home
+                // its `~migrate` path names.
+                let home = decode_migrate_path(&path).ok().flatten();
+                return home
+                    .and_then(|t| self.id_to_idx.get(&t.home))
+                    .is_some_and(|&h| !self.servers[h].crashed);
+            };
+            match resp.status {
+                StatusCode::Ok => return true,
+                StatusCode::MovedPermanently => {
+                    let Some(loc) = resp.location() else {
                         return false;
                     };
-                    match resp.status {
-                        StatusCode::Ok => return true,
-                        StatusCode::MovedPermanently => {
-                            let Some(loc) = resp.location() else {
-                                return false;
-                            };
-                            let Some(idx) =
-                                loc.host().and_then(|h| self.host_to_idx(h, loc.port()))
-                            else {
-                                return false;
-                            };
-                            target = idx;
-                            path = loc.path().to_string();
-                        }
-                        _ => return false,
-                    }
+                    let Some(idx) = loc.host().and_then(|h| self.host_to_idx(h, loc.port())) else {
+                        return false;
+                    };
+                    target = idx;
+                    path = loc.path().to_string();
                 }
+                _ => return false,
             }
         }
         false

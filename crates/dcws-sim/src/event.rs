@@ -32,8 +32,7 @@ pub type SimTime = u64;
 pub enum Purpose {
     /// Lazy pull of a migrated document from its home (§4.2).
     Pull {
-        /// The home server pulled from (`usize::MAX` when the name in
-        /// the `~migrate` URL is no simulated server's).
+        /// The home server pulled from.
         home: usize,
         /// Original document path on the home server.
         path: String,

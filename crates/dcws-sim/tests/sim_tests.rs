@@ -147,6 +147,25 @@ fn coop_crash_recalls_documents_and_service_continues() {
     assert!(tail.iter().all(|s| s.cps > 0.0), "service died after crash");
 }
 
+/// A crashed home takes its co-ops' pulls down with it: with a co-op
+/// cache tight enough to evict, copies are pulled again after the crash,
+/// each such pull fails, and the co-op records it (`PullFailed`) before
+/// its waiters take the degradation ladder, as the TCP server's do.
+#[test]
+fn crashed_home_pull_failures_are_recorded() {
+    let mut cfg = warm_lod(3, 16, 60_000);
+    cfg.server_config.cache_budget_bytes = 64 * 1024;
+    let r = SimCluster::with_crashes(cfg, vec![(30_000, 0)]).run();
+    assert!(r.migrations > 0, "nothing migrated before the crash");
+    let failed: Vec<_> = r
+        .engine_events
+        .iter()
+        .filter(|(_, e)| matches!(e.event, dcws_core::EngineEvent::PullFailed { .. }))
+        .collect();
+    assert!(!failed.is_empty(), "no pull from the crashed home failed");
+    assert!(failed.iter().all(|(s, e)| *s != 0 && e.t_ms >= 30_000));
+}
+
 #[test]
 fn fault_plan_blackout_maps_to_crash() {
     // The same seeded FaultPlan vocabulary the real transport uses

@@ -81,6 +81,41 @@ one_algorithm_2() {
 }
 step one_algorithm_2
 
+# One front: what a server does with a request its read path declined
+# is one sans-IO policy (dcws_core::Front) both hosts drive — pull
+# coalescing, the settle step, the one-retry rule, the degradation
+# ladder. Its own suite; eight concurrent misses over TCP making one pull;
+# a follower that parks its job instead of a worker; a garbled pull that
+# degrades to a 503 and installs nothing; and a crashed home whose
+# co-ops record their failed pulls in the simulator. All run inside the
+# workspace tests too; named so that the two hosts drifting apart shows
+# as its own step.
+one_front() {
+    cargo test -q -p dcws-core --test front_tests
+    cargo test -q -p dcws-net --test tcp_integration concurrent_misses_coalesce_to_one_pull_over_tcp
+    cargo test -q -p dcws-net --test tcp_integration a_parked_miss_holds_no_worker
+    cargo test -q -p dcws-net --test chaos_tests garbled_pull_never_installs_corrupt_copy
+    cargo test -q -p dcws-sim --test sim_tests crashed_home_pull_failures_are_recorded
+}
+step one_front
+
+# Doc drift: every backticked `dcws_<crate>::…::Item` in docs/*.md and
+# README.md must name an item (struct, enum, trait, fn, mod, type, const
+# or static) defined in that crate's sources.
+doc_drift() {
+    local path crate item missing=0
+    for path in $(grep -ohE '`dcws_[a-z]+(::[A-Za-z_][A-Za-z0-9_]*)+`' docs/*.md README.md | tr -d '`' | sort -u); do
+        crate=${path%%::*}
+        item=${path##*::}
+        if ! grep -rqE "(struct|enum|trait|fn|mod|type|const|static) $item\b" "crates/${crate//_/-}/src"; then
+            echo "unresolved: \`$path\`"
+            missing=1
+        fi
+    done
+    return $missing
+}
+step doc_drift
+
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
 # event, the digests this configuration has had since PR 15 — a perf

@@ -11,6 +11,9 @@
 //!
 //! Budgets are expressed as fractions of the dataset's corpus size so the
 //! sweep stays meaningful if the dataset generator changes.
+//!
+//! The sweep crashes no server, so a client failure in any row is a
+//! defect: the binary exits non-zero after writing its CSV.
 
 use dcws_bench::{fmt_thousands, scaled, write_csv};
 use dcws_sim::{run_sim, SimConfig};
@@ -49,11 +52,20 @@ fn main() {
         "coalesced_waits".into(),
         "mean_resp_ms".into(),
         "cps".into(),
+        "failures".into(),
     ]];
     println!(
-        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>12} {:>8}",
-        "budget", "corpus_frac", "hit_ratio", "evictions", "coalesced", "mean_resp_ms", "cps"
+        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>12} {:>8} {:>9}",
+        "budget",
+        "corpus_frac",
+        "hit_ratio",
+        "evictions",
+        "coalesced",
+        "mean_resp_ms",
+        "cps",
+        "failures"
     );
+    let mut failed = 0;
     for &den in &denominators {
         let (budget, label, frac) = match corpus_bytes.checked_div(den) {
             // den == 0 encodes "unbounded".
@@ -70,16 +82,19 @@ fn main() {
         dcws_bench::dump_status(&format!("cachepress_{frac}"), &r);
         let hit_ratio = r.cache.hit_ratio();
         let cps = r.steady_cps();
+        let failures = r.totals.failures;
         println!(
-            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>12.2} {:>8}",
+            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>12.2} {:>8} {:>9}",
             label,
             frac,
             hit_ratio,
             r.cache.evictions,
             r.cache.coalesced_waits,
             r.mean_response_ms,
-            fmt_thousands(cps)
+            fmt_thousands(cps),
+            failures
         );
+        failed += failures;
         csv.push(vec![
             label,
             frac,
@@ -89,7 +104,12 @@ fn main() {
             r.cache.coalesced_waits.to_string(),
             format!("{:.3}", r.mean_response_ms),
             format!("{cps:.1}"),
+            failures.to_string(),
         ]);
     }
     write_csv("cachepress", &csv);
+    if failed > 0 {
+        eprintln!("FAIL: {failed} client failures (see the failures column)");
+        std::process::exit(1);
+    }
 }

@@ -15,7 +15,7 @@ use crate::naming::migrate_url;
 use crate::readpath::ReadPath;
 use crate::stats::EngineStats;
 use crate::store::DocStore;
-use dcws_cache::{CacheConfig, CachedDoc, DocCache, Evicted, SizeHistogram};
+use dcws_cache::{CacheConfig, DocCache, Evicted, SizeHistogram};
 use dcws_graph::{
     select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
     ServerId,
@@ -56,10 +56,6 @@ pub(crate) fn home_variant_key(name: &str) -> String {
 pub(crate) fn pull_variant_key(name: &str) -> String {
     format!("pull {name}")
 }
-
-/// Maximum entries staged for one-shot serving when a pulled document
-/// exceeds the co-op cache's per-shard budget slice.
-pub(crate) const PENDING_SERVE_CAP: usize = 16;
 
 /// Overload test: migrate when our metric exceeds the least-loaded
 /// peer's by this ratio.
@@ -153,9 +149,6 @@ pub struct ServerEngine {
     /// Copies held in the co-op role, keyed by [`coop_cache_key`].
     /// Revoked copies become negative entries (crash insurance, §4.5).
     pub(crate) coop_cache: Arc<DocCache>,
-    /// One-shot staging for pulled documents too large for the co-op
-    /// cache: consumed by the next request, bounded FIFO.
-    pub(crate) pending_serve: Vec<(CoopKey, CachedDoc)>,
     /// Sizes of bodies received by this server's co-op role pulls.
     pub(crate) pull_sizes: SizeHistogram,
     /// Moved tombstones: a pull was answered with a redirect, so requests
@@ -205,7 +198,6 @@ impl ServerEngine {
             rewritten: HashSet::new(),
             coop_cache,
             read,
-            pending_serve: Vec::new(),
             pull_sizes: SizeHistogram::new(),
             coop_moved: HashMap::new(),
             replicas: HashMap::new(),

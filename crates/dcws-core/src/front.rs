@@ -1,9 +1,10 @@
 //! What a server does with a request its read path declined, written once
 //! for every host: the engine call; one lazy pull per co-op miss
 //! ([`Outcome::FetchNeeded`], §4.2) however many requests wait on it, each
-//! follower counted as a coalesced wait; the settle step; the one-retry
-//! rule; and the degradation ladder (docs/RESILIENCE.md). Sans-IO, like
-//! the engine it drives.
+//! follower counted as a coalesced wait; and the settle step, which hands
+//! every waiter the copy its pull brought in — whether or not the co-op
+//! cache kept it — or walks the degradation ladder (docs/RESILIENCE.md).
+//! Sans-IO, like the engine it drives.
 //!
 //! A waiter `W` is whatever the host needs to answer later: the TCP spill
 //! workers park the spilled job itself, so a follower holds no worker
@@ -14,6 +15,7 @@
 
 use crate::engine::ServerEngine;
 use crate::serve::Outcome;
+use dcws_cache::CachedDoc;
 use dcws_graph::ServerId;
 use dcws_http::{Request, Response, StatusCode};
 use std::borrow::Cow;
@@ -67,9 +69,12 @@ pub enum Pulled {
 /// What a settled pull gives one of its waiters.
 #[derive(Debug)]
 pub enum Settled<W> {
-    /// The copy is in: serve the waiter again, through [`Front::retry`].
-    Retry(W),
-    /// The waiter's answer: the home's reply, a retained copy, or a `503`.
+    /// The copy to answer the waiter from, through [`Front::serve_copy`]:
+    /// the one the pull brought in, or — home unreachable — the retained
+    /// one, marked stale.
+    Copy(W, CachedDoc),
+    /// The waiter's answer: the home's reply as-is, or a `503` when the
+    /// home is unreachable and no copy is held.
     Answer(W, Response),
 }
 
@@ -126,21 +131,25 @@ impl<W: Waiter> Front<W> {
         }
     }
 
-    /// Serve a [`Settled::Retry`] waiter again. A second miss — the copy
-    /// evicted, or a staged oversize body another waiter consumed — is
-    /// answered `500` rather than pulled for in a loop.
-    pub fn retry(&self, engine: &mut ServerEngine, waiter: W, now_ms: u64) -> (W, Outcome) {
-        let answer = handle(engine, &waiter, now_ms)
-            .unwrap_or_else(|_| Outcome::Response(Response::new(StatusCode::InternalServerError)));
-        (waiter, answer)
+    /// Answer a [`Settled::Copy`] waiter from its copy, as the engine
+    /// answers from its co-op cache ([`ServerEngine::serve_copy`]).
+    pub fn serve_copy(
+        &self,
+        engine: &mut ServerEngine,
+        waiter: W,
+        copy: &CachedDoc,
+        now_ms: u64,
+    ) -> (W, Response) {
+        let resp = engine.serve_copy(&waiter.request(), copy, now_ms);
+        (waiter, resp)
     }
 }
 
 impl<W> Front<W> {
     /// Settle the pull of `home`'s `path` (store a `200`, digest any other
-    /// reply, record an unreachable home) and release its waiters: served
-    /// again after a `200`, given any other reply as-is, or — home
-    /// unreachable — a retained copy or a `503`.
+    /// reply, record an unreachable home) and release its waiters: each
+    /// handed the copy a `200` brought in, any other reply as-is, or — home
+    /// unreachable — the retained copy, else a `503`.
     pub fn settle(
         &mut self,
         engine: &mut ServerEngine,
@@ -153,35 +162,28 @@ impl<W> Front<W> {
             .waiting
             .remove(&(home.clone(), path.to_string()))
             .unwrap_or_default();
-        match pulled {
-            Pulled::Reply(resp)
-                if resp.status == StatusCode::Ok
-                    && engine.store_pulled(home, path, &resp, now_ms) =>
-            {
-                waiters.into_iter().map(Settled::Retry).collect()
+        let copy = match pulled {
+            Pulled::Reply(resp) if resp.status == StatusCode::Ok => {
+                engine.pulled_copy(home, path, &resp, now_ms)
             }
             Pulled::Reply(resp) => {
                 // Home declined (a 301 to the current host, a 404, its own
                 // 503): remember a redirect, relay the answer as-is.
                 engine.pull_rejected(home, path, &resp, now_ms);
-                waiters
+                return waiters
                     .into_iter()
                     .map(|w| Settled::Answer(w, resp.clone()))
-                    .collect()
+                    .collect();
             }
-            Pulled::Unreachable => {
-                engine.note_pull_failure(home, path, now_ms);
-                waiters
-                    .into_iter()
-                    .map(|w| {
-                        let resp = engine
-                            .serve_stale(home, path, now_ms)
-                            .unwrap_or_else(unavailable);
-                        Settled::Answer(w, resp)
-                    })
-                    .collect()
-            }
-        }
+            Pulled::Unreachable => engine.note_pull_failure(home, path, now_ms),
+        };
+        waiters
+            .into_iter()
+            .map(|w| match &copy {
+                Some(copy) => Settled::Copy(w, copy.clone()),
+                None => Settled::Answer(w, unavailable()),
+            })
+            .collect()
     }
 
     /// Take every parked waiter, in key order, leaving the table empty —

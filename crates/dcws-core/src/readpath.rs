@@ -38,13 +38,14 @@
 
 use crate::engine::{coop_cache_key, Modified};
 use crate::naming::decode_migrate_path;
+use crate::serve::{copy_answer, unmodified_since};
 use crate::stream::{stream_answer, DocReader};
 use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
-    apply_range_spec, fnv1a, http_date, is_reserved_path, parse_http_date, parse_response_head,
-    range_spec, Body, Headers, LoadReport, Method, RangeSpec, Request, RequestHead, Response,
-    StatusCode, StreamBody, Url, PIGGYBACK_HEADER, RANGE_HEADER,
+    apply_range_spec, fnv1a, http_date, is_reserved_path, parse_response_head, range_spec, Body,
+    Headers, LoadReport, Method, RangeSpec, Request, RequestHead, Response, StatusCode, StreamBody,
+    Url, PIGGYBACK_HEADER, RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -488,9 +489,7 @@ impl ReadPath {
     /// The `304` for a copy last modified at `modified_ms`, when the
     /// request's `If-Modified-Since` covers it.
     fn not_modified(&self, want: &Wanted<'_>, modified_ms: u64) -> Option<Response> {
-        let since = want.if_modified_since.and_then(parse_http_date)?;
-        // HTTP dates have second granularity; compare at that grain.
-        if modified_ms / 1000 * 1000 > since {
+        if !unmodified_since(want.if_modified_since, modified_ms) {
             return None;
         }
         self.counters
@@ -513,21 +512,20 @@ impl ReadPath {
         if doc.negative {
             return None;
         }
-        if let Some(resp) = self.not_modified(want, doc.modified_ms) {
-            self.record_traffic(0);
-            return Some((Hit::Built(resp), None));
+        let stale = doc.stale;
+        let resp = copy_answer(doc, want.if_modified_since);
+        let (c, len) = (&self.counters, resp.body.len() as u64);
+        if resp.status == StatusCode::NotModified {
+            c.conditional_not_modified.fetch_add(1, Ordering::Relaxed);
+        } else {
+            c.served_coop.fetch_add(1, Ordering::Relaxed);
+            if stale {
+                // Freshness unverified (failed T_val): still served, counted.
+                c.stale_serves.fetch_add(1, Ordering::Relaxed);
+            }
+            c.bytes_sent.fetch_add(len, Ordering::Relaxed);
         }
-        self.counters.served_coop.fetch_add(1, Ordering::Relaxed);
-        if doc.stale {
-            // Freshness unverified (failed T_val): still served, counted.
-            self.counters.stale_serves.fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters
-            .bytes_sent
-            .fetch_add(doc.bytes.len() as u64, Ordering::Relaxed);
-        self.record_traffic(doc.bytes.len() as u64);
-        let resp = Response::ok(doc.bytes, doc.content_type)
-            .with_header("Last-Modified", http_date(doc.modified_ms));
+        self.record_traffic(len);
         Some((Hit::Built(resp), None))
     }
 

@@ -1,14 +1,14 @@
 //! Request handling — the data plane of §4.2–§4.4.
 
-use crate::engine::{coop_cache_key, Modified, ServerEngine, PENDING_SERVE_CAP};
+use crate::engine::{coop_cache_key, Modified, ServerEngine};
 use crate::events::EngineEvent;
 use crate::naming::decode_migrate_path;
 use crate::stream::stream_answer;
 use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{
-    apply_range, body_checksum, checksum_matches, http_date, parse_http_date, range_spec,
-    HeaderValue, Method, Request, Response, StatusCode, StreamBody, Url, CHECKSUM_HEADER,
+    apply_range, body_checksum, checksum_matches, http_date, parse_http_date, range_spec, Body,
+    HeaderValue, Headers, Method, Request, Response, StatusCode, StreamBody, Url, CHECKSUM_HEADER,
     RANGE_HEADER, STREAM_CHUNK,
 };
 
@@ -30,8 +30,8 @@ pub enum Outcome {
     },
     /// Co-op miss (§4.2 case 1): `path` must be pulled from `home` before
     /// the request can be answered. [`Front`](crate::Front) turns this
-    /// into one pull per document, settles it, and retries or degrades
-    /// every request that waited on it.
+    /// into one pull per document, settles it, and answers every request
+    /// that waited on it from the copy the pull brought in, or degrades.
     FetchNeeded {
         /// Home server to pull from.
         home: ServerId,
@@ -71,6 +71,47 @@ fn is_inter_server(req: &Request) -> bool {
         .any(|(n, _)| n.len() >= 7 && n[..7].eq_ignore_ascii_case("x-dcws-"))
 }
 
+/// Whether a request's `If-Modified-Since` covers a copy last modified at
+/// `modified_ms`, compared at the second granularity of HTTP dates.
+pub(crate) fn unmodified_since(if_modified_since: Option<&str>, modified_ms: u64) -> bool {
+    if_modified_since
+        .and_then(parse_http_date)
+        .is_some_and(|since| modified_ms / 1000 * 1000 <= since)
+}
+
+/// A held co-op copy's answer: a `304` when `if_modified_since` covers
+/// it, the copy otherwise, `Last-Modified` either way. The caller counts
+/// it.
+pub(crate) fn copy_answer(doc: CachedDoc, if_modified_since: Option<&str>) -> Response {
+    let last_modified = http_date(doc.modified_ms);
+    if unmodified_since(if_modified_since, doc.modified_ms) {
+        return Response::not_modified().with_header("Last-Modified", last_modified);
+    }
+    Response::ok(doc.bytes, doc.content_type).with_header("Last-Modified", last_modified)
+}
+
+/// A home's message — a pull's `200`, a push, a refreshed validation — as
+/// the co-op copy it carries. `X-DCWS-Version` and `Content-Type` default
+/// to the `held` copy's successor, else to version 0 and an octet stream;
+/// `Last-Modified` to `now`.
+fn carried_copy(headers: &Headers, body: &Body, held: Option<&CachedDoc>, now: u64) -> CachedDoc {
+    let (version, content_type) = match held {
+        Some(doc) => (doc.version + 1, doc.content_type.as_str()),
+        None => (0, "application/octet-stream"),
+    };
+    let version = headers
+        .get("X-DCWS-Version")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(version);
+    let content_type = headers.get("Content-Type").unwrap_or(content_type);
+    let mut doc = CachedDoc::new(body.clone(), content_type, version, now);
+    doc.modified_ms = headers
+        .get("Last-Modified")
+        .and_then(parse_http_date)
+        .unwrap_or(now);
+    doc
+}
+
 impl ServerEngine {
     /// Handle one parsed request at time `now_ms`.
     ///
@@ -104,7 +145,6 @@ impl ServerEngine {
             }
         };
 
-        let inter = is_inter_server(req);
         let outcome = match decode_migrate_path(&path) {
             Err(_) => {
                 self.stats.bad_requests += 1;
@@ -115,29 +155,43 @@ impl ServerEngine {
             Ok(None) => self.serve_home(&path, req, now_ms),
         };
         match outcome {
-            Outcome::Response(mut resp) => {
-                if !inter {
-                    // Client GETs may carry a byte range; 304 conditional
-                    // hits and errors pass through apply_range untouched,
-                    // so If-Modified-Since wins over Range.
-                    resp = apply_range(req, resp);
-                }
-                self.window.record(now_ms, resp.body.len() as u64);
-                if inter {
-                    self.attach_reports(&mut resp.headers, now_ms);
-                }
-                Outcome::Response(resp)
-            }
+            Outcome::Response(resp) => Outcome::Response(self.answered(req, resp, now_ms)),
             Outcome::Stream { mut resp, body } => {
                 // Range was already resolved when the stream was opened.
                 self.window.record(now_ms, body.len());
-                if inter {
+                if is_inter_server(req) {
                     self.attach_reports(&mut resp.headers, now_ms);
                 }
                 Outcome::Stream { resp, body }
             }
             fetch @ Outcome::FetchNeeded { .. } => fetch,
         }
+    }
+
+    /// Answer `req` from `copy`: a co-op copy a pull brought in, or the
+    /// one a failed pull left retained. The answer is the one
+    /// [`Self::handle_request`] gives from the co-op cache — `304` or
+    /// `200` with `Last-Modified`, then the same way out.
+    pub fn serve_copy(&mut self, req: &Request, copy: &CachedDoc, now_ms: u64) -> Response {
+        self.now_ms = self.now_ms.max(now_ms);
+        let resp = self.serve_coop_doc(copy.clone(), req);
+        self.answered(req, resp, now_ms)
+    }
+
+    /// The way out of a buffered answer: a client GET's byte range (a
+    /// `304` or an error passes through `apply_range` untouched, so
+    /// `If-Modified-Since` wins over `Range`), the rate window, and an
+    /// inter-server answer's piggybacked load reports.
+    fn answered(&mut self, req: &Request, mut resp: Response, now_ms: u64) -> Response {
+        let inter = is_inter_server(req);
+        if !inter {
+            resp = apply_range(req, resp);
+        }
+        self.window.record(now_ms, resp.body.len() as u64);
+        if inter {
+            self.attach_reports(&mut resp.headers, now_ms);
+        }
+        resp
     }
 
     /// Serve in the co-op role: a `~migrate` URL for another home's doc.
@@ -169,43 +223,24 @@ impl ServerEngine {
                 Outcome::FetchNeeded { home, path }
             }
             Some(doc) => Outcome::Response(self.serve_coop_doc(doc, req)),
-            None => {
-                // A pulled body too large for the cache may be staged for
-                // exactly one serve; without this the retry after a pull
-                // would miss again and loop on FetchNeeded.
-                if let Some(i) = self.pending_serve.iter().position(|(k, _)| *k == key) {
-                    let (_, doc) = self.pending_serve.remove(i);
-                    return Outcome::Response(self.serve_coop_doc(doc, req));
-                }
-                Outcome::FetchNeeded { home, path }
-            }
+            None => Outcome::FetchNeeded { home, path },
         }
     }
 
-    /// Ship a co-op-held copy: a 304 when the client's
-    /// `If-Modified-Since` covers it, the body otherwise, `Last-Modified`
-    /// either way.
+    /// Ship a co-op-held copy ([`copy_answer`]) and count it.
     fn serve_coop_doc(&mut self, doc: CachedDoc, req: &Request) -> Response {
-        let last_modified = http_date(doc.modified_ms);
-        if let Some(since) = req
-            .headers
-            .get("If-Modified-Since")
-            .and_then(parse_http_date)
-        {
-            // HTTP dates have second granularity; compare at that grain.
-            if doc.modified_ms / 1000 * 1000 <= since {
-                self.stats.conditional_not_modified += 1;
-                return Response::not_modified().with_header("Last-Modified", last_modified);
-            }
+        // A stale-marked copy (failed T_val or pull) or a negative one
+        // served as §4.5 crash insurance is freshness-unverified: count it.
+        let unverified = doc.stale || doc.negative;
+        let resp = copy_answer(doc, req.headers.get("If-Modified-Since"));
+        if resp.status == StatusCode::NotModified {
+            self.stats.conditional_not_modified += 1;
+        } else {
+            self.stats.served_coop += 1;
+            self.stats.bytes_sent += resp.body.len() as u64;
+            self.stats.stale_serves += u64::from(unverified);
         }
-        self.stats.served_coop += 1;
-        self.stats.bytes_sent += doc.bytes.len() as u64;
-        // A stale-marked copy (failed T_val) or a negative one served as
-        // §4.5 crash insurance is freshness-unverified: count it.
-        if doc.stale || doc.negative {
-            self.stats.stale_serves += 1;
-        }
-        Response::ok(doc.bytes, doc.content_type).with_header("Last-Modified", last_modified)
+        resp
     }
 
     /// Serve in the home role.
@@ -247,19 +282,12 @@ impl ServerEngine {
                 // conditional check compares against is current.
                 self.settle_dirty(path);
                 let at = self.doc_modified(path);
-                if let Some(since) = req
-                    .headers
-                    .get("If-Modified-Since")
-                    .and_then(parse_http_date)
-                {
-                    // Second granularity: HTTP dates carry no millis.
-                    if at.ms / 1000 * 1000 <= since {
-                        self.stats.conditional_not_modified += 1;
-                        self.ldg.record_hit(path, 0);
-                        return Outcome::Response(
-                            Response::not_modified().with_header("Last-Modified", at.http_date),
-                        );
-                    }
+                if unmodified_since(req.headers.get("If-Modified-Since"), at.ms) {
+                    self.stats.conditional_not_modified += 1;
+                    self.ldg.record_hit(path, 0);
+                    return Outcome::Response(
+                        Response::not_modified().with_header("Last-Modified", at.http_date),
+                    );
                 }
                 // Sequoia-class objects stream straight from the store:
                 // no whole-body buffer, no regen-cache copy, first chunk
@@ -455,23 +483,7 @@ impl ServerEngine {
                 return Response::new(StatusCode::BadRequest);
             }
         }
-        let version = req
-            .headers
-            .get("X-DCWS-Version")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let content_type = req
-            .headers
-            .get("Content-Type")
-            .unwrap_or("application/octet-stream")
-            .to_string();
-        let modified = req
-            .headers
-            .get("Last-Modified")
-            .and_then(parse_http_date)
-            .unwrap_or(now_ms);
-        let mut doc = CachedDoc::new(req.body.clone(), content_type, version, now_ms);
-        doc.modified_ms = modified;
+        let doc = carried_copy(&req.headers, &req.body, None, now_ms);
         let result = self.coop_cache.insert(&coop_cache_key(&home, &path), doc);
         self.note_evictions("coop", result.evicted);
         Response::new(StatusCode::Ok).with_header("Content-Length", "0")
@@ -487,28 +499,25 @@ impl ServerEngine {
         resp: &Response,
         now_ms: u64,
     ) -> bool {
+        self.pulled_copy(home, path, resp, now_ms).is_some()
+    }
+
+    /// [`Self::store_pulled`], handing back the copy a `200` brought in:
+    /// what every request that waited on the pull is answered from,
+    /// whether or not the co-op cache admitted it.
+    pub(crate) fn pulled_copy(
+        &mut self,
+        home: &ServerId,
+        path: &str,
+        resp: &Response,
+        now_ms: u64,
+    ) -> Option<CachedDoc> {
         self.now_ms = self.now_ms.max(now_ms);
         self.ingest_reports(&resp.headers);
         if resp.status != StatusCode::Ok {
-            return false;
+            return None;
         }
-        let version = resp
-            .headers
-            .get("X-DCWS-Version")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let content_type = resp
-            .headers
-            .get("Content-Type")
-            .unwrap_or("application/octet-stream")
-            .to_string();
-        let modified = resp
-            .headers
-            .get("Last-Modified")
-            .and_then(parse_http_date)
-            .unwrap_or(now_ms);
-        let key = (home.clone(), path.to_string());
-        self.coop_moved.remove(&key);
+        self.coop_moved.remove(&(home.clone(), path.to_string()));
         let bytes = resp.body.len() as u64;
         self.pull_sizes.record(bytes);
         self.emit(EngineEvent::CachePull {
@@ -516,21 +525,12 @@ impl ServerEngine {
             home: home.clone(),
             bytes,
         });
-        let mut doc = CachedDoc::new(resp.body.clone(), content_type, version, now_ms);
-        doc.modified_ms = modified;
+        let doc = carried_copy(&resp.headers, &resp.body, None, now_ms);
         let result = self
             .coop_cache
             .insert(&coop_cache_key(home, path), doc.clone());
         self.note_evictions("coop", result.evicted);
-        if !result.stored {
-            // Too large for our budget slice: stage the body so the
-            // retry that follows this pull can serve it exactly once.
-            if self.pending_serve.len() >= PENDING_SERVE_CAP {
-                self.pending_serve.remove(0);
-            }
-            self.pending_serve.push((key, doc));
-        }
-        true
+        Some(doc)
     }
 
     /// Digest a *rejected* pull: the home answered with a redirect because
@@ -550,7 +550,6 @@ impl ServerEngine {
         let key = (home.clone(), path.to_string());
         // The old copy, if any, is superseded.
         self.coop_cache.remove(&coop_cache_key(home, path));
-        self.pending_serve.retain(|(k, _)| *k != key);
         self.coop_moved
             .insert(key, (location, now_ms + self.cfg.validation_interval_ms));
     }
@@ -584,23 +583,7 @@ impl ServerEngine {
                 self.coop_cache.touch(&cache_key, now_ms);
             }
             StatusCode::Ok => {
-                let version = resp
-                    .headers
-                    .get("X-DCWS-Version")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(doc.version + 1);
-                let content_type = resp
-                    .headers
-                    .get("Content-Type")
-                    .map(|ct| ct.to_string())
-                    .unwrap_or(doc.content_type);
-                let modified = resp
-                    .headers
-                    .get("Last-Modified")
-                    .and_then(parse_http_date)
-                    .unwrap_or(now_ms);
-                let mut fresh = CachedDoc::new(resp.body.clone(), content_type, version, now_ms);
-                fresh.modified_ms = modified;
+                let fresh = carried_copy(&resp.headers, &resp.body, Some(&doc), now_ms);
                 let result = self.coop_cache.insert(&cache_key, fresh);
                 self.note_evictions("coop", result.evicted);
             }
@@ -623,33 +606,25 @@ impl ServerEngine {
     }
 
     /// Record that a lazy pull of `path` from `home` failed after the
-    /// transport's retries. Marks any retained copy stale; the host then
-    /// answers each waiting request via [`Self::serve_stale`], or with a
-    /// 503 + Retry-After when no bytes are held.
-    pub fn note_pull_failure(&mut self, home: &ServerId, path: &str, now_ms: u64) {
+    /// transport's retries, and hand back any retained copy marked stale —
+    /// even a revoked one kept as §4.5 crash insurance. The degradation
+    /// ladder's last rungs (fresh → stale → 503): each waiting request is
+    /// answered from that copy through [`Self::serve_copy`], counted as a
+    /// stale serve, or with a 503 + Retry-After when no bytes are held.
+    pub fn note_pull_failure(
+        &mut self,
+        home: &ServerId,
+        path: &str,
+        now_ms: u64,
+    ) -> Option<CachedDoc> {
         self.now_ms = self.now_ms.max(now_ms);
         self.stats.pull_failures += 1;
-        self.coop_cache.set_stale(&coop_cache_key(home, path), true);
+        let key = coop_cache_key(home, path);
+        self.coop_cache.set_stale(&key, true);
         self.emit(EngineEvent::PullFailed {
             doc: path.to_string(),
             home: home.clone(),
         });
-    }
-
-    /// Last rung of the degradation ladder (fresh → stale → 503): serve
-    /// any retained copy of `home`'s `path` — stale-marked, or even a
-    /// revoked/negative one kept as §4.5 crash insurance — rather than
-    /// fail the client. Returns `None` when no bytes are held.
-    pub fn serve_stale(&mut self, home: &ServerId, path: &str, now_ms: u64) -> Option<Response> {
-        self.now_ms = self.now_ms.max(now_ms);
-        let doc = self.coop_cache.peek(&coop_cache_key(home, path))?;
-        self.stats.served_coop += 1;
-        self.stats.bytes_sent += doc.bytes.len() as u64;
-        self.stats.stale_serves += 1;
-        self.window.record(now_ms, doc.bytes.len() as u64);
-        Some(
-            Response::ok(doc.bytes, doc.content_type)
-                .with_header("Last-Modified", http_date(doc.modified_ms)),
-        )
+        self.coop_cache.peek(&key)
     }
 }

@@ -248,7 +248,6 @@ impl ServerEngine {
             ("evictions", Json::from(merged.evictions)),
             ("coalesced_waits", Json::from(merged.coalesced_waits)),
             ("oversize_rejects", Json::from(merged.oversize_rejects)),
-            ("pending_serve", Json::from(self.pending_serve.len())),
             ("regen", cache_stats_json(&regen_stats)),
             ("coop", cache_stats_json(&coop_stats)),
             ("pulled_body_sizes", pulled_sizes),

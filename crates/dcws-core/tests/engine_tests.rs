@@ -716,11 +716,11 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
                         // The leader answers every waiter, itself included.
                         let (engine, front) = &mut *coop.lock().unwrap();
                         for s in front.settle(engine, &h, &path, Pulled::Reply(resp), now) {
-                            let Settled::Retry(asker) = s else {
+                            let Settled::Copy(asker, copy) = s else {
                                 panic!("pull must succeed");
                             };
-                            let (Asker(_, tx), answer) = front.retry(engine, asker, now);
-                            tx.send(answer.into_response().unwrap()).unwrap();
+                            let (Asker(_, tx), resp) = front.serve_copy(engine, asker, &copy, now);
+                            tx.send(resp).unwrap();
                         }
                     }
                 }
@@ -748,10 +748,19 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
 }
 
 #[test]
-fn oversize_pulled_doc_still_served_via_staging() {
+fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
     // A pulled document larger than the co-op cache's budget slice is
-    // rejected by the cache but staged for exactly one serve, so the
-    // post-pull retry succeeds instead of looping on FetchNeeded.
+    // refused by the cache, but the pull still answers its requester from
+    // the copy it brought in; the next miss pulls again.
+    use dcws_core::{Front, Pulled, Settled, Step, Waiter};
+
+    struct Get(Request);
+    impl Waiter for Get {
+        fn request(&self) -> std::borrow::Cow<'_, Request> {
+            std::borrow::Cow::Borrowed(&self.0)
+        }
+    }
+
     let mut home = make_home(ServerConfig::paper_defaults());
     let mut cfg = ServerConfig::paper_defaults();
     cfg.cache_budget_bytes = 64; // far below any document body
@@ -760,24 +769,25 @@ fn oversize_pulled_doc_still_served_via_staging() {
     let now = T_ST + 5;
 
     let migrate_path = "/~migrate/home/8000/d.html";
-    let Outcome::FetchNeeded { home: h, path } =
-        coop.handle_request(&Request::get(migrate_path), now)
+    let mut front = Front::default();
+    let Step::Pull { home: h, path } = front.serve(&mut coop, Get(Request::get(migrate_path)), now)
     else {
-        panic!("expected FetchNeeded");
+        panic!("expected a pull");
     };
     let pull = coop.make_pull_request(&path, now);
     let resp = home.handle_request(&pull, now).into_response().unwrap();
-    assert!(coop.store_pulled(&h, &path, &resp, now));
+    let mut settled = front.settle(&mut coop, &h, &path, Pulled::Reply(resp.clone()), now);
     assert_eq!(coop.coop_cache().stats().oversize_rejects, 1);
+    assert_eq!(coop.coop_doc_count(), 0);
 
-    // The retry serves the staged body exactly once...
-    let r = coop
-        .handle_request(&Request::get(migrate_path), now + 1)
-        .into_response()
-        .expect("staged body must serve");
+    // The requester is answered from the copy...
+    let Some(Settled::Copy(get, copy)) = settled.pop() else {
+        panic!("a stored pull hands its requester the copy");
+    };
+    let (_, r) = front.serve_copy(&mut coop, get, &copy, now + 1);
     assert_eq!(r.status, StatusCode::Ok);
     assert_eq!(r.body, resp.body);
-    // ...after which the next miss pulls again.
+    // ...and the next miss pulls again.
     assert!(matches!(
         coop.handle_request(&Request::get(migrate_path), now + 2),
         Outcome::FetchNeeded { .. }
@@ -847,27 +857,30 @@ fn failed_validation_marks_stale_then_success_clears_it() {
 }
 
 #[test]
-fn pull_failure_degrades_to_stale_copy_via_serve_stale() {
+fn pull_failure_degrades_to_stale_copy() {
     let mut home = make_home(ServerConfig::paper_defaults());
     let mut coop = make_coop();
     force_migration(&mut home, T_ST);
     let now = T_ST + 5;
 
     // No copy at all: nothing to degrade to.
-    assert!(coop.serve_stale(&home_id(), "/d.html", now).is_none());
+    assert!(coop.note_pull_failure(&home_id(), "/d.html", now).is_none());
+    assert_eq!(coop.stats().pull_failures, 1);
 
     let resp = pull_d(&mut home, &mut coop, now);
 
-    // A later pull attempt fails (home unreachable after retries).
-    coop.note_pull_failure(&home_id(), "/d.html", now + 10);
-    assert_eq!(coop.stats().pull_failures, 1);
+    // A later pull attempt fails (home unreachable after retries): the
+    // retained copy is marked stale and handed back.
+    let copy = coop
+        .note_pull_failure(&home_id(), "/d.html", now + 10)
+        .expect("a retained copy");
+    assert_eq!(coop.stats().pull_failures, 2);
+    assert!(copy.stale);
     assert!(coop_entry_stale(&coop));
 
-    // The transport's last rung before 503: serve the retained copy.
+    // The last rung before 503: answer from the retained copy.
     let before = coop.stats().stale_serves;
-    let r = coop
-        .serve_stale(&home_id(), "/d.html", now + 11)
-        .expect("retained copy serves stale");
+    let r = coop.serve_copy(&Request::get("/~migrate/home/8000/d.html"), &copy, now + 11);
     assert_eq!(r.status, StatusCode::Ok);
     assert_eq!(r.body, resp.body);
     assert_eq!(coop.stats().stale_serves, before + 1);

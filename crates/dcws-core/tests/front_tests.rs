@@ -1,6 +1,7 @@
 //! The `Front` policy over a home engine and a co-op engine: pull
-//! coalescing, the settle step, the one-retry rule and the degradation
-//! ladder, with requests and pulls handed across directly.
+//! coalescing, the settle step that answers every waiter from the copy
+//! its pull brought in, and the degradation ladder, with requests and
+//! pulls handed across directly.
 
 use dcws_core::{
     EngineEvent, Front, MemStore, Pulled, ServerConfig, ServerEngine, Settled, Step, Waiter,
@@ -99,13 +100,33 @@ fn settle(
     front.settle(coop, &home_id(), "/d.html", pulled, now)
 }
 
-/// The answers of a settled pull, in waiter order; panics on a retry.
+/// The answers of a settled pull, in waiter order; panics on a copy.
 fn answers(settled: Vec<Settled<Client>>) -> Vec<(usize, Response)> {
     settled
         .into_iter()
         .map(|s| match s {
             Settled::Answer(Client(i, _), resp) => (i, resp),
-            Settled::Retry(Client(i, _)) => panic!("waiter {i} retried"),
+            Settled::Copy(Client(i, _), _) => panic!("waiter {i} was handed a copy"),
+        })
+        .collect()
+}
+
+/// A settled pull's waiters, each answered from the copy it was handed,
+/// in waiter order; panics on any other answer.
+fn served_copies(
+    front: &Front<Client>,
+    coop: &mut ServerEngine,
+    settled: Vec<Settled<Client>>,
+    now: u64,
+) -> Vec<(usize, Response)> {
+    settled
+        .into_iter()
+        .map(|s| match s {
+            Settled::Copy(client, copy) => {
+                let (Client(i, _), resp) = front.serve_copy(coop, client, &copy, now);
+                (i, resp)
+            }
+            Settled::Answer(Client(i, _), resp) => panic!("waiter {i} answered {resp:?}"),
         })
         .collect()
 }
@@ -145,14 +166,10 @@ fn a_stored_pull_retries_every_waiter() {
     park(&mut front, &mut coop, 3, now);
     let reply = pull(&mut home, &mut coop, now);
     let settled = settle(&mut front, &mut coop, Pulled::Reply(reply), now);
-    assert_eq!(settled.len(), 3);
-    for (i, s) in settled.into_iter().enumerate() {
-        let Settled::Retry(client) = s else {
-            panic!("waiter {i} was not retried: {s:?}");
-        };
-        assert_eq!(client.0, i, "waiters keep their arrival order");
-        let resp = front.retry(&mut coop, client, now + 1).1.into_response();
-        let resp = resp.expect("a retry is answered");
+    let answers = served_copies(&front, &mut coop, settled, now + 1);
+    assert_eq!(answers.len(), 3);
+    for (i, (client, resp)) in answers.into_iter().enumerate() {
+        assert_eq!(client, i, "waiters keep their arrival order");
         assert_eq!(resp.status, StatusCode::Ok);
         assert!(String::from_utf8_lossy(&resp.body).contains("doc D"));
     }
@@ -166,30 +183,31 @@ fn a_stored_pull_retries_every_waiter() {
     ));
 }
 
-/// A copy too large for the co-op cache is staged for one serve: the
-/// first retry takes it, the second misses again and is answered `500`
-/// instead of pulling in a loop.
+/// A copy the co-op cache refuses (too large for its budget) still
+/// answers every request that waited on its pull; the cache keeps
+/// nothing, so the next request leads a pull of its own.
 #[test]
-fn a_second_miss_after_the_pull_answers_500() {
+fn an_uncacheable_copy_answers_every_waiter() {
     let mut home = migrated_home();
     let mut coop = coop_with_budget(64);
     let mut front = Front::default();
     let now = T_ST + 5;
-    park(&mut front, &mut coop, 2, now);
+    park(&mut front, &mut coop, 4, now);
     let reply = pull(&mut home, &mut coop, now);
-    let statuses: Vec<StatusCode> = settle(&mut front, &mut coop, Pulled::Reply(reply), now)
-        .into_iter()
-        .map(|s| match s {
-            Settled::Retry(client) => {
-                let answer = front.retry(&mut coop, client, now + 1).1;
-                answer.into_response().expect("a retry is answered").status
-            }
-            Settled::Answer(..) => panic!("a stored pull retries"),
-        })
-        .collect();
-    assert_eq!(statuses, [StatusCode::Ok, StatusCode::InternalServerError]);
+    let settled = settle(&mut front, &mut coop, Pulled::Reply(reply.clone()), now);
+    assert_eq!(coop.coop_doc_count(), 0, "the cache refused the copy");
+    let answers = served_copies(&front, &mut coop, settled, now + 1);
+    assert_eq!(answers.len(), 4);
+    for (_, resp) in &answers {
+        assert_eq!(resp.status, StatusCode::Ok);
+        assert_eq!(resp.body, reply.body);
+    }
     assert_eq!(home.stats().pulls_served, 1);
-    assert_eq!(front.flights().led, 1, "no second pull");
+    assert_eq!(front.flights().led, 1, "one pull for every waiter");
+    assert!(matches!(
+        front.serve(&mut coop, Client(9, Request::get(MIGRATE_D)), now + 2),
+        Step::Pull { .. }
+    ));
 }
 
 /// The home recalled `/d.html`, and the co-op re-checks its revoked copy:
@@ -285,7 +303,9 @@ fn an_unreachable_home_answers_503_with_retry_after() {
 }
 
 /// With a retained copy — here one the home revoked, kept as §4.5 crash
-/// insurance — every waiter of an unreachable home is served it stale.
+/// insurance — every waiter of an unreachable home is handed it, stale,
+/// and answered from it as from the cache: a conditional waiter the copy
+/// satisfies gets a `304`, a ranged one its range.
 #[test]
 fn an_unreachable_home_serves_a_retained_copy_stale() {
     let mut home = migrated_home();
@@ -305,19 +325,34 @@ fn an_unreachable_home_serves_a_retained_copy_stale() {
     coop.drain_events();
 
     park(&mut front, &mut coop, 3, later + 1);
+    let last_modified = reply.headers.get("Last-Modified").unwrap().to_string();
+    let conditional = Request::get(MIGRATE_D).with_header("If-Modified-Since", last_modified);
+    let ranged = Request::get(MIGRATE_D).with_header("Range", "bytes=0-3");
+    for (i, req) in [(3, conditional), (4, ranged)] {
+        assert!(matches!(
+            front.serve(&mut coop, Client(i, req), later + 1),
+            Step::Parked
+        ));
+    }
     let stale_before = coop.stats().stale_serves;
-    let answers = answers(settle(
-        &mut front,
-        &mut coop,
-        Pulled::Unreachable,
-        later + 1,
-    ));
-    assert_eq!(answers.len(), 3);
-    for (_, resp) in &answers {
-        assert_eq!(resp.status, StatusCode::Ok);
+    let settled = settle(&mut front, &mut coop, Pulled::Unreachable, later + 1);
+    let answers = served_copies(&front, &mut coop, settled, later + 1);
+    let statuses: Vec<StatusCode> = answers.iter().map(|(_, r)| r.status).collect();
+    assert_eq!(
+        statuses,
+        [
+            StatusCode::Ok,
+            StatusCode::Ok,
+            StatusCode::Ok,
+            StatusCode::NotModified,
+            StatusCode::PartialContent
+        ]
+    );
+    for (_, resp) in &answers[..3] {
         assert_eq!(resp.body, reply.body);
     }
-    assert_eq!(coop.stats().stale_serves, stale_before + 3);
+    assert_eq!(answers[4].1.body, reply.body[..4]);
+    assert_eq!(coop.stats().stale_serves, stale_before + 4);
     assert_eq!(coop.stats().pull_failures, 1);
     assert_eq!(pull_failed_events(&mut coop), 1);
 }

@@ -664,7 +664,8 @@ fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
 /// and answer every job that waited on it. The pull request needs no
 /// engine state beyond identity and the published load-report snapshot,
 /// so it is built lock-free, and the engine lock is taken once, *after*
-/// the network round-trip, to settle the pull and serve the waiters again.
+/// the network round-trip, to settle the pull and answer the waiters from
+/// the copy it brought in.
 fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, path: &str) {
     let pull = shared.read.make_pull_request(path);
     let pulled = match shared.transport.call(home, &pull, OpClass::Pull) {
@@ -673,20 +674,20 @@ fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, pat
         Err(_) => Pulled::Unreachable,
     };
     let now = shared.now_ms();
-    let answers: Vec<(SpillJob, Outcome)> = {
+    let answers: Vec<(SpillJob, Response)> = {
         let mut eng = shared.engine.lock();
         let mut front = shared.front();
         let settled = front.settle(&mut eng, home, path, pulled, now);
         settled
             .into_iter()
             .map(|s| match s {
-                Settled::Retry(job) => front.retry(&mut eng, job, now),
-                Settled::Answer(job, resp) => (job, Outcome::Response(resp)),
+                Settled::Copy(job, copy) => front.serve_copy(&mut eng, job, &copy, now),
+                Settled::Answer(job, resp) => (job, resp),
             })
             .collect()
     };
-    for (job, answer) in answers {
-        answer_job(bridges, job, answer);
+    for (job, resp) in answers {
+        complete(bridges, job, Served::from_response(resp), None);
     }
 }
 

@@ -206,15 +206,14 @@ fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
     coop.shutdown();
 }
 
-/// A miss parks its job, not its worker. The co-op has two workers and
-/// every pull it sends takes two seconds: one worker leads the pull of
-/// eight concurrent misses, and the other — a follower under a blocking
-/// scheme — is free to answer a cold GET of another document while the
-/// pull is still on its way to the home.
-#[test]
-fn a_parked_miss_holds_no_worker() {
+/// A home that has migrated `/d.html` to a two-worker co-op whose pulls
+/// each take `pull_delay_ms`, the co-op holding no copy yet; and the
+/// migrated URL.
+fn migrated_to_slow_coop(
+    coop_cfg: ServerConfig,
+    pull_delay_ms: u64,
+) -> (DcwsServer, DcwsServer, String) {
     use dcws_net::{FaultInjector, FaultPlan, NetConfig};
-    use std::sync::atomic::Ordering;
 
     let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let p_home = l1.local_addr().unwrap().port();
@@ -242,11 +241,11 @@ fn a_parked_miss_holds_no_worker() {
         &coop_id,
         ServerConfig {
             n_workers: 2,
-            ..fast_config()
+            ..coop_cfg
         },
     );
     coop_engine.publish("/own.html", b"<p>own</p>".to_vec(), DocKind::Html, true);
-    let slow_pulls = FaultPlan::new(7).with_delay(1.0, (2_000, 2_001));
+    let slow_pulls = FaultPlan::new(7).with_delay(1.0, (pull_delay_ms, pull_delay_ms + 1));
     let coop = DcwsServer::spawn_with(
         coop_engine,
         &coop_id.to_string(),
@@ -266,21 +265,42 @@ fn a_parked_miss_holds_no_worker() {
     assert!(wait_for(Duration::from_secs(5), || {
         home.engine().lock().stats().migrations >= 1
     }));
+    (home, coop, format!("/~migrate/127.0.0.1/{p_home}/d.html"))
+}
 
-    let migrate_path = format!("/~migrate/127.0.0.1/{p_home}/d.html");
+/// Eight concurrent GETs of `path` at `coop`, once all eight have been
+/// handed to its workers.
+fn eight_misses(
+    coop: &DcwsServer,
+    path: &str,
+) -> Vec<std::thread::JoinHandle<dcws_http::Response>> {
+    use std::sync::atomic::Ordering;
+
     let spilled = coop.reactor_stats().spillover_jobs.load(Ordering::Relaxed);
-    let misses: Vec<_> = (0..8)
+    let misses = (0..8)
         .map(|_| {
-            let coop_id = coop_id.clone();
-            let path = migrate_path.clone();
+            let coop_id = coop.server_id();
+            let path = path.to_string();
             std::thread::spawn(move || fetch_from(&coop_id, &Request::get(&path)).unwrap())
         })
         .collect();
     assert!(wait_for(Duration::from_secs(1), || {
         coop.reactor_stats().spillover_jobs.load(Ordering::Relaxed) >= spilled + 8
     }));
+    misses
+}
 
-    let cold = fetch_from(&coop_id, &Request::get("/own.html")).unwrap();
+/// A miss parks its job, not its worker. The co-op has two workers and
+/// every pull it sends takes two seconds: one worker leads the pull of
+/// eight concurrent misses, and the other — a follower under a blocking
+/// scheme — is free to answer a cold GET of another document while the
+/// pull is still on its way to the home.
+#[test]
+fn a_parked_miss_holds_no_worker() {
+    let (home, coop, migrate_path) = migrated_to_slow_coop(fast_config(), 2_000);
+    let misses = eight_misses(&coop, &migrate_path);
+
+    let cold = fetch_from(&coop.server_id(), &Request::get("/own.html")).unwrap();
     assert_eq!(cold.status, StatusCode::Ok);
     assert_eq!(
         home.engine().lock().stats().pulls_served,
@@ -293,6 +313,31 @@ fn a_parked_miss_holds_no_worker() {
         assert!(String::from_utf8_lossy(&resp.body).contains("payload-D"));
     }
     assert_eq!(home.engine().lock().stats().pulls_served, 1);
+
+    home.shutdown();
+    coop.shutdown();
+}
+
+/// A copy the co-op cache refuses — its budget is 64 bytes — still
+/// answers every request that waited on its pull.
+#[test]
+fn every_waiter_of_an_uncacheable_pull_is_answered_over_tcp() {
+    let coop_cfg = ServerConfig {
+        cache_budget_bytes: 64,
+        ..fast_config()
+    };
+    let (home, coop, migrate_path) = migrated_to_slow_coop(coop_cfg, 500);
+    let answers: Vec<(StatusCode, bool)> = eight_misses(&coop, &migrate_path)
+        .into_iter()
+        .map(|m| {
+            let resp = m.join().unwrap();
+            let body = String::from_utf8_lossy(&resp.body).contains("payload-D");
+            (resp.status, body)
+        })
+        .collect();
+    assert_eq!(answers, [(StatusCode::Ok, true); 8]);
+    assert_eq!(home.engine().lock().stats().pulls_served, 1);
+    assert_eq!(coop.engine().lock().coop_doc_count(), 0);
 
     home.shutdown();
     coop.shutdown();

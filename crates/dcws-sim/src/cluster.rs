@@ -28,9 +28,10 @@ use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
+use dcws_cache::CachedDoc;
 use dcws_core::{
-    decode_migrate_path, unavailable, EventRecord, Front, MemStore, Pulled, Served, ServerConfig,
-    ServerEngine, Settled, Step, Waiter,
+    decode_migrate_path, unavailable, EventRecord, Front, MemStore, Outcome, Pulled, Served,
+    ServerConfig, ServerEngine, Settled, Step, Waiter,
 };
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::{Method, Request, StatusCode, Url};
@@ -47,9 +48,10 @@ const WIRE_OVERHEAD_BYTES: usize = 300;
 pub(crate) struct Job {
     msg: Incoming,
     origin: Origin,
-    /// Served again after the pull it waited on landed: a second miss is
-    /// answered, not pulled for again ([`Front::retry`]).
-    retry: bool,
+    /// The copy its pull settled with: served again, the request takes
+    /// the read path as ever, and [`Front::serve_copy`] in the engine's
+    /// place. Boxed: every request in a socket queue carries the field.
+    copy: Option<Box<CachedDoc>>,
 }
 
 impl Waiter for Job {
@@ -618,7 +620,7 @@ impl SimCluster {
         srv.queue.push_back(Job {
             msg: req,
             origin,
-            retry: false,
+            copy: None,
         });
         if !srv.busy {
             self.start_service(server);
@@ -629,7 +631,7 @@ impl SimCluster {
         let now_ms = self.now / 1_000;
         let cost = &self.cfg.cost;
         let srv = &mut self.servers[server];
-        let Some(job) = srv.queue.pop_front() else {
+        let Some(mut job) = srv.queue.pop_front() else {
             return;
         };
         if let Incoming::ClientGet(url) = &job.msg {
@@ -647,11 +649,12 @@ impl SimCluster {
             }
         }
         let regen_before = srv.engine.regenerations();
-        let step = if job.retry {
-            let (job, answer) = srv.front.retry(&mut srv.engine, job, now_ms);
-            Step::Answer(job, answer)
-        } else {
-            srv.front.serve(&mut srv.engine, job, now_ms)
+        let step = match job.copy.take() {
+            Some(copy) => {
+                let (job, resp) = srv.front.serve_copy(&mut srv.engine, job, &copy, now_ms);
+                Step::Answer(job, Outcome::Response(resp))
+            }
+            None => srv.front.serve(&mut srv.engine, job, now_ms),
         };
         let regens = srv.engine.regenerations() - regen_before;
         srv.busy = true;
@@ -696,18 +699,22 @@ impl SimCluster {
     }
 
     /// Settle a pull at `server` and release the requests parked on it:
-    /// the ones to serve again go back to the head of the line in arrival
-    /// order, the rest are answered at once.
+    /// the ones handed a copy go back to the head of the line in arrival
+    /// order, carrying it, to be served in turn; the rest are answered at
+    /// once.
     fn settle_pull(&mut self, server: usize, home: &ServerId, path: &str, pulled: Pulled) {
         let now_ms = self.now / 1_000;
         let srv = &mut self.servers[server];
-        let mut retries = Vec::new();
+        let mut copies = Vec::new();
         for settled in srv
             .front
             .settle(&mut srv.engine, home, path, pulled, now_ms)
         {
             match settled {
-                Settled::Retry(job) => retries.push(Job { retry: true, ..job }),
+                Settled::Copy(job, copy) => copies.push(Job {
+                    copy: Some(Box::new(copy)),
+                    ..job
+                }),
                 Settled::Answer(job, resp) => self.queue.push(
                     self.now + 1,
                     Event::Deliver {
@@ -717,10 +724,10 @@ impl SimCluster {
                 ),
             }
         }
-        if retries.is_empty() {
+        if copies.is_empty() {
             return;
         }
-        for job in retries.into_iter().rev() {
+        for job in copies.into_iter().rev() {
             srv.queue.push_front(job);
         }
         if !srv.busy {

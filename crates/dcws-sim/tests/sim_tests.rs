@@ -166,6 +166,25 @@ fn crashed_home_pull_failures_are_recorded() {
     assert!(failed.iter().all(|(s, e)| *s != 0 && e.t_ms >= 30_000));
 }
 
+/// `cachepress`'s quick cell at corpus/8: a co-op cache too small to
+/// keep most pulled copies. Every request that waited on a pull is
+/// answered from the copy it brought in, kept or not, so no client fails.
+#[test]
+fn an_uncacheable_copy_fails_no_client() {
+    let dataset = Dataset::lod(1);
+    let corpus: u64 = dataset
+        .docs
+        .iter()
+        .map(|d| dcws_workloads::materialize::materialize(d).len() as u64)
+        .sum();
+    let mut cfg = SimConfig::paper(dataset, 2, 16).accelerate(20);
+    cfg.duration_ms = 45_000;
+    cfg.server_config.cache_budget_bytes = corpus / 8;
+    let r = run_sim(cfg);
+    assert!(r.cache.coalesced_waits > 0, "no request waited on a pull");
+    assert_eq!(r.totals.failures, 0);
+}
+
 #[test]
 fn fault_plan_blackout_maps_to_crash() {
     // The same seeded FaultPlan vocabulary the real transport uses

@@ -83,17 +83,21 @@ step one_algorithm_2
 
 # One front: what a server does with a request its read path declined
 # is one sans-IO policy (dcws_core::Front) both hosts drive — pull
-# coalescing, the settle step, the one-retry rule, the degradation
-# ladder. Its own suite; eight concurrent misses over TCP making one pull;
-# a follower that parks its job instead of a worker; a garbled pull that
-# degrades to a 503 and installs nothing; and a crashed home whose
-# co-ops record their failed pulls in the simulator. All run inside the
-# workspace tests too; named so that the two hosts drifting apart shows
-# as its own step.
+# coalescing, the settle step that answers every waiter from the copy
+# its pull brought in, the degradation ladder. Its own suite; eight
+# concurrent misses over TCP making one pull; a follower that parks its
+# job instead of a worker; every waiter of a pull whose copy the co-op
+# cache refuses answered 200, over TCP and in the simulator; a garbled
+# pull that degrades to a 503 and installs nothing; and a crashed home
+# whose co-ops record their failed pulls in the simulator. All run
+# inside the workspace tests too; named so that the two hosts drifting
+# apart shows as its own step.
 one_front() {
     cargo test -q -p dcws-core --test front_tests
     cargo test -q -p dcws-net --test tcp_integration concurrent_misses_coalesce_to_one_pull_over_tcp
     cargo test -q -p dcws-net --test tcp_integration a_parked_miss_holds_no_worker
+    cargo test -q -p dcws-net --test tcp_integration every_waiter_of_an_uncacheable_pull_is_answered_over_tcp
+    cargo test -q -p dcws-sim --test sim_tests an_uncacheable_copy_fails_no_client
     cargo test -q -p dcws-net --test chaos_tests garbled_pull_never_installs_corrupt_copy
     cargo test -q -p dcws-sim --test sim_tests crashed_home_pull_failures_are_recorded
 }
@@ -153,6 +157,8 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # c10kpress --quick holds 1k keep-alive clients against the reactor and
 # exits nonzero unless served concurrency beats the worker count with
 # zero accept errors, so an event-loop regression fails here;
+# cachepress --quick exits nonzero if any row records a client failure
+# (the sweep crashes no server, so a failure is a defect);
 # scalepress --quick runs the simulator at 240 servers / 3,000 clients
 # and exits nonzero unless every arm clears 10^5 sessions inside the
 # wall-clock bound and the shared-bandwidth re-run reproduces its digest

@@ -52,11 +52,6 @@ impl RoundRobinDns {
             .insert(client, (addr.clone(), now_ms + self.ttl_ms));
         addr
     }
-
-    /// Number of backend servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
 }
 
 #[cfg(test)]

@@ -3,14 +3,16 @@
 //! [`ServerEngine`] is *sans-IO*: it never touches sockets or the system
 //! clock. A host (the TCP server in `dcws-net`, or the
 //! discrete-event simulator in `dcws-sim`) feeds it parsed requests and
-//! timestamps, performs the network actions it emits ([`TickOutput`]), and
-//! ships its responses. This one engine plays both roles of the paper's
-//! fully symmetric design: *home server* for the documents it was given via
+//! timestamps, sends the calls it emits ([`TickOutput`]), hands each reply
+//! to [`Front::answered`](crate::Front::answered), and ships its
+//! responses. This one engine plays both roles of the paper's fully
+//! symmetric design: *home server* for the documents it was given via
 //! [`ServerEngine::publish`], and *co-op server* for documents other homes
 //! migrate to it.
 
 use crate::config::ServerConfig;
 use crate::events::{EngineEvent, EventLog, EventRecord, RevokeReason};
+use crate::front::{Call, Outbound};
 use crate::naming::migrate_url;
 use crate::readpath::ReadPath;
 use crate::stats::EngineStats;
@@ -103,22 +105,15 @@ pub struct TickOutput {
     pub migrated: Vec<(String, ServerId)>,
     /// Migrations revoked this tick: `(doc, former co-op)`.
     pub revoked: Vec<(String, ServerId)>,
-    /// Artificial pinger transfers to send: `(peer, request)` (§4.5).
-    pub pings: Vec<(ServerId, Request)>,
-    /// Co-op validation re-requests to send: `(home, request)` (§4.5).
-    pub validations: Vec<(ServerId, Request)>,
-    /// Eager-migration pushes to send (ablation): `(co-op, request)`.
-    pub pushes: Vec<(ServerId, Request)>,
+    /// Calls to send, in this order: pinger transfers and co-op
+    /// validations (§4.5), then eager-migration pushes (ablation).
+    pub calls: Vec<Outbound>,
 }
 
 impl TickOutput {
     /// Whether the tick produced no work for the host.
     pub fn is_empty(&self) -> bool {
-        self.migrated.is_empty()
-            && self.revoked.is_empty()
-            && self.pings.is_empty()
-            && self.validations.is_empty()
-            && self.pushes.is_empty()
+        self.migrated.is_empty() && self.revoked.is_empty() && self.calls.is_empty()
     }
 }
 
@@ -303,11 +298,6 @@ impl ServerEngine {
     /// The LRU cache of co-op-held document copies.
     pub fn coop_cache(&self) -> &DocCache {
         &self.coop_cache
-    }
-
-    /// Histogram of body sizes this server's co-op role has pulled.
-    pub fn pull_size_histogram(&self) -> &SizeHistogram {
-        &self.pull_sizes
     }
 
     /// Total bytes of permanent original documents (the corpus size),
@@ -541,6 +531,9 @@ impl ServerEngine {
             self.consider_remigration(now_ms, &mut out);
             self.consider_migration(now_ms, &mut out);
         }
+        // The pushes a migration queued go out after the pings and
+        // validations.
+        let pushes = std::mem::take(&mut out.calls);
         // Pinger: artificial transfers toward stale peers, every T_pi.
         // Only the peers actually due are copied out of the table (a
         // refcount each); an idle tick walks it and allocates nothing.
@@ -559,7 +552,11 @@ impl ServerEngine {
             self.stats.pings_sent += 1;
             let mut req = Request::head("/").with_header("X-DCWS-Ping", "1");
             self.attach_reports(&mut req.headers, now_ms);
-            out.pings.push((peer, req));
+            out.calls.push(Outbound {
+                peer,
+                call: Call::Ping,
+                req,
+            });
         }
         // Co-op validation: re-request copies older than T_val.
         for (key, meta) in self.coop_cache.entries_meta() {
@@ -584,8 +581,13 @@ impl ServerEngine {
                 .with_header("X-DCWS-Coop", self.id.to_string())
                 .with_header("If-Modified-Since", http_date(meta.modified_ms));
             self.attach_reports(&mut req.headers, now_ms);
-            out.validations.push((home, req));
+            out.calls.push(Outbound {
+                peer: home,
+                call: Call::Validate { path },
+                req,
+            });
         }
+        out.calls.extend(pushes);
         // Refresh the load reports the read path hands out: exactly what
         // attach_reports would attach now.
         let mut snapshot = Vec::with_capacity(self.cfg.piggyback_max.min(self.glt.len()));
@@ -684,8 +686,8 @@ impl ServerEngine {
                             to_load: target_load,
                         });
                         if self.cfg.eager_migration {
-                            out.pushes
-                                .push((target.clone(), self.make_push_request(&name, now_ms)));
+                            out.calls
+                                .push(self.push_call(target.clone(), &name, now_ms));
                         }
                         out.migrated.push((name.clone(), target));
                         out.revoked.push((name.clone(), coop.clone()));
@@ -775,8 +777,7 @@ impl ServerEngine {
             coop_load: target_load,
         });
         if self.cfg.eager_migration {
-            out.pushes
-                .push((target.clone(), self.make_push_request(&doc, now_ms)));
+            out.calls.push(self.push_call(target.clone(), &doc, now_ms));
         }
         out.migrated.push((doc.clone(), target.clone()));
 
@@ -800,8 +801,7 @@ impl ServerEngine {
                         coop: extra.clone(),
                     });
                     if self.cfg.eager_migration {
-                        out.pushes
-                            .push((extra.clone(), self.make_push_request(&doc, now_ms)));
+                        out.calls.push(self.push_call(extra.clone(), &doc, now_ms));
                     }
                     out.migrated.push((doc.clone(), extra.clone()));
                     replicas.push(extra);
@@ -828,8 +828,8 @@ impl ServerEngine {
         }
     }
 
-    /// Build the eager-migration push carrying a document to a co-op.
-    fn make_push_request(&mut self, doc: &str, now_ms: u64) -> Request {
+    /// The eager-migration push carrying `doc` to `coop`.
+    fn push_call(&mut self, coop: ServerId, doc: &str, now_ms: u64) -> Outbound {
         let (bytes, version, content_type) = self.pull_content(doc);
         let mut req = Request {
             method: dcws_http::Method::Post,
@@ -846,7 +846,11 @@ impl ServerEngine {
         .with_header(dcws_http::CHECKSUM_HEADER, dcws_http::body_checksum(&bytes))
         .with_body(bytes);
         self.attach_reports(&mut req.headers, now_ms);
-        req
+        Outbound {
+            peer: coop,
+            call: Call::Push,
+            req,
+        }
     }
 
     /// Build the lazy pull request a co-op sends to fetch a migrated

@@ -1,9 +1,13 @@
-//! What a server does with a request its read path declined, written once
-//! for every host: the engine call; one lazy pull per co-op miss
-//! ([`Outcome::FetchNeeded`], §4.2) however many requests wait on it, each
-//! follower counted as a coalesced wait; and the settle step, which hands
-//! every waiter the copy its pull brought in — whether or not the co-op
-//! cache kept it — or walks the degradation ladder (docs/RESILIENCE.md).
+//! What a server does with a request its read path declined, and with a
+//! peer's reply to any call it made, written once for every host: the
+//! engine call; one lazy pull per co-op miss ([`Outcome::FetchNeeded`],
+//! §4.2) however many requests wait on it, each follower counted as a
+//! coalesced wait; and one door for every reply, [`Front::answered`]. A
+//! server's outbound calls — the pull, the T_val revalidation, the ping
+//! (§4.5) and the eager push — are one type, [`Call`]; the door settles a
+//! pull, handing every waiter the copy it brought in — whether or not the
+//! co-op cache kept it — or walking the degradation ladder
+//! (docs/RESILIENCE.md), and hands any other reply to the engine.
 //! Sans-IO, like the engine it drives.
 //!
 //! A waiter `W` is whatever the host needs to answer later: the TCP spill
@@ -11,7 +15,7 @@
 //! thread; the simulator parks the queued request with its requester. What
 //! stays in each host differs on purpose: admission against the socket
 //! queue, the read-path offer, `/dcws/*`, how the pull request is built,
-//! and time (docs/SIMULATION.md, "The server model").
+//! retries, and time (docs/SIMULATION.md, "The server model").
 
 use crate::engine::ServerEngine;
 use crate::serve::Outcome;
@@ -46,7 +50,7 @@ pub enum Step<W> {
     /// object's streamed serve — never a miss.
     Answer(W, Outcome),
     /// The waiter is parked as the first for its document: pull `path`
-    /// from `home`, then report the result to [`Front::settle`].
+    /// from `home`, then hand the reply to [`Front::answered`].
     Pull {
         /// The home to pull from.
         home: ServerId,
@@ -57,13 +61,51 @@ pub enum Step<W> {
     Parked,
 }
 
-/// How a pull ended.
+/// One call a server makes to a peer: the lazy pull (§4.2), the T_val
+/// revalidation and the pinger's artificial transfer (§4.5), or the eager
+/// push of the ablation. A host sends it as an [`Outbound`]'s request and
+/// hands the reply — or `None`, the peer unreachable — to
+/// [`Front::answered`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Call {
+    /// Lazy pull of a migrated document from its home.
+    Pull {
+        /// The document's path on the home.
+        path: String,
+    },
+    /// Revalidation of a co-op copy against its home.
+    Validate {
+        /// The document's path on the home.
+        path: String,
+    },
+    /// Artificial pinger transfer.
+    Ping,
+    /// Eager-migration push.
+    Push,
+}
+
+impl Call {
+    /// Stable lowercase label; the TCP transport salts its retry jitter
+    /// with it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Call::Pull { .. } => "pull",
+            Call::Validate { .. } => "validate",
+            Call::Push => "push",
+            Call::Ping => "ping",
+        }
+    }
+}
+
+/// A call to send: `req` to `peer`, its reply digested as `call`.
 #[derive(Debug)]
-pub enum Pulled {
-    /// The home answered (after the host's own retries, if any).
-    Reply(Response),
-    /// The home could not be reached.
-    Unreachable,
+pub struct Outbound {
+    /// The server to send to.
+    pub peer: ServerId,
+    /// What the request is for.
+    pub call: Call,
+    /// The request.
+    pub req: Request,
 }
 
 /// What a settled pull gives one of its waiters.
@@ -146,36 +188,63 @@ impl<W: Waiter> Front<W> {
 }
 
 impl<W> Front<W> {
+    /// Digest the reply to `call`, sent to `peer` — `None` when the peer
+    /// could not be reached — and release the waiters it held. Only a
+    /// pull holds any: each is handed the copy a `200` brought in, any
+    /// other reply as-is, or — home unreachable — the retained copy, else
+    /// a `503`. Any ping reply, a `503` too, proves the peer alive; a
+    /// validation reply refreshes, revokes or keeps the copy, and an
+    /// unreachable home marks it stale; a push's reply changes nothing.
+    pub fn answered(
+        &mut self,
+        engine: &mut ServerEngine,
+        peer: &ServerId,
+        call: &Call,
+        reply: Option<&Response>,
+        now_ms: u64,
+    ) -> Vec<Settled<W>> {
+        match (call, reply) {
+            (Call::Pull { path }, _) => return self.settle(engine, peer, path, reply, now_ms),
+            (Call::Validate { path }, Some(resp)) => {
+                engine.handle_validation_response(peer, path, resp, now_ms)
+            }
+            (Call::Validate { path }, None) => engine.validation_failed(peer, path, now_ms),
+            (Call::Ping, _) => {
+                engine.ping_result(peer, reply.is_some(), reply.map(|r| &r.headers));
+            }
+            (Call::Push, _) => {}
+        }
+        Vec::new()
+    }
+
     /// Settle the pull of `home`'s `path` (store a `200`, digest any other
-    /// reply, record an unreachable home) and release its waiters: each
-    /// handed the copy a `200` brought in, any other reply as-is, or — home
-    /// unreachable — the retained copy, else a `503`.
-    pub fn settle(
+    /// reply, record an unreachable home) and release its waiters.
+    fn settle(
         &mut self,
         engine: &mut ServerEngine,
         home: &ServerId,
         path: &str,
-        pulled: Pulled,
+        reply: Option<&Response>,
         now_ms: u64,
     ) -> Vec<Settled<W>> {
         let waiters = self
             .waiting
             .remove(&(home.clone(), path.to_string()))
             .unwrap_or_default();
-        let copy = match pulled {
-            Pulled::Reply(resp) if resp.status == StatusCode::Ok => {
-                engine.pulled_copy(home, path, &resp, now_ms)
+        let copy = match reply {
+            Some(resp) if resp.status == StatusCode::Ok => {
+                engine.pulled_copy(home, path, resp, now_ms)
             }
-            Pulled::Reply(resp) => {
+            Some(resp) => {
                 // Home declined (a 301 to the current host, a 404, its own
                 // 503): remember a redirect, relay the answer as-is.
-                engine.pull_rejected(home, path, &resp, now_ms);
+                engine.pull_rejected(home, path, resp, now_ms);
                 return waiters
                     .into_iter()
                     .map(|w| Settled::Answer(w, resp.clone()))
                     .collect();
             }
-            Pulled::Unreachable => engine.note_pull_failure(home, path, now_ms),
+            None => engine.note_pull_failure(home, path, now_ms),
         };
         waiters
             .into_iter()

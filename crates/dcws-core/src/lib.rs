@@ -68,7 +68,9 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{HotReplication, ServerConfig};
 pub use engine::{ServerEngine, TickOutput};
 pub use events::{EngineEvent, EventLog, EventRecord, RevokeReason};
-pub use front::{unavailable, Front, PullFlights, Pulled, Settled, Step, Waiter, RETRY_AFTER_SECS};
+pub use front::{
+    unavailable, Call, Front, Outbound, PullFlights, Settled, Step, Waiter, RETRY_AFTER_SECS,
+};
 pub use json::{Json, JsonError};
 pub use naming::{decode_migrate_path, migrate_url, MigrateTarget, MIGRATE_PREFIX};
 pub use readpath::{ReadPath, ReadPathStats, Served};

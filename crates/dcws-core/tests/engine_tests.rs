@@ -2,7 +2,7 @@
 //! validation / revocation protocol between two or more engines, with no
 //! transport — requests and responses are handed across directly.
 
-use dcws_core::{MemStore, Outcome, ServerConfig, ServerEngine};
+use dcws_core::{MemStore, Outcome, ServerConfig, ServerEngine, TickOutput};
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{Request, Response, StatusCode};
 
@@ -48,6 +48,16 @@ fn make_coop() -> ServerEngine {
         ServerConfig::paper_defaults(),
         Box::new(MemStore::new()),
     )
+}
+
+/// The calls `out` sends whose [`dcws_core::Call::label`] is `label`, as
+/// `(peer, request)`.
+fn sent<'a>(out: &'a TickOutput, label: &str) -> Vec<(&'a ServerId, &'a Request)> {
+    out.calls
+        .iter()
+        .filter(|c| c.call.label() == label)
+        .map(|c| (&c.peer, &c.req))
+        .collect()
 }
 
 fn get(engine: &mut ServerEngine, path: &str, now: u64) -> Response {
@@ -262,14 +272,14 @@ fn validation_not_modified_when_fresh() {
     // T_val later, the co-op's tick emits a validation.
     let later = now + T_VAL;
     let out = coop.tick(later);
-    assert_eq!(out.validations.len(), 1);
-    let (to, req) = &out.validations[0];
+    assert_eq!(sent(&out, "validate").len(), 1);
+    let (to, req) = sent(&out, "validate")[0];
     assert_eq!(to, &home_id());
     let vresp = home.handle_request(req, later).into_response().unwrap();
     assert_eq!(vresp.status, StatusCode::NotModified);
     coop.handle_validation_response(&home_id(), "/d.html", &vresp, later);
     // No duplicate validation until another T_val passes.
-    assert!(coop.tick(later + 1000).validations.is_empty());
+    assert!(sent(&coop.tick(later + 1000), "validate").is_empty());
 }
 
 #[test]
@@ -294,7 +304,7 @@ fn validation_refreshes_after_author_update() {
 
     let later = now + T_VAL;
     let out = coop.tick(later);
-    let (_, req) = &out.validations[0];
+    let (_, req) = sent(&out, "validate")[0];
     let vresp = home.handle_request(req, later).into_response().unwrap();
     assert_eq!(vresp.status, StatusCode::Ok);
     coop.handle_validation_response(&home_id(), "/d.html", &vresp, later);
@@ -326,7 +336,7 @@ fn revocation_via_validation_then_redirect_home() {
     // The co-op validates; home answers with a revocation notice.
     let later = now + T_VAL;
     let out = coop.tick(later);
-    let (_, req) = &out.validations[0];
+    let (_, req) = sent(&out, "validate")[0];
     let vresp = home.handle_request(req, later).into_response().unwrap();
     assert_eq!(vresp.status, StatusCode::Ok);
     assert!(vresp.headers.contains("X-DCWS-Revoked"));
@@ -389,9 +399,10 @@ fn pinger_emits_and_dead_peer_excluded_from_targets() {
 
     // Peer info is stale (ts 0), so past T_pi the tick emits a ping.
     let out = home.tick(25_000);
-    assert_eq!(out.pings.len(), 1);
-    assert_eq!(out.pings[0].0, coop_id());
-    assert!(out.pings[0].1.headers.contains("X-DCWS-Ping"));
+    let pings = sent(&out, "ping");
+    assert_eq!(pings.len(), 1);
+    assert_eq!(*pings[0].0, coop_id());
+    assert!(pings[0].1.headers.contains("X-DCWS-Ping"));
     assert_eq!(home.stats().pings_sent, 1);
 
     // Two failures → declared dead.
@@ -491,8 +502,8 @@ fn eager_migration_pushes_content() {
     }
     let out = home.tick(T_ST);
     assert_eq!(out.migrated.len(), 1);
-    assert_eq!(out.pushes.len(), 1);
-    let (to, push) = &out.pushes[0];
+    assert_eq!(sent(&out, "push").len(), 1);
+    let (to, push) = sent(&out, "push")[0];
     assert_eq!(to, &coop_id());
     let r = coop.handle_request(push, T_ST).into_response().unwrap();
     assert_eq!(r.status, StatusCode::Ok);
@@ -611,8 +622,8 @@ fn dirty_migrated_doc_refreshes_once_then_converges() {
     // version mismatch refreshes the co-op copy.
     let later = now + T_VAL;
     let out = coop.tick(later);
-    assert_eq!(out.validations.len(), 1);
-    let (_, req) = &out.validations[0];
+    assert_eq!(sent(&out, "validate").len(), 1);
+    let (_, req) = sent(&out, "validate")[0];
     let vresp = home.handle_request(req, later).into_response().unwrap();
     assert_eq!(vresp.status, StatusCode::Ok);
     let v1 = home.doc_version("/d.html");
@@ -623,8 +634,8 @@ fn dirty_migrated_doc_refreshes_once_then_converges() {
     // no further version bump.
     let later2 = later + T_VAL + T_VAL / 4 + 1;
     let out = coop.tick(later2);
-    assert_eq!(out.validations.len(), 1);
-    let (_, req) = &out.validations[0];
+    assert_eq!(sent(&out, "validate").len(), 1);
+    let (_, req) = sent(&out, "validate")[0];
     assert!(
         req.headers.get("If-Modified-Since").is_some(),
         "validation carries a conditional-GET date"
@@ -660,7 +671,7 @@ fn conditional_get_answers_304_with_zero_body() {
 
 #[test]
 fn eight_concurrent_misses_coalesce_to_one_pull() {
-    use dcws_core::{Front, Pulled, Settled, Step, Waiter};
+    use dcws_core::{Call, Front, Settled, Step, Waiter};
     use std::sync::mpsc::{channel, Sender};
     use std::sync::{Arc, Barrier, Mutex};
 
@@ -715,7 +726,8 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
                             .unwrap();
                         // The leader answers every waiter, itself included.
                         let (engine, front) = &mut *coop.lock().unwrap();
-                        for s in front.settle(engine, &h, &path, Pulled::Reply(resp), now) {
+                        let call = Call::Pull { path };
+                        for s in front.answered(engine, &h, &call, Some(&resp), now) {
                             let Settled::Copy(asker, copy) = s else {
                                 panic!("pull must succeed");
                             };
@@ -752,7 +764,7 @@ fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
     // A pulled document larger than the co-op cache's budget slice is
     // refused by the cache, but the pull still answers its requester from
     // the copy it brought in; the next miss pulls again.
-    use dcws_core::{Front, Pulled, Settled, Step, Waiter};
+    use dcws_core::{Call, Front, Settled, Step, Waiter};
 
     struct Get(Request);
     impl Waiter for Get {
@@ -776,7 +788,7 @@ fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
     };
     let pull = coop.make_pull_request(&path, now);
     let resp = home.handle_request(&pull, now).into_response().unwrap();
-    let mut settled = front.settle(&mut coop, &h, &path, Pulled::Reply(resp.clone()), now);
+    let mut settled = front.answered(&mut coop, &h, &Call::Pull { path }, Some(&resp), now);
     assert_eq!(coop.coop_cache().stats().oversize_rejects, 1);
     assert_eq!(coop.coop_doc_count(), 0);
 
@@ -825,7 +837,7 @@ fn failed_validation_marks_stale_then_success_clears_it() {
     // stale and kept, never discarded.
     let later = now + T_VAL;
     let out = coop.tick(later);
-    assert_eq!(out.validations.len(), 1);
+    assert_eq!(sent(&out, "validate").len(), 1);
     coop.validation_failed(&home_id(), "/d.html", later);
     assert_eq!(coop.stats().validation_failures, 1);
     assert!(coop_entry_stale(&coop));
@@ -840,8 +852,8 @@ fn failed_validation_marks_stale_then_success_clears_it() {
     // The home comes back; a 304 revalidation clears the stale mark.
     let again = later + T_VAL + 1;
     let out = coop.tick(again);
-    assert_eq!(out.validations.len(), 1);
-    let (_, vreq) = &out.validations[0];
+    assert_eq!(sent(&out, "validate").len(), 1);
+    let (_, vreq) = sent(&out, "validate")[0];
     let vresp = home.handle_request(vreq, again).into_response().unwrap();
     assert_eq!(vresp.status, StatusCode::NotModified);
     coop.handle_validation_response(&home_id(), "/d.html", &vresp, again);
@@ -913,8 +925,8 @@ fn garbled_push_body_is_rejected_with_400() {
         get(&mut home, "/d.html", 9_000);
     }
     let out = home.tick(T_ST);
-    assert_eq!(out.pushes.len(), 1);
-    let (_, push) = &out.pushes[0];
+    assert_eq!(sent(&out, "push").len(), 1);
+    let (_, push) = sent(&out, "push")[0];
     assert!(push.headers.get(dcws_http::CHECKSUM_HEADER).is_some());
 
     // A single bit flipped in transit: the co-op must refuse to install

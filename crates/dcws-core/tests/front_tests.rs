@@ -1,10 +1,12 @@
 //! The `Front` policy over a home engine and a co-op engine: pull
 //! coalescing, the settle step that answers every waiter from the copy
-//! its pull brought in, and the degradation ladder, with requests and
-//! pulls handed across directly.
+//! its pull brought in, the degradation ladder, and the one door every
+//! reply to a call goes through, with requests and replies handed across
+//! directly.
 
 use dcws_core::{
-    EngineEvent, Front, MemStore, Pulled, ServerConfig, ServerEngine, Settled, Step, Waiter,
+    Call, EngineEvent, Front, MemStore, ServerConfig, ServerEngine, Settled, Step, TickOutput,
+    Waiter,
 };
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::{Request, Response, StatusCode};
@@ -34,11 +36,16 @@ impl Waiter for Client {
 
 /// A home that has migrated `/d.html` to the co-op.
 fn migrated_home() -> ServerEngine {
-    let mut home = ServerEngine::new(
-        home_id(),
-        ServerConfig::paper_defaults(),
-        Box::new(MemStore::new()),
-    );
+    let mut home = loaded_home(ServerConfig::paper_defaults(), T_ST);
+    let migrated = home.tick(T_ST).migrated;
+    assert_eq!(migrated, vec![("/d.html".to_string(), coop_id())]);
+    home
+}
+
+/// A home with a co-op peer, `/d.html` hot enough that its statistics
+/// tick at `now` migrates it.
+fn loaded_home(cfg: ServerConfig, now: u64) -> ServerEngine {
+    let mut home = ServerEngine::new(home_id(), cfg, Box::new(MemStore::new()));
     home.publish(
         "/index.html",
         br#"<html><body><a href="/d.html">D</a></body></html>"#.to_vec(),
@@ -53,10 +60,8 @@ fn migrated_home() -> ServerEngine {
     );
     home.add_peer(coop_id());
     for _ in 0..80 {
-        home.handle_request(&Request::get("/d.html"), T_ST - 1000);
+        home.handle_request(&Request::get("/d.html"), now - 1000);
     }
-    let migrated = home.tick(T_ST).migrated;
-    assert_eq!(migrated, vec![("/d.html".to_string(), coop_id())]);
     home
 }
 
@@ -94,10 +99,22 @@ fn pull(home: &mut ServerEngine, coop: &mut ServerEngine, now: u64) -> Response 
 fn settle(
     front: &mut Front<Client>,
     coop: &mut ServerEngine,
-    pulled: Pulled,
+    reply: Option<&Response>,
     now: u64,
 ) -> Vec<Settled<Client>> {
-    front.settle(coop, &home_id(), "/d.html", pulled, now)
+    let pull = Call::Pull {
+        path: "/d.html".into(),
+    };
+    front.answered(coop, &home_id(), &pull, reply, now)
+}
+
+/// The requests `out` sends for calls labelled `label`.
+fn sent<'a>(out: &'a TickOutput, label: &str) -> Vec<&'a Request> {
+    out.calls
+        .iter()
+        .filter(|c| c.call.label() == label)
+        .map(|c| &c.req)
+        .collect()
 }
 
 /// The answers of a settled pull, in waiter order; panics on a copy.
@@ -165,7 +182,7 @@ fn a_stored_pull_retries_every_waiter() {
     let now = T_ST + 5;
     park(&mut front, &mut coop, 3, now);
     let reply = pull(&mut home, &mut coop, now);
-    let settled = settle(&mut front, &mut coop, Pulled::Reply(reply), now);
+    let settled = settle(&mut front, &mut coop, Some(&reply), now);
     let answers = served_copies(&front, &mut coop, settled, now + 1);
     assert_eq!(answers.len(), 3);
     for (i, (client, resp)) in answers.into_iter().enumerate() {
@@ -194,7 +211,7 @@ fn an_uncacheable_copy_answers_every_waiter() {
     let now = T_ST + 5;
     park(&mut front, &mut coop, 4, now);
     let reply = pull(&mut home, &mut coop, now);
-    let settled = settle(&mut front, &mut coop, Pulled::Reply(reply.clone()), now);
+    let settled = settle(&mut front, &mut coop, Some(&reply), now);
     assert_eq!(coop.coop_doc_count(), 0, "the cache refused the copy");
     let answers = served_copies(&front, &mut coop, settled, now + 1);
     assert_eq!(answers.len(), 4);
@@ -222,9 +239,10 @@ fn a_301_reply_reaches_every_waiter_and_is_remembered() {
     assert!(coop.store_pulled(&home_id(), "/d.html", &reply, now));
     home.declare_peer_dead(&coop_id());
     let later = now + T_VAL;
-    let (_, validate) = coop.tick(later).validations.remove(0);
+    let out = coop.tick(later);
+    let validate = sent(&out, "validate")[0];
     let revoked = home
-        .handle_request(&validate, later)
+        .handle_request(validate, later)
         .into_response()
         .unwrap();
     coop.handle_validation_response(&home_id(), "/d.html", &revoked, later);
@@ -232,12 +250,7 @@ fn a_301_reply_reaches_every_waiter_and_is_remembered() {
     park(&mut front, &mut coop, 3, later + 1);
     let moved = pull(&mut home, &mut coop, later + 1);
     assert_eq!(moved.status, StatusCode::MovedPermanently);
-    let answers = answers(settle(
-        &mut front,
-        &mut coop,
-        Pulled::Reply(moved.clone()),
-        later + 1,
-    ));
+    let answers = answers(settle(&mut front, &mut coop, Some(&moved), later + 1));
     assert_eq!(answers.len(), 3);
     for (_, resp) in &answers {
         assert_eq!(resp, &moved);
@@ -266,12 +279,7 @@ fn a_503_reply_is_relayed_as_is() {
     let now = T_ST + 5;
     park(&mut front, &mut coop, 2, now);
     let busy = Response::service_unavailable(7);
-    let answers = answers(settle(
-        &mut front,
-        &mut coop,
-        Pulled::Reply(busy.clone()),
-        now,
-    ));
+    let answers = answers(settle(&mut front, &mut coop, Some(&busy), now));
     assert_eq!(answers.len(), 2);
     for (_, resp) in &answers {
         assert_eq!(resp, &busy);
@@ -292,7 +300,7 @@ fn an_unreachable_home_answers_503_with_retry_after() {
     let mut front = Front::default();
     let now = T_ST + 5;
     park(&mut front, &mut coop, 3, now);
-    let answers = answers(settle(&mut front, &mut coop, Pulled::Unreachable, now));
+    let answers = answers(settle(&mut front, &mut coop, None, now));
     assert_eq!(answers.len(), 3);
     for (_, resp) in &answers {
         assert_eq!(resp.status, StatusCode::ServiceUnavailable);
@@ -316,9 +324,10 @@ fn an_unreachable_home_serves_a_retained_copy_stale() {
     assert!(coop.store_pulled(&home_id(), "/d.html", &reply, now));
     home.declare_peer_dead(&coop_id());
     let later = now + T_VAL;
-    let (_, validate) = coop.tick(later).validations.remove(0);
+    let out = coop.tick(later);
+    let validate = sent(&out, "validate")[0];
     let revoked = home
-        .handle_request(&validate, later)
+        .handle_request(validate, later)
         .into_response()
         .unwrap();
     coop.handle_validation_response(&home_id(), "/d.html", &revoked, later);
@@ -335,7 +344,7 @@ fn an_unreachable_home_serves_a_retained_copy_stale() {
         ));
     }
     let stale_before = coop.stats().stale_serves;
-    let settled = settle(&mut front, &mut coop, Pulled::Unreachable, later + 1);
+    let settled = settle(&mut front, &mut coop, None, later + 1);
     let answers = served_copies(&front, &mut coop, settled, later + 1);
     let statuses: Vec<StatusCode> = answers.iter().map(|(_, r)| r.status).collect();
     assert_eq!(
@@ -373,6 +382,162 @@ fn drain_empties_the_table_in_key_order() {
     assert_eq!(order, [1, 0, 2]);
     assert_eq!(front.flights().in_flight, 0);
     let reply = pull(&mut home, &mut coop, now);
-    assert!(settle(&mut front, &mut coop, Pulled::Reply(reply), now).is_empty());
+    assert!(settle(&mut front, &mut coop, Some(&reply), now).is_empty());
     assert_eq!(coop.coop_doc_count(), 1);
+}
+
+fn copy_stale(coop: &ServerEngine) -> bool {
+    coop.coop_cache()
+        .entries_meta()
+        .iter()
+        .any(|(_, m)| m.stale)
+}
+
+/// Unreachable pings short of `ping_failure_limit` leave the peer alive;
+/// the last declares it dead and recalls every document migrated to it.
+/// A ping releases no waiter.
+#[test]
+fn unreachable_pings_declare_the_peer_dead_and_recall_its_documents() {
+    let mut home = migrated_home();
+    let mut front = Front::<Client>::default();
+    let limit = home.config().ping_failure_limit;
+    for n in 1..=limit {
+        let now = T_ST + u64::from(n);
+        assert!(front
+            .answered(&mut home, &coop_id(), &Call::Ping, None, now)
+            .is_empty());
+        let dead = home.stats().peers_declared_dead;
+        assert_eq!(dead, u64::from(n == limit), "after {n} unreachable pings");
+    }
+    assert!(home.ldg().get("/d.html").unwrap().location.is_home());
+    assert_eq!(home.stats().revocations, 1);
+}
+
+/// Any reply to a ping — the peer's own answer, or a `503` carrying its
+/// rows — merges the load rows piggybacked on it and proves the peer
+/// alive: the count of unreachable pings starts over.
+#[test]
+fn a_ping_reply_merges_its_piggybacked_rows() {
+    let now = 25_000; // past T_pi: the co-op's row is stale
+    for busy in [false, true] {
+        let mut home = migrated_home();
+        let mut coop = coop();
+        let mut front = Front::<Client>::default();
+        let out = home.tick(now);
+        let reply = if busy {
+            let mut busy = Response::service_unavailable(1);
+            coop.attach_reports(&mut busy.headers, now);
+            busy
+        } else {
+            let ping = sent(&out, "ping")[0];
+            coop.handle_request(ping, now).into_response().unwrap()
+        };
+        let limit = home.config().ping_failure_limit;
+        for _ in 1..limit {
+            front.answered(&mut home, &coop_id(), &Call::Ping, None, now);
+        }
+        assert_ne!(home.glt().get(&coop_id()).unwrap().ts_ms, now);
+        let released = front.answered(&mut home, &coop_id(), &Call::Ping, Some(&reply), now);
+        assert!(released.is_empty());
+        assert_eq!(
+            home.glt().get(&coop_id()).unwrap().ts_ms,
+            now,
+            "busy: {busy}"
+        );
+        front.answered(&mut home, &coop_id(), &Call::Ping, None, now + 1);
+        assert_eq!(home.stats().peers_declared_dead, 0, "busy: {busy}");
+    }
+}
+
+/// A revalidation that cannot reach the home marks the copy stale and
+/// records `ValidationFailed`; the home's `304` later clears the mark.
+/// Neither releases a waiter.
+#[test]
+fn an_unreachable_validation_marks_the_copy_stale_and_a_304_clears_it() {
+    let mut home = migrated_home();
+    let mut coop = coop();
+    let mut front = Front::<Client>::default();
+    let now = T_ST + 5;
+    let reply = pull(&mut home, &mut coop, now);
+    assert!(coop.store_pulled(&home_id(), "/d.html", &reply, now));
+    coop.drain_events();
+    let validate = Call::Validate {
+        path: "/d.html".into(),
+    };
+    let later = now + T_VAL;
+    assert!(front
+        .answered(&mut coop, &home_id(), &validate, None, later)
+        .is_empty());
+    assert!(copy_stale(&coop));
+    assert_eq!(coop.stats().validation_failures, 1);
+    let failed = coop
+        .drain_events()
+        .into_iter()
+        .filter(|r| matches!(r.event, EngineEvent::ValidationFailed { .. }))
+        .count();
+    assert_eq!(failed, 1);
+
+    let out = coop.tick(later);
+    let not_modified = home
+        .handle_request(sent(&out, "validate")[0], later)
+        .into_response()
+        .unwrap();
+    assert_eq!(not_modified.status, StatusCode::NotModified);
+    let released = front.answered(&mut coop, &home_id(), &validate, Some(&not_modified), later);
+    assert!(released.is_empty());
+    assert!(!copy_stale(&coop));
+}
+
+/// A push's reply — rows piggybacked on it too — or its failure changes
+/// nothing: a co-op that missed it lazy-pulls later.
+#[test]
+fn a_push_reply_changes_nothing() {
+    let mut home = migrated_home();
+    let mut coop = coop();
+    let mut front = Front::<Client>::default();
+    let mut stored = Response::ok(b"stored".to_vec(), "text/plain");
+    coop.attach_reports(&mut stored.headers, T_ST + 1);
+    home.drain_events();
+    let (stats, row) = (home.stats(), home.glt().get(&coop_id()).unwrap().ts_ms);
+    for reply in [Some(&stored), None] {
+        assert!(front
+            .answered(&mut home, &coop_id(), &Call::Push, reply, T_ST + 1)
+            .is_empty());
+    }
+    assert_eq!(home.stats(), stats);
+    assert_eq!(home.glt().get(&coop_id()).unwrap().ts_ms, row);
+    assert!(home.drain_events().is_empty());
+}
+
+/// A tick that pings, validates and pushes (`eager_migration`) sends its
+/// calls in that order — pings, then validations, then the pushes its
+/// migration decided — so neither host's event sequence moves.
+#[test]
+fn a_tick_sends_pings_then_validations_then_pushes() {
+    let cfg = ServerConfig {
+        eager_migration: true,
+        ..ServerConfig::paper_defaults()
+    };
+    // A statistics tick, T_val after the copy below, T_pi after the co-op
+    // was last heard from.
+    let now = T_VAL + T_ST;
+    let mut home = loaded_home(cfg, now);
+    let other = ServerId::new("other:8002");
+    let copy = Response::ok(b"<p>x</p>".to_vec(), "text/html");
+    assert!(home.store_pulled(&other, "/x.html", &copy, T_ST));
+    let out = home.tick(now);
+    assert_eq!(out.migrated, vec![("/d.html".to_string(), coop_id())]);
+    let calls: Vec<(&ServerId, &str)> = out
+        .calls
+        .iter()
+        .map(|c| (&c.peer, c.call.label()))
+        .collect();
+    assert_eq!(
+        calls,
+        [
+            (&coop_id(), "ping"),
+            (&other, "validate"),
+            (&coop_id(), "push")
+        ]
+    );
 }

@@ -2,9 +2,19 @@
 //! re-targeting, co-op identity checks, moved tombstones, version
 //! semantics, and ping liveness.
 
-use dcws_core::{MemStore, Outcome, ServerConfig, ServerEngine};
+use dcws_core::{MemStore, Outcome, ServerConfig, ServerEngine, TickOutput};
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{Request, StatusCode};
+
+/// The calls `out` sends whose [`dcws_core::Call::label`] is `label`, as
+/// `(peer, request)`.
+fn sent<'a>(out: &'a TickOutput, label: &str) -> Vec<(&'a ServerId, &'a Request)> {
+    out.calls
+        .iter()
+        .filter(|c| c.call.label() == label)
+        .map(|c| (&c.peer, &c.req))
+        .collect()
+}
 
 fn home_id() -> ServerId {
     ServerId::new("home:8000")
@@ -158,7 +168,7 @@ fn no_redirect_loop_after_revoke_and_remigrate_to_same_coop() {
     home.declare_peer_dead(&coop_a());
     let later = 10_001 + 130_000;
     let out = coop.tick(later);
-    let (_, vreq) = &out.validations[0];
+    let (_, vreq) = sent(&out, "validate")[0];
     let vresp = home
         .handle_request(vreq, later)
         .into_response()
@@ -322,7 +332,7 @@ fn dirty_migrated_doc_validation_refreshes_links() {
     // whose link points at e's co-op.
     let later = 10_001 + 130_000;
     let out = coop.tick(later);
-    let (_, vreq) = &out.validations[0];
+    let (_, vreq) = sent(&out, "validate")[0];
     let vresp = home
         .handle_request(vreq, later)
         .into_response()
@@ -374,7 +384,7 @@ fn validation_times_are_jittered() {
     // First wave: both due together (identical fetch times).
     let t1 = 20_000 + 120_001;
     let out = coop.tick(t1);
-    assert_eq!(out.validations.len(), 2);
+    assert_eq!(sent(&out, "validate").len(), 2);
 
     // Second wave: scan forward in 1 s steps; with per-path jitter the two
     // documents come due at different times (unless their path hashes
@@ -383,8 +393,9 @@ fn validation_times_are_jittered() {
     let mut t = t1 + 85_000;
     while t <= t1 + 125_000 {
         let o = coop.tick(t);
-        if !o.validations.is_empty() {
-            due_at.push((t, o.validations.len()));
+        let validations = sent(&o, "validate");
+        if !validations.is_empty() {
+            due_at.push((t, validations.len()));
         }
         t += 1_000;
     }

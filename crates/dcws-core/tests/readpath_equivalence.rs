@@ -15,7 +15,7 @@
 //!
 //! [`ReadPath::serve_parts`]: dcws_core::ReadPath::serve_parts
 
-use dcws_core::{MemStore, Outcome, Served, ServerConfig, ServerEngine};
+use dcws_core::{Call, MemStore, Outbound, Outcome, Served, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::{Headers, Method, Request, StatusCode, Url, PIGGYBACK_HEADER};
 use dcws_workloads::{materialize::materialize, Dataset, PageKind};
@@ -128,20 +128,22 @@ fn tick(site: &mut [ServerEngine; 2], now: u64) -> Vec<String> {
     for i in 0..2 {
         let out = site[i].tick(now);
         decisions.push(format!("{i} {:?} {:?}", out.migrated, out.revoked));
-        for (peer, ping) in out.pings {
-            let resp = site[index(&peer)].handle_request(&ping, now);
-            let resp = resp.into_response().unwrap();
-            decisions.push(format!("{i} ping {peer} {:?}", resp.headers));
-            site[i].ping_result(&peer, true, Some(&resp.headers));
-        }
-        for (home, validation) in out.validations {
-            let resp = site[index(&home)].handle_request(&validation, now);
-            let resp = resp.into_response().unwrap();
-            decisions.push(format!(
-                "{i} validate {} {:?}",
-                validation.target, resp.status
-            ));
-            site[i].handle_validation_response(&home, &validation.target, &resp, now);
+        for Outbound { peer, call, req } in out.calls {
+            match call {
+                Call::Ping => {
+                    let resp = site[index(&peer)].handle_request(&req, now);
+                    let resp = resp.into_response().unwrap();
+                    decisions.push(format!("{i} ping {peer} {:?}", resp.headers));
+                    site[i].ping_result(&peer, true, Some(&resp.headers));
+                }
+                Call::Validate { path } => {
+                    let resp = site[index(&peer)].handle_request(&req, now);
+                    let resp = resp.into_response().unwrap();
+                    decisions.push(format!("{i} validate {path} {:?}", resp.status));
+                    site[i].handle_validation_response(&peer, &path, &resp, now);
+                }
+                Call::Pull { .. } | Call::Push => {}
+            }
         }
     }
     decisions

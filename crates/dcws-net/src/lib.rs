@@ -29,9 +29,11 @@
 //! * **pinger/statistics thread** (N_pi = 1): drives
 //!   [`ServerEngine::tick`](dcws_core::ServerEngine::tick) — statistics
 //!   recalculation, migration decisions, artificial ping transfers,
-//!   co-op revalidation — and performs the resulting inter-server HTTP
-//!   traffic, folding each ping round-trip into a per-peer RTT EWMA
-//!   surfaced as `transport.peer_rtt_ms` in `/dcws/status`.
+//!   co-op revalidation — sends the calls it returns, in order, and
+//!   hands each reply to the same door the workers use
+//!   ([`Front::answered`](dcws_core::Front::answered)), folding each ping
+//!   round-trip into a per-peer RTT EWMA surfaced as
+//!   `transport.peer_rtt_ms` in `/dcws/status`.
 //!
 //! The multithreaded (rather than pool-of-processes) design is the
 //! paper's: workers and the statistics module share the Local Document
@@ -48,12 +50,12 @@
 //! the reserved `GET /dcws/status` endpoint
 //! ([`DcwsServer::status_json`]).
 //!
-//! Every inter-server socket call — pulls, pushes, pings, validations —
-//! goes through the resilient [`Transport`]: persistent keep-alive
-//! connection reuse through a bounded per-peer [`ConnPool`] (pings
-//! exempt, so §4.5 dead-peer detection stays honest), per-attempt
-//! timeouts, capped exponential backoff with seeded jitter
-//! ([`RetryPolicy`]), a body integrity check, and optional
+//! Every inter-server socket call — a [`dcws_core::Call`]: pull, push,
+//! ping or validation — goes through the resilient [`Transport`]:
+//! persistent keep-alive connection reuse through a bounded per-peer
+//! [`ConnPool`] (pings exempt, so §4.5 dead-peer detection stays
+//! honest), per-attempt timeouts, capped exponential backoff with seeded
+//! jitter ([`RetryPolicy`]), a body integrity check, and optional
 //! deterministic fault injection ([`FaultPlan`] / [`FaultInjector`]) so
 //! chaos runs are reproducible from a seed (see `docs/RESILIENCE.md`
 //! and the "Connection reuse" section of `docs/PERFORMANCE.md`).
@@ -88,5 +90,5 @@ pub use queue::{Queued, SocketQueue};
 pub use reactor::{raise_nofile_limit, Event, Poller, ReactorStats};
 pub use retry::RetryPolicy;
 pub use server::{DcwsServer, NetConfig};
-pub use transport::{IoSnapshot, OpClass, Transport};
+pub use transport::{IoSnapshot, Transport};
 pub use walker::{ClientModel, Heard, Links, Next, Walker};

@@ -9,10 +9,10 @@ use crate::reactor::{
     bind_reuseport, spill_bridge, Completion, Reactor, ReactorStats, ShardConfig, SpillBridge,
 };
 use crate::retry::RetryPolicy;
-use crate::transport::{OpClass, Transport};
+use crate::transport::Transport;
 use dcws_core::{
-    unavailable, Front, Json, Outcome, Pulled, ReadPath, Served, ServerEngine, Settled, Step,
-    Waiter,
+    unavailable, Call, Front, Json, Outbound, Outcome, ReadPath, Served, ServerEngine, Settled,
+    Step, TickOutput, Waiter,
 };
 use dcws_graph::ServerId;
 use dcws_http::{is_reserved_path, Request, Response, StreamBody, STATUS_PATH};
@@ -656,7 +656,7 @@ fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
     match step {
         Step::Answer(job, answer) => answer_job(bridges, job, answer),
         Step::Parked => {}
-        Step::Pull { home, path } => lead_pull(shared, bridges, &home, &path),
+        Step::Pull { home, path } => lead_pull(shared, bridges, &home, path),
     }
 }
 
@@ -666,18 +666,16 @@ fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
 /// so it is built lock-free, and the engine lock is taken once, *after*
 /// the network round-trip, to settle the pull and answer the waiters from
 /// the copy it brought in.
-fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, path: &str) {
-    let pull = shared.read.make_pull_request(path);
-    let pulled = match shared.transport.call(home, &pull, OpClass::Pull) {
-        Ok(resp) => Pulled::Reply(resp),
-        // Unreachable after the transport's retries.
-        Err(_) => Pulled::Unreachable,
-    };
+fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, path: String) {
+    let pull = shared.read.make_pull_request(&path);
+    let call = Call::Pull { path };
+    // `None`: unreachable after the transport's retries.
+    let reply = shared.transport.call(home, &pull, &call).ok();
     let now = shared.now_ms();
     let answers: Vec<(SpillJob, Response)> = {
         let mut eng = shared.engine.lock();
         let mut front = shared.front();
-        let settled = front.settle(&mut eng, home, path, pulled, now);
+        let settled = front.answered(&mut eng, home, &call, reply.as_ref(), now);
         settled
             .into_iter()
             .map(|s| match s {
@@ -730,47 +728,20 @@ fn complete(
         });
 }
 
-/// Perform the network side of a tick: pings, validations, eager pushes.
-fn run_tick_actions(shared: &Arc<Shared>, out: dcws_core::TickOutput, now: u64) {
-    for (peer, req) in out.pings {
-        // Single attempt, short timeout: a dead peer must fail fast and
-        // feed the §4.5 failure counter, not be masked by retries.
+/// Send a tick's calls in order and hand each reply to the front. A ping
+/// is one attempt with a short timeout, so a dead peer fails fast and
+/// feeds the §4.5 failure counter; one that comes back is also an RTT
+/// sample for the delay-aware co-op choice.
+fn run_tick_actions(shared: &Shared, out: TickOutput, now: u64) {
+    for Outbound { peer, call, req } in out.calls {
         let t0 = Instant::now();
-        let result = shared.transport.call(&peer, &req, OpClass::Ping);
-        if result.is_ok() {
-            // A round-trip that came back is an RTT sample for the
-            // delay-aware co-op choice.
+        let reply = shared.transport.call(&peer, &req, &call).ok();
+        if call == Call::Ping && reply.is_some() {
             shared.note_peer_rtt(&peer, t0.elapsed());
         }
         let mut eng = shared.engine.lock();
-        match result {
-            Ok(resp) => {
-                eng.ping_result(&peer, true, Some(&resp.headers));
-            }
-            Err(_) => {
-                eng.ping_result(&peer, false, None);
-            }
-        }
-    }
-    for (home, req) in out.validations {
-        let path = req.target.clone();
-        match shared.transport.call(&home, &req, OpClass::Validate) {
-            Ok(resp) => {
-                shared
-                    .engine
-                    .lock()
-                    .handle_validation_response(&home, &path, &resp, now);
-            }
-            // Home unreachable: serve the retained copy stale rather than
-            // discarding it (graceful degradation, docs/RESILIENCE.md).
-            Err(_) => {
-                shared.engine.lock().validation_failed(&home, &path, now);
-            }
-        }
-    }
-    for (coop, req) in out.pushes {
-        // A failed eager push costs nothing: the co-op simply lazy-pulls
-        // later if its load warrants it.
-        let _ = shared.transport.call(&coop, &req, OpClass::Push);
+        shared
+            .front()
+            .answered(&mut eng, &peer, &call, reply.as_ref(), now);
     }
 }

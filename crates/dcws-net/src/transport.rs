@@ -1,7 +1,7 @@
 //! The resilient inter-server I/O layer.
 //!
-//! Every inter-server socket operation — lazy pulls, eager pushes,
-//! pings, T_val validations — goes through [`Transport::call`], which
+//! Every inter-server call ([`Call`]: a lazy pull, an eager push, a
+//! ping, a T_val validation) goes through [`Transport::call`], which
 //! layers four things over a raw socket exchange:
 //!
 //! 1. **Connection reuse** ([`ConnPool`]): calls check a persistent
@@ -36,38 +36,13 @@ use crate::faults::{Decision, FaultInjector};
 use crate::lock::assert_engine_unlocked;
 use crate::pool::{ConnPool, Evict, PoolConfig, PooledConn};
 use crate::retry::RetryPolicy;
+use dcws_core::Call;
 use dcws_graph::ServerId;
 use dcws_http::{checksum_matches, Request, Response, RollingChecksum, Version, CHECKSUM_HEADER};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What kind of inter-server operation a call performs; selects the
-/// retry policy and salts the backoff jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Lazy-migration document pull (§4.2).
-    Pull,
-    /// T_val co-op revalidation (§4.5).
-    Validate,
-    /// Eager-migration document push (ablation).
-    Push,
-    /// Artificial pinger transfer (§4.5).
-    Ping,
-}
-
-impl OpClass {
-    /// Stable lowercase label (status JSON, jitter salt).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OpClass::Pull => "pull",
-            OpClass::Validate => "validate",
-            OpClass::Push => "push",
-            OpClass::Ping => "ping",
-        }
-    }
-}
 
 /// Monotonic I/O counters, for `/dcws/status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -161,16 +136,18 @@ impl Transport {
         &self.pool
     }
 
-    /// Send `req` to `peer`, retrying per policy. Returns the first
-    /// intact response, or the last error once attempts or the
+    /// Send `req` to `peer` for `call`, retrying per policy. Returns the
+    /// first intact response, or the last error once attempts or the
     /// deadline run out.
-    pub fn call(&self, peer: &ServerId, req: &Request, class: OpClass) -> io::Result<Response> {
+    pub fn call(&self, peer: &ServerId, req: &Request, call: &Call) -> io::Result<Response> {
         assert_engine_unlocked("inter-server transport call");
-        let policy = match class {
-            OpClass::Ping => &self.ping_policy,
-            _ => &self.policy,
+        let ping = *call == Call::Ping;
+        let policy = if ping {
+            &self.ping_policy
+        } else {
+            &self.policy
         };
-        let salt = salt_of(peer.as_str(), &req.target, class);
+        let salt = salt_of(peer.as_str(), &req.target, call.label());
         let started = Instant::now();
         let mut last_err: Option<io::Error> = None;
         for attempt in 0..policy.max_attempts {
@@ -186,7 +163,7 @@ impl Transport {
                 std::thread::sleep(pause);
             }
             self.counters.attempts.fetch_add(1, Ordering::Relaxed);
-            match self.attempt(peer, req, policy.attempt_timeout, class) {
+            match self.attempt(peer, req, policy.attempt_timeout, ping) {
                 Ok(resp) => {
                     self.counters.successes.fetch_add(1, Ordering::Relaxed);
                     return Ok(resp);
@@ -214,7 +191,7 @@ impl Transport {
         peer: &ServerId,
         req: &Request,
         timeout: Duration,
-        class: OpClass,
+        ping: bool,
     ) -> io::Result<Response> {
         let decision = match &self.faults {
             Some(f) => f.outbound(peer.as_str(), &req.target),
@@ -229,7 +206,7 @@ impl Transport {
                 "injected fault: connection refused",
             ));
         }
-        if class == OpClass::Ping {
+        if ping {
             // Pings measure connection health: always a fresh dial,
             // never a pooled stream, closed right after (§4.5).
             let resp = fetch_from_timeout(peer, req, timeout)?;
@@ -422,9 +399,9 @@ pub(crate) fn is_conn_death(e: &io::Error) -> bool {
 
 /// FNV-1a over the call identity, salting backoff jitter so concurrent
 /// retries against one peer spread out instead of stampeding.
-fn salt_of(peer: &str, target: &str, class: OpClass) -> u64 {
+fn salt_of(peer: &str, target: &str, label: &str) -> u64 {
     let mut h = RollingChecksum::new();
-    for part in [peer, target, class.as_str()] {
+    for part in [peer, target, label] {
         h.update(part.as_bytes());
     }
     h.value()
@@ -466,6 +443,20 @@ mod tests {
         (ServerId::new(format!("127.0.0.1:{}", addr.port())), served)
     }
 
+    /// A pull; the transport reads only its label.
+    const PULL: Call = Call::Pull {
+        path: String::new(),
+    };
+
+    /// Every call but a ping: each goes over a pooled connection.
+    const POOLED: [Call; 3] = [
+        PULL,
+        Call::Validate {
+            path: String::new(),
+        },
+        Call::Push,
+    ];
+
     fn fast_policy() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
@@ -481,7 +472,7 @@ mod tests {
     fn clean_call_round_trips() {
         let (server, served) = counting_server(Response::ok(b"ok".to_vec(), "text/plain"));
         let t = Transport::new(fast_policy(), None);
-        let resp = t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+        let resp = t.call(&server, &Request::get("/x"), &PULL).unwrap();
         assert_eq!(resp.status, StatusCode::Ok);
         assert_eq!(served.load(Ordering::Relaxed), 1);
         let snap = t.snapshot();
@@ -493,7 +484,7 @@ mod tests {
         let (server, served) = counting_server(Response::ok(b"ok".to_vec(), "text/plain"));
         let t = Transport::new(fast_policy(), None);
         for _ in 0..10 {
-            let resp = t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+            let resp = t.call(&server, &Request::get("/x"), &PULL).unwrap();
             assert_eq!(resp.status, StatusCode::Ok);
         }
         assert_eq!(served.load(Ordering::Relaxed), 10);
@@ -510,7 +501,7 @@ mod tests {
             FaultPlan::new(3).with_fail_first(1, FirstFaultKind::Drop),
         ));
         let t = Transport::new(fast_policy(), Some(inj));
-        let resp = t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+        let resp = t.call(&server, &Request::get("/x"), &PULL).unwrap();
         assert_eq!(resp.status, StatusCode::Ok);
         // Both attempts reached the wire; only the second counted.
         assert_eq!(served.load(Ordering::Relaxed), 2);
@@ -525,9 +516,7 @@ mod tests {
         let (server, served) = counting_server(Response::ok(b"ok".to_vec(), "text/plain"));
         let inj = Arc::new(FaultInjector::new(FaultPlan::new(0).with_refuse(1.0)));
         let t = Transport::new(fast_policy(), Some(inj));
-        let err = t
-            .call(&server, &Request::get("/x"), OpClass::Pull)
-            .unwrap_err();
+        let err = t.call(&server, &Request::get("/x"), &PULL).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert_eq!(served.load(Ordering::Relaxed), 0, "never reached the wire");
         let snap = t.snapshot();
@@ -546,7 +535,7 @@ mod tests {
         // Reuse fail-first as a deterministic "first attempt bad" and
         // verify garble detection separately below.
         let t = Transport::new(fast_policy(), Some(inj));
-        let got = t.call(&server, &Request::get("/d"), OpClass::Pull).unwrap();
+        let got = t.call(&server, &Request::get("/d"), &PULL).unwrap();
         assert_eq!(got.body, body.as_slice());
 
         // Now a permanently garbling injector: every attempt corrupts,
@@ -557,9 +546,7 @@ mod tests {
         let (server2, _) = counting_server(resp2);
         let always_garble = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
         let t2 = Transport::new(fast_policy(), Some(always_garble));
-        let err = t2
-            .call(&server2, &Request::get("/d"), OpClass::Pull)
-            .unwrap_err();
+        let err = t2.call(&server2, &Request::get("/d"), &PULL).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(t2.snapshot().corrupt, 3);
         // Untrustworthy streams are never parked.
@@ -576,16 +563,12 @@ mod tests {
             .with_header(CHECKSUM_HEADER, body_checksum(&body));
         let (server, served) = counting_server(resp);
         let t = Transport::new(fast_policy(), None);
-        let got = t
-            .call(&server, &Request::get("/big"), OpClass::Pull)
-            .unwrap();
+        let got = t.call(&server, &Request::get("/big"), &PULL).unwrap();
         assert_eq!(got.body, body.as_slice());
         assert_eq!(served.load(Ordering::Relaxed), 1);
         // The stream must be left exactly at the message boundary: a
         // second pull on the same pooled connection still frames.
-        let got2 = t
-            .call(&server, &Request::get("/big"), OpClass::Pull)
-            .unwrap();
+        let got2 = t.call(&server, &Request::get("/big"), &PULL).unwrap();
         assert_eq!(got2.body, body.as_slice());
         assert_eq!(t.pool().snapshot().dials, 1, "chunked reads must pool");
     }
@@ -596,16 +579,16 @@ mod tests {
         // must reject each transfer without a Response (and thus any
         // installable copy) ever being built — for pulls, validations
         // and pushes alike, since all three share the one exchange.
-        for class in [OpClass::Pull, OpClass::Validate, OpClass::Push] {
+        for call in POOLED {
             let body = vec![0xa7u8; 200_000];
             let resp = Response::ok(body.clone(), "application/octet-stream")
                 .with_header(CHECKSUM_HEADER, body_checksum(&body));
             let (server, _) = counting_server(resp);
             let inj = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
             let t = Transport::new(fast_policy(), Some(inj));
-            let err = t.call(&server, &Request::get("/big"), class).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{class:?}");
-            assert_eq!(t.snapshot().corrupt, 3, "{class:?}");
+            let err = t.call(&server, &Request::get("/big"), &call).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{call:?}");
+            assert_eq!(t.snapshot().corrupt, 3, "{call:?}");
             assert_eq!(t.pool().idle_total(), 0, "tainted streams never parked");
         }
     }
@@ -614,27 +597,23 @@ mod tests {
     fn dropped_transfer_follows_pinned_fault_schedule() {
         // The chaos-replay contract: one seeded plan against one server
         // content yields one observable schedule — error kind, retry
-        // accounting, injector draws — whatever the operation class. The
+        // accounting, injector draws — whatever the call. The
         // literals are what the retired buffered exchange and the chunked
         // one both observed for this plan when they were pinned to each
         // other; chunking must never perturb them.
-        for class in [OpClass::Pull, OpClass::Validate, OpClass::Push] {
+        for call in POOLED {
             let body = vec![0x5au8; 150_000];
             let resp = Response::ok(body.clone(), "application/octet-stream")
                 .with_header(CHECKSUM_HEADER, body_checksum(&body));
             let (server, _) = counting_server(resp);
             let inj = Arc::new(FaultInjector::new(FaultPlan::new(77).with_drop(1.0)));
             let t = Transport::new(fast_policy(), Some(inj.clone()));
-            let err = t.call(&server, &Request::get("/big"), class).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{class:?}");
+            let err = t.call(&server, &Request::get("/big"), &call).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{call:?}");
             let io = t.snapshot();
-            assert_eq!(
-                (io.attempts, io.retries, io.giveups),
-                (3, 2, 1),
-                "{class:?}"
-            );
+            assert_eq!((io.attempts, io.retries, io.giveups), (3, 2, 1), "{call:?}");
             let faults = inj.snapshot();
-            assert_eq!((faults.drops, faults.decisions), (3, 3), "{class:?}");
+            assert_eq!((faults.drops, faults.decisions), (3, 3), "{call:?}");
         }
     }
 
@@ -642,7 +621,7 @@ mod tests {
     fn response_without_checksum_is_accepted() {
         let (server, _) = counting_server(Response::ok(b"plain".to_vec(), "text/plain"));
         let t = Transport::new(fast_policy(), None);
-        let resp = t.call(&server, &Request::get("/x"), OpClass::Push).unwrap();
+        let resp = t.call(&server, &Request::get("/x"), &Call::Push).unwrap();
         assert_eq!(resp.body, b"plain");
     }
 
@@ -651,9 +630,9 @@ mod tests {
         let resp = Response::ok(b"bye".to_vec(), "text/plain").with_header("Connection", "close");
         let (server, _) = counting_server(resp);
         let t = Transport::new(fast_policy(), None);
-        t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+        t.call(&server, &Request::get("/x"), &PULL).unwrap();
         assert_eq!(t.pool().idle_total(), 0);
-        t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+        t.call(&server, &Request::get("/x"), &PULL).unwrap();
         let pool = t.pool().snapshot();
         assert_eq!((pool.dials, pool.hits, pool.evicted_close), (2, 0, 2));
     }
@@ -664,7 +643,7 @@ mod tests {
         // policy must not retry it.
         let dead = ServerId::new("127.0.0.1:1");
         let t = Transport::new(fast_policy(), None);
-        assert!(t.call(&dead, &Request::get("/"), OpClass::Ping).is_err());
+        assert!(t.call(&dead, &Request::get("/"), &Call::Ping).is_err());
         let snap = t.snapshot();
         assert_eq!((snap.attempts, snap.retries, snap.giveups), (1, 0, 1));
     }
@@ -674,11 +653,11 @@ mod tests {
         let (server, served) = counting_server(Response::ok(b"ok".to_vec(), "text/plain"));
         let t = Transport::new(fast_policy(), None);
         // Warm the pool with a pull.
-        t.call(&server, &Request::get("/x"), OpClass::Pull).unwrap();
+        t.call(&server, &Request::get("/x"), &PULL).unwrap();
         assert_eq!(t.pool().idle_total(), 1);
         let before = t.pool().snapshot();
         // A ping must neither check out the warm stream nor park its own.
-        t.call(&server, &Request::get("/"), OpClass::Ping).unwrap();
+        t.call(&server, &Request::get("/"), &Call::Ping).unwrap();
         let after = t.pool().snapshot();
         assert_eq!(t.pool().idle_total(), 1, "warm stream left untouched");
         assert_eq!((before.hits, before.dials), (after.hits, after.dials));

@@ -4,14 +4,18 @@
 //! pooling on versus off (see the "Connection reuse" section of
 //! `docs/PERFORMANCE.md`).
 
+use dcws_core::Call;
 use dcws_graph::ServerId;
 use dcws_http::{Request, Response};
-use dcws_net::{
-    FaultInjector, FaultPlan, FaultSnapshot, OpClass, PoolConfig, RetryPolicy, Transport,
-};
+use dcws_net::{FaultInjector, FaultPlan, FaultSnapshot, PoolConfig, RetryPolicy, Transport};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// A pull; the transport reads only its label.
+const PULL: Call = Call::Pull {
+    path: String::new(),
+};
 
 /// One attempt, no backoff: failures must surface immediately so the
 /// tests can tell a free stale-reuse redial from a budgeted retry.
@@ -82,9 +86,7 @@ fn poisoned_pooled_connection_redials_transparently() {
     let t = Transport::new(single_attempt(), None);
 
     for _ in 0..2 {
-        let resp = t
-            .call(&peer, &get(&peer, "/a.html"), OpClass::Pull)
-            .unwrap();
+        let resp = t.call(&peer, &get(&peer, "/a.html"), &PULL).unwrap();
         assert_eq!(resp.body, b"doc-body");
     }
     let snap = t.pool().snapshot();
@@ -97,9 +99,7 @@ fn poisoned_pooled_connection_redials_transparently() {
     }
     std::thread::sleep(Duration::from_millis(50));
 
-    let resp = t
-        .call(&peer, &get(&peer, "/a.html"), OpClass::Pull)
-        .unwrap();
+    let resp = t.call(&peer, &get(&peer, "/a.html"), &PULL).unwrap();
     assert_eq!(resp.body, b"doc-body", "stale reuse must be invisible");
 
     let io = t.snapshot();
@@ -119,7 +119,7 @@ fn steady_workload_reuse_ratio_exceeds_target() {
     let t = Transport::new(single_attempt(), None);
     for i in 0..20 {
         let path = format!("/doc{i}.html");
-        let resp = t.call(&peer, &get(&peer, &path), OpClass::Pull).unwrap();
+        let resp = t.call(&peer, &get(&peer, &path), &PULL).unwrap();
         assert_eq!(resp.body, b"payload");
     }
     let snap = t.pool().snapshot();
@@ -141,13 +141,12 @@ fn pings_dial_fresh_over_a_live_server() {
     let t = Transport::new(single_attempt(), None);
 
     // Park one pooled stream via a normal pull.
-    t.call(&peer, &get(&peer, "/x.html"), OpClass::Pull)
-        .unwrap();
+    t.call(&peer, &get(&peer, "/x.html"), &PULL).unwrap();
     assert_eq!(t.pool().idle_total(), 1);
     let before = t.pool().snapshot();
 
     for _ in 0..3 {
-        let resp = t.call(&peer, &get(&peer, "/ping"), OpClass::Ping).unwrap();
+        let resp = t.call(&peer, &get(&peer, "/ping"), &Call::Ping).unwrap();
         assert_eq!(resp.body, b"pong");
     }
 
@@ -177,7 +176,7 @@ fn faulted_run(
     for i in 0..30 {
         let path = format!("/doc{i}.html");
         let out = t
-            .call(&peer, &get(&peer, &path), OpClass::Pull)
+            .call(&peer, &get(&peer, &path), &PULL)
             .map(|r| r.body.to_vec())
             .map_err(|e| e.kind());
         outcomes.push(out);

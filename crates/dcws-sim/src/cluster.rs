@@ -25,16 +25,16 @@
 
 use crate::client::{ParseCache, SimWalker};
 use crate::config::{NetModel, SimConfig};
-use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
+use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, SimTime};
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
 use dcws_cache::CachedDoc;
 use dcws_core::{
-    decode_migrate_path, unavailable, EventRecord, Front, MemStore, Outcome, Pulled, Served,
-    ServerConfig, ServerEngine, Settled, Step, Waiter,
+    decode_migrate_path, unavailable, Call, EventRecord, Front, MemStore, Outbound, Outcome,
+    Served, ServerConfig, ServerEngine, Settled, Step, Waiter,
 };
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Method, Request, StatusCode, Url};
+use dcws_http::{Method, Request, Response, StatusCode, Url};
 use dcws_workloads::{materialize::materialize, PageKind};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -65,8 +65,8 @@ impl Waiter for Job {
 
 pub(crate) struct ServerSt {
     engine: ServerEngine,
-    /// What the engine declines to answer outright: requests parked on a
-    /// lazy pull, and the pull's settle step.
+    /// What the engine declines to answer outright — requests parked on a
+    /// lazy pull — and the door every reply to this server's calls takes.
     front: Front<Job>,
     /// Socket queue of backlogged requests (L_sq limit applies).
     queue: VecDeque<Job>,
@@ -664,7 +664,10 @@ impl SimCluster {
             self.queue
                 .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
             if let Step::Pull { home, path } = step {
-                self.send_pull(server, home, path, now_ms);
+                let call = Call::Pull { path: path.clone() };
+                self.send_call(server, home, call, |engine| {
+                    engine.make_pull_request(&path, now_ms)
+                });
             }
             return;
         };
@@ -677,14 +680,21 @@ impl SimCluster {
             .push(self.now + service, Event::ServiceDone { server });
     }
 
-    /// Send the lazy pull `server`'s front asked for. A `~migrate` URL
-    /// whose home is no simulated server has nowhere to pull from: the
-    /// pull fails on the spot.
-    fn send_pull(&mut self, server: usize, home: ServerId, path: String, now_ms: u64) {
-        let Some(&idx) = self.id_to_idx.get(&home) else {
-            return self.settle_pull(server, &home, &path, Pulled::Unreachable);
+    /// Send `server`'s `call` to `peer`, as the request `req` builds. A
+    /// peer that is no simulated server — the home a `~migrate` URL names,
+    /// say — is unreachable: the call is answered on the spot, and its
+    /// request never built.
+    fn send_call(
+        &mut self,
+        server: usize,
+        peer: ServerId,
+        call: Call,
+        req: impl FnOnce(&mut ServerEngine) -> Request,
+    ) {
+        let Some(&idx) = self.id_to_idx.get(&peer) else {
+            return self.answered(server, &peer, &call, None);
         };
-        let req = self.servers[server].engine.make_pull_request(&path, now_ms);
+        let req = req(&mut self.servers[server].engine);
         self.queue.push(
             self.now + self.cfg.cost.latency_us,
             Event::RequestArrive {
@@ -692,23 +702,24 @@ impl SimCluster {
                 req: Incoming::Request(req),
                 origin: Origin::Server {
                     id: server,
-                    purpose: Purpose::Pull { home: idx, path },
+                    peer: idx,
+                    call,
                 },
             },
         );
     }
 
-    /// Settle a pull at `server` and release the requests parked on it:
-    /// the ones handed a copy go back to the head of the line in arrival
-    /// order, carrying it, to be served in turn; the rest are answered at
-    /// once.
-    fn settle_pull(&mut self, server: usize, home: &ServerId, path: &str, pulled: Pulled) {
+    /// Hand `server`'s front the reply to its `call` and release the
+    /// requests a pull held: the ones handed a copy go back to the head of
+    /// the line in arrival order, carrying it, to be served in turn; the
+    /// rest are answered at once.
+    fn answered(&mut self, server: usize, peer: &ServerId, call: &Call, reply: Option<&Response>) {
         let now_ms = self.now / 1_000;
         let srv = &mut self.servers[server];
         let mut copies = Vec::new();
         for settled in srv
             .front
-            .settle(&mut srv.engine, home, path, pulled, now_ms)
+            .answered(&mut srv.engine, peer, call, reply, now_ms)
         {
             match settled {
                 Settled::Copy(job, copy) => copies.push(Job {
@@ -785,61 +796,17 @@ impl SimCluster {
     }
 
     fn server_tick(&mut self, server: usize) {
-        let now_ms = self.now / 1_000;
-        let latency = self.cfg.cost.latency_us;
-        if !self.servers[server].crashed {
-            let out = self.servers[server].engine.tick(now_ms);
-            for (peer, req) in out.pings {
-                if let Some(&idx) = self.id_to_idx.get(&peer) {
-                    self.queue.push(
-                        self.now + latency,
-                        Event::RequestArrive {
-                            server: idx,
-                            req: Incoming::Request(req),
-                            origin: Origin::Server {
-                                id: server,
-                                purpose: Purpose::Ping { peer: idx },
-                            },
-                        },
-                    );
-                }
-            }
-            for (home, req) in out.validations {
-                if let Some(&idx) = self.id_to_idx.get(&home) {
-                    let path = req.target.clone();
-                    self.queue.push(
-                        self.now + latency,
-                        Event::RequestArrive {
-                            server: idx,
-                            req: Incoming::Request(req),
-                            origin: Origin::Server {
-                                id: server,
-                                purpose: Purpose::Validate { home: idx, path },
-                            },
-                        },
-                    );
-                }
-            }
-            for (coop, req) in out.pushes {
-                if let Some(&idx) = self.id_to_idx.get(&coop) {
-                    self.queue.push(
-                        self.now + latency,
-                        Event::RequestArrive {
-                            server: idx,
-                            req: Incoming::Request(req),
-                            origin: Origin::Server {
-                                id: server,
-                                purpose: Purpose::Push,
-                            },
-                        },
-                    );
-                }
-            }
-            self.queue.push(
-                self.now + self.cfg.tick_interval_ms * 1_000,
-                Event::ServerTick { server },
-            );
+        if self.servers[server].crashed {
+            return;
         }
+        let out = self.servers[server].engine.tick(self.now / 1_000);
+        for Outbound { peer, call, req } in out.calls {
+            self.send_call(server, peer, call, |_| req);
+        }
+        self.queue.push(
+            self.now + self.cfg.tick_interval_ms * 1_000,
+            Event::ServerTick { server },
+        );
     }
 
     fn router_start(&mut self) {
@@ -881,7 +848,7 @@ impl SimCluster {
                 self.replay_deliver(id, token, delivery)
             }
             Origin::Client { id, token } => self.client_deliver(id, token, delivery),
-            Origin::Server { id, purpose } => self.server_deliver(id, purpose, delivery),
+            Origin::Server { id, peer, call } => self.server_deliver(id, peer, call, delivery),
         }
     }
 
@@ -941,52 +908,15 @@ impl SimCluster {
         }
     }
 
-    fn server_deliver(&mut self, server: usize, purpose: Purpose, delivery: Delivery) {
+    fn server_deliver(&mut self, server: usize, peer: usize, call: Call, delivery: Delivery) {
         if self.servers[server].crashed {
             return;
         }
-        let now_ms = self.now / 1_000;
-        // The engine's callbacks read headers: a wire-form answer (only
-        // ever a 503 here) is parsed back; `None` is a failed connection.
-        let answer = delivery.into_response();
-        match purpose {
-            Purpose::Pull { home, path } => {
-                let pulled = match answer {
-                    Some(resp) => Pulled::Reply(resp),
-                    None => Pulled::Unreachable,
-                };
-                let home = self.server_ids[home].clone();
-                self.settle_pull(server, &home, &path, pulled);
-            }
-            Purpose::Validate { home, path } => {
-                let home = &self.server_ids[home];
-                let engine = &mut self.servers[server].engine;
-                match answer {
-                    Some(resp) => {
-                        engine.handle_validation_response(home, &path, &resp, now_ms);
-                    }
-                    // Home unreachable: the copy is served stale rather than
-                    // discarded (graceful degradation, docs/RESILIENCE.md).
-                    None => engine.validation_failed(home, &path, now_ms),
-                }
-            }
-            Purpose::Ping { peer } => {
-                let peer = &self.server_ids[peer];
-                let engine = &mut self.servers[server].engine;
-                match answer {
-                    // ANY response proves the peer is alive — a 503 means
-                    // overloaded, not dead. Only connection failure counts
-                    // against it.
-                    Some(resp) => {
-                        engine.ping_result(peer, true, Some(&resp.headers));
-                    }
-                    None => {
-                        engine.ping_result(peer, false, None);
-                    }
-                }
-            }
-            Purpose::Push => {}
-        }
+        // The engine reads headers: a wire-form answer (only ever a 503
+        // here) is parsed back; `None` is a failed connection.
+        let reply = delivery.into_response();
+        let peer = self.server_ids[peer].clone();
+        self.answered(server, &peer, &call, reply.as_ref());
     }
 
     // ---------------------------------------------------------------- metrics

@@ -18,40 +18,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use dcws_core::Served;
+use dcws_core::{Call, Served};
 use dcws_http::{Request, Response, Url};
 use dcws_net::walker::Reply;
 
 /// Virtual time in microseconds.
 pub type SimTime = u64;
-
-/// Why a server-originated request was sent, so the response can be routed
-/// back into the right engine callback. Peers are named by their index in
-/// the cluster's server slab, resolved once when the request is sent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Purpose {
-    /// Lazy pull of a migrated document from its home (§4.2).
-    Pull {
-        /// The home server pulled from.
-        home: usize,
-        /// Original document path on the home server.
-        path: String,
-    },
-    /// Co-op revalidation of a migrated copy (§4.5).
-    Validate {
-        /// The home server being validated against.
-        home: usize,
-        /// Original document path on the home server.
-        path: String,
-    },
-    /// Artificial pinger transfer (§4.5).
-    Ping {
-        /// The peer being pinged.
-        peer: usize,
-    },
-    /// Eager-migration push (ablation); response is ignored.
-    Push,
-}
 
 /// Who is waiting for a response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,13 +36,15 @@ pub enum Origin {
         /// Fetch token issued by the client.
         token: u64,
     },
-    /// Another server; `peer` is the request's destination (for ping
-    /// bookkeeping) and `purpose` selects the engine callback.
+    /// Another server's call to a peer, named by its index in the
+    /// cluster's server slab (resolved once, when the call is sent).
     Server {
         /// Issuing server index.
         id: usize,
-        /// Why the request was sent.
-        purpose: Purpose,
+        /// The peer called.
+        peer: usize,
+        /// What the call is for.
+        call: Call,
     },
 }
 

@@ -230,11 +230,6 @@ impl SimResult {
         self.samples.iter().map(|s| s.cps).fold(0.0, f64::max)
     }
 
-    /// Highest BPS sample.
-    pub fn peak_bps(&self) -> f64 {
-        self.samples.iter().map(|s| s.bps).fold(0.0, f64::max)
-    }
-
     /// Mean CPS over the last half of the run (steady state after the
     /// cold-start warm-up).
     pub fn steady_cps(&self) -> f64 {

@@ -12,8 +12,9 @@
 //! events in reused slab slots, and a slot handed back with another
 //! event's payload must fail here, not in a digest three layers up.
 
+use dcws_core::Call;
 use dcws_http::{Request, Response};
-use dcws_sim::event::{Delivery, Event, EventQueue, Incoming, Origin, Purpose, SimTime};
+use dcws_sim::event::{Delivery, Event, EventQueue, Incoming, Origin, SimTime};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -47,8 +48,8 @@ fn event(id: usize) -> Event {
         1 => Event::Deliver {
             origin: Origin::Server {
                 id,
-                purpose: Purpose::Pull {
-                    home: id,
+                peer: id,
+                call: Call::Pull {
                     path: format!("/doc/{id}"),
                 },
             },
@@ -81,11 +82,10 @@ fn id_of(ev: &Event) -> usize {
                 panic!("a delivery to a client was never pushed: {origin:?}");
             };
             assert_eq!(resp.body, format!("body {id}").into_bytes());
-            let purpose = Purpose::Pull {
-                home: id,
+            let call = Call::Pull {
                 path: format!("/doc/{id}"),
             };
-            assert_eq!(*origin, Origin::Server { id, purpose });
+            assert_eq!(*origin, Origin::Server { id, peer: id, call });
             id
         }
         Event::ClientWake { client } => *client,

@@ -81,10 +81,21 @@ one_algorithm_2() {
 }
 step one_algorithm_2
 
-# One front: what a server does with a request its read path declined
-# is one sans-IO policy (dcws_core::Front) both hosts drive — pull
-# coalescing, the settle step that answers every waiter from the copy
-# its pull brought in, the degradation ladder. Its own suite; eight
+# One front: what a server does with a request its read path declined,
+# and with a peer's reply to any call it made, is one sans-IO policy
+# (dcws_core::Front) both hosts drive — pull coalescing, the settle step
+# that answers every waiter from the copy its pull brought in, the
+# degradation ladder, and the one door every reply goes through
+# (Front::answered). Its own suite, the door's cases among it: unreachable
+# pings declare a peer dead and recall its documents
+# (unreachable_pings_declare_the_peer_dead_and_recall_its_documents), any
+# ping reply merges its rows and proves the peer alive
+# (a_ping_reply_merges_its_piggybacked_rows), an unreachable validation
+# marks the copy stale and a 304 clears it
+# (an_unreachable_validation_marks_the_copy_stale_and_a_304_clears_it), a
+# push reply changes nothing (a_push_reply_changes_nothing), and a tick
+# sends pings, then validations, then pushes
+# (a_tick_sends_pings_then_validations_then_pushes). Beside it: eight
 # concurrent misses over TCP making one pull; a follower that parks its
 # job instead of a worker; every waiter of a pull whose copy the co-op
 # cache refuses answered 200, over TCP and in the simulator; a garbled

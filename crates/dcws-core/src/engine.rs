@@ -447,8 +447,7 @@ impl ServerEngine {
         }
     }
 
-    /// Merge one decoded load report into the GLT (also the drain path
-    /// for reports the read path deferred to its mailbox).
+    /// Merge one decoded load report into the GLT.
     pub fn ingest_report(&mut self, r: &LoadReport) {
         if r.server == self.id.as_str() {
             return;
@@ -517,9 +516,8 @@ impl ServerEngine {
     pub fn tick(&mut self, now_ms: u64) -> TickOutput {
         self.now_ms = self.now_ms.max(now_ms);
         // Fold in everything the read path did since the last tick —
-        // traffic into the rate window, hits into the LDG, deferred
-        // piggyback reports into the GLT — *before* the statistics
-        // branch below reads any of them.
+        // traffic into the rate window, hits into the LDG — *before* the
+        // statistics branch below reads either.
         self.drain_read_path(now_ms);
         let mut out = TickOutput::default();
         // Statistics recalculation + migration, every T_st.
@@ -588,13 +586,6 @@ impl ServerEngine {
             });
         }
         out.calls.extend(pushes);
-        // Refresh the load reports the read path hands out: exactly what
-        // attach_reports would attach now.
-        let mut snapshot = Vec::with_capacity(self.cfg.piggyback_max.min(self.glt.len()));
-        let (own, peers) = self.reports(now_ms);
-        snapshot.push(own.into());
-        snapshot.extend(peers.cloned());
-        self.read.publish_reports(snapshot);
         out
     }
 
@@ -618,9 +609,6 @@ impl ServerEngine {
         self.fold_read_traffic(now_ms);
         for (path, hits, bytes) in self.read.take_hits() {
             self.ldg.record_hits(&path, hits, bytes);
-        }
-        for r in self.read.take_reports() {
-            self.ingest_report(&r);
         }
     }
 

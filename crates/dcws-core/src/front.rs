@@ -14,8 +14,8 @@
 //! workers park the spilled job itself, so a follower holds no worker
 //! thread; the simulator parks the queued request with its requester. What
 //! stays in each host differs on purpose: admission against the socket
-//! queue, the read-path offer, `/dcws/*`, how the pull request is built,
-//! retries, and time (docs/SIMULATION.md, "The server model").
+//! queue, the read-path offer, `/dcws/*`, retries, and time
+//! (docs/SIMULATION.md, "The server model").
 
 use crate::engine::ServerEngine;
 use crate::serve::Outcome;
@@ -49,14 +49,10 @@ pub enum Step<W> {
     /// The waiter, handed back with its answer: a response, or a large
     /// object's streamed serve — never a miss.
     Answer(W, Outcome),
-    /// The waiter is parked as the first for its document: pull `path`
-    /// from `home`, then hand the reply to [`Front::answered`].
-    Pull {
-        /// The home to pull from.
-        home: ServerId,
-        /// The document's path on the home.
-        path: String,
-    },
+    /// The waiter is parked as the first for its document: send this
+    /// pull, which the engine built with its load reports attached, then
+    /// hand the reply to [`Front::answered`].
+    Pull(Outbound),
     /// The waiter is parked behind the pull already fetching its document.
     Parked,
 }
@@ -151,7 +147,8 @@ impl<W> Default for Front<W> {
 
 impl<W: Waiter> Front<W> {
     /// Hand `waiter`'s request to `engine` at `now_ms`: answered, or
-    /// parked on a pull — one it must lead, or one already in flight.
+    /// parked on a pull — one it must lead, built here, or one already in
+    /// flight.
     pub fn serve(&mut self, engine: &mut ServerEngine, waiter: W, now_ms: u64) -> Step<W> {
         let (home, path) = match handle(engine, &waiter, now_ms) {
             Ok(answer) => return Step::Answer(waiter, answer),
@@ -165,10 +162,15 @@ impl<W: Waiter> Front<W> {
                 Step::Parked
             }
             Entry::Vacant(slot) => {
-                let (home, path) = slot.key().clone();
+                let (peer, path) = slot.key().clone();
                 slot.insert(vec![waiter]);
                 self.flights.led += 1;
-                Step::Pull { home, path }
+                let req = engine.make_pull_request(&path, now_ms);
+                Step::Pull(Outbound {
+                    peer,
+                    call: Call::Pull { path },
+                    req,
+                })
             }
         }
     }

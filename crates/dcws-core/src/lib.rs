@@ -22,11 +22,11 @@
 //!   document moved *where* and *why*, and a JSON status snapshot
 //!   ([`status`]) that transport hosts expose at `/dcws/status`.
 //!
-//! The engine is *sans-IO*: hosts inject time ([`Clock`]) and perform the
-//! network actions it returns. `dcws-net` hosts it on real TCP threads;
-//! `dcws-sim` hosts it inside a discrete-event cluster simulator — the
-//! same engine code runs in both, which is what makes the simulated
-//! experiments faithful.
+//! The engine is *sans-IO*: hosts pass the time (`now_ms`) to every call
+//! that needs it and perform the network actions it returns. `dcws-net`
+//! hosts it on real TCP threads; `dcws-sim` hosts it inside a
+//! discrete-event cluster simulator — the same engine code runs in both,
+//! which is what makes the simulated experiments faithful.
 //!
 //! # Quickstart
 //!
@@ -49,7 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod config;
 pub mod engine;
 pub mod events;
@@ -64,7 +63,6 @@ pub mod status;
 pub mod store;
 pub mod stream;
 
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{HotReplication, ServerConfig};
 pub use engine::{ServerEngine, TickOutput};
 pub use events::{EngineEvent, EventLog, EventRecord, RevokeReason};

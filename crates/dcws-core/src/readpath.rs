@@ -25,16 +25,19 @@
 //! * the shared co-op [`DocCache`] (internally sharded already), so warm
 //!   co-op hits need no engine lock either;
 //! * **mailboxes** for the write-side effects a serve produces: per-doc
-//!   hit counts (LDG accounting), piggybacked [`LoadReport`]s (GLT
-//!   merges), and connection/byte totals (the CPS/BPS window). The engine
-//!   drains all three at [`tick`](crate::ServerEngine::tick), so read-path
-//!   requests update migration statistics and the GLT within one tick
+//!   hit counts (LDG accounting) and connection/byte totals (the CPS/BPS
+//!   window). The engine drains both at [`tick`](crate::ServerEngine::tick),
+//!   so read-path requests update migration statistics within one tick
 //!   without ever taking the write lock themselves.
+//!
+//! Any `X-DCWS-*` header declines: every inter-server message, load
+//! reports included, is the engine's, which merges the rows it carries
+//! and attaches fresh ones while it answers.
 //!
 //! Heads and bodies are [`Body`] (`Arc<[u8]>`): a plain `GET`/`HEAD` hit
 //! clones two refcounts into a [`Served`] and allocates nothing. Only the
-//! rare variants (`If-Modified-Since`, `Range`, piggybacked load reports)
-//! build a [`Response`] and serialize a head of their own.
+//! rare variants (`If-Modified-Since`, `Range`) build a [`Response`] and
+//! serialize a head of their own.
 
 use crate::engine::{coop_cache_key, Modified};
 use crate::naming::decode_migrate_path;
@@ -44,8 +47,7 @@ use dcws_cache::DocCache;
 use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_response_head, range_spec, Body,
-    Headers, LoadReport, Method, RangeSpec, Request, RequestHead, Response, StatusCode, StreamBody,
-    Url, PIGGYBACK_HEADER, RANGE_HEADER,
+    Method, RangeSpec, Request, RequestHead, Response, StatusCode, StreamBody, Url, RANGE_HEADER,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,10 +66,6 @@ const ROUTE_OVERHEAD: u64 = 64;
 /// so the default table (32 MiB) holds at most 512 of them, half the
 /// usual soft limit of 1024 open files.
 const STREAM_ROUTE_COST: u64 = 64 * 1024;
-
-/// Deferred-report mailbox bound. Gossip is lossy by design; overflow
-/// drops the report (counted) rather than growing without bound.
-const REPORT_MAILBOX_CAP: usize = 256;
 
 /// A read-path answer in wire form: the serialized head (status line,
 /// headers, blank line) and the entity that follows it. A front end sends
@@ -200,8 +198,6 @@ struct Wanted<'a> {
     if_modified_since: Option<&'a str>,
     /// The usable byte range the request asks for.
     range: Option<RangeSpec>,
-    /// The request piggybacks `X-DCWS-Load` reports.
-    has_load: bool,
 }
 
 /// A route's answer to one request: the prebuilt wire form, or a response
@@ -262,8 +258,6 @@ struct ReadCounters {
     stale_serves: AtomicU64,
     fallbacks: AtomicU64,
     shard_clears: AtomicU64,
-    reports_deferred: AtomicU64,
-    reports_dropped: AtomicU64,
 }
 
 /// Snapshot of the read path's counters and table occupancy.
@@ -292,10 +286,6 @@ pub struct ReadPathStats {
     pub fallbacks: u64,
     /// Serve-table shards cleared wholesale on budget overflow.
     pub shard_clears: u64,
-    /// Piggybacked load reports deferred to the tick mailbox.
-    pub reports_deferred: u64,
-    /// Load reports dropped because the mailbox was full.
-    pub reports_dropped: u64,
     /// Routes currently resident in the serve table.
     pub table_entries: u64,
     /// Budget cost of resident routes.
@@ -317,13 +307,6 @@ pub struct ReadPath {
     coop_cache: Arc<DocCache>,
     /// Per-shard home-document hit tallies: `path -> (hits, bytes)`.
     hits: Box<[HitShard]>,
-    /// Deferred GLT merges from piggybacked request headers.
-    reports: Mutex<Vec<LoadReport>>,
-    /// Load reports this server currently advertises (self first), as
-    /// encoded `X-DCWS-Load` values shared with the GLT rows they came
-    /// from; refreshed by the engine every tick, copied onto read-path
-    /// responses and transport-built pull requests.
-    published: RwLock<Vec<Arc<str>>>,
     /// Connection/byte totals awaiting the engine's rate window.
     traffic_conns: AtomicU64,
     traffic_bytes: AtomicU64,
@@ -346,8 +329,6 @@ impl ReadPath {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            reports: Mutex::new(Vec::new()),
-            published: RwLock::new(Vec::new()),
             traffic_conns: AtomicU64::new(0),
             traffic_bytes: AtomicU64::new(0),
             counters: ReadCounters::default(),
@@ -374,7 +355,7 @@ impl ReadPath {
         &self,
         method: Method,
         target: &str,
-        headers: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+        headers: impl Iterator<Item = (&'a str, &'a str)>,
     ) -> Option<Served> {
         self.answer(method, target, headers, Caller::Message)
             .map(|(served, _)| served)
@@ -408,22 +389,17 @@ impl ReadPath {
         &self,
         method: Method,
         target: &str,
-        headers: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+        headers: impl Iterator<Item = (&'a str, &'a str)>,
         caller: Caller,
     ) -> Option<(Served, Option<StreamBody>)> {
         if method != Method::Get && method != Method::Head {
             return self.fallback(caller);
         }
-        // Inter-server extension headers force the exclusive path —
-        // except pure piggyback, whose GLT merge we defer to tick.
-        let (mut if_modified_since, mut range, mut has_load) = (None, None, false);
-        for (name, value) in headers.clone() {
+        // Any inter-server extension header forces the exclusive path.
+        let (mut if_modified_since, mut range) = (None, None);
+        for (name, value) in headers {
             if name.len() >= 7 && name.as_bytes()[..7].eq_ignore_ascii_case(b"x-dcws-") {
-                if name.eq_ignore_ascii_case(PIGGYBACK_HEADER) {
-                    has_load = true;
-                } else {
-                    return self.fallback(caller);
-                }
+                return self.fallback(caller);
             } else if name.eq_ignore_ascii_case("If-Modified-Since") {
                 if_modified_since.get_or_insert(value);
             } else if name.eq_ignore_ascii_case(RANGE_HEADER) {
@@ -434,7 +410,6 @@ impl ReadPath {
             method,
             if_modified_since,
             range: range_spec(method, range),
-            has_load,
         };
         let Ok(path) = Url::request_path(target) else {
             return self.fallback(caller);
@@ -459,22 +434,14 @@ impl ReadPath {
         // stream route resolved its range when it built the answer (its
         // prebuilt head is never offered to a ranged request).
         let resp = match hit {
-            Hit::Prebuilt(served) if want.range.is_none() && !want.has_load => {
-                return Some((served, stream))
-            }
+            Hit::Prebuilt(served) if want.range.is_none() => return Some((served, stream)),
             Hit::Prebuilt(served) => served.into_response(),
             Hit::Built(resp) => resp,
         };
-        let mut resp = apply_range_spec(want.range, resp);
-        if want.has_load {
-            self.defer_reports(
-                headers
-                    .filter(|(n, _)| n.eq_ignore_ascii_case(PIGGYBACK_HEADER))
-                    .map(|(_, v)| v),
-            );
-            self.attach_published(&mut resp.headers);
-        }
-        Some((Served::from_response(resp), stream))
+        Some((
+            Served::from_response(apply_range_spec(want.range, resp)),
+            stream,
+        ))
     }
 
     /// Count a declined request (once: not again for the spill worker's
@@ -609,17 +576,6 @@ impl ReadPath {
         }
     }
 
-    /// Build the lazy pull request for `path` without the engine lock:
-    /// identity headers plus the published load-report snapshot (what
-    /// `ServerEngine::attach_reports` would have said as of last tick).
-    pub fn make_pull_request(&self, path: &str) -> Request {
-        let mut req = Request::get(path)
-            .with_header("X-DCWS-Pull", "1")
-            .with_header("X-DCWS-Coop", self.id.to_string());
-        self.attach_published(&mut req.headers);
-        req
-    }
-
     // ---- write-side hooks (called by the engine, under its lock) ----
 
     /// Prime a document route; a no-op when the resident route already
@@ -744,32 +700,6 @@ impl ReadPath {
         }
     }
 
-    /// Replace the published load-report snapshot (engine, every tick).
-    pub(crate) fn publish_reports(&self, reports: Vec<Arc<str>>) {
-        *self.published.write().unwrap_or_else(|e| e.into_inner()) = reports;
-    }
-
-    /// The currently published load reports (self first), encoded.
-    pub fn published_reports(&self) -> Vec<Arc<str>> {
-        self.published
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Attach the published load reports to an outgoing message, each
-    /// by refcount.
-    fn attach_published(&self, headers: &mut Headers) {
-        for row in self
-            .published
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            LoadReport::attach_encoded(headers, row.clone());
-        }
-    }
-
     // ---- mailboxes ----
 
     /// Tally a hit on `path`, whose shard index is `idx`.
@@ -790,41 +720,6 @@ impl ReadPath {
     fn record_traffic(&self, bytes: u64) {
         self.traffic_conns.fetch_add(1, Ordering::Relaxed);
         self.traffic_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Queue the decodable `X-DCWS-Load` `values` of one request for the
-    /// next tick. This server's own row is recognised on the borrowed
-    /// value where it can be, before anything is allocated for it, and
-    /// once the mailbox is full nothing more is decoded: every remaining
-    /// value counts as dropped.
-    fn defer_reports<'a>(&self, values: impl Iterator<Item = &'a str>) {
-        let (mut deferred, mut dropped) = (0, 0);
-        let mut mb = self.reports.lock().unwrap_or_else(|e| e.into_inner());
-        for v in values {
-            if mb.len() >= REPORT_MAILBOX_CAP {
-                dropped += 1;
-                continue;
-            }
-            if LoadReport::peek(v).is_some_and(|(server, _)| server == self.id.as_str()) {
-                continue;
-            }
-            match LoadReport::decode(v) {
-                Ok(r) if r.server != self.id.as_str() => {
-                    mb.push(r);
-                    deferred += 1;
-                }
-                _ => {}
-            }
-        }
-        drop(mb);
-        let c = &self.counters;
-        c.reports_deferred.fetch_add(deferred, Ordering::Relaxed);
-        c.reports_dropped.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Take all deferred load reports (engine drain, every tick).
-    pub(crate) fn take_reports(&self) -> Vec<LoadReport> {
-        std::mem::take(&mut *self.reports.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Take all batched hit tallies: `(path, hits, bytes)`.
@@ -866,8 +761,6 @@ impl ReadPath {
             stale_serves: c.stale_serves.load(Ordering::Relaxed),
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
             shard_clears: c.shard_clears.load(Ordering::Relaxed),
-            reports_deferred: c.reports_deferred.load(Ordering::Relaxed),
-            reports_dropped: c.reports_dropped.load(Ordering::Relaxed),
             table_entries: entries,
             table_bytes: bytes,
             stream_routes: streams,

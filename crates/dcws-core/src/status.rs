@@ -283,8 +283,6 @@ impl ServerEngine {
             ("stale_serves", Json::from(r.stale_serves)),
             ("fallbacks", Json::from(r.fallbacks)),
             ("shard_clears", Json::from(r.shard_clears)),
-            ("reports_deferred", Json::from(r.reports_deferred)),
-            ("reports_dropped", Json::from(r.reports_dropped)),
             ("table_entries", Json::from(r.table_entries)),
             ("table_bytes", Json::from(r.table_bytes)),
             ("stream_routes", Json::from(r.stream_routes)),

@@ -671,7 +671,7 @@ fn conditional_get_answers_304_with_zero_body() {
 
 #[test]
 fn eight_concurrent_misses_coalesce_to_one_pull() {
-    use dcws_core::{Call, Front, Settled, Step, Waiter};
+    use dcws_core::{Front, Settled, Step, Waiter};
     use std::sync::mpsc::{channel, Sender};
     use std::sync::{Arc, Barrier, Mutex};
 
@@ -713,21 +713,19 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
                         tx.send(answer.into_response().unwrap()).unwrap()
                     }
                     Step::Parked => {}
-                    Step::Pull { home: h, path } => {
+                    Step::Pull(pull) => {
                         // Hold the pull open so the other threads arrive
                         // while it is in flight.
                         std::thread::sleep(std::time::Duration::from_millis(30));
-                        let pull = coop.lock().unwrap().0.make_pull_request(&path, now);
                         let resp = home
                             .lock()
                             .unwrap()
-                            .handle_request(&pull, now)
+                            .handle_request(&pull.req, now)
                             .into_response()
                             .unwrap();
                         // The leader answers every waiter, itself included.
                         let (engine, front) = &mut *coop.lock().unwrap();
-                        let call = Call::Pull { path };
-                        for s in front.answered(engine, &h, &call, Some(&resp), now) {
+                        for s in front.answered(engine, &pull.peer, &pull.call, Some(&resp), now) {
                             let Settled::Copy(asker, copy) = s else {
                                 panic!("pull must succeed");
                             };
@@ -764,7 +762,7 @@ fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
     // A pulled document larger than the co-op cache's budget slice is
     // refused by the cache, but the pull still answers its requester from
     // the copy it brought in; the next miss pulls again.
-    use dcws_core::{Call, Front, Settled, Step, Waiter};
+    use dcws_core::{Front, Settled, Step, Waiter};
 
     struct Get(Request);
     impl Waiter for Get {
@@ -782,13 +780,11 @@ fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
 
     let migrate_path = "/~migrate/home/8000/d.html";
     let mut front = Front::default();
-    let Step::Pull { home: h, path } = front.serve(&mut coop, Get(Request::get(migrate_path)), now)
-    else {
+    let Step::Pull(pull) = front.serve(&mut coop, Get(Request::get(migrate_path)), now) else {
         panic!("expected a pull");
     };
-    let pull = coop.make_pull_request(&path, now);
-    let resp = home.handle_request(&pull, now).into_response().unwrap();
-    let mut settled = front.answered(&mut coop, &h, &Call::Pull { path }, Some(&resp), now);
+    let resp = home.handle_request(&pull.req, now).into_response().unwrap();
+    let mut settled = front.answered(&mut coop, &pull.peer, &pull.call, Some(&resp), now);
     assert_eq!(coop.coop_cache().stats().oversize_rejects, 1);
     assert_eq!(coop.coop_doc_count(), 0);
 

@@ -5,11 +5,11 @@
 //! directly.
 
 use dcws_core::{
-    Call, EngineEvent, Front, MemStore, ServerConfig, ServerEngine, Settled, Step, TickOutput,
-    Waiter,
+    Call, EngineEvent, Front, MemStore, Outbound, ServerConfig, ServerEngine, Settled, Step,
+    TickOutput, Waiter,
 };
 use dcws_graph::{DocKind, ServerId};
-use dcws_http::{Request, Response, StatusCode};
+use dcws_http::{Request, Response, StatusCode, PIGGYBACK_HEADER};
 use std::borrow::Cow;
 
 const T_ST: u64 = 10_000;
@@ -81,8 +81,14 @@ fn coop() -> ServerEngine {
 fn park(front: &mut Front<Client>, coop: &mut ServerEngine, n: usize, now: u64) {
     for i in 0..n {
         match front.serve(coop, Client(i, Request::get(MIGRATE_D)), now) {
-            Step::Pull { home, path } if i == 0 => {
-                assert_eq!((home, path.as_str()), (home_id(), "/d.html"));
+            Step::Pull(Outbound { peer, call, req }) if i == 0 => {
+                assert_eq!((peer, &req.target[..]), (home_id(), "/d.html"));
+                assert_eq!(
+                    call,
+                    Call::Pull {
+                        path: "/d.html".into()
+                    }
+                );
             }
             Step::Parked if i > 0 => {}
             other => panic!("miss {i}: {other:?}"),
@@ -169,7 +175,7 @@ fn concurrent_misses_lead_one_pull() {
     let other = Request::get("/~migrate/home/8000/e.html");
     assert!(matches!(
         front.serve(&mut coop, Client(N, other), T_ST + 5),
-        Step::Pull { .. }
+        Step::Pull(_)
     ));
     assert_eq!(front.flights().in_flight, 2);
 }
@@ -223,7 +229,7 @@ fn an_uncacheable_copy_answers_every_waiter() {
     assert_eq!(front.flights().led, 1, "one pull for every waiter");
     assert!(matches!(
         front.serve(&mut coop, Client(9, Request::get(MIGRATE_D)), now + 2),
-        Step::Pull { .. }
+        Step::Pull(_)
     ));
 }
 
@@ -288,7 +294,7 @@ fn a_503_reply_is_relayed_as_is() {
     assert_eq!(pull_failed_events(&mut coop), 0);
     assert!(matches!(
         front.serve(&mut coop, Client(9, Request::get(MIGRATE_D)), now + 1),
-        Step::Pull { .. }
+        Step::Pull(_)
     ));
 }
 
@@ -540,4 +546,60 @@ fn a_tick_sends_pings_then_validations_then_pushes() {
             (&coop_id(), "push")
         ]
     );
+}
+
+/// Gossip never travels alone: every request the engine builds — each
+/// call a tick hands the host, and the pull `Front::serve` leads — carries
+/// its `X-DCWS-Load` rows beside another `X-DCWS-*` header, and a read
+/// path declines it, so only the engine ever merges the rows a request
+/// carries. A bare-gossip GET would fail here first.
+#[test]
+fn every_built_request_carries_its_rows_beside_another_dcws_header() {
+    let cfg = ServerConfig {
+        eager_migration: true,
+        ..ServerConfig::paper_defaults()
+    };
+    let now = T_VAL + T_ST;
+    let mut home = loaded_home(cfg, now);
+    let other = ServerId::new("other:8002");
+    let copy = Response::ok(b"<p>x</p>".to_vec(), "text/html");
+    assert!(home.store_pulled(&other, "/x.html", &copy, T_ST));
+    let mut built = home.tick(now).calls;
+    let mut coop = coop();
+    let mut front = Front::default();
+    match front.serve(&mut coop, Client(0, Request::get(MIGRATE_D)), now) {
+        Step::Pull(pull) => built.push(pull),
+        other => panic!("a cold miss must lead a pull: {other:?}"),
+    }
+    let labels: Vec<&str> = built.iter().map(|c| c.call.label()).collect();
+    assert_eq!(labels, ["ping", "validate", "push", "pull"]);
+
+    // A primed route the read path answers when asked plainly.
+    let plain = Request::get("/index.html");
+    home.handle_request(&plain, now);
+    assert!(home.read_path().try_serve(&plain, now).is_some());
+    for Outbound { call, req, .. } in &built {
+        let label = call.label();
+        let names: Vec<&str> = req.headers.iter().map(|(n, _)| n).collect();
+        assert!(names.contains(&PIGGYBACK_HEADER), "{label}: no rows");
+        assert!(
+            names
+                .iter()
+                .any(|n| n.starts_with("X-DCWS-") && *n != PIGGYBACK_HEADER),
+            "{label}: rows alone: {names:?}"
+        );
+        let read = home.read_path();
+        assert!(
+            read.serve_parts(req.method, &req.target, req.headers.iter())
+                .is_none(),
+            "{label}: answered on the read path"
+        );
+        // Its rows alone decline the primed route too.
+        let rows = req.headers.iter().filter(|(n, _)| *n == PIGGYBACK_HEADER);
+        assert!(
+            read.serve_parts(plain.method, &plain.target, rows)
+                .is_none(),
+            "{label}: its rows were answered on the read path"
+        );
+    }
 }

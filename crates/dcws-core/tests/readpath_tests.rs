@@ -1,5 +1,6 @@
 //! Behavioural tests for the concurrent read path: zero-copy serving,
-//! deferred piggyback merges, and hit accounting through the mailboxes.
+//! declining inter-server traffic, and hit accounting through the
+//! mailboxes.
 
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::DocKind;
@@ -67,15 +68,16 @@ fn republish_invalidates_primed_route() {
     assert_eq!(served.body, b"<p>v2</p>");
 }
 
-/// A piggybacked load report on a read-path request must not need the
-/// engine lock: it lands in the mailbox and reaches the GLT on the next
-/// tick (satellite: "updates the GLT within one tick").
+/// A piggybacked load report is inter-server traffic: the read path
+/// declines it even on a primed route, and the engine merges its row
+/// while it answers — the GLT holds it before any tick.
 #[test]
 fn piggyback_on_read_path_reaches_glt_within_one_tick() {
     let mut e = engine("home:8080");
     e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
     let plain = Request::get("/doc.html");
     e.handle_request(&plain, 0).into_response().unwrap();
+    assert!(e.read_path().try_serve(&plain, 1).is_some(), "primed");
 
     let mut req = Request::get("/doc.html");
     let report = LoadReport {
@@ -86,79 +88,51 @@ fn piggyback_on_read_path_reaches_glt_within_one_tick() {
     };
     report.attach(&mut req.headers);
 
-    // Served lock-free despite the X-DCWS-Load header.
-    let resp = e.read_path().try_serve(&req, 10).expect("read path serves");
+    assert!(e.read_path().try_serve(&req, 10).is_none());
+    let resp = e.handle_request(&req, 10).into_response().unwrap();
     assert_eq!(resp.status, StatusCode::Ok);
-    assert_eq!(e.read_path().snapshot().reports_deferred, 1);
-    // Not merged yet — the GLT is engine state.
-    assert!(e
-        .peer_summaries()
-        .iter()
-        .all(|p| p.id.as_str() != "peer:9090"));
-
-    e.tick(100);
     let peers = e.peer_summaries();
     let peer = peers
         .iter()
         .find(|p| p.id.as_str() == "peer:9090")
-        .expect("report merged into GLT at tick");
+        .expect("report merged into GLT before any tick");
     assert!((peer.cps - 41.5).abs() < 1e-9);
     assert_eq!(peer.ts_ms, 5);
 }
 
-/// The deferred-report mailbox holds 256 reports between ticks. A
-/// server's own row is never queued (nor counted), garbage neither, and
-/// once the mailbox is full every further value is dropped undecoded —
-/// counted, whatever it was.
+/// A ranged GET that piggybacks a load report gets one answer whether its
+/// route is primed or cold: the engine's, which treats it as inter-server
+/// and leaves the range unapplied. (A read path that answered it would
+/// slice a primed route to a `206`, while the cold engine sends a `200`.)
 #[test]
-fn piggyback_mailbox_is_bounded_and_skips_own_rows() {
-    let mut e = engine("home:8080");
-    e.publish("/doc.html", b"<p>x</p>".to_vec(), DocKind::Html, false);
-    e.handle_request(&Request::get("/doc.html"), 0)
-        .into_response()
-        .unwrap();
-    let report = |server: String, ts_ms| LoadReport {
-        server,
+fn ranged_get_with_a_load_report_is_answered_alike_primed_or_cold() {
+    let image: Vec<u8> = (0..200u8).collect();
+    let report = LoadReport {
+        server: "peer:9090".into(),
         cps: 1.0,
         bps: 1.0,
-        ts_ms,
+        ts_ms: 5,
     };
-    // Per request: the server's own row twice (canonical, and spaced so
-    // only a full decode recognises it), one undecodable value, six peers.
-    let request = |n: u64| {
-        let mut req = Request::get("/doc.html");
-        report("home:8080".into(), 100 + n).attach(&mut req.headers);
-        req.headers
-            .insert("X-DCWS-Load", "server = home:8080; cps=1; bps=1; ts=7")
-            .unwrap();
-        req.headers.insert("X-DCWS-Load", "garbage").unwrap();
-        for p in 0..6 {
-            report(format!("p{p}:80"), 1 + n).attach(&mut req.headers);
+    let answer = |primed: bool| {
+        let mut e = engine("home:8080");
+        e.publish("/img.bin", image.clone(), DocKind::Image, false);
+        if primed {
+            e.handle_request(&Request::get("/img.bin"), 0)
+                .into_response()
+                .unwrap();
         }
-        req
+        let mut req = Request::get("/img.bin").with_header("Range", "bytes=0-9");
+        report.attach(&mut req.headers);
+        // A host's order: the read path, then the engine.
+        let resp = match e.read_path().try_serve(&req, 10) {
+            Some(resp) => resp,
+            None => e.handle_request(&req, 10).into_response().unwrap(),
+        };
+        (resp.status, resp.body.to_vec())
     };
-    let read = e.read_path().clone();
-    for n in 0..42 {
-        read.try_serve(&request(n), 10).expect("read path serves");
-    }
-    let s = read.snapshot();
-    assert_eq!(s.reports_deferred, 252, "42 requests x 6 peer rows");
-    assert_eq!(s.reports_dropped, 0, "own rows and garbage are not drops");
-    // The 43rd fills the last four slots; two peer rows and everything
-    // the next request carries find the mailbox full.
-    read.try_serve(&request(42), 10).unwrap();
-    read.try_serve(&request(43), 10).unwrap();
-    let s = read.snapshot();
-    assert_eq!((s.reports_deferred, s.reports_dropped), (256, 2 + 9));
-
-    // The tick drains it: the six peers at their newest queued report.
-    e.tick(100);
-    let peers = e.peer_summaries();
-    assert_eq!(peers.len(), 6);
-    assert!(peers.iter().take(4).all(|p| p.ts_ms == 43), "{peers:?}");
-    assert!(peers.iter().skip(4).all(|p| p.ts_ms == 42), "{peers:?}");
-    read.try_serve(&request(44), 110).unwrap();
-    assert_eq!(read.snapshot().reports_deferred, 262);
+    let cold = answer(false);
+    assert_eq!(answer(true), cold);
+    assert_eq!(cold, (StatusCode::Ok, image));
 }
 
 /// Read-path hits flow into LDG hit accounting (and hence Algorithm 1's

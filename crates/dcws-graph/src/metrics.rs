@@ -49,11 +49,6 @@ impl RateWindow {
         }
     }
 
-    /// The paper's statistics window: 10 s in 10 buckets (T_st).
-    pub fn paper_default() -> Self {
-        RateWindow::new(10_000, 10)
-    }
-
     /// Total window span in milliseconds.
     pub fn window_ms(&self) -> u64 {
         self.bucket_ms * self.n_buckets as u64
@@ -168,12 +163,6 @@ mod tests {
         w.record(99, 1);
         assert_eq!(w.buckets.len(), 1);
         assert_eq!(w.connections(99), 3);
-    }
-
-    #[test]
-    fn paper_default_span() {
-        let w = RateWindow::paper_default();
-        assert_eq!(w.window_ms(), 10_000);
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use headers::{http_date, parse_http_date, HeaderValue, Headers};
 pub use integrity::{body_checksum, checksum_matches, fnv1a, RollingChecksum, CHECKSUM_HEADER};
 pub use method::Method;
 pub use parser::{
-    parse_request, parse_response, parse_response_head, request_wire_len, response_wire_len,
-    Parsed, RequestHead, ResponseHead,
+    parse_request, parse_response, parse_response_head, response_wire_len, Parsed, RequestHead,
+    ResponseHead,
 };
 pub use piggyback::{LoadReport, PIGGYBACK_HEADER};
 pub use range::{

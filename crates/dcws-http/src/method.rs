@@ -38,11 +38,6 @@ impl Method {
             other => Err(HttpError::BadMethod(other.to_string())),
         }
     }
-
-    /// Whether a response to this method carries a body.
-    pub fn expects_response_body(&self) -> bool {
-        !matches!(self, Method::Head)
-    }
 }
 
 impl std::fmt::Display for Method {
@@ -74,12 +69,5 @@ mod tests {
             Method::parse("BREW"),
             Err(HttpError::BadMethod("BREW".into()))
         );
-    }
-
-    #[test]
-    fn head_has_no_response_body() {
-        assert!(!Method::Head.expects_response_body());
-        assert!(Method::Get.expects_response_body());
-        assert!(Method::Post.expects_response_body());
     }
 }

@@ -73,18 +73,9 @@ fn head_text(buf: &[u8]) -> Result<Option<(Cow<'_, str>, usize)>> {
     Ok(end.map(|end| (String::from_utf8_lossy(&buf[..end]), end)))
 }
 
-/// Extract a body of `len` bytes following the head, if fully buffered.
-fn take_body(buf: &[u8], head_end: usize, len: usize) -> Result<Option<Vec<u8>>> {
-    if len > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge {
-            what: "body",
-            limit: MAX_BODY_BYTES,
-        });
-    }
-    if buf.len() < head_end + len {
-        return Ok(None);
-    }
-    Ok(Some(buf[head_end..head_end + len].to_vec()))
+/// The `len` body bytes following the head, if fully buffered.
+fn take_body(buf: &[u8], head_end: usize, len: usize) -> Option<&[u8]> {
+    buf.get(head_end..head_end + len)
 }
 
 /// Body length implied by a parsed head, bounds-checked.
@@ -204,44 +195,6 @@ impl<'a> RequestHead<'a> {
     }
 }
 
-/// Total wire length (head + body) of the request at the front of `buf`,
-/// available as soon as its *head* is fully buffered — `Ok(None)` until
-/// the `\r\n\r\n` terminator arrives.
-pub fn request_wire_len(buf: &[u8]) -> Result<Option<usize>> {
-    let Some((text, head_end)) = head_text(buf)? else {
-        return Ok(None);
-    };
-    Ok(Some(RequestHead::parse(&text, head_end)?.wire_len()))
-}
-
-/// [`request_wire_len`] for responses: `request_method` affects framing
-/// exactly as in [`parse_response`] (`HEAD` and bodyless statuses carry
-/// no body regardless of `Content-Length`).
-pub fn response_wire_len(buf: &[u8], request_method: Method) -> Result<Option<usize>> {
-    let (text, head_end) = match head_text(buf)? {
-        Some(t) => t,
-        None => return Ok(None),
-    };
-    let mut lines = text.lines();
-    let start = lines
-        .next()
-        .ok_or_else(|| HttpError::BadStatusLine(String::new()))?;
-    let mut parts = start.splitn(3, ' ');
-    let code = match (parts.next(), parts.next()) {
-        (Some(_v), Some(c)) => c,
-        _ => return Err(HttpError::BadStatusLine(start.to_string())),
-    };
-    let code: u16 = code
-        .parse()
-        .map_err(|_| HttpError::BadStatusCode(code.to_string()))?;
-    let status = StatusCode::from_code(code)?;
-    let headers = parse_header_lines(lines)?;
-    if request_method == Method::Head || status.bodyless() {
-        return Ok(Some(head_end));
-    }
-    Ok(Some(head_end + framed_body_len(&headers)?))
-}
-
 /// Try to parse a complete request from the front of `buf`.
 ///
 /// Returns `Ok(None)` when more bytes are needed.
@@ -320,52 +273,35 @@ pub fn parse_response_head(
     }))
 }
 
-/// Try to parse a complete response from the front of `buf`.
+/// Try to parse a complete response from the front of `buf`: its head
+/// ([`parse_response_head`]), then the body that head frames.
 ///
 /// `request_method` affects body framing: responses to `HEAD` have no body
 /// regardless of `Content-Length`. Responses lacking `Content-Length` are
 /// treated as having an empty body (DCWS always sets the header; this
 /// avoids read-until-close framing, which the simulator cannot express).
 pub fn parse_response(buf: &[u8], request_method: Method) -> Result<Option<Parsed<Response>>> {
-    let (text, head_end) = match head_text(buf)? {
-        Some(t) => t,
-        None => return Ok(None),
+    let Some(Parsed { message, consumed }) = parse_response_head(buf, request_method)? else {
+        return Ok(None);
     };
-    let mut lines = text.lines();
-    let start = lines
-        .next()
-        .ok_or_else(|| HttpError::BadStatusLine(String::new()))?;
-    // Status line: HTTP-Version SP Status-Code SP Reason-Phrase (reason may
-    // contain spaces or be empty).
-    let mut parts = start.splitn(3, ' ');
-    let (v, c) = match (parts.next(), parts.next()) {
-        (Some(v), Some(c)) => (v, c),
-        _ => return Err(HttpError::BadStatusLine(start.to_string())),
+    let ResponseHead { mut resp, body_len } = message;
+    let Some(body) = take_body(buf, consumed, body_len) else {
+        return Ok(None);
     };
-    let version = Version::parse(v)?;
-    let code: u16 = c
-        .parse()
-        .map_err(|_| HttpError::BadStatusCode(c.to_string()))?;
-    let status = StatusCode::from_code(code)?;
-    let headers = parse_header_lines(lines)?;
-    let body_len = if request_method == Method::Head || status.bodyless() {
-        0
-    } else {
-        headers.content_length()?.unwrap_or(0)
-    };
-    let body = match take_body(buf, head_end, body_len)? {
-        Some(b) => b,
-        None => return Ok(None),
-    };
+    resp.body = body.into();
     Ok(Some(Parsed {
-        message: Response {
-            version,
-            status,
-            headers,
-            body: body.into(),
-        },
-        consumed: head_end + body_len,
+        message: resp,
+        consumed: consumed + body_len,
     }))
+}
+
+/// Total wire length (head + body) of the response at the front of `buf`,
+/// available as soon as its *head* is fully buffered — `Ok(None)` until
+/// the `\r\n\r\n` terminator arrives. `request_method` affects framing
+/// exactly as in [`parse_response`] (`HEAD` and bodyless statuses carry
+/// no body regardless of `Content-Length`).
+pub fn response_wire_len(buf: &[u8], request_method: Method) -> Result<Option<usize>> {
+    Ok(parse_response_head(buf, request_method)?.map(|p| p.consumed + p.message.body_len))
 }
 
 #[cfg(test)]
@@ -512,14 +448,15 @@ mod tests {
     fn wire_len_known_once_head_buffered() {
         let wire = Request::get("/x").with_body(vec![7u8; 100]).to_bytes();
         let head_end = wire.len() - 100;
+        let wire_len = |buf: &[u8]| {
+            let (text, end) = head_text(buf).unwrap()?;
+            Some(RequestHead::parse(&text, end).unwrap().wire_len())
+        };
         // Unknown while the head is incomplete…
-        assert_eq!(request_wire_len(&wire[..head_end - 1]).unwrap(), None);
+        assert_eq!(wire_len(&wire[..head_end - 1]), None);
         // …known the moment the terminator lands, before any body byte.
-        assert_eq!(
-            request_wire_len(&wire[..head_end]).unwrap(),
-            Some(wire.len())
-        );
-        assert_eq!(request_wire_len(&wire).unwrap(), Some(wire.len()));
+        assert_eq!(wire_len(&wire[..head_end]), Some(wire.len()));
+        assert_eq!(wire_len(&wire), Some(wire.len()));
     }
 
     #[test]
@@ -575,7 +512,7 @@ mod tests {
             "GET /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(request_wire_len(wire.as_bytes()).is_err());
+        assert!(RequestHead::parse(&wire, wire.len()).is_err());
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl BodySource {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether the entity streams (as opposed to being resident).
-    pub fn is_streamed(&self) -> bool {
-        matches!(self, BodySource::Streamed(_))
-    }
 }
 
 impl From<Body> for BodySource {
@@ -175,10 +170,8 @@ mod tests {
     #[test]
     fn body_source_classifies() {
         let b = BodySource::from(Body::from(&b"abc"[..]));
-        assert!(!b.is_streamed());
         assert_eq!(b.len(), 3);
         let s = BodySource::from(StreamBody::new(Box::new(io::Cursor::new(vec![0u8; 5])), 5));
-        assert!(s.is_streamed());
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
     }

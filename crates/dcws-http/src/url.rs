@@ -120,20 +120,6 @@ impl Url {
         self.path.split('/').filter(|s| !s.is_empty())
     }
 
-    /// Re-target this URL at a different server, keeping the path.
-    pub fn with_authority(&self, host: impl Into<String>, port: u16) -> Result<Self> {
-        Url::absolute(host, port, self.path.clone())
-    }
-
-    /// Drop the authority, producing a server-relative URL.
-    pub fn to_relative(&self) -> Url {
-        Url {
-            host: None,
-            port: DEFAULT_HTTP_PORT,
-            path: self.path.clone(),
-        }
-    }
-
     /// Resolve `reference` against this URL as base (RFC 1808 subset):
     /// absolute URLs pass through, `/rooted` paths replace the base path,
     /// and relative paths are joined to the base's directory with `.`/`..`
@@ -276,14 +262,6 @@ mod tests {
     fn segments_iterate() {
         let u = Url::parse("/a/b/c.html").unwrap();
         assert_eq!(u.segments().collect::<Vec<_>>(), ["a", "b", "c.html"]);
-    }
-
-    #[test]
-    fn retarget_authority() {
-        let u = Url::parse("http://home:80/x.html").unwrap();
-        let v = u.with_authority("coop", 8001).unwrap();
-        assert_eq!(v.to_string(), "http://coop:8001/x.html");
-        assert_eq!(v.to_relative().to_string(), "/x.html");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::retry::RetryPolicy;
 use crate::transport::Transport;
 use dcws_core::{
     unavailable, Call, Front, Json, Outbound, Outcome, ReadPath, Served, ServerEngine, Settled,
-    Step, TickOutput, Waiter,
+    Step, Waiter,
 };
 use dcws_graph::ServerId;
 use dcws_http::{is_reserved_path, Request, Response, StreamBody, STATUS_PATH};
@@ -521,6 +521,7 @@ impl DcwsServer {
         // Pinger / statistics thread.
         {
             let shared = shared.clone();
+            let bridges = bridge_handles.clone();
             let shutdown = shutdown.clone();
             threads.push(
                 std::thread::Builder::new()
@@ -530,7 +531,9 @@ impl DcwsServer {
                             std::thread::sleep(control_interval);
                             let now = shared.now_ms();
                             let out = shared.engine.lock().tick(now);
-                            run_tick_actions(&shared, out, now);
+                            for call in out.calls {
+                                send(&shared, &bridges, call);
+                            }
                         }
                     })
                     .expect("spawn pinger"),
@@ -564,7 +567,7 @@ impl DcwsServer {
         &self.shared.engine
     }
 
-    /// The engine's concurrent read path (counters, published reports).
+    /// The engine's concurrent read path (counters, serve table).
     pub fn read_path(&self) -> &Arc<ReadPath> {
         &self.shared.read
     }
@@ -631,8 +634,8 @@ impl Drop for DcwsServer {
 /// answer — engine lock, lazy pull, and all — and posts it back to the
 /// reactor shard that owns the connection; it never touches the client
 /// socket. A co-op miss parks the job in the [`Front`]: the worker that
-/// leads the pull answers every job parked on it, and a follower goes
-/// straight back to the queue.
+/// leads the pull sends it and answers every job parked on it, and a
+/// follower goes straight back to the queue.
 fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
     // Reserved introspection namespace: answered by the transport, never
     // entering the engine's document path.
@@ -656,36 +659,7 @@ fn serve_spill(shared: &Shared, bridges: &[Arc<SpillBridge>], job: SpillJob) {
     match step {
         Step::Answer(job, answer) => answer_job(bridges, job, answer),
         Step::Parked => {}
-        Step::Pull { home, path } => lead_pull(shared, bridges, &home, path),
-    }
-}
-
-/// Lazy physical migration (§4.2): pull `path` from `home`, settle it,
-/// and answer every job that waited on it. The pull request needs no
-/// engine state beyond identity and the published load-report snapshot,
-/// so it is built lock-free, and the engine lock is taken once, *after*
-/// the network round-trip, to settle the pull and answer the waiters from
-/// the copy it brought in.
-fn lead_pull(shared: &Shared, bridges: &[Arc<SpillBridge>], home: &ServerId, path: String) {
-    let pull = shared.read.make_pull_request(&path);
-    let call = Call::Pull { path };
-    // `None`: unreachable after the transport's retries.
-    let reply = shared.transport.call(home, &pull, &call).ok();
-    let now = shared.now_ms();
-    let answers: Vec<(SpillJob, Response)> = {
-        let mut eng = shared.engine.lock();
-        let mut front = shared.front();
-        let settled = front.answered(&mut eng, home, &call, reply.as_ref(), now);
-        settled
-            .into_iter()
-            .map(|s| match s {
-                Settled::Copy(job, copy) => front.serve_copy(&mut eng, job, &copy, now),
-                Settled::Answer(job, resp) => (job, resp),
-            })
-            .collect()
-    };
-    for (job, resp) in answers {
-        complete(bridges, job, Served::from_response(resp), None);
+        Step::Pull(pull) => send(shared, bridges, pull),
     }
 }
 
@@ -728,20 +702,34 @@ fn complete(
         });
 }
 
-/// Send a tick's calls in order and hand each reply to the front. A ping
-/// is one attempt with a short timeout, so a dead peer fails fast and
-/// feeds the §4.5 failure counter; one that comes back is also an RTT
-/// sample for the delay-aware co-op choice.
-fn run_tick_actions(shared: &Shared, out: TickOutput, now: u64) {
-    for Outbound { peer, call, req } in out.calls {
-        let t0 = Instant::now();
-        let reply = shared.transport.call(&peer, &req, &call).ok();
-        if call == Call::Ping && reply.is_some() {
-            shared.note_peer_rtt(&peer, t0.elapsed());
-        }
+/// Send one call — a tick's, or a lazy pull (§4.2) — hand the reply to
+/// the front, and answer every job the reply released: only a pull holds
+/// any, each answered from the copy it brought in. The engine lock is
+/// taken once, *after* the network round-trip. A ping is one attempt with
+/// a short timeout, so a dead peer fails fast and feeds the §4.5 failure
+/// counter; one that comes back is also an RTT sample for the
+/// delay-aware co-op choice.
+fn send(shared: &Shared, bridges: &[Arc<SpillBridge>], Outbound { peer, call, req }: Outbound) {
+    let t0 = Instant::now();
+    // `None`: unreachable after the transport's retries.
+    let reply = shared.transport.call(&peer, &req, &call).ok();
+    if call == Call::Ping && reply.is_some() {
+        shared.note_peer_rtt(&peer, t0.elapsed());
+    }
+    let now = shared.now_ms();
+    let answers: Vec<(SpillJob, Response)> = {
         let mut eng = shared.engine.lock();
-        shared
-            .front()
-            .answered(&mut eng, &peer, &call, reply.as_ref(), now);
+        let mut front = shared.front();
+        let settled = front.answered(&mut eng, &peer, &call, reply.as_ref(), now);
+        settled
+            .into_iter()
+            .map(|s| match s {
+                Settled::Copy(job, copy) => front.serve_copy(&mut eng, job, &copy, now),
+                Settled::Answer(job, resp) => (job, resp),
+            })
+            .collect()
+    };
+    for (job, resp) in answers {
+        complete(bridges, job, Served::from_response(resp), None);
     }
 }

@@ -397,18 +397,14 @@ fn closing_shapes_close_after_the_last_byte() {
 fn piggybacked_load_report_is_deferred_and_answered_on_a_stream() {
     on_every_server("load", |server, reference, _, backing| {
         prime(server);
-        // The engine publishes its own report at the first tick.
-        while server.read_path().published_reports().is_empty() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
         let report = LoadReport {
             server: "peer:9090".into(),
             cps: 41.5,
             bps: 20_000.0,
             ts_ms: 5,
         };
+        let peer = ServerId::new(report.server.as_str());
         let (inline0, spilled0) = counters(server);
-        let deferred0 = server.read_path().snapshot().reports_deferred;
         let mut c = Client::connect(server);
         for (path, _) in OBJECTS {
             let req = Request::get(path).with_header("X-DCWS-Load", report.encode());
@@ -423,15 +419,15 @@ fn piggybacked_load_report_is_deferred_and_answered_on_a_stream() {
                 header(head, "X-DCWS-Load").is_some(),
                 "{path}: no report attached: {head}"
             );
+            // Merged while the request was answered, not at a tick.
+            let row = server.engine().lock().glt().get(&peer);
+            assert_eq!(row.map(|r| r.cps), Some(41.5), "{path}: row not merged");
         }
+        // A load report is inter-server traffic: the engine answers it,
+        // like any other `X-DCWS-*` header.
         let (inline1, spilled1) = counters(server);
-        assert_eq!(inline1 - inline0, OBJECTS.len() as u64);
-        assert_eq!(spilled1, spilled0);
-        assert_eq!(
-            server.read_path().snapshot().reports_deferred - deferred0,
-            OBJECTS.len() as u64
-        );
-        // Any other inter-server header still takes the engine.
+        assert_eq!(inline1, inline0);
+        assert_eq!(spilled1 - spilled0, OBJECTS.len() as u64);
         let req = Request::get("/img/raster.bin").with_header("X-DCWS-Coop", "peer:9090");
         let got = c.exchange(&req);
         assert_eq!(split(&got).1.len(), RASTER);

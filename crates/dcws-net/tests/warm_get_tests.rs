@@ -11,7 +11,7 @@ use dcws_net::{DcwsServer, NetConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const HELLO: &[u8] = b"<p>hello, reactor</p>";
 
@@ -230,13 +230,13 @@ fn http10_and_connection_close_close_after_flush() {
 #[test]
 fn piggybacked_load_report_is_deferred_and_answered() {
     on_both_backends(|server| {
-        // The engine publishes its own report at the first tick.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.read_path().published_reports().is_empty() {
-            assert!(Instant::now() < deadline, "no load report published");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let before = inline_served(server);
+        let spilled = || {
+            server
+                .reactor_stats()
+                .spillover_jobs
+                .load(Ordering::Relaxed)
+        };
+        let (inline0, spilled0) = (inline_served(server), spilled());
         let report = LoadReport {
             server: "peer:9090".into(),
             cps: 41.5,
@@ -249,46 +249,37 @@ fn piggybacked_load_report_is_deferred_and_answered() {
             report.encode()
         ));
         assert_eq!((r.status, &r.body[..]), (200, HELLO));
+        // A load report is inter-server traffic: the engine answers it.
+        assert_eq!(inline_served(server), inline0);
+        assert_eq!(spilled(), spilled0 + 1);
+        // Its row is merged while the request is answered, before the
+        // answer's own rows are attached: own row first, then the peer's.
         let attached: Vec<_> = r
             .headers("X-DCWS-Load")
             .map(|v| LoadReport::decode(v).expect("decodable report"))
             .collect();
-        assert!(!attached.is_empty(), "no reports attached: {}", r.head);
-        let published: Vec<_> = server
-            .read_path()
-            .published_reports()
-            .iter()
-            .map(|v| LoadReport::decode(v).expect("decodable report"))
-            .collect();
-        assert_eq!(attached, published);
-        assert_eq!(inline_served(server) - before, 1);
-        assert_eq!(server.read_path().snapshot().reports_deferred, 1);
-        // The deferred report reaches the GLT at the next tick.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !server
+        let own = server.engine().lock().id().clone();
+        assert_eq!(
+            attached.first().map(|a| a.server.as_str()),
+            Some(own.as_str()),
+            "{}",
+            r.head
+        );
+        assert!(
+            attached.contains(&report),
+            "peer row not merged: {}",
+            r.head
+        );
+        let row = server
             .engine()
             .lock()
-            .peer_summaries()
-            .iter()
-            .any(|p| p.id.as_str() == "peer:9090")
-        {
-            assert!(Instant::now() < deadline, "report never merged");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Any other inter-server header sends the request to the engine.
-        let spilled = server
-            .reactor_stats()
-            .spillover_jobs
-            .load(Ordering::Relaxed);
+            .glt()
+            .get(&ServerId::new("peer:9090"));
+        assert_eq!(row.map(|r| r.cps), Some(41.5));
+        // So does any other inter-server header.
         let r = c.get("GET /hello.html HTTP/1.1\r\nX-DCWS-Coop: peer:9090\r\n\r\n");
         assert_eq!(r.status, 200);
-        assert_eq!(
-            server
-                .reactor_stats()
-                .spillover_jobs
-                .load(Ordering::Relaxed),
-            spilled + 1
-        );
+        assert_eq!(spilled(), spilled0 + 2);
     });
 }
 

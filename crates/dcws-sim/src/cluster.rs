@@ -663,11 +663,8 @@ impl SimCluster {
             // costs until the pull settles.
             self.queue
                 .push(self.now + cost.conn_cpu_us, Event::ServiceDone { server });
-            if let Step::Pull { home, path } = step {
-                let call = Call::Pull { path: path.clone() };
-                self.send_call(server, home, call, |engine| {
-                    engine.make_pull_request(&path, now_ms)
-                });
+            if let Step::Pull(pull) = step {
+                self.send_call(server, pull);
             }
             return;
         };
@@ -680,21 +677,13 @@ impl SimCluster {
             .push(self.now + service, Event::ServiceDone { server });
     }
 
-    /// Send `server`'s `call` to `peer`, as the request `req` builds. A
-    /// peer that is no simulated server — the home a `~migrate` URL names,
-    /// say — is unreachable: the call is answered on the spot, and its
-    /// request never built.
-    fn send_call(
-        &mut self,
-        server: usize,
-        peer: ServerId,
-        call: Call,
-        req: impl FnOnce(&mut ServerEngine) -> Request,
-    ) {
+    /// Send `server`'s call. A peer that is no simulated server — the
+    /// home a `~migrate` URL names, say — is unreachable: the call is
+    /// answered on the spot.
+    fn send_call(&mut self, server: usize, Outbound { peer, call, req }: Outbound) {
         let Some(&idx) = self.id_to_idx.get(&peer) else {
             return self.answered(server, &peer, &call, None);
         };
-        let req = req(&mut self.servers[server].engine);
         self.queue.push(
             self.now + self.cfg.cost.latency_us,
             Event::RequestArrive {
@@ -800,8 +789,8 @@ impl SimCluster {
             return;
         }
         let out = self.servers[server].engine.tick(self.now / 1_000);
-        for Outbound { peer, call, req } in out.calls {
-            self.send_call(server, peer, call, |_| req);
+        for call in out.calls {
+            self.send_call(server, call);
         }
         self.queue.push(
             self.now + self.cfg.tick_interval_ms * 1_000,

@@ -225,11 +225,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Highest CPS sample (the paper's "peak performance").
-    pub fn peak_cps(&self) -> f64 {
-        self.samples.iter().map(|s| s.cps).fold(0.0, f64::max)
-    }
-
     /// Mean CPS over the last half of the run (steady state after the
     /// cold-start warm-up).
     pub fn steady_cps(&self) -> f64 {
@@ -367,14 +362,12 @@ mod tests {
     #[test]
     fn peak_and_steady() {
         let r = result(&[10.0, 50.0, 100.0, 90.0, 95.0, 100.0]);
-        assert_eq!(r.peak_cps(), 100.0);
         assert!((r.steady_cps() - 95.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_result_is_zero() {
         let r = result(&[]);
-        assert_eq!(r.peak_cps(), 0.0);
         assert_eq!(r.steady_cps(), 0.0);
         assert_eq!(r.final_load_imbalance(), 0.0);
     }

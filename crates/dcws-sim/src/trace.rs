@@ -85,20 +85,6 @@ impl Trace {
         }
         Ok(Trace::new(events))
     }
-
-    /// Scale all timestamps by `factor` (compress or stretch the log).
-    pub fn scale_time(&self, factor: f64) -> Trace {
-        Trace::new(
-            self.events
-                .iter()
-                .map(|e| TraceEvent {
-                    t_ms: (e.t_ms as f64 * factor) as u64,
-                    client: e.client,
-                    url: e.url.clone(),
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -155,12 +141,5 @@ mod tests {
         let t = Trace::load(&path).unwrap();
         assert_eq!(t.len(), 2);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn scale_time_compresses() {
-        let t = sample().scale_time(0.5);
-        assert_eq!(t.span_ms(), 15);
-        assert_eq!(t.events[0].t_ms, 5);
     }
 }

@@ -93,9 +93,15 @@ step one_algorithm_2
 # (a_ping_reply_merges_its_piggybacked_rows), an unreachable validation
 # marks the copy stale and a 304 clears it
 # (an_unreachable_validation_marks_the_copy_stale_and_a_304_clears_it), a
-# push reply changes nothing (a_push_reply_changes_nothing), and a tick
-# sends pings, then validations, then pushes
-# (a_tick_sends_pings_then_validations_then_pushes). Beside it: eight
+# push reply changes nothing (a_push_reply_changes_nothing), a tick sends
+# pings, then validations, then pushes
+# (a_tick_sends_pings_then_validations_then_pushes), and every request the
+# engine builds — each tick call and the pull — carries its load rows
+# beside another X-DCWS- header, so the read path declines it
+# (every_built_request_carries_its_rows_beside_another_dcws_header).
+# Beside it: a ranged GET carrying a load row gets the same answer primed
+# or cold (ranged_get_with_a_load_report_is_answered_alike_primed_or_cold:
+# no load row is answered on the read path); eight
 # concurrent misses over TCP making one pull; a follower that parks its
 # job instead of a worker; every waiter of a pull whose copy the co-op
 # cache refuses answered 200, over TCP and in the simulator; a garbled
@@ -105,6 +111,7 @@ step one_algorithm_2
 # apart shows as its own step.
 one_front() {
     cargo test -q -p dcws-core --test front_tests
+    cargo test -q -p dcws-core --test readpath_tests ranged_get_with_a_load_report_is_answered_alike_primed_or_cold
     cargo test -q -p dcws-net --test tcp_integration concurrent_misses_coalesce_to_one_pull_over_tcp
     cargo test -q -p dcws-net --test tcp_integration a_parked_miss_holds_no_worker
     cargo test -q -p dcws-net --test tcp_integration every_waiter_of_an_uncacheable_pull_is_answered_over_tcp

@@ -1,13 +1,15 @@
 //! Cache-pressure sweep: steady-state performance vs document-cache byte
 //! budget, the dcws-cache counterpart to the paper's capacity figures.
 //!
-//! Each run gives every server the same `cache_budget_bytes` (split
-//! between its regeneration and co-op caches) and drives the standard
-//! Algorithm-2 client workload against a DCWS group. As the budget drops
-//! below the working set, LRU evictions force repeat pulls and
-//! regenerations, the cluster-wide hit ratio falls, and the mean
-//! client-observed response time climbs — the budget-vs-hit-ratio curve
-//! this binary emits as CSV.
+//! Each run gives every server the same `cache_budget_bytes` (half to its
+//! co-op cache, the rest to its home side's store of routes and
+//! regenerated pages) and drives the standard Algorithm-2 client workload
+//! against a DCWS group. As the budget drops below the working set,
+//! evictions force repeat pulls and regenerations, the cluster-wide hit
+//! ratio falls, and the mean client-observed response time climbs — the
+//! budget-vs-hit-ratio curve this binary emits as CSV. Its `regenerations`
+//! and `store_evictions` columns say how much of each row's cost is §4.3
+//! work the store could not keep.
 //!
 //! Budgets are expressed as fractions of the dataset's corpus size so the
 //! sweep stays meaningful if the dataset generator changes.
@@ -50,17 +52,21 @@ fn main() {
         "evictions".into(),
         "oversize_rejects".into(),
         "coalesced_waits".into(),
+        "regenerations".into(),
+        "store_evictions".into(),
         "mean_resp_ms".into(),
         "cps".into(),
         "failures".into(),
     ]];
     println!(
-        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>12} {:>8} {:>9}",
+        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>7} {:>10} {:>12} {:>8} {:>9}",
         "budget",
         "corpus_frac",
         "hit_ratio",
         "evictions",
         "coalesced",
+        "regens",
+        "store_evict",
         "mean_resp_ms",
         "cps",
         "failures"
@@ -84,12 +90,14 @@ fn main() {
         let cps = r.steady_cps();
         let failures = r.totals.failures;
         println!(
-            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>12.2} {:>8} {:>9}",
+            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>7} {:>10} {:>12.2} {:>8} {:>9}",
             label,
             frac,
             hit_ratio,
             r.cache.evictions,
             r.cache.coalesced_waits,
+            r.regenerations,
+            r.store.evictions,
             r.mean_response_ms,
             fmt_thousands(cps),
             failures
@@ -102,6 +110,8 @@ fn main() {
             r.cache.evictions.to_string(),
             r.cache.oversize_rejects.to_string(),
             r.cache.coalesced_waits.to_string(),
+            r.regenerations.to_string(),
+            r.store.evictions.to_string(),
             format!("{:.3}", r.mean_response_ms),
             format!("{cps:.1}"),
             failures.to_string(),

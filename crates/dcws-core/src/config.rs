@@ -76,15 +76,16 @@ pub struct ServerConfig {
     pub naive_selection: bool,
     /// Future-work extension: replicate hot documents to several co-ops.
     pub hot_replication: Option<HotReplication>,
-    /// Total byte budget shared by the two document caches (regenerated
-    /// home bodies and pulled co-op copies, half each). `u64::MAX`
+    /// Total byte budget: half for the co-op cache of pulled copies,
+    /// the rest for the home side's store of routes and regenerated
+    /// bodies ([`ServeTable`](crate::ServeTable)). `u64::MAX`
     /// disables eviction; the paper's testbed never filled memory, so
     /// the default is generous rather than unbounded.
     pub cache_budget_bytes: u64,
     /// Bodies at or above this size are served by the streaming path
     /// (chunked reads straight from the [`DocStore`](crate::DocStore);
-    /// the regen cache never sees them and the serve table keeps a
-    /// reader for them, not their bytes) instead of being buffered
+    /// the store keeps a reader for them, not their bytes) instead of
+    /// being buffered
     /// whole. `0` disables streaming. The default keeps every LOD
     /// document buffered and streams only Sequoia-class objects.
     pub stream_threshold_bytes: u64,

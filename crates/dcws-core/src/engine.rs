@@ -14,7 +14,7 @@ use crate::config::ServerConfig;
 use crate::events::{EngineEvent, EventLog, EventRecord, RevokeReason};
 use crate::front::{Call, Outbound};
 use crate::naming::migrate_url;
-use crate::readpath::ReadPath;
+use crate::readpath::{ReadPath, ServeTable};
 use crate::stats::EngineStats;
 use crate::store::DocStore;
 use dcws_cache::{CacheConfig, DocCache, Evicted, SizeHistogram};
@@ -49,16 +49,6 @@ pub(crate) fn split_coop_key(key: &str) -> Option<(ServerId, String)> {
     Some((ServerId::new(home), path.to_string()))
 }
 
-/// Regen-cache key for the home-serving (relative-link) variant.
-pub(crate) fn home_variant_key(name: &str) -> String {
-    format!("home {name}")
-}
-
-/// Regen-cache key for the pull/push (absolute-link) variant.
-pub(crate) fn pull_variant_key(name: &str) -> String {
-    format!("pull {name}")
-}
-
 /// Overload test: migrate when our metric exceeds the least-loaded
 /// peer's by this ratio.
 const OVERLOAD_RATIO: f64 = 1.5;
@@ -67,18 +57,11 @@ const OVERLOAD_RATIO: f64 = 1.5;
 /// `dcws_core::events`); older ones are counted, not kept.
 const EVENT_LOG_CAPACITY: usize = 512;
 
-/// Cache admission rule: an object costing more than this fraction of
-/// one cache shard's budget is never admitted to the LRU (served
-/// pass-through instead), so a single Sequoia image cannot evict a
-/// shard's whole small-document working set.
+/// Co-op cache admission rule: a copy costing more than this fraction
+/// of one cache shard's budget is never admitted to the LRU (served
+/// pass-through instead), so a single pulled Sequoia image cannot evict
+/// a shard's whole small-document working set.
 const CACHE_ADMIT_FRACTION: f64 = 0.25;
-
-/// Split the configured total budget between the two caches, half
-/// each, without losing bytes to integer division.
-fn split_cache_budget(total: u64) -> (u64, u64) {
-    let coop = total / 2;
-    (total - coop, coop)
-}
 
 /// When a home document last changed (engine ms), with the
 /// `Last-Modified` text of that time — formatted once, when the time is
@@ -126,12 +109,6 @@ pub struct ServerEngine {
     /// Permanent original copies of home documents (§3.2). Regeneration
     /// always starts from these, so link rewrites never compound.
     pub(crate) originals: Box<dyn DocStore>,
-    /// Regenerated bodies, LRU-bounded: home-serving (relative-link) and
-    /// pull (absolute-link) variants of each document, keyed by
-    /// [`home_variant_key`] / [`pull_variant_key`] and validated per
-    /// version, so repeated serves of an unchanged document do not
-    /// re-run the §4.3 parse/reconstruct.
-    pub(crate) regen_cache: Arc<DocCache>,
     /// Content version per home document; bumped on publish/regenerate.
     pub(crate) versions: HashMap<String, u64>,
     /// Last-Modified time per home document, carried on the wire as an
@@ -176,18 +153,17 @@ impl ServerEngine {
     /// original-document store (usually empty; fill via [`Self::publish`]).
     pub fn new(id: ServerId, cfg: ServerConfig, originals: Box<dyn DocStore>) -> Self {
         let window_ms = cfg.stat_interval_ms.max(1_000);
-        let (regen_budget, coop_budget) = split_cache_budget(cfg.cache_budget_bytes);
+        // Half the budget is the co-op cache's, the rest the store's.
+        let coop_budget = cfg.cache_budget_bytes / 2;
         let coop_cache = Arc::new(DocCache::new(CacheConfig::new(coop_budget)));
-        let regen_cache = Arc::new(DocCache::new(CacheConfig::new(regen_budget)));
         coop_cache.set_admit_fraction(CACHE_ADMIT_FRACTION);
-        regen_cache.set_admit_fraction(CACHE_ADMIT_FRACTION);
-        let read = Arc::new(ReadPath::new(id.clone(), coop_cache.clone(), regen_budget));
+        let store_budget = cfg.cache_budget_bytes - coop_budget;
+        let read = Arc::new(ReadPath::new(id.clone(), coop_cache.clone(), store_budget));
         ServerEngine {
             glt: GlobalLoadTable::new(id.clone()),
             id,
             ldg: LocalDocGraph::new(),
             originals,
-            regen_cache,
             versions: HashMap::new(),
             modified: HashMap::new(),
             rewritten: HashSet::new(),
@@ -290,9 +266,10 @@ impl ServerEngine {
         self.coop_cache.len()
     }
 
-    /// The LRU cache of regenerated bodies (home and pull variants).
-    pub fn regen_cache(&self) -> &DocCache {
-        &self.regen_cache
+    /// The store that holds the regenerated bodies: the serve table
+    /// ([`ReadPath::table`]), under the name the benchmark reads.
+    pub fn regen_cache(&self) -> &ServeTable {
+        &self.read.table
     }
 
     /// The LRU cache of co-op-held document copies.
@@ -306,15 +283,14 @@ impl ServerEngine {
         self.originals.total_bytes()
     }
 
-    /// Re-split `total` bytes across the two caches (half each) and
-    /// evict down to the new budgets. Lets a server pick its budget
-    /// after the corpus is published (e.g. corpus/4).
+    /// Re-split `total` bytes, half to the co-op cache and the rest to
+    /// the store, and evict down to the new budgets. Lets a server pick
+    /// its budget after the corpus is published (e.g. corpus/4).
     pub fn set_cache_budget(&mut self, total: u64) {
         self.cfg.cache_budget_bytes = total;
-        let (regen_budget, coop_budget) = split_cache_budget(total);
-        self.read.set_table_budget(regen_budget);
-        let evicted = self.regen_cache.set_budget(regen_budget);
-        self.note_evictions("regen", evicted);
+        let coop_budget = total / 2;
+        let evicted = self.read.table.set_budget(total - coop_budget);
+        self.note_evictions("store", evicted);
         let evicted = self.coop_cache.set_budget(coop_budget);
         self.note_evictions("coop", evicted);
     }
@@ -371,9 +347,7 @@ impl ServerEngine {
             // makes the loss visible instead of silent.
             self.stats.store_put_failures += 1;
         }
-        self.read.invalidate(name);
-        self.regen_cache.remove(&home_variant_key(name));
-        self.regen_cache.remove(&pull_variant_key(name));
+        self.read.table.drop_entry(name);
         // The fresh original is the current form again (until a
         // migration dirties it); its change time is now.
         self.rewritten.remove(name);
@@ -907,12 +881,14 @@ impl ServerEngine {
         migrate_url(&coop, &self.id, doc).ok()
     }
 
-    /// Drop the serve-table routes a location change staled: the moved
-    /// document itself plus every linking source the LDG dirtied.
+    /// Drop the routes a location change staled: the moved document
+    /// itself plus every linking source the LDG dirtied. Their variants
+    /// stay: the moved document's version is unchanged, and a dirtied
+    /// source's are dropped when its Dirty bit settles.
     pub(crate) fn invalidate_routes(&self, doc: &str, dirtied: &[String]) {
-        self.read.invalidate(doc);
+        self.read.table.drop_route(doc);
         for d in dirtied {
-            self.read.invalidate(d);
+            self.read.table.drop_route(d);
         }
     }
 

@@ -136,13 +136,15 @@ pub enum EngineEvent {
         /// Requesting co-op, when the request identified itself.
         coop: Option<ServerId>,
     },
-    /// A cache entry was pushed out by LRU byte-budget pressure.
+    /// A cache entry was pushed out by byte-budget pressure.
     CacheEvict {
-        /// Which cache evicted: `"regen"` or `"coop"`.
+        /// Which cache evicted: `"store"` (the home side's serve table)
+        /// or `"coop"`.
         cache: &'static str,
         /// Cache key of the evicted entry.
         key: String,
-        /// Body bytes the eviction freed.
+        /// Bytes the eviction freed: a co-op copy's body, or a store
+        /// entry's whole budget cost.
         bytes: u64,
     },
     /// A pulled copy was stored in the co-op cache (lazy migration's

@@ -71,7 +71,7 @@ pub use front::{
 };
 pub use json::{Json, JsonError};
 pub use naming::{decode_migrate_path, migrate_url, MigrateTarget, MIGRATE_PREFIX};
-pub use readpath::{ReadPath, ReadPathStats, Served};
+pub use readpath::{ReadPath, ReadPathStats, ServeTable, Served};
 pub use serve::Outcome;
 pub use stats::EngineStats;
 pub use status::{HotDoc, PeerSummary, STATUS_HOT_DOCS, STATUS_RECENT_EVENTS};

@@ -11,17 +11,20 @@
 //!
 //! Three pieces:
 //!
-//! * a **sharded serve table** (`RwLock` per shard) mapping home-document
-//!   paths to prebuilt routes: the wire head serialized once at prime
-//!   time plus the shared entity [`Body`], for a document's `200` or a
-//!   migrated document's `301` — or, for an object at or over
-//!   `stream_threshold_bytes`, plus a shared positional [`DocReader`]
-//!   over the store's copy, which every hit clones into the
-//!   [`StreamBody`] a front end drains. The table is *primed* by the
-//!   engine's exclusive serve path on first serve and *invalidated* by
-//!   every mutation (publish, dirty settlement, migrate/revoke —
-//!   including the link-sources those dirty). Readers therefore see
-//!   either the current route or a vacancy, never a stale body;
+//! * the **store** ([`ServeTable`], an `RwLock` per shard): everything the
+//!   home side keeps of a document under one byte budget — its prebuilt
+//!   route (the wire head serialized once at prime time plus the shared
+//!   entity [`Body`], for a document's `200` or a migrated document's
+//!   `301` — or, for an object at or over `stream_threshold_bytes`, plus
+//!   a shared positional [`DocReader`] over the document store's copy,
+//!   which every hit clones into the [`StreamBody`] a front end drains),
+//!   and its §4.3 regenerated variants with their versions. Routes are
+//!   *primed* by the engine's exclusive serve path on first serve and
+//!   *dropped* by every mutation (publish, dirty settlement,
+//!   migrate/revoke — including the link-sources those dirty); a
+//!   location change keeps the variants, a new version drops them.
+//!   Readers therefore see either the current route or a vacancy, never
+//!   a stale body;
 //! * the shared co-op [`DocCache`] (internally sharded already), so warm
 //!   co-op hits need no engine lock either;
 //! * **mailboxes** for the write-side effects a serve produces: per-doc
@@ -41,29 +44,30 @@
 
 use crate::engine::{coop_cache_key, Modified};
 use crate::naming::decode_migrate_path;
+use crate::regen::LinkBase;
 use crate::serve::{copy_answer, unmodified_since};
 use crate::stream::{stream_answer, DocReader};
-use dcws_cache::DocCache;
+use dcws_cache::{CacheStats, DocCache, Evicted};
 use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_response_head, range_spec, Body,
     Method, RangeSpec, Request, RequestHead, Response, StatusCode, StreamBody, Url, RANGE_HEADER,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Serve-table shard count (power of two). Mirrors the co-op cache's
+/// Store shard count (power of two). Mirrors the co-op cache's
 /// default sharding: enough to keep a worker pool off shared lines.
 const N_SHARDS: usize = 8;
 
-/// Fixed per-route bookkeeping charge against the table budget.
-const ROUTE_OVERHEAD: u64 = 64;
+/// Fixed per-entry bookkeeping charge against the store's budget.
+const ENTRY_OVERHEAD: u64 = 64;
 
-/// What a stream route's resident reader is charged against the table
+/// What a stream route's resident reader is charged against the store's
 /// budget, whatever its object's length: it pins no bytes, but it may pin
 /// a descriptor, and the budget is what bounds those — one per 64 KiB,
-/// so the default table (32 MiB) holds at most 512 of them, half the
+/// so the default store (32 MiB) holds at most 512 of them, half the
 /// usual soft limit of 1024 open files.
 const STREAM_ROUTE_COST: u64 = 64 * 1024;
 
@@ -137,45 +141,6 @@ impl Served {
     }
 }
 
-/// One primed route in the serve table.
-enum ServeRoute {
-    /// A home-resident document's `200`, its head (`Content-Length`,
-    /// `Content-Type`, `Last-Modified`) serialized at prime time, plus the
-    /// modification time (engine ms) `If-Modified-Since` compares against.
-    Doc { served: Served, modified_ms: u64 },
-    /// A migrated document: the prebuilt `301` to its co-op.
-    Moved(Served),
-    /// A home-resident object too large to buffer (boxed: a table of
-    /// small documents should not pay for its fields in every entry).
-    Stream(Box<StreamRoute>),
-}
-
-/// What the table keeps of a large object: the head of its plain `200`
-/// serialized at prime time, and the store's copy behind a reader
-/// positioned at its start. A hit clones the reader — a refcount, never
-/// an `open` — so one descriptor serves every concurrent transfer, and a
-/// transfer in flight when the route is dropped finishes on the
-/// descriptor (and inode) it started on.
-struct StreamRoute {
-    head: Body,
-    reader: DocReader,
-    content_type: &'static str,
-    modified: Modified,
-}
-
-impl ServeRoute {
-    /// Budget cost of this route under `path`.
-    fn cost(&self, path: &str) -> u64 {
-        let resident = match self {
-            ServeRoute::Doc { served, .. } | ServeRoute::Moved(served) => {
-                (served.head.len() + served.body.len()) as u64
-            }
-            ServeRoute::Stream(route) => route.head.len() as u64 + STREAM_ROUTE_COST,
-        };
-        path.len() as u64 + resident + ROUTE_OVERHEAD
-    }
-}
-
 /// Who is asking the read path, which decides what it may answer and how
 /// a decline is counted.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -214,32 +179,406 @@ type Answer = (Hit, Option<StreamBody>);
 /// One shard of the hit mailbox: `path -> (hits, bytes)`.
 type HitShard = Mutex<HashMap<String, (u64, u64)>>;
 
-/// One serve-table shard: routes, their resident cost, and how many of
-/// them are stream routes.
+/// One primed route in the store.
+enum ServeRoute {
+    /// A home-resident document's `200`, its head (`Content-Length`,
+    /// `Content-Type`, `Last-Modified`) serialized at prime time, plus the
+    /// modification time (engine ms) `If-Modified-Since` compares against.
+    Doc { served: Served, modified_ms: u64 },
+    /// A migrated document: the prebuilt `301` to its co-op.
+    Moved(Served),
+    /// A home-resident object too large to buffer (boxed: a store of
+    /// small documents should not pay for its fields in every entry).
+    Stream(Box<StreamRoute>),
+}
+
+/// What the store keeps of a large object: the head of its plain `200`
+/// serialized at prime time, and the document store's copy behind a reader
+/// positioned at its start. A hit clones the reader — a refcount, never
+/// an `open` — so one descriptor serves every concurrent transfer, and a
+/// transfer in flight when the route is dropped finishes on the
+/// descriptor (and inode) it started on.
+struct StreamRoute {
+    head: Body,
+    reader: DocReader,
+    content_type: &'static str,
+    modified: Modified,
+}
+
+/// Everything the home side keeps of one document: its primed route, if
+/// any, its §4.3 regenerated forms as `(version, bytes)`, indexed by
+/// [`LinkBase`], and the CLOCK reference bit every hit sets and the hand
+/// clears.
+#[derive(Default)]
+struct Entry {
+    route: Option<ServeRoute>,
+    variants: [Option<(u64, Body)>; 2],
+    referenced: AtomicBool,
+}
+
+impl Entry {
+    /// Budget cost of this entry under `path`. A variant that is the
+    /// bytes of the `Doc` route itself is charged once.
+    fn cost(&self, path: &str) -> u64 {
+        let (route, served) = match &self.route {
+            None => (0, None),
+            Some(ServeRoute::Doc { served, .. } | ServeRoute::Moved(served)) => (
+                (served.head.len() + served.body.len()) as u64,
+                Some(&served.body),
+            ),
+            Some(ServeRoute::Stream(route)) => (route.head.len() as u64 + STREAM_ROUTE_COST, None),
+        };
+        let variants: u64 = (self.variants.iter().flatten())
+            .filter(|(_, bytes)| !served.is_some_and(|b| b.ptr_eq(bytes)))
+            .map(|(_, bytes)| bytes.len() as u64)
+            .sum();
+        path.len() as u64 + ENTRY_OVERHEAD + route + variants
+    }
+
+    fn is_stream(&self) -> u64 {
+        u64::from(matches!(self.route, Some(ServeRoute::Stream(_))))
+    }
+
+    /// Mark the entry used. The bit is read first, so a hot entry's line
+    /// is not written on every hit.
+    fn touch(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One store shard: entries in CLOCK slots, indexed by path, with their
+/// resident cost and how many of them hold a stream route.
 #[derive(Default)]
 struct TableShard {
-    map: HashMap<String, ServeRoute>,
+    index: HashMap<Arc<str>, usize>,
+    slots: Vec<Option<(Arc<str>, Entry)>>,
+    /// Vacant slots; the last one freed is filled first, so an entry that
+    /// replaces an evicted one takes its place just behind the hand.
+    free: Vec<usize>,
+    hand: usize,
     bytes: u64,
     streams: u64,
 }
 
 impl TableShard {
-    /// Add `route` under `path`, which must be vacant.
-    fn insert(&mut self, path: &str, route: ServeRoute) {
-        self.bytes += route.cost(path);
-        self.streams += u64::from(matches!(route, ServeRoute::Stream(_)));
-        self.map.insert(path.to_string(), route);
+    fn get(&self, path: &str) -> Option<&Entry> {
+        let (_, entry) = self.slots[*self.index.get(path)?].as_ref()?;
+        Some(entry)
     }
 
-    fn remove(&mut self, path: &str) {
-        if let Some(old) = self.map.remove(path) {
-            self.bytes = self.bytes.saturating_sub(old.cost(path));
-            self.streams -= u64::from(matches!(old, ServeRoute::Stream(_)));
+    /// Take `path`'s entry out of the shard, with its key (a fresh, empty
+    /// entry when there is none).
+    fn take(&mut self, path: &str) -> (Arc<str>, Entry) {
+        match self.index.get(path) {
+            Some(&slot) => self.vacate(slot),
+            None => (path.into(), Entry::default()),
         }
     }
 
-    fn clear(&mut self) {
-        *self = TableShard::default();
+    fn vacate(&mut self, slot: usize) -> (Arc<str>, Entry) {
+        let (key, entry) = self.slots[slot].take().expect("an indexed slot is full");
+        self.index.remove(&key);
+        self.free.push(slot);
+        self.bytes -= entry.cost(&key);
+        self.streams -= entry.is_stream();
+        (key, entry)
+    }
+
+    /// Put an entry back; an empty one is dropped.
+    fn put(&mut self, key: Arc<str>, entry: Entry) {
+        if entry.route.is_none() && entry.variants.iter().all(Option::is_none) {
+            return;
+        }
+        self.bytes += entry.cost(&key);
+        self.streams += entry.is_stream();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.index.insert(key.clone(), slot);
+        self.slots[slot] = Some((key, entry));
+    }
+
+    /// Evict one entry at a time until at most `limit` bytes are resident.
+    /// The hand passes referenced entries, clearing their bits, and for a
+    /// whole revolution passes entries holding a regenerated variant too;
+    /// with `keep_variants` it never evicts those, and gives up after two
+    /// revolutions without finding a victim.
+    fn evict_to(&mut self, limit: u64, keep_variants: bool) -> Vec<Evicted> {
+        let mut evicted = Vec::new();
+        let mut since = 0;
+        while self.bytes > limit {
+            let revolutions = since / self.slots.len();
+            if keep_variants && revolutions >= 2 {
+                break;
+            }
+            since += 1;
+            self.hand = (self.hand + 1) % self.slots.len();
+            let Some((_, entry)) = &self.slots[self.hand] else {
+                continue;
+            };
+            let spared =
+                entry.variants.iter().any(Option::is_some) && (keep_variants || revolutions == 0);
+            if entry.referenced.swap(false, Ordering::Relaxed) || spared {
+                continue;
+            }
+            since = 0;
+            let (key, entry) = self.vacate(self.hand);
+            let bytes = entry.cost(&key);
+            evicted.push(Evicted {
+                key: key.to_string(),
+                bytes,
+            });
+        }
+        evicted
+    }
+}
+
+/// The home side's one store for served bytes: per document path, its
+/// primed route and its regenerated variants, under one byte budget
+/// spread evenly over the shards. An install that overflows its shard's
+/// slice evicts one entry at a time (CLOCK, second chance); a read-path
+/// hit sets its entry's reference bit under the shard's read lock.
+pub struct ServeTable {
+    shards: Box<[RwLock<TableShard>]>,
+    /// The budget and the counters; residency is read off the shards.
+    /// Only the engine's calls take it, never a read-path hit.
+    counts: Mutex<CacheStats>,
+}
+
+impl ServeTable {
+    fn new(budget_bytes: u64) -> ServeTable {
+        ServeTable {
+            shards: (0..N_SHARDS).map(|_| RwLock::default()).collect(),
+            counts: Mutex::new(CacheStats {
+                budget_bytes,
+                ..CacheStats::default()
+            }),
+        }
+    }
+
+    fn counts(&self) -> MutexGuard<'_, CacheStats> {
+        self.counts.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn shard_idx(path: &str) -> usize {
+        (fnv1a(path.as_bytes()) & (N_SHARDS as u64 - 1)) as usize
+    }
+
+    fn read(&self, path: &str) -> RwLockReadGuard<'_, TableShard> {
+        self.shards[Self::shard_idx(path)]
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self, path: &str) -> RwLockWriteGuard<'_, TableShard> {
+        self.shards[Self::shard_idx(path)]
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Set one part of `path`'s entry — `part` picks which — to `value`,
+    /// then evict until the shard fits its slice again. The part it
+    /// replaces is dropped either way; the new one is refused when the
+    /// entry alone would overflow the slice, or when `keep_variants` (a
+    /// route's install: a route is rebuilt by one exclusive serve, a
+    /// variant by a §4.3 regeneration) leaves no room without evicting a
+    /// variant. Returns what was evicted.
+    fn install<T>(
+        &self,
+        path: &str,
+        value: T,
+        part: impl Fn(&mut Entry) -> &mut Option<T>,
+        keep_variants: bool,
+    ) -> Vec<Evicted> {
+        let slice = self.counts().budget_bytes / N_SHARDS as u64;
+        let mut shard = self.write(path);
+        let (key, mut entry) = shard.take(path);
+        *part(&mut entry) = Some(value);
+        let room = slice.checked_sub(entry.cost(&key));
+        let evicted = room.map_or_else(Vec::new, |room| shard.evict_to(room, keep_variants));
+        let kept = room.is_some_and(|room| shard.bytes <= room);
+        if !kept {
+            *part(&mut entry) = None;
+        }
+        shard.put(key, entry);
+        let mut counts = self.counts();
+        match (room, kept) {
+            (None, _) => counts.oversize_rejects += 1,
+            (Some(_), false) => counts.admission_rejects += 1,
+            (Some(_), true) => counts.insertions += 1,
+        }
+        counts.evictions += evicted.len() as u64;
+        evicted
+    }
+
+    fn install_route(&self, path: &str, route: ServeRoute) -> Vec<Evicted> {
+        self.install(path, route, |e| &mut e.route, true)
+    }
+
+    /// Prime a document route; a no-op when the resident route already
+    /// serves these bytes with this modification time. The exclusive path
+    /// re-offers the route on every serve it handles, with the very same
+    /// `Body` whenever the document store or a resident variant shares
+    /// its bytes — then `==` is settled by pointer identity and no byte
+    /// is compared.
+    pub(crate) fn install_doc(
+        &self,
+        path: &str,
+        body: Body,
+        content_type: &'static str,
+        modified: &Modified,
+    ) -> Vec<Evicted> {
+        if let Some(entry) = self.read(path).get(path) {
+            if let Some(ServeRoute::Doc {
+                served,
+                modified_ms,
+            }) = &entry.route
+            {
+                if *modified_ms == modified.ms && served.body == body {
+                    entry.touch();
+                    return Vec::new();
+                }
+            }
+        }
+        let resp = Response::ok(body, content_type)
+            .with_header("Last-Modified", modified.http_date.clone());
+        let route = ServeRoute::Doc {
+            served: Served::from_response(resp),
+            modified_ms: modified.ms,
+        };
+        self.install_route(path, route)
+    }
+
+    /// Prime a moved (301) route.
+    pub(crate) fn install_moved(&self, path: &str, resp: Response) -> Vec<Evicted> {
+        self.install_route(path, ServeRoute::Moved(Served::from_response(resp)))
+    }
+
+    /// Prime a large object's route with `reader`, positioned at the
+    /// start of the document store's copy.
+    pub(crate) fn install_stream(
+        &self,
+        path: &str,
+        reader: DocReader,
+        content_type: &'static str,
+        modified: Modified,
+    ) -> Vec<Evicted> {
+        let (resp, _) = stream_answer(
+            &reader,
+            content_type,
+            &modified.http_date,
+            Method::Head,
+            None,
+        );
+        let route = StreamRoute {
+            head: Served::from_response(resp).head,
+            reader,
+            content_type,
+            modified,
+        };
+        self.install_route(path, ServeRoute::Stream(Box::new(route)))
+    }
+
+    /// Keep `bytes`, `path` regenerated for `base` at `version`.
+    pub(crate) fn install_variant(
+        &self,
+        path: &str,
+        base: LinkBase,
+        version: u64,
+        bytes: Body,
+    ) -> Vec<Evicted> {
+        self.install(
+            path,
+            (version, bytes),
+            move |e| &mut e.variants[base as usize],
+            false,
+        )
+    }
+
+    /// `path` regenerated for `base` at `version`, if resident.
+    pub(crate) fn variant(&self, path: &str, base: LinkBase, version: u64) -> Option<Body> {
+        let shard = self.read(path);
+        let found = shard
+            .get(path)
+            .and_then(|entry| match &entry.variants[base as usize] {
+                Some((v, bytes)) if *v == version => {
+                    entry.touch();
+                    Some(bytes.clone())
+                }
+                _ => None,
+            });
+        let mut counts = self.counts();
+        if found.is_some() {
+            counts.hits += 1;
+        } else {
+            counts.misses += 1;
+        }
+        found
+    }
+
+    /// The resident reader of `path`'s stream route, if primed: the
+    /// exclusive path serves from it instead of opening the object again
+    /// (every mutation that could stale it has dropped the route).
+    pub(crate) fn stream_reader(&self, path: &str) -> Option<DocReader> {
+        match &self.read(path).get(path)?.route {
+            Some(ServeRoute::Stream(route)) => Some(route.reader.clone()),
+            _ => None,
+        }
+    }
+
+    /// Drop `path`'s route, if primed, and keep its variants: a location
+    /// change stales what `path` answers (or links to), never the
+    /// regeneration of a version.
+    pub(crate) fn drop_route(&self, path: &str) {
+        let mut shard = self.write(path);
+        let (key, mut entry) = shard.take(path);
+        entry.route = None;
+        shard.put(key, entry);
+    }
+
+    /// Drop everything kept of `path`: a republish or a dirty settle makes
+    /// a new version.
+    pub(crate) fn drop_entry(&self, path: &str) {
+        self.write(path).take(path);
+    }
+
+    /// Re-budget the store, evicting down to the new slices.
+    pub(crate) fn set_budget(&self, budget: u64) -> Vec<Evicted> {
+        let mut evicted = Vec::new();
+        for shard in self.shards.iter() {
+            let mut shard = shard.write().unwrap_or_else(|e| e.into_inner());
+            evicted.extend(shard.evict_to(budget / N_SHARDS as u64, false));
+        }
+        let mut counts = self.counts();
+        counts.budget_bytes = budget;
+        counts.evictions += evicted.len() as u64;
+        evicted
+    }
+
+    /// Resident `(entries, bytes, stream routes)`.
+    fn occupancy(&self) -> (u64, u64, u64) {
+        self.shards.iter().fold((0, 0, 0), |(n, b, s), shard| {
+            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            (
+                n + shard.index.len() as u64,
+                b + shard.bytes,
+                s + shard.streams,
+            )
+        })
+    }
+
+    /// Counters and residency. `hits` and `misses` count variant lookups;
+    /// a read-path hit is counted by the [`ReadPath`].
+    pub fn stats(&self) -> CacheStats {
+        let (entries, bytes_resident, _) = self.occupancy();
+        CacheStats {
+            entries,
+            bytes_resident,
+            ..*self.counts()
+        }
     }
 }
 
@@ -257,10 +596,9 @@ struct ReadCounters {
     streamed_serves: AtomicU64,
     stale_serves: AtomicU64,
     fallbacks: AtomicU64,
-    shard_clears: AtomicU64,
 }
 
-/// Snapshot of the read path's counters and table occupancy.
+/// Snapshot of the read path's counters and its store's occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadPathStats {
     /// Requests fully served on the read path (no engine lock).
@@ -284,14 +622,8 @@ pub struct ReadPathStats {
     /// request a front end declined and its spill worker declined again
     /// counts once.
     pub fallbacks: u64,
-    /// Serve-table shards cleared wholesale on budget overflow.
-    pub shard_clears: u64,
-    /// Routes currently resident in the serve table.
-    pub table_entries: u64,
-    /// Budget cost of resident routes.
-    pub table_bytes: u64,
-    /// Stream routes among `table_entries`: resident readers, each of
-    /// which may hold a descriptor open.
+    /// Stream routes resident in the store: readers, each of which may
+    /// hold a descriptor open.
     pub stream_routes: u64,
 }
 
@@ -302,8 +634,8 @@ pub struct ReadPathStats {
 /// take `&self`.
 pub struct ReadPath {
     id: ServerId,
-    table: Box<[RwLock<TableShard>]>,
-    table_budget: AtomicU64,
+    /// The store the engine primes and drops, and the read path reads.
+    pub(crate) table: ServeTable,
     coop_cache: Arc<DocCache>,
     /// Per-shard home-document hit tallies: `path -> (hits, bytes)`.
     hits: Box<[HitShard]>,
@@ -315,20 +647,13 @@ pub struct ReadPath {
 
 impl ReadPath {
     /// Build a read path for server `id` sharing `coop_cache`, with a
-    /// serve-table byte budget of `table_budget`.
+    /// store byte budget of `table_budget`.
     pub(crate) fn new(id: ServerId, coop_cache: Arc<DocCache>, table_budget: u64) -> ReadPath {
         ReadPath {
             id,
-            table: (0..N_SHARDS)
-                .map(|_| RwLock::new(TableShard::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            table_budget: AtomicU64::new(table_budget),
+            table: ServeTable::new(table_budget),
             coop_cache,
-            hits: (0..N_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            hits: (0..N_SHARDS).map(|_| Mutex::default()).collect(),
             traffic_conns: AtomicU64::new(0),
             traffic_bytes: AtomicU64::new(0),
             counters: ReadCounters::default(),
@@ -340,8 +665,10 @@ impl ReadPath {
         &self.id
     }
 
-    fn shard_idx(&self, path: &str) -> usize {
-        (fnv1a(path.as_bytes()) & (N_SHARDS as u64 - 1)) as usize
+    /// The store the read path serves from: the home side's routes and
+    /// regenerated variants.
+    pub fn table(&self) -> &ServeTable {
+        &self.table
     }
 
     /// Try to serve the request held as its parts — `method`, `target`
@@ -496,12 +823,17 @@ impl ReadPath {
         Some((Hit::Built(resp), None))
     }
 
-    /// A primed home-document route from the serve table.
+    /// A primed home-document route from the store.
     fn serve_table(&self, path: &str, want: &Wanted<'_>, caller: Caller) -> Option<Answer> {
-        let idx = self.shard_idx(path);
-        let shard = self.table[idx].read().unwrap_or_else(|e| e.into_inner());
+        let idx = ServeTable::shard_idx(path);
+        let shard = self.table.shards[idx]
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
+        let entry = shard.get(path)?;
+        let route = entry.route.as_ref()?;
+        entry.touch();
         let c = &self.counters;
-        match shard.map.get(path)? {
+        match route {
             ServeRoute::Moved(served) => {
                 c.redirects.fetch_add(1, Ordering::Relaxed);
                 self.record_traffic(served.body.len() as u64);
@@ -576,130 +908,6 @@ impl ReadPath {
         }
     }
 
-    // ---- write-side hooks (called by the engine, under its lock) ----
-
-    /// Prime a document route; a no-op when the resident route already
-    /// serves these bytes with this modification time. The exclusive path
-    /// re-offers the route on every serve it handles, with the very same
-    /// `Body` whenever the store or regen cache shares its bytes — then
-    /// `==` is settled by pointer identity and no byte is compared.
-    pub(crate) fn install_doc(
-        &self,
-        path: &str,
-        body: Body,
-        content_type: &'static str,
-        modified: &Modified,
-    ) {
-        let resident = self.table[self.shard_idx(path)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(ServeRoute::Doc {
-            served,
-            modified_ms: m,
-        }) = resident.map.get(path)
-        {
-            if *m == modified.ms && served.body == body {
-                return;
-            }
-        }
-        drop(resident);
-        let resp = Response::ok(body, content_type)
-            .with_header("Last-Modified", modified.http_date.clone());
-        self.install(
-            path,
-            ServeRoute::Doc {
-                served: Served::from_response(resp),
-                modified_ms: modified.ms,
-            },
-        );
-    }
-
-    /// Prime a moved (301) route.
-    pub(crate) fn install_moved(&self, path: &str, resp: Response) {
-        self.install(path, ServeRoute::Moved(Served::from_response(resp)));
-    }
-
-    /// Prime a large object's route with `reader`, positioned at the
-    /// start of the store's copy.
-    pub(crate) fn install_stream(
-        &self,
-        path: &str,
-        reader: DocReader,
-        content_type: &'static str,
-        modified: Modified,
-    ) {
-        let (resp, _) = stream_answer(
-            &reader,
-            content_type,
-            &modified.http_date,
-            Method::Head,
-            None,
-        );
-        let route = StreamRoute {
-            head: Served::from_response(resp).head,
-            reader,
-            content_type,
-            modified,
-        };
-        self.install(path, ServeRoute::Stream(Box::new(route)));
-    }
-
-    /// The resident reader of `path`'s stream route, if primed: the
-    /// exclusive path serves from it instead of opening the object again
-    /// (every mutation that could stale it has dropped the route).
-    pub(crate) fn stream_reader(&self, path: &str) -> Option<DocReader> {
-        let shard = self.table[self.shard_idx(path)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        match shard.map.get(path)? {
-            ServeRoute::Stream(route) => Some(route.reader.clone()),
-            _ => None,
-        }
-    }
-
-    fn install(&self, path: &str, route: ServeRoute) {
-        let per_shard = self.table_budget.load(Ordering::Relaxed) / self.table.len() as u64;
-        let cost = route.cost(path);
-        if cost > per_shard {
-            return;
-        }
-        let mut shard = self.table[self.shard_idx(path)]
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        shard.remove(path);
-        if shard.bytes + cost > per_shard {
-            // Snapshot cache, not a store: clearing the shard is always
-            // safe (the exclusive path re-primes on demand) and keeps the
-            // structure — and the descriptors its stream routes hold —
-            // bounded without LRU bookkeeping.
-            shard.clear();
-            self.counters.shard_clears.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.insert(path, route);
-    }
-
-    /// Drop the route for `path`, if primed. Every mutation that changes
-    /// what `path` (or a document linking to it) serves must call this.
-    pub(crate) fn invalidate(&self, path: &str) {
-        self.table[self.shard_idx(path)]
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(path);
-    }
-
-    /// Re-budget the serve table; over-budget shards are cleared.
-    pub(crate) fn set_table_budget(&self, budget: u64) {
-        self.table_budget.store(budget, Ordering::Relaxed);
-        let per_shard = budget / self.table.len() as u64;
-        for shard in self.table.iter() {
-            let mut s = shard.write().unwrap_or_else(|e| e.into_inner());
-            if s.bytes > per_shard {
-                s.clear();
-                self.counters.shard_clears.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     // ---- mailboxes ----
 
     /// Tally a hit on `path`, whose shard index is `idx`.
@@ -743,13 +951,6 @@ impl ReadPath {
     /// Counter + occupancy snapshot.
     pub fn snapshot(&self) -> ReadPathStats {
         let c = &self.counters;
-        let (mut entries, mut bytes, mut streams) = (0u64, 0u64, 0u64);
-        for shard in self.table.iter() {
-            let s = shard.read().unwrap_or_else(|e| e.into_inner());
-            entries += s.map.len() as u64;
-            bytes += s.bytes;
-            streams += s.streams;
-        }
         ReadPathStats {
             requests: c.requests.load(Ordering::Relaxed),
             served_home: c.served_home.load(Ordering::Relaxed),
@@ -760,10 +961,7 @@ impl ReadPath {
             streamed_serves: c.streamed_serves.load(Ordering::Relaxed),
             stale_serves: c.stale_serves.load(Ordering::Relaxed),
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
-            shard_clears: c.shard_clears.load(Ordering::Relaxed),
-            table_entries: entries,
-            table_bytes: bytes,
-            stream_routes: streams,
+            stream_routes: self.table.occupancy().2,
         }
     }
 }

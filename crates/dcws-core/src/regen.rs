@@ -12,13 +12,13 @@
 //!   the document will be served from a different host where relative
 //!   links would resolve wrongly.
 
-use crate::engine::{home_variant_key, pull_variant_key, Modified, ServerEngine};
+use crate::engine::{Modified, ServerEngine};
 use crate::events::EngineEvent;
-use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location};
 use dcws_http::{Body, Url};
 
-/// How links to home-resident targets are written.
+/// How links to home-resident targets are written; each is one variant
+/// the store keeps per document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkBase {
     /// Serving from home: home targets keep their original (relative) form.
@@ -39,8 +39,8 @@ impl ServerEngine {
     /// The single Dirty-bit settlement path, shared by home serving, pull
     /// serving, and validation answering: if `name` is dirty, bump its
     /// version, stamp a new modification time, mark it rewritten, and
-    /// invalidate both regen-cache variants. Idempotent when clean, so
-    /// every entry point may call it without double-bumping.
+    /// drop its store entry, route and both variants. Idempotent when
+    /// clean, so every entry point may call it without double-bumping.
     pub(crate) fn settle_dirty(&mut self, name: &str) {
         if !self.ldg.get(name).is_some_and(|e| e.dirty) {
             return;
@@ -52,9 +52,7 @@ impl ServerEngine {
         self.modified
             .insert(name.to_string(), Modified::at(self.now_ms));
         self.rewritten.insert(name.to_string());
-        self.read.invalidate(name);
-        self.regen_cache.remove(&home_variant_key(name));
-        self.regen_cache.remove(&pull_variant_key(name));
+        self.read.table.drop_entry(name);
     }
 
     /// The bytes to serve for home document `name`, regenerating first if
@@ -71,26 +69,16 @@ impl ServerEngine {
         }
         self.settle_dirty(name);
         // A never-rewritten document serves its pristine original without
-        // touching the cache — no regeneration work to save, so no cache
-        // misses charged either.
+        // touching the store's variants — no regeneration work to save, so
+        // no misses charged either.
         if !self.rewritten.contains(name) {
             return Some((self.originals.get_body(name)?, content_type));
         }
-        let key = home_variant_key(name);
-        let version = self.doc_version(name);
-        match self.regen_cache.get(&key) {
-            Some(cached) if cached.version == version => Some((cached.bytes, content_type)),
-            _ => {
-                let regenerated: Body = self.regenerate(name, LinkBase::Relative)?.into();
-                self.count_regeneration(name, true);
-                self.cache_regen(name, &key, regenerated.clone(), content_type, version);
-                Some((regenerated, content_type))
-            }
-        }
+        Some((self.variant(name, LinkBase::Relative)?, content_type))
     }
 
     /// The bytes shipped to a co-op pulling `name` (or pushed eagerly):
-    /// regenerated with absolute home links (cached per version). Returns
+    /// regenerated with absolute home links (kept per version). Returns
     /// `(bytes, version, content_type)`.
     ///
     /// A document whose `Dirty` bit is set (one of its link targets moved
@@ -101,52 +89,36 @@ impl ServerEngine {
     pub(crate) fn pull_content(&mut self, name: &str) -> (Body, u64, &'static str) {
         self.settle_dirty(name);
         let kind = self.ldg.get(name).map(|e| e.kind).unwrap_or(DocKind::Image);
-        let content_type = kind.content_type();
-        let version = self.doc_version(name);
-        if kind != DocKind::Html {
-            let bytes = self.originals.get_body(name).unwrap_or_default();
-            return (bytes, version, content_type);
-        }
-        let key = pull_variant_key(name);
-        match self.regen_cache.get(&key) {
-            Some(cached) if cached.version == version => (cached.bytes, version, content_type),
-            _ => {
-                // A real parse + reconstruct (§4.3) — counted so hosts
-                // can charge its CPU cost — then cached per version.
-                let bytes = match self.regenerate(name, LinkBase::AbsoluteHome) {
-                    Some(regenerated) => regenerated.into(),
-                    None => self.originals.get_body(name).unwrap_or_default(),
-                };
-                self.count_regeneration(name, false);
-                self.cache_regen(name, &key, bytes.clone(), content_type, version);
-                (bytes, version, content_type)
-            }
-        }
+        let bytes = match kind {
+            DocKind::Html => self.variant(name, LinkBase::AbsoluteHome),
+            _ => None,
+        };
+        let bytes = bytes.or_else(|| self.originals.get_body(name));
+        (
+            bytes.unwrap_or_default(),
+            self.doc_version(name),
+            kind.content_type(),
+        )
     }
 
-    fn count_regeneration(&mut self, name: &str, at_home: bool) {
+    /// `name` regenerated for `base` at its current version: the store's
+    /// copy, else a real parse + reconstruct (§4.3) — counted, so hosts
+    /// can charge its CPU cost — kept there. `None` when there is no
+    /// original to regenerate from.
+    fn variant(&mut self, name: &str, base: LinkBase) -> Option<Body> {
+        let version = self.doc_version(name);
+        if let Some(kept) = self.read.table.variant(name, base, version) {
+            return Some(kept);
+        }
+        let bytes: Body = self.regenerate(name, base)?.into();
         self.stats.regenerations += 1;
         self.emit(EngineEvent::DocRegenerated {
             doc: name.to_string(),
-            at_home,
+            at_home: base == LinkBase::Relative,
         });
-    }
-
-    /// Insert a freshly regenerated body for `name` into the regen cache
-    /// under `key`, carrying the document's modification time for
-    /// `Last-Modified`.
-    fn cache_regen(
-        &mut self,
-        name: &str,
-        key: &str,
-        bytes: Body,
-        content_type: &str,
-        version: u64,
-    ) {
-        let mut doc = CachedDoc::new(bytes, content_type, version, self.now_ms);
-        doc.modified_ms = self.doc_modified_ms(name);
-        let result = self.regen_cache.insert(key, doc);
-        self.note_evictions("regen", result.evicted);
+        let evicted = (self.read.table).install_variant(name, base, version, bytes.clone());
+        self.note_evictions("store", evicted);
+        Some(bytes)
     }
 
     fn bump_version(&mut self, name: &str) -> u64 {

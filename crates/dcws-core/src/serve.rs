@@ -274,7 +274,8 @@ impl ServerEngine {
                     .migrated_doc_url(path, path)
                     .expect("migrated doc has a co-op");
                 let resp = Response::moved_permanently(&url);
-                self.read.install_moved(path, resp.clone());
+                let evicted = self.read.table.install_moved(path, resp.clone());
+                self.note_evictions("store", evicted);
                 Outcome::Response(resp)
             }
             Location::Home => {
@@ -290,7 +291,7 @@ impl ServerEngine {
                     );
                 }
                 // Sequoia-class objects stream straight from the store:
-                // no whole-body buffer, no regen-cache copy, first chunk
+                // no whole-body buffer, no regenerated copy, first chunk
                 // on the wire after one read.
                 if let Some(out) = self.try_stream_home(path, req, &at) {
                     return out;
@@ -305,7 +306,8 @@ impl ServerEngine {
                 self.stats.bytes_sent += bytes.len() as u64;
                 // Prime the read path: subsequent GETs of this document
                 // are served without the engine lock, sharing this body.
-                self.read.install_doc(path, bytes.clone(), ct, &at);
+                let evicted = self.read.table.install_doc(path, bytes.clone(), ct, &at);
+                self.note_evictions("store", evicted);
                 Outcome::Response(
                     Response::ok(bytes, ct).with_header("Last-Modified", at.http_date),
                 )
@@ -334,12 +336,17 @@ impl ServerEngine {
             return None;
         }
         let content_type = entry.kind.content_type();
-        let reader = match self.read.stream_reader(path) {
+        let reader = match self.read.table.stream_reader(path) {
             Some(resident) => resident,
             None => {
                 let opened = self.originals.open_stream(path)?;
-                self.read
-                    .install_stream(path, opened.clone(), content_type, at.clone());
+                let evicted = (self.read.table).install_stream(
+                    path,
+                    opened.clone(),
+                    content_type,
+                    at.clone(),
+                );
+                self.note_evictions("store", evicted);
                 opened
             }
         };

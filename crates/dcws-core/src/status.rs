@@ -222,9 +222,9 @@ impl ServerEngine {
             ("moved_tombstones", Json::from(self.coop_moved.len())),
         ]);
 
-        let regen_stats = self.regen_cache.stats();
+        let store_stats = self.read.table.stats();
         let coop_stats = self.coop_cache.stats();
-        let merged = regen_stats.merged(&coop_stats);
+        let merged = store_stats.merged(&coop_stats);
         let pulled_sizes = Json::obj(vec![
             ("count", Json::from(self.pull_sizes.count())),
             ("sum_bytes", Json::from(self.pull_sizes.sum())),
@@ -248,7 +248,7 @@ impl ServerEngine {
             ("evictions", Json::from(merged.evictions)),
             ("coalesced_waits", Json::from(merged.coalesced_waits)),
             ("oversize_rejects", Json::from(merged.oversize_rejects)),
-            ("regen", cache_stats_json(&regen_stats)),
+            ("store", cache_stats_json(&store_stats)),
             ("coop", cache_stats_json(&coop_stats)),
             ("pulled_body_sizes", pulled_sizes),
         ]);
@@ -282,9 +282,6 @@ impl ServerEngine {
             ("streamed_serves", Json::from(r.streamed_serves)),
             ("stale_serves", Json::from(r.stale_serves)),
             ("fallbacks", Json::from(r.fallbacks)),
-            ("shard_clears", Json::from(r.shard_clears)),
-            ("table_entries", Json::from(r.table_entries)),
-            ("table_bytes", Json::from(r.table_bytes)),
             ("stream_routes", Json::from(r.stream_routes)),
         ]);
 
@@ -370,7 +367,7 @@ mod tests {
         ] {
             assert!(cache.get(key).is_some(), "missing cache.{key}");
         }
-        for sub in ["regen", "coop"] {
+        for sub in ["store", "coop"] {
             assert!(
                 cache.get(sub).and_then(|s| s.get("hit_ratio")).is_some(),
                 "missing cache.{sub}.hit_ratio"

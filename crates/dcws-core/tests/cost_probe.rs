@@ -10,9 +10,10 @@
 //!   by reference), and a peer's row costs a send nothing — its cached
 //!   text travels by refcount — where formatting it cost four;
 //! * **a message allocates only what it says** — a warm home `200`, a
-//!   `304`, a `503` and a co-op serve each allocate an exact, pinned
-//!   number of times: constant names and values, shared dates and rows
-//!   and the borrowed request path cost nothing;
+//!   `304`, a `503`, a co-op serve and a repeat pull of a rewritten page
+//!   each allocate an exact, pinned number of times: constant names and
+//!   values, shared dates and rows, the borrowed request path and the
+//!   kept regenerated variant cost nothing;
 //! * **gossip that says nothing new is free to receive** — a message
 //!   whose rows are all this server's own or no newer than the table's
 //!   is merged without one allocation, and a row that is newer costs the
@@ -223,6 +224,39 @@ fn message_allocs() -> (u64, u64, u64, u64) {
     )
 }
 
+/// The exclusive answer to a co-op's repeat pull of a rewritten page: the
+/// version settled and the pull variant kept by the first pull.
+fn repeat_pull_allocs() -> u64 {
+    let mut home = ServerEngine::new(
+        ServerId::new("s0:80"),
+        ServerConfig::paper_defaults(),
+        Box::new(MemStore::new()),
+    );
+    let page = b"<html><a href=\"/b.html\">b</a></html>".to_vec();
+    home.publish("/a.html", page, DocKind::Html, true);
+    home.publish("/b.html", b"<html>b</html>".to_vec(), DocKind::Html, false);
+    let moved = "/b.html\ts1:80\n/a.html\ts2:80\n";
+    assert_eq!(home.restore_migrations(moved, 0), 2);
+    let pull = Request::get("/a.html")
+        .with_header("X-DCWS-Pull", "1")
+        .with_header("X-DCWS-Coop", "s2:80");
+    let pull_once = |home: &mut ServerEngine, now: u64| {
+        let mut answer = None;
+        let n = allocs_of(|| answer = home.handle_request(&pull, now).into_response());
+        (n, answer.expect("a pull is answered"))
+    };
+    pull_once(&mut home, 1_000);
+    let regenerations = home.regenerations();
+    let (n, answer) = pull_once(&mut home, 1_001);
+    assert_eq!(answer.status, StatusCode::Ok);
+    assert!(
+        answer.body.windows(8).any(|w| w == b"~migrate"),
+        "rewritten"
+    );
+    assert_eq!(home.regenerations(), regenerations, "the variant was kept");
+    n
+}
+
 fn serve(e: &mut ServerEngine, path: &str, now: u64) -> Body {
     let resp = e
         .handle_request(&Request::get(path), now)
@@ -265,6 +299,12 @@ fn control_plane_cost_is_flat_and_exclusive_serves_share_bytes() {
     // name and constant was a `String`, the path a parse and the date
     // formatted in a growing buffer.)
     assert_eq!(message_allocs(), (2, 1, 1, 10));
+    // A co-op's repeat pull of a rewritten page allocates its answer
+    // alone — the requester's id, the event, the head's texts and its
+    // load row: the kept variant is found by the borrowed path and shared
+    // by refcount. (11 while the lookup built a `format!` key, grown
+    // once, and cloned the cached copy's media type.)
+    assert_eq!(repeat_pull_allocs(), 8);
 
     // Zero-copy exclusive path over a MemStore.
     let page = b"<html><a href=\"/b.html\">b</a></html>".to_vec();

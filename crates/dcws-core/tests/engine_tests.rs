@@ -942,3 +942,116 @@ fn garbled_push_body_is_rejected_with_400() {
     assert_eq!(r.status, StatusCode::Ok);
     assert_eq!(coop.coop_doc_count(), 1);
 }
+
+/// What the home side's one store must keep, and what it must drop, for
+/// the regeneration count — and every digest that pins it — to hold.
+mod one_store {
+    use super::*;
+
+    const A: &str = "/a.html";
+    const B: &str = "/b.html";
+
+    /// A home where `/a.html` links to `/b.html`, with `/b.html` on the
+    /// co-op `coop1:8001`: `/a.html` is dirty, so its first serve or pull
+    /// regenerates it.
+    fn home() -> ServerEngine {
+        let mut e = ServerEngine::new(
+            home_id(),
+            ServerConfig::paper_defaults(),
+            Box::new(MemStore::new()),
+        );
+        let page = br#"<html><body><a href="/b.html">B</a> page A</body></html>"#;
+        e.publish(A, page.to_vec(), DocKind::Html, true);
+        e.publish(B, b"<html>B</html>".to_vec(), DocKind::Html, false);
+        assert_eq!(e.restore_migrations(&format!("{B}\t{}\n", coop_id()), 0), 1);
+        e
+    }
+
+    fn get(e: &mut ServerEngine, now: u64) -> Response {
+        e.handle_request(&Request::get(A), now)
+            .into_response()
+            .unwrap()
+    }
+
+    fn pull(e: &mut ServerEngine, coop: &str, now: u64) -> Response {
+        let req = Request::get(A)
+            .with_header("X-DCWS-Pull", "1")
+            .with_header("X-DCWS-Coop", coop.to_string());
+        let resp = e.handle_request(&req, now).into_response().unwrap();
+        assert_eq!(resp.status, StatusCode::Ok, "a pull from {coop}");
+        resp
+    }
+
+    #[test]
+    fn a_migrated_then_revoked_rewritten_page_comes_home_without_regenerating() {
+        let mut e = home();
+        let rewritten = get(&mut e, 1);
+        assert!(rewritten.body.windows(8).any(|w| w == b"~migrate"));
+        assert_eq!(e.regenerations(), 1);
+        // `/a.html` itself moves to a second co-op, and is revoked home.
+        assert_eq!(e.restore_migrations(&format!("{A}\tcoop2:8002\n"), 2), 1);
+        assert_eq!(get(&mut e, 3).status, StatusCode::MovedPermanently);
+        e.declare_peer_dead(&ServerId::new("coop2:8002"));
+        let again = get(&mut e, 4);
+        assert_eq!(
+            (again.status, &again.body),
+            (StatusCode::Ok, &rewritten.body)
+        );
+        assert_eq!(e.regenerations(), 1, "the home variant was kept");
+    }
+
+    #[test]
+    fn two_coops_pulling_one_version_cost_one_regeneration() {
+        let mut e = home();
+        let replicas = format!("{A}\tcoop2:8002\n{A}\tcoop3:8003\n");
+        assert_eq!(e.restore_migrations(&replicas, 1), 1);
+        let first = pull(&mut e, "coop2:8002", 2);
+        let second = pull(&mut e, "coop3:8003", 3);
+        assert_eq!(first.body, second.body);
+        assert_eq!(
+            first.headers.get("X-DCWS-Version"),
+            second.headers.get("X-DCWS-Version")
+        );
+        assert_eq!(e.regenerations(), 1, "the pull variant was kept");
+    }
+
+    #[test]
+    fn a_republish_or_a_dirty_settle_drops_both_variants() {
+        // `/a.html` holds both variants: served at home, then migrated and
+        // pulled. It is the store's only entry, so the store's residency
+        // is that entry's.
+        let setup = || {
+            let mut e = home();
+            let home_len = get(&mut e, 1).body.len() as u64;
+            assert_eq!(e.restore_migrations(&format!("{A}\tcoop2:8002\n"), 2), 1);
+            let pull_len = pull(&mut e, "coop2:8002", 3).body.len() as u64;
+            assert_eq!(e.regenerations(), 2);
+            let store = e.read_path().table().stats();
+            assert_eq!(store.entries, 1);
+            assert!(store.bytes_resident > home_len + pull_len);
+            (e, pull_len)
+        };
+
+        let (mut e, _) = setup();
+        let page = get(&mut e, 4);
+        assert_eq!(page.status, StatusCode::MovedPermanently);
+        e.publish(A, b"<html>A, again</html>".to_vec(), DocKind::Html, true);
+        let store = e.read_path().table().stats();
+        assert_eq!((store.entries, store.bytes_resident), (0, 0));
+
+        // `/b.html` comes home, which dirties `/a.html`; the co-op's next
+        // pull settles it — a new version, so a new regeneration, kept
+        // alone: the home variant of the old version went with the rest.
+        let (mut e, _) = setup();
+        e.declare_peer_dead(&coop_id());
+        let pull_len = pull(&mut e, "coop2:8002", 4).body.len() as u64;
+        assert_eq!(e.regenerations(), 3);
+        let store = e.read_path().table().stats();
+        assert_eq!(store.entries, 1);
+        assert!(
+            store.bytes_resident < A.len() as u64 + 128 + pull_len,
+            "{} bytes resident for one {pull_len}-byte variant",
+            store.bytes_resident
+        );
+    }
+}

@@ -403,7 +403,7 @@ fn exclusive_reserve_does_not_reprime_an_unchanged_route() {
     let again = serve_borrowed(&e, &req).unwrap();
     assert!(first.head.ptr_eq(&again.head), "route was re-primed");
     assert!(first.body.ptr_eq(&again.body));
-    assert_eq!(e.read_path().snapshot().table_entries, 1);
+    assert_eq!(e.read_path().table().stats().entries, 1);
 }
 
 /// A shutting-down front end appends `Connection: close` to whatever the
@@ -581,9 +581,12 @@ fn stream_route_hits_are_counted_and_try_serve_declines() {
     let get = Request::get("/big.img");
     assert!(serve_front_end(&e, &get).is_none(), "not primed yet");
     e.handle_request(&get, 0);
-    let snap = e.read_path().snapshot();
-    assert_eq!((snap.stream_routes, snap.table_entries), (1, 1));
-    assert!(snap.table_bytes >= 64 * 1024, "a descriptor's charge");
+    let store = e.read_path().table().stats();
+    assert_eq!(
+        (e.read_path().snapshot().stream_routes, store.entries),
+        (1, 1)
+    );
+    assert!(store.bytes_resident >= 64 * 1024, "a descriptor's charge");
 
     let ranged = get.clone().with_header("Range", "bytes=0-99999");
     for req in [&get, &ranged, &get] {
@@ -610,4 +613,56 @@ fn stream_route_hits_are_counted_and_try_serve_declines() {
     e.publish("/big.img", vec![8u8; BIG_LEN], DocKind::Image, false);
     assert_eq!(e.read_path().snapshot().stream_routes, 0);
     assert!(serve_front_end(&e, &get).is_none());
+}
+
+/// The store evicts one entry at a time, and a read-path hit keeps its
+/// entry: with a slice that holds three of these routes, a stream of cold
+/// routes through every shard never pushes out the page the read path
+/// keeps answering, and each overflow costs exactly one eviction.
+#[test]
+fn a_hot_route_outlives_a_stream_of_cold_ones() {
+    const COLD: u64 = 96;
+    let mut cfg = ServerConfig::paper_defaults();
+    // Half of it is the store's, over its 8 shards: 4 KiB a shard, and
+    // each route below is charged a little over 1.2 KiB.
+    cfg.cache_budget_bytes = 2 * 8 * 4096;
+    let mut e = ServerEngine::new(
+        dcws_graph::ServerId::new("home:8080"),
+        cfg,
+        Box::new(MemStore::new()),
+    );
+    let page = |fill: u8| [b"<p>".as_slice(), &[fill; 1000], b"</p>"].concat();
+    e.publish("/hot.html", page(b'h'), DocKind::Html, false);
+    for i in 0..COLD {
+        e.publish(&format!("/cold/{i}.html"), page(b'c'), DocKind::Html, false);
+    }
+    let hot = Request::get("/hot.html");
+    e.handle_request(&hot, 0).into_response().unwrap();
+    assert!(e.read_path().try_serve(&hot, 0).is_some(), "primed");
+
+    let read = e.read_path().clone();
+    let evictions = || read.table().stats().evictions;
+    for i in 0..COLD {
+        let before = evictions();
+        let cold = Request::get(format!("/cold/{i}.html"));
+        e.handle_request(&cold, i).into_response().unwrap();
+        assert!(
+            evictions() - before <= 1,
+            "/cold/{i}: one eviction an overflow"
+        );
+        assert!(
+            e.read_path().try_serve(&hot, i).is_some(),
+            "/hot.html declined after /cold/{i}.html"
+        );
+    }
+    // Every shard overflowed, /hot.html's among them, and nothing else
+    // left the store.
+    let store = e.read_path().table().stats();
+    assert!(
+        store.evictions >= COLD - 3 * 8,
+        "{} evictions",
+        store.evictions
+    );
+    assert_eq!(store.entries, 1 + COLD - store.evictions);
+    assert_eq!(e.read_path().snapshot().fallbacks, 0);
 }

@@ -618,10 +618,10 @@ fn migrate_turns_the_route_into_a_301() {
     });
 }
 
-/// Resident descriptors are the table's to bound and to release: one per
-/// stream route, gone with an invalidate, a shard clear, and shutdown.
+/// Resident descriptors are the store's to bound and to release: one per
+/// stream route, gone with an invalidate, an eviction, and shutdown.
 #[test]
-fn invalidate_and_shard_clear_release_the_descriptor() {
+fn invalidate_and_eviction_release_the_descriptor() {
     on_every_server("descriptors", |server, _, scratch, backing| {
         let on_disk = |routes: u64| {
             assert_eq!(server.read_path().snapshot().stream_routes, routes);
@@ -654,11 +654,14 @@ fn invalidate_and_shard_clear_release_the_descriptor() {
         assert!(split(&c.exchange(&Request::get("/img/at.bin"))).1 == &pattern(THRESHOLD, 9)[..]);
         on_disk(3);
 
-        // Shard clear: with no budget every shard is over it, and no
-        // route fits any more — large objects spill, and still arrive.
-        let clears0 = server.read_path().snapshot().shard_clears;
+        // Eviction: with no budget every shard is over it, each entry is
+        // evicted, and no route fits any more — large objects spill, and
+        // still arrive.
+        let entries = server.read_path().table().stats().entries;
+        let evictions0 = server.read_path().table().stats().evictions;
         server.engine().lock().set_cache_budget(0);
-        assert!(server.read_path().snapshot().shard_clears > clears0);
+        let evictions = server.read_path().table().stats().evictions;
+        assert_eq!(evictions - evictions0, entries, "one eviction an entry");
         on_disk(0);
         let (_, spilled0) = counters(server);
         for _ in 0..2 {
@@ -686,8 +689,8 @@ fn invalidate_and_shard_clear_release_the_descriptor() {
 fn table_budget_bounds_resident_descriptors() {
     let scratch = Scratch::new("budget");
     let mut cfg = ServerConfig::paper_defaults();
-    // Half of it is the serve table's, spread over its 8 shards: 160 KiB
-    // a shard, and a stream route is charged a little over 64 KiB.
+    // Half of it is the store's, spread over its 8 shards: 160 KiB a
+    // shard, and a stream route is charged a little over 64 KiB.
     cfg.cache_budget_bytes = 2 * 8 * 160 * 1024;
     let (server, _) = spawn(&scratch, Backing::Disk, false, cfg, 1);
     const DOCS: usize = 64;
@@ -708,7 +711,7 @@ fn table_budget_bounds_resident_descriptors() {
             assert_eq!(scratch.open_descriptors() as u64, snap.stream_routes);
         }
     }
-    assert!(server.read_path().snapshot().shard_clears > 0);
+    assert!(server.read_path().table().stats().evictions > 0);
     drop(c);
     server.shutdown();
     assert_eq!(scratch.open_descriptors(), 0);

@@ -413,6 +413,9 @@ impl SimCluster {
             // Apply any crash whose time has come before this event.
             while let Some(&(ct_ms, cs)) = crash_iter.peek() {
                 if ct_ms * 1_000 <= t {
+                    // A crash happens at its own time: the failures it
+                    // delivers follow it, not the event before it.
+                    self.now = self.now.max(ct_ms * 1_000);
                     self.crash_server(cs);
                     crash_iter.next();
                 } else {
@@ -452,6 +455,7 @@ impl SimCluster {
         let mut revocations = 0;
         let mut gossip = GossipCounts::default();
         let mut cache = dcws_cache::CacheStats::default();
+        let mut store = cache;
         let mut read_path = Vec::with_capacity(self.servers.len());
         for (i, s) in self.servers.iter_mut().enumerate() {
             read_path.push(s.engine.read_path().snapshot());
@@ -463,9 +467,9 @@ impl SimCluster {
             gossip.reports_merged += st.reports_merged;
             gossip.reports_skipped += st.reports_skipped;
             gossip.reports_encoded += st.reports_encoded;
-            cache = cache
-                .merged(&s.engine.regen_cache().stats())
-                .merged(&s.engine.coop_cache().stats());
+            let kept = s.engine.read_path().table().stats();
+            store = store.merged(&kept);
+            cache = cache.merged(&kept).merged(&s.engine.coop_cache().stats());
             let tail: Vec<(usize, EventRecord)> = s
                 .engine
                 .drain_events()
@@ -486,6 +490,7 @@ impl SimCluster {
             revocations,
             gossip,
             cache,
+            store,
             read_path,
             mean_response_ms: self.latency_us_sum as f64
                 / self.latency.count().max(1) as f64

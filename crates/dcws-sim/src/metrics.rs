@@ -186,9 +186,11 @@ pub struct SimResult {
     /// Control-plane totals across servers. Not part of [`Self::digest`]:
     /// they describe how the gossip was processed, not what it decided.
     pub gossip: GossipCounts,
-    /// Document-cache statistics (regen + co-op caches) merged across
+    /// Document-cache statistics (store + co-op caches) merged across
     /// every server, for the budget-vs-hit-ratio experiments.
     pub cache: CacheStats,
+    /// The home side's stores alone ([`dcws_core::ServeTable`]), merged.
+    pub store: CacheStats,
     /// Each server's read path at the end of the run, by server index:
     /// what it answered without the engine, and what it declined.
     pub read_path: Vec<ReadPathStats>,
@@ -346,6 +348,7 @@ mod tests {
             revocations: 0,
             gossip: GossipCounts::default(),
             cache: CacheStats::default(),
+            store: CacheStats::default(),
             read_path: Vec::new(),
             mean_response_ms: 0.0,
             latency: LatencyHist::default(),

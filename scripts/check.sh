@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Full local quality gate: everything CI runs, in the same order.
+# Full local quality gate: everything CI runs, in the same order. The
+# verify skill (.claude/skills/verify/SKILL.md) lists the same commands,
+# and the "Gate drift" step below fails when the three lists differ. A
+# step's name is CI's; its rationale is the comment above it here.
 #
 #   scripts/check.sh            # build + test + fmt + clippy + doc
 #   scripts/check.sh --quick    # skip the release build (fastest loop)
@@ -121,22 +124,35 @@ one_front() {
 }
 step one_front
 
-# Doc drift: every backticked `dcws_<crate>::…::Item` in docs/*.md and
-# README.md must name an item (struct, enum, trait, fn, mod, type, const
-# or static) defined in that crate's sources.
-doc_drift() {
-    local path crate item missing=0
-    for path in $(grep -ohE '`dcws_[a-z]+(::[A-Za-z_][A-Za-z0-9_]*)+`' docs/*.md README.md | tr -d '`' | sort -u); do
-        crate=${path%%::*}
-        item=${path##*::}
-        if ! grep -rqE "(struct|enum|trait|fn|mod|type|const|static) $item\b" "crates/${crate//_/-}/src"; then
-            echo "unresolved: \`$path\`"
-            missing=1
-        fi
-    done
-    return $missing
+# One store: the home side keeps its served bytes — primed routes and
+# regenerated variants — in one store (dcws_core::ServeTable) under one
+# budget. With a slice that fits three routes, a page the read path keeps
+# answering outlives a stream of cold routes, each overflow evicting one
+# entry (a_hot_route_outlives_a_stream_of_cold_ones). The one_store pins
+# hold what every digest's regeneration count relies on: a rewritten page
+# that is migrated and revoked comes home with no regeneration, two
+# co-ops pulling one version cost one, and a republish or a dirty settle
+# drops both variants. The budget property test drives installs, hits,
+# route-only and whole-entry drops and re-budgets through an engine and
+# holds every shard within its slice, and the stream routes counted to
+# the ones the read path answers from. "Message cost" pins a repeat
+# pull's allocations; "Stream route" the descriptors evictions release.
+one_store() {
+    cargo test -q -p dcws-core --test readpath_tests a_hot_route_outlives_a_stream_of_cold_ones
+    cargo test -q -p dcws-core --test engine_tests one_store
+    cargo test -q -p dcws-core --test store_proptest
 }
-step doc_drift
+step one_store
+
+# Doc drift: every backticked `dcws_<crate>::…::Item` in docs/*.md and
+# README.md names an item defined in that crate's sources, and every
+# backticked `*.rs` file name there a tracked file (scripts/drift.sh).
+step bash scripts/drift.sh docs
+
+# Gate drift: CI, this script and the verify skill's gate list run the
+# same commands in the same order, and every CI step name fits in 80
+# characters (scripts/drift.sh).
+step bash scripts/drift.sh gates
 
 # Behaviour gate: the simulator on the benchmark's sim-lod configuration
 # (64 servers, 1,024 clients, 100 virtual s) must reproduce, event for
@@ -146,13 +162,13 @@ step doc_drift
 # line is the same site on 256 servers and 2,048 clients, where the
 # control plane (pings, gossip) is most of the work. ~1.2 s.
 if [[ $quick -eq 0 ]]; then
-    sim_digest() {
-        cargo run --release -q -p dcws-sim --example probe -- "$1" "$2" 100000 1 lod "$3" \
-            | grep -F "digest: $4"
+    behaviour_gate() {
+        probe() { cargo run --release -q -p dcws-sim --example probe -- "$1" "$2" 100000 1 lod "$3"; }
+        probe 64 1024 1999 | grep -F "digest: completed=95476 bytes=228397946 drops=133225 redirects=365 failures=0 sessions=1192 migrations=10 revocations=0 regenerations=9 events=659527 samples=10 latencies=95476 p99_us=131071 engine_events=37"
+        probe 64 1024 2024 | grep -F "digest: completed=95439 bytes=229420215 drops=134602 redirects=342 failures=0 sessions=1143 migrations=10 revocations=0 regenerations=9 events=661575 samples=10 latencies=95439 p99_us=131071 engine_events=37"
+        probe 256 2048 1999 | grep -F "digest: completed=95620 bytes=221298784 drops=179651 redirects=520 failures=0 sessions=1417 migrations=10 revocations=0 regenerations=9 events=1425788 samples=10 latencies=95620 p99_us=131071 engine_events=37"
     }
-    step sim_digest 64 1024 1999 "completed=95476 bytes=228397946 drops=133225 redirects=365 failures=0 sessions=1192 migrations=10 revocations=0 regenerations=9 events=659527 samples=10 latencies=95476 p99_us=131071 engine_events=37"
-    step sim_digest 64 1024 2024 "completed=95439 bytes=229420215 drops=134602 redirects=342 failures=0 sessions=1143 migrations=10 revocations=0 regenerations=9 events=661575 samples=10 latencies=95439 p99_us=131071 engine_events=37"
-    step sim_digest 256 2048 1999 "completed=95620 bytes=221298784 drops=179651 redirects=520 failures=0 sessions=1417 migrations=10 revocations=0 regenerations=9 events=1425788 samples=10 latencies=95620 p99_us=131071 engine_events=37"
+    step behaviour_gate
 fi
 
 # The benchmark is a workspace of its own, so nothing above compiles
@@ -183,18 +199,17 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # exactly, so an event-core scale or determinism regression fails the
 # gate (docs/SIMULATION.md).
 if [[ $quick -eq 0 ]]; then
-    smoke=target/bench-smoke
-    export DCWS_BENCH_OUT=$smoke
+    export DCWS_BENCH_OUT=target/bench-smoke
     step cargo run --release -q -p dcws-bench --bin fig6 -- --quick --status-dump
     step cargo run --release -q -p dcws-bench --bin cachepress -- --quick --status-dump
+    test -s target/bench-smoke/fig6.csv
+    test -s target/bench-smoke/cachepress.csv
     step cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
+    test -s target/bench-smoke/c10kpress.csv
+    test -s target/bench-smoke/BENCH_c10kpress.json
     step cargo run --release -q -p dcws-bench --bin scalepress -- --quick
-    test -s $smoke/fig6.csv
-    test -s $smoke/cachepress.csv
-    test -s $smoke/c10kpress.csv
-    test -s $smoke/BENCH_c10kpress.json
-    test -s $smoke/scalepress.csv
-    test -s $smoke/BENCH_scalepress.json
+    test -s target/bench-smoke/scalepress.csv
+    test -s target/bench-smoke/BENCH_scalepress.json
     step git diff --exit-code -- bench_results
 fi
 

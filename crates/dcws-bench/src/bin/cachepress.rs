@@ -1,15 +1,16 @@
 //! Cache-pressure sweep: steady-state performance vs document-cache byte
 //! budget, the dcws-cache counterpart to the paper's capacity figures.
 //!
-//! Each run gives every server the same `cache_budget_bytes` (half to its
-//! co-op cache, the rest to its home side's store of routes and
-//! regenerated pages) and drives the standard Algorithm-2 client workload
+//! Each run gives every server the same `cache_budget_bytes` (its one
+//! store: the home side's routes and regenerated pages, and the co-op
+//! side's copies) and drives the standard Algorithm-2 client workload
 //! against a DCWS group. As the budget drops below the working set,
 //! evictions force repeat pulls and regenerations, the cluster-wide hit
 //! ratio falls, and the mean client-observed response time climbs — the
-//! budget-vs-hit-ratio curve this binary emits as CSV. Its `regenerations`
-//! and `store_evictions` columns say how much of each row's cost is §4.3
-//! work the store could not keep.
+//! budget-vs-hit-ratio curve this binary emits as CSV. Its
+//! `regenerations`, `pulls` and `store_evictions` (the home role's)
+//! columns say how much of each row's cost is §4.3 and §4.2 work the
+//! store could not keep.
 //!
 //! Budgets are expressed as fractions of the dataset's corpus size so the
 //! sweep stays meaningful if the dataset generator changes.
@@ -53,19 +54,21 @@ fn main() {
         "oversize_rejects".into(),
         "coalesced_waits".into(),
         "regenerations".into(),
+        "pulls".into(),
         "store_evictions".into(),
         "mean_resp_ms".into(),
         "cps".into(),
         "failures".into(),
     ]];
     println!(
-        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>7} {:>10} {:>12} {:>8} {:>9}",
+        "{:>12} {:>11} {:>9} {:>10} {:>10} {:>7} {:>7} {:>10} {:>12} {:>8} {:>9}",
         "budget",
         "corpus_frac",
         "hit_ratio",
         "evictions",
         "coalesced",
         "regens",
+        "pulls",
         "store_evict",
         "mean_resp_ms",
         "cps",
@@ -86,17 +89,22 @@ fn main() {
         cfg.server_config.cache_budget_bytes = budget;
         let r = run_sim(cfg);
         dcws_bench::dump_status(&format!("cachepress_{frac}"), &r);
-        let hit_ratio = r.cache.hit_ratio();
+        // A read-path hit on a copy takes no counter of the store's: the
+        // read path counts it (`served_coop`).
+        let read_hits: u64 = r.read_path.iter().map(|rp| rp.served_coop).sum();
+        let lookups = r.cache.hits + r.cache.misses + read_hits;
+        let hit_ratio = (r.cache.hits + read_hits) as f64 / lookups.max(1) as f64;
         let cps = r.steady_cps();
         let failures = r.totals.failures;
         println!(
-            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>7} {:>10} {:>12.2} {:>8} {:>9}",
+            "{:>12} {:>11} {:>9.3} {:>10} {:>10} {:>7} {:>7} {:>10} {:>12.2} {:>8} {:>9}",
             label,
             frac,
             hit_ratio,
             r.cache.evictions,
             r.cache.coalesced_waits,
             r.regenerations,
+            r.pulls,
             r.store.evictions,
             r.mean_response_ms,
             fmt_thousands(cps),
@@ -111,6 +119,7 @@ fn main() {
             r.cache.oversize_rejects.to_string(),
             r.cache.coalesced_waits.to_string(),
             r.regenerations.to_string(),
+            r.pulls.to_string(),
             r.store.evictions.to_string(),
             format!("{:.3}", r.mean_response_ms),
             format!("{cps:.1}"),

@@ -1,7 +1,7 @@
 //! One cache shard: a slab-backed LRU list plus a key index, enforcing
 //! its slice of the global byte budget.
 
-use crate::{CachedDoc, EntryMeta, Evicted, InsertResult};
+use crate::{CachedDoc, Evicted, InsertResult};
 use std::collections::HashMap;
 
 /// Sentinel for "no slot" in the intrusive LRU links.
@@ -29,10 +29,6 @@ pub(crate) struct Shard {
     tail: usize, // least recently used
     bytes: u64,
     budget: u64,
-    /// Admission cap: entries costing more than this are rejected even
-    /// when they would fit the budget, so one huge object cannot evict
-    /// a shard's whole working set. Always `<= budget`.
-    admit_limit: u64,
 }
 
 impl Shard {
@@ -45,16 +41,7 @@ impl Shard {
             tail: NIL,
             bytes: 0,
             budget,
-            admit_limit: budget,
         }
-    }
-
-    pub(crate) fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    pub(crate) fn set_admit_limit(&mut self, limit: u64) {
-        self.admit_limit = limit.min(self.budget);
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -137,7 +124,7 @@ impl Shard {
             self.release(i);
         }
         let cost = doc.cost(key);
-        if cost > self.budget || cost > self.admit_limit {
+        if cost > self.budget {
             return result; // stored: false
         }
         self.evict_for(cost, &mut result.evicted);
@@ -163,11 +150,6 @@ impl Shard {
         result
     }
 
-    pub(crate) fn remove(&mut self, key: &str) -> Option<CachedDoc> {
-        let i = *self.map.get(key)?;
-        Some(self.release(i).1)
-    }
-
     /// Run `f` on the entry under `key` (metadata mutation only — the
     /// entry's budget cost is recomputed afterwards in debug builds to
     /// catch accidental body growth). Returns `false` on miss.
@@ -181,29 +163,10 @@ impl Shard {
         true
     }
 
-    pub(crate) fn collect_meta(&self, out: &mut Vec<(String, EntryMeta)>) {
-        for slot in &self.slots {
-            if let Some((key, doc, _)) = &slot.entry {
-                out.push((
-                    key.clone(),
-                    EntryMeta {
-                        version: doc.version,
-                        fetched_at: doc.fetched_at,
-                        modified_ms: doc.modified_ms,
-                        negative: doc.negative,
-                        stale: doc.stale,
-                        bytes: doc.bytes.len() as u64,
-                    },
-                ));
-            }
-        }
-    }
-
     /// Shrink (or grow) the budget slice, evicting LRU entries until
     /// residency fits.
     pub(crate) fn set_budget(&mut self, budget: u64, evicted: &mut Vec<Evicted>) {
         self.budget = budget;
-        self.admit_limit = self.admit_limit.min(budget);
         self.evict_for(0, evicted);
     }
 }

@@ -1,7 +1,8 @@
 //! Point-in-time cache statistics.
 
-/// Snapshot of a [`crate::DocCache`]'s counters and residency, as
-/// surfaced in the `cache` section of `GET /dcws/status`.
+/// Snapshot of a store's counters and residency — a server's
+/// `dcws_core::ServeTable` or one role of it, or a [`crate::DocCache`] —
+/// as surfaced in the `cache` section of `GET /dcws/status`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry (including negative entries).
@@ -17,9 +18,8 @@ pub struct CacheStats {
     /// Inserts rejected because the entry exceeded its shard's slice
     /// of the budget.
     pub oversize_rejects: u64,
-    /// Inserts rejected by the admission rule: the entry fit the shard
-    /// but cost more than the configured fraction of its budget, so it
-    /// bypassed the LRU instead of evicting the working set.
+    /// Inserts refused although the entry fit its shard's slice: the
+    /// room could not be made without evicting what the insert may not.
     pub admission_rejects: u64,
     /// Requests that waited on another request's in-flight pull
     /// instead of pulling themselves.
@@ -44,10 +44,10 @@ impl CacheStats {
         }
     }
 
-    /// Combine two snapshots (e.g. the regen and co-op caches of one
-    /// server, or one cache across a simulated cluster). Counters and
-    /// residency add; budgets saturate rather than wrap, since
-    /// "unbounded" is modelled as `u64::MAX`.
+    /// Combine two snapshots (e.g. the home and co-op roles of one
+    /// server's store, or one store across a simulated cluster).
+    /// Counters and residency add; budgets saturate rather than wrap,
+    /// since "unbounded" is modelled as `u64::MAX`.
     pub fn merged(&self, other: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,

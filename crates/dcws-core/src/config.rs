@@ -76,11 +76,11 @@ pub struct ServerConfig {
     pub naive_selection: bool,
     /// Future-work extension: replicate hot documents to several co-ops.
     pub hot_replication: Option<HotReplication>,
-    /// Total byte budget: half for the co-op cache of pulled copies,
-    /// the rest for the home side's store of routes and regenerated
-    /// bodies ([`ServeTable`](crate::ServeTable)). `u64::MAX`
-    /// disables eviction; the paper's testbed never filled memory, so
-    /// the default is generous rather than unbounded.
+    /// Byte budget of the one store ([`ServeTable`](crate::ServeTable)):
+    /// the home side's routes and regenerated bodies and the co-op
+    /// side's pulled copies alike. `u64::MAX` disables eviction; the
+    /// paper's testbed never filled memory, so the default is generous
+    /// rather than unbounded.
     pub cache_budget_bytes: u64,
     /// Bodies at or above this size are served by the streaming path
     /// (chunked reads straight from the [`DocStore`](crate::DocStore);

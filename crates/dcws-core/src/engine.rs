@@ -13,11 +13,11 @@
 use crate::config::ServerConfig;
 use crate::events::{EngineEvent, EventLog, EventRecord, RevokeReason};
 use crate::front::{Call, Outbound};
-use crate::naming::migrate_url;
-use crate::readpath::{ReadPath, ServeTable};
+use crate::naming::{decode_migrate_path, migrate_url, MigrateTarget};
+use crate::readpath::{ReadPath, Role, StoreView};
 use crate::stats::EngineStats;
 use crate::store::DocStore;
-use dcws_cache::{CacheConfig, DocCache, Evicted, SizeHistogram};
+use dcws_cache::{Evicted, SizeHistogram};
 use dcws_graph::{
     select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
     ServerId,
@@ -31,24 +31,6 @@ use std::sync::Arc;
 /// Key for a co-op-held document: `(home server, original path)`.
 pub(crate) type CoopKey = (ServerId, String);
 
-/// Cache key for a co-op-held copy: `"{home} {path}"`. A space can
-/// appear in neither a `host:port` server id nor an URL path, so the
-/// encoding is unambiguous.
-pub(crate) fn coop_cache_key(home: &ServerId, path: &str) -> String {
-    let home = home.as_str();
-    let mut key = String::with_capacity(home.len() + 1 + path.len());
-    key.push_str(home);
-    key.push(' ');
-    key.push_str(path);
-    key
-}
-
-/// Split a co-op cache key back into `(home, path)`.
-pub(crate) fn split_coop_key(key: &str) -> Option<(ServerId, String)> {
-    let (home, path) = key.split_once(' ')?;
-    Some((ServerId::new(home), path.to_string()))
-}
-
 /// Overload test: migrate when our metric exceeds the least-loaded
 /// peer's by this ratio.
 const OVERLOAD_RATIO: f64 = 1.5;
@@ -56,12 +38,6 @@ const OVERLOAD_RATIO: f64 = 1.5;
 /// Structured engine events retained in the in-memory ring buffer (see
 /// `dcws_core::events`); older ones are counted, not kept.
 const EVENT_LOG_CAPACITY: usize = 512;
-
-/// Co-op cache admission rule: a copy costing more than this fraction
-/// of one cache shard's budget is never admitted to the LRU (served
-/// pass-through instead), so a single pulled Sequoia image cannot evict
-/// a shard's whole small-document working set.
-const CACHE_ADMIT_FRACTION: f64 = 0.25;
 
 /// When a home document last changed (engine ms), with the
 /// `Last-Modified` text of that time — formatted once, when the time is
@@ -118,9 +94,6 @@ pub struct ServerEngine {
     /// evicted body must be regenerated, while a never-dirtied document
     /// serves its pristine original without touching the cache.
     pub(crate) rewritten: HashSet<String>,
-    /// Copies held in the co-op role, keyed by [`coop_cache_key`].
-    /// Revoked copies become negative entries (crash insurance, §4.5).
-    pub(crate) coop_cache: Arc<DocCache>,
     /// Sizes of bodies received by this server's co-op role pulls.
     pub(crate) pull_sizes: SizeHistogram,
     /// Moved tombstones: a pull was answered with a redirect, so requests
@@ -153,12 +126,7 @@ impl ServerEngine {
     /// original-document store (usually empty; fill via [`Self::publish`]).
     pub fn new(id: ServerId, cfg: ServerConfig, originals: Box<dyn DocStore>) -> Self {
         let window_ms = cfg.stat_interval_ms.max(1_000);
-        // Half the budget is the co-op cache's, the rest the store's.
-        let coop_budget = cfg.cache_budget_bytes / 2;
-        let coop_cache = Arc::new(DocCache::new(CacheConfig::new(coop_budget)));
-        coop_cache.set_admit_fraction(CACHE_ADMIT_FRACTION);
-        let store_budget = cfg.cache_budget_bytes - coop_budget;
-        let read = Arc::new(ReadPath::new(id.clone(), coop_cache.clone(), store_budget));
+        let read = Arc::new(ReadPath::new(id.clone(), cfg.cache_budget_bytes));
         ServerEngine {
             glt: GlobalLoadTable::new(id.clone()),
             id,
@@ -167,7 +135,6 @@ impl ServerEngine {
             versions: HashMap::new(),
             modified: HashMap::new(),
             rewritten: HashSet::new(),
-            coop_cache,
             read,
             pull_sizes: SizeHistogram::new(),
             coop_moved: HashMap::new(),
@@ -263,18 +230,19 @@ impl ServerEngine {
     /// Number of documents currently held in the co-op role (including
     /// revoked copies retained as crash insurance).
     pub fn coop_doc_count(&self) -> usize {
-        self.coop_cache.len()
+        self.read.table.view(Role::Coop).stats().entries as usize
     }
 
-    /// The store that holds the regenerated bodies: the serve table
-    /// ([`ReadPath::table`]), under the name the benchmark reads.
-    pub fn regen_cache(&self) -> &ServeTable {
-        &self.read.table
+    /// The home role's share of the store ([`ReadPath::table`]): routes
+    /// and regenerated bodies, under the name the benchmark reads.
+    pub fn regen_cache(&self) -> StoreView<'_> {
+        self.read.table.view(Role::Home)
     }
 
-    /// The LRU cache of co-op-held document copies.
-    pub fn coop_cache(&self) -> &DocCache {
-        &self.coop_cache
+    /// The co-op role's share of the store: the copies held, under the
+    /// name the benchmark reads.
+    pub fn coop_cache(&self) -> StoreView<'_> {
+        self.read.table.view(Role::Coop)
     }
 
     /// Total bytes of permanent original documents (the corpus size),
@@ -283,23 +251,19 @@ impl ServerEngine {
         self.originals.total_bytes()
     }
 
-    /// Re-split `total` bytes, half to the co-op cache and the rest to
-    /// the store, and evict down to the new budgets. Lets a server pick
-    /// its budget after the corpus is published (e.g. corpus/4).
+    /// Re-budget the store to `total` bytes and evict down to it. Lets a
+    /// server pick its budget after the corpus is published (e.g.
+    /// corpus/4).
     pub fn set_cache_budget(&mut self, total: u64) {
         self.cfg.cache_budget_bytes = total;
-        let coop_budget = total / 2;
-        let evicted = self.read.table.set_budget(total - coop_budget);
-        self.note_evictions("store", evicted);
-        let evicted = self.coop_cache.set_budget(coop_budget);
-        self.note_evictions("coop", evicted);
+        let evicted = self.read.table.set_budget(total);
+        self.note_evictions(evicted);
     }
 
-    /// Record an eviction event for every entry `cache` pushed out.
-    pub(crate) fn note_evictions(&mut self, cache: &'static str, evicted: Vec<Evicted>) {
+    /// Record an eviction event for every entry the store pushed out.
+    pub(crate) fn note_evictions(&mut self, evicted: Vec<Evicted>) {
         for e in evicted {
             self.emit(EngineEvent::CacheEvict {
-                cache,
                 key: e.key,
                 bytes: e.bytes,
             });
@@ -530,14 +494,13 @@ impl ServerEngine {
                 req,
             });
         }
-        // Co-op validation: re-request copies older than T_val.
-        for (key, meta) in self.coop_cache.entries_meta() {
-            if meta.negative
-                || now_ms.saturating_sub(meta.fetched_at) < self.cfg.validation_interval_ms
-            {
-                continue;
-            }
-            let Some((home, path)) = split_coop_key(&key) else {
+        // Co-op validation: re-request copies older than T_val, in the
+        // store's key order.
+        let interval = self.cfg.validation_interval_ms;
+        let due = (self.read.table)
+            .copies_where(|c| !c.negative && now_ms.saturating_sub(c.fetched_at) >= interval);
+        for (key, copy) in due {
+            let Ok(Some(MigrateTarget { home, path })) = decode_migrate_path(&key) else {
                 continue;
             };
             // Re-arm so the request isn't re-emitted every tick while the
@@ -546,12 +509,13 @@ impl ServerEngine {
             // it, every copy validated in the same tick stays in lockstep
             // forever, and the periodic wave of validations can swamp the
             // home server's socket queue.
-            let jitter = fnv1a(path.as_bytes()) % (self.cfg.validation_interval_ms / 4).max(1);
-            self.coop_cache.touch(&key, now_ms.saturating_sub(jitter));
+            let jitter = fnv1a(path.as_bytes()) % (interval / 4).max(1);
+            let rearmed = now_ms.saturating_sub(jitter);
+            self.read.table.with_copy(&key, |c| c.fetched_at = rearmed);
             let mut req = Request::get(path.as_str())
-                .with_header("X-DCWS-Validate", HeaderValue::decimal(meta.version))
+                .with_header("X-DCWS-Validate", HeaderValue::decimal(copy.version))
                 .with_header("X-DCWS-Coop", self.id.to_string())
-                .with_header("If-Modified-Since", http_date(meta.modified_ms));
+                .with_header("If-Modified-Since", copy.modified.http_date);
             self.attach_reports(&mut req.headers, now_ms);
             out.calls.push(Outbound {
                 peer: home,

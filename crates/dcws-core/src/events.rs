@@ -136,18 +136,16 @@ pub enum EngineEvent {
         /// Requesting co-op, when the request identified itself.
         coop: Option<ServerId>,
     },
-    /// A cache entry was pushed out by byte-budget pressure.
+    /// An entry of the store (`cache` `store` in the event's JSON) was
+    /// pushed out by byte-budget pressure.
     CacheEvict {
-        /// Which cache evicted: `"store"` (the home side's serve table)
-        /// or `"coop"`.
-        cache: &'static str,
-        /// Cache key of the evicted entry.
+        /// Store key of the evicted entry: a document path, or a co-op
+        /// copy's `~migrate` path.
         key: String,
-        /// Bytes the eviction freed: a co-op copy's body, or a store
-        /// entry's whole budget cost.
+        /// Bytes the eviction freed: the entry's whole budget cost.
         bytes: u64,
     },
-    /// A pulled copy was stored in the co-op cache (lazy migration's
+    /// A pull brought in a copy for the co-op role (lazy migration's
     /// receive side).
     CachePull {
         /// Original document path on the home server.
@@ -244,8 +242,8 @@ impl EngineEvent {
                 Some(c) => format!("{doc} to {}", c.as_str()),
                 None => doc.clone(),
             },
-            EngineEvent::CacheEvict { cache, key, bytes } => {
-                format!("{key} from {cache} cache ({bytes}B)")
+            EngineEvent::CacheEvict { key, bytes } => {
+                format!("{key} from store cache ({bytes}B)")
             }
             EngineEvent::CachePull { doc, home, bytes } => {
                 format!("{doc} from {} ({bytes}B)", home.as_str())
@@ -325,8 +323,8 @@ impl EngineEvent {
                     coop.as_ref().map_or(Json::Null, |c| Json::from(c.as_str())),
                 ));
             }
-            EngineEvent::CacheEvict { cache, key, bytes } => {
-                pairs.push(("cache", Json::from(*cache)));
+            EngineEvent::CacheEvict { key, bytes } => {
+                pairs.push(("cache", Json::from("store")));
                 pairs.push(("key", Json::from(key.as_str())));
                 pairs.push(("bytes", Json::from(*bytes)));
             }
@@ -579,8 +577,7 @@ mod tests {
                 coop: Some(ServerId::new("c:1")),
             },
             EngineEvent::CacheEvict {
-                cache: "coop",
-                key: "h:1 /a".into(),
+                key: "/~migrate/h/1/a".into(),
                 bytes: 100,
             },
             EngineEvent::CachePull {

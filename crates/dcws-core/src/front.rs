@@ -6,7 +6,7 @@
 //! server's outbound calls — the pull, the T_val revalidation, the ping
 //! (§4.5) and the eager push — are one type, [`Call`]; the door settles a
 //! pull, handing every waiter the copy it brought in — whether or not the
-//! co-op cache kept it — or walking the degradation ladder
+//! store kept it — or walking the degradation ladder
 //! (docs/RESILIENCE.md), and hands any other reply to the engine.
 //! Sans-IO, like the engine it drives.
 //!
@@ -18,8 +18,8 @@
 //! (docs/SIMULATION.md, "The server model").
 
 use crate::engine::ServerEngine;
+use crate::readpath::CoopCopy;
 use crate::serve::Outcome;
-use dcws_cache::CachedDoc;
 use dcws_graph::ServerId;
 use dcws_http::{Request, Response, StatusCode};
 use std::borrow::Cow;
@@ -110,7 +110,7 @@ pub enum Settled<W> {
     /// The copy to answer the waiter from, through [`Front::serve_copy`]:
     /// the one the pull brought in, or — home unreachable — the retained
     /// one, marked stale.
-    Copy(W, CachedDoc),
+    Copy(W, CoopCopy),
     /// The waiter's answer: the home's reply as-is, or a `503` when the
     /// home is unreachable and no copy is held.
     Answer(W, Response),
@@ -156,7 +156,7 @@ impl<W: Waiter> Front<W> {
         };
         match self.waiting.entry((home, path)) {
             Entry::Occupied(mut parked) => {
-                engine.coop_cache().record_coalesced_wait();
+                engine.read.table.record_coalesced_wait();
                 self.flights.coalesced += 1;
                 parked.get_mut().push(waiter);
                 Step::Parked
@@ -176,12 +176,12 @@ impl<W: Waiter> Front<W> {
     }
 
     /// Answer a [`Settled::Copy`] waiter from its copy, as the engine
-    /// answers from its co-op cache ([`ServerEngine::serve_copy`]).
+    /// answers from a held one ([`ServerEngine::serve_copy`]).
     pub fn serve_copy(
         &self,
         engine: &mut ServerEngine,
         waiter: W,
-        copy: &CachedDoc,
+        copy: &CoopCopy,
         now_ms: u64,
     ) -> (W, Response) {
         let resp = engine.serve_copy(&waiter.request(), copy, now_ms);

@@ -13,6 +13,7 @@
 
 use dcws_graph::ServerId;
 use dcws_http::{HttpError, Result, Url};
+use std::fmt::Write;
 
 /// First path component marking a migrated-document URL.
 pub const MIGRATE_PREFIX: &str = "~migrate";
@@ -24,12 +25,18 @@ pub fn migrate_url(coop: &ServerId, home: &ServerId, doc_path: &str) -> Result<U
         return Err(HttpError::BadUrl(doc_path.to_string()));
     }
     let (c_host, c_port) = coop.host_port();
+    Url::absolute(c_host, c_port, migrate_path(home, doc_path))
+}
+
+/// The path of [`migrate_url`]: `/~migrate/h_name/h_port` + `doc_path`.
+/// A co-op keeps its copy of the document under it — the canonical
+/// spelling, whichever one a request used.
+pub(crate) fn migrate_path(home: &ServerId, doc_path: &str) -> String {
     let (h_host, h_port) = home.host_port();
-    Url::absolute(
-        c_host,
-        c_port,
-        format!("/{MIGRATE_PREFIX}/{h_host}/{h_port}{doc_path}"),
-    )
+    // Sized up front (a port is at most five digits): one allocation.
+    let mut path = String::with_capacity(MIGRATE_PREFIX.len() + h_host.len() + doc_path.len() + 8);
+    write!(path, "/{MIGRATE_PREFIX}/{h_host}/{h_port}{doc_path}").expect("a String takes any text");
+    path
 }
 
 /// Decoded form of a `~migrate` path.

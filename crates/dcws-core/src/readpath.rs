@@ -9,24 +9,24 @@
 //! everything rare (migration, regeneration, pulls, pushes, validations,
 //! tick) still goes through the exclusive [`ServerEngine`](crate::ServerEngine) lock.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * the **store** ([`ServeTable`], an `RwLock` per shard): everything the
-//!   home side keeps of a document under one byte budget — its prebuilt
-//!   route (the wire head serialized once at prime time plus the shared
-//!   entity [`Body`], for a document's `200` or a migrated document's
-//!   `301` — or, for an object at or over `stream_threshold_bytes`, plus
-//!   a shared positional [`DocReader`] over the document store's copy,
-//!   which every hit clones into the [`StreamBody`] a front end drains),
-//!   and its §4.3 regenerated variants with their versions. Routes are
-//!   *primed* by the engine's exclusive serve path on first serve and
-//!   *dropped* by every mutation (publish, dirty settlement,
-//!   migrate/revoke — including the link-sources those dirty); a
-//!   location change keeps the variants, a new version drops them.
-//!   Readers therefore see either the current route or a vacancy, never
-//!   a stale body;
-//! * the shared co-op [`DocCache`] (internally sharded already), so warm
-//!   co-op hits need no engine lock either;
+//!   server keeps of a document under one byte budget, in both of its
+//!   roles. For a home document: its prebuilt route (the wire head
+//!   serialized once at prime time plus the shared entity [`Body`], for
+//!   a document's `200` or a migrated document's `301` — or, for an
+//!   object at or over `stream_threshold_bytes`, plus a shared positional
+//!   [`DocReader`] over the document store's copy, which every hit clones
+//!   into the [`StreamBody`] a front end drains), and its §4.3
+//!   regenerated variants with their versions. For a copy held in the
+//!   co-op role: a [`CoopCopy`] under its canonical `~migrate` path, its
+//!   `200` prebuilt the same way. Routes are *primed* by the engine's
+//!   exclusive serve path on first serve and *dropped* by every mutation
+//!   (publish, dirty settlement, migrate/revoke — including the
+//!   link-sources those dirty); a location change keeps the variants, a
+//!   new version drops them. Readers therefore see either the current
+//!   route or a vacancy, never a stale body;
 //! * **mailboxes** for the write-side effects a serve produces: per-doc
 //!   hit counts (LDG accounting) and connection/byte totals (the CPS/BPS
 //!   window). The engine drains both at [`tick`](crate::ServerEngine::tick),
@@ -38,16 +38,17 @@
 //! and attaches fresh ones while it answers.
 //!
 //! Heads and bodies are [`Body`] (`Arc<[u8]>`): a plain `GET`/`HEAD` hit
-//! clones two refcounts into a [`Served`] and allocates nothing. Only the
-//! rare variants (`If-Modified-Since`, `Range`) build a [`Response`] and
-//! serialize a head of their own.
+//! — of a home document or of a co-op copy — clones two refcounts into a
+//! [`Served`] and allocates nothing. Only the rare variants
+//! (`If-Modified-Since`, `Range`) build a [`Response`] and serialize a
+//! head of their own.
 
-use crate::engine::{coop_cache_key, Modified};
+use crate::engine::Modified;
 use crate::naming::decode_migrate_path;
 use crate::regen::LinkBase;
-use crate::serve::{copy_answer, unmodified_since};
+use crate::serve::unmodified_since;
 use crate::stream::{stream_answer, DocReader};
-use dcws_cache::{CacheStats, DocCache, Evicted};
+use dcws_cache::{CacheStats, Evicted};
 use dcws_graph::ServerId;
 use dcws_http::{
     apply_range_spec, fnv1a, http_date, is_reserved_path, parse_response_head, range_spec, Body,
@@ -57,8 +58,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Store shard count (power of two). Mirrors the co-op cache's
-/// default sharding: enough to keep a worker pool off shared lines.
+/// Store shard count (power of two): enough to keep a worker pool off
+/// shared lines.
 const N_SHARDS: usize = 8;
 
 /// Fixed per-entry bookkeeping charge against the store's budget.
@@ -66,10 +67,10 @@ const ENTRY_OVERHEAD: u64 = 64;
 
 /// What a stream route's resident reader is charged against the store's
 /// budget, whatever its object's length: it pins no bytes, but it may pin
-/// a descriptor, and the budget is what bounds those — one per 64 KiB,
-/// so the default store (32 MiB) holds at most 512 of them, half the
+/// a descriptor, and the budget is what bounds those — one per 128 KiB,
+/// so the default store (64 MiB) holds at most 512 of them, half the
 /// usual soft limit of 1024 open files.
-const STREAM_ROUTE_COST: u64 = 64 * 1024;
+const STREAM_ROUTE_COST: u64 = 128 * 1024;
 
 /// A read-path answer in wire form: the serialized head (status line,
 /// headers, blank line) and the entity that follows it. A front end sends
@@ -166,7 +167,7 @@ struct Wanted<'a> {
 }
 
 /// A route's answer to one request: the prebuilt wire form, or a response
-/// built for this request alone (304, co-op copy, a large object's range).
+/// built for this request alone (304, a large object's range).
 enum Hit {
     Prebuilt(Served),
     Built(Response),
@@ -190,6 +191,33 @@ enum ServeRoute {
     /// A home-resident object too large to buffer (boxed: a store of
     /// small documents should not pay for its fields in every entry).
     Stream(Box<StreamRoute>),
+    /// A copy held in the co-op role (boxed for the same reason).
+    Copy(Box<CoopCopy>),
+}
+
+/// A copy held in the co-op role — §4.2: pulled, then "stored ... for
+/// future purposes" — as the store keeps it under its canonical
+/// `~migrate` path: its `200` in wire form, what the T_val revalidation
+/// (§4.5) needs, and the two marks the read path obeys. It is also what a
+/// settled pull hands each of its waiters, kept or not.
+#[derive(Debug, Clone)]
+pub struct CoopCopy {
+    /// The copy's `200` — `Content-Length`, `Content-Type` and
+    /// `Last-Modified` — and its bytes.
+    pub served: Served,
+    pub(crate) content_type: Arc<str>,
+    /// The home's modification time, carried as `Last-Modified`.
+    pub(crate) modified: Modified,
+    /// The home's version of the document.
+    pub version: u64,
+    /// When the copy was pulled or last revalidated (engine ms).
+    pub fetched_at: u64,
+    /// The last revalidation, or a pull, failed: the copy is still
+    /// served, counted as a stale serve, until a revalidation succeeds.
+    pub stale: bool,
+    /// Revoked by its home: kept as crash insurance (§4.5), never served
+    /// by the read path.
+    pub negative: bool,
 }
 
 /// What the store keeps of a large object: the head of its plain `200`
@@ -205,10 +233,10 @@ struct StreamRoute {
     modified: Modified,
 }
 
-/// Everything the home side keeps of one document: its primed route, if
-/// any, its §4.3 regenerated forms as `(version, bytes)`, indexed by
-/// [`LinkBase`], and the CLOCK reference bit every hit sets and the hand
-/// clears.
+/// Everything the store keeps under one path: its primed route, if any —
+/// a co-op copy is one — its §4.3 regenerated forms as `(version,
+/// bytes)`, indexed by [`LinkBase`], and the CLOCK reference bit every
+/// hit sets and the hand clears.
 #[derive(Default)]
 struct Entry {
     route: Option<ServeRoute>,
@@ -220,14 +248,17 @@ impl Entry {
     /// Budget cost of this entry under `path`. A variant that is the
     /// bytes of the `Doc` route itself is charged once.
     fn cost(&self, path: &str) -> u64 {
-        let (route, served) = match &self.route {
-            None => (0, None),
-            Some(ServeRoute::Doc { served, .. } | ServeRoute::Moved(served)) => (
-                (served.head.len() + served.body.len()) as u64,
-                Some(&served.body),
-            ),
-            Some(ServeRoute::Stream(route)) => (route.head.len() as u64 + STREAM_ROUTE_COST, None),
+        let served = match &self.route {
+            Some(ServeRoute::Doc { served, .. } | ServeRoute::Moved(served)) => Some(served),
+            Some(ServeRoute::Copy(copy)) => Some(&copy.served),
+            _ => None,
         };
+        let route = match (&self.route, served) {
+            (_, Some(served)) => (served.head.len() + served.body.len()) as u64,
+            (Some(ServeRoute::Stream(route)), _) => route.head.len() as u64 + STREAM_ROUTE_COST,
+            _ => 0,
+        };
+        let served = served.map(|s| &s.body);
         let variants: u64 = (self.variants.iter().flatten())
             .filter(|(_, bytes)| !served.is_some_and(|b| b.ptr_eq(bytes)))
             .map(|(_, bytes)| bytes.len() as u64)
@@ -239,6 +270,13 @@ impl Entry {
         u64::from(matches!(self.route, Some(ServeRoute::Stream(_))))
     }
 
+    fn role(&self) -> Role {
+        match self.route {
+            Some(ServeRoute::Copy(_)) => Role::Coop,
+            _ => Role::Home,
+        }
+    }
+
     /// Mark the entry used. The bit is read first, so a hot entry's line
     /// is not written on every hit.
     fn touch(&self) {
@@ -248,8 +286,17 @@ impl Entry {
     }
 }
 
+/// Which of the server's roles an entry serves: the home side (routes
+/// and variants) or the co-op side (copies). The store counts each apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    Home,
+    Coop,
+}
+
 /// One store shard: entries in CLOCK slots, indexed by path, with their
-/// resident cost and how many of them hold a stream route.
+/// resident cost, how many of them hold a stream route, and how many —
+/// at what cost — are co-op copies.
 #[derive(Default)]
 struct TableShard {
     index: HashMap<Arc<str>, usize>,
@@ -260,12 +307,23 @@ struct TableShard {
     hand: usize,
     bytes: u64,
     streams: u64,
+    copies: (u64, u64),
 }
 
 impl TableShard {
     fn get(&self, path: &str) -> Option<&Entry> {
         let (_, entry) = self.slots[*self.index.get(path)?].as_ref()?;
         Some(entry)
+    }
+
+    /// The copy held under `key`, to change a mark or a time of — never
+    /// its bytes, which its cost is.
+    fn copy_mut(&mut self, key: &str) -> Option<&mut CoopCopy> {
+        let slot = *self.index.get(key)?;
+        match &mut self.slots[slot].as_mut()?.1.route {
+            Some(ServeRoute::Copy(copy)) => Some(copy),
+            _ => None,
+        }
     }
 
     /// Take `path`'s entry out of the shard, with its key (a fresh, empty
@@ -281,8 +339,13 @@ impl TableShard {
         let (key, entry) = self.slots[slot].take().expect("an indexed slot is full");
         self.index.remove(&key);
         self.free.push(slot);
-        self.bytes -= entry.cost(&key);
+        let cost = entry.cost(&key);
+        self.bytes -= cost;
         self.streams -= entry.is_stream();
+        if entry.role() == Role::Coop {
+            self.copies.0 -= 1;
+            self.copies.1 -= cost;
+        }
         (key, entry)
     }
 
@@ -291,8 +354,13 @@ impl TableShard {
         if entry.route.is_none() && entry.variants.iter().all(Option::is_none) {
             return;
         }
-        self.bytes += entry.cost(&key);
+        let cost = entry.cost(&key);
+        self.bytes += cost;
         self.streams += entry.is_stream();
+        if entry.role() == Role::Coop {
+            self.copies.0 += 1;
+            self.copies.1 += cost;
+        }
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
@@ -306,7 +374,7 @@ impl TableShard {
     /// whole revolution passes entries holding a regenerated variant too;
     /// with `keep_variants` it never evicts those, and gives up after two
     /// revolutions without finding a victim.
-    fn evict_to(&mut self, limit: u64, keep_variants: bool) -> Vec<Evicted> {
+    fn evict_to(&mut self, limit: u64, keep_variants: bool) -> Vec<(Role, Evicted)> {
         let mut evicted = Vec::new();
         let mut since = 0;
         while self.bytes > limit {
@@ -327,39 +395,60 @@ impl TableShard {
             since = 0;
             let (key, entry) = self.vacate(self.hand);
             let bytes = entry.cost(&key);
-            evicted.push(Evicted {
-                key: key.to_string(),
-                bytes,
-            });
+            let key = key.to_string();
+            evicted.push((entry.role(), Evicted { key, bytes }));
         }
         evicted
     }
 }
 
-/// The home side's one store for served bytes: per document path, its
-/// primed route and its regenerated variants, under one byte budget
-/// spread evenly over the shards. An install that overflows its shard's
-/// slice evicts one entry at a time (CLOCK, second chance); a read-path
-/// hit sets its entry's reference bit under the shard's read lock.
+/// The store's budget, and its counters for each [`Role`].
+struct Counts {
+    budget_bytes: u64,
+    roles: [CacheStats; 2],
+}
+
+impl Counts {
+    fn role(&mut self, role: Role) -> &mut CacheStats {
+        &mut self.roles[role as usize]
+    }
+
+    /// Count each of `evicted` against its entry's role; the records.
+    fn evicted(&mut self, evicted: Vec<(Role, Evicted)>) -> Vec<Evicted> {
+        let count = |(role, e)| {
+            self.role(role).evictions += 1;
+            e
+        };
+        evicted.into_iter().map(count).collect()
+    }
+}
+
+/// The server's one store for served bytes, in both of its roles: per
+/// document path, its primed route and its regenerated variants; per
+/// co-op copy, the [`CoopCopy`] under its canonical `~migrate` path. All
+/// of it lives under one byte budget spread evenly over the shards. An
+/// install that overflows its shard's slice evicts one entry at a time
+/// (CLOCK, second chance); a read-path hit sets its entry's reference bit
+/// under the shard's read lock.
 pub struct ServeTable {
     shards: Box<[RwLock<TableShard>]>,
     /// The budget and the counters; residency is read off the shards.
     /// Only the engine's calls take it, never a read-path hit.
-    counts: Mutex<CacheStats>,
+    counts: Mutex<Counts>,
 }
 
 impl ServeTable {
     fn new(budget_bytes: u64) -> ServeTable {
         ServeTable {
             shards: (0..N_SHARDS).map(|_| RwLock::default()).collect(),
-            counts: Mutex::new(CacheStats {
+            counts: Mutex::new(Counts {
                 budget_bytes,
-                ..CacheStats::default()
+                roles: Default::default(),
             }),
         }
     }
 
-    fn counts(&self) -> MutexGuard<'_, CacheStats> {
+    fn counts(&self) -> MutexGuard<'_, Counts> {
         self.counts.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -385,7 +474,8 @@ impl ServeTable {
     /// entry alone would overflow the slice, or when `keep_variants` (a
     /// route's install: a route is rebuilt by one exclusive serve, a
     /// variant by a §4.3 regeneration) leaves no room without evicting a
-    /// variant. Returns what was evicted.
+    /// variant. Counted against the entry's role; returns what was
+    /// evicted.
     fn install<T>(
         &self,
         path: &str,
@@ -397,6 +487,7 @@ impl ServeTable {
         let mut shard = self.write(path);
         let (key, mut entry) = shard.take(path);
         *part(&mut entry) = Some(value);
+        let role = entry.role();
         let room = slice.checked_sub(entry.cost(&key));
         let evicted = room.map_or_else(Vec::new, |room| shard.evict_to(room, keep_variants));
         let kept = room.is_some_and(|room| shard.bytes <= room);
@@ -405,13 +496,13 @@ impl ServeTable {
         }
         shard.put(key, entry);
         let mut counts = self.counts();
+        let stats = counts.role(role);
         match (room, kept) {
-            (None, _) => counts.oversize_rejects += 1,
-            (Some(_), false) => counts.admission_rejects += 1,
-            (Some(_), true) => counts.insertions += 1,
+            (None, _) => stats.oversize_rejects += 1,
+            (Some(_), false) => stats.admission_rejects += 1,
+            (Some(_), true) => stats.insertions += 1,
         }
-        counts.evictions += evicted.len() as u64;
-        evicted
+        counts.evicted(evicted)
     }
 
     fn install_route(&self, path: &str, route: ServeRoute) -> Vec<Evicted> {
@@ -511,12 +602,90 @@ impl ServeTable {
                 _ => None,
             });
         let mut counts = self.counts();
+        let home = counts.role(Role::Home);
         if found.is_some() {
-            counts.hits += 1;
+            home.hits += 1;
         } else {
-            counts.misses += 1;
+            home.misses += 1;
         }
         found
+    }
+
+    /// Hold `copy` under `key`, its canonical `~migrate` path. A copy may
+    /// evict what a route may. Under a budget, a copy whose bytes reach
+    /// `stream_threshold` (when non-zero) is refused as oversize instead,
+    /// and any older one dropped: a budgeted store keeps no object that
+    /// large resident in either role, and a co-op has no document store
+    /// to stream one from. An unbounded store (`u64::MAX`: memory that
+    /// never fills, as on the paper's testbed) holds every copy.
+    pub(crate) fn install_copy(
+        &self,
+        key: &str,
+        copy: CoopCopy,
+        stream_threshold: u64,
+    ) -> Vec<Evicted> {
+        let large = stream_threshold != 0 && copy.served.body.len() as u64 >= stream_threshold;
+        if large && self.counts().budget_bytes != u64::MAX {
+            self.drop_entry(key);
+            self.counts().role(Role::Coop).oversize_rejects += 1;
+            return Vec::new();
+        }
+        self.install_route(key, ServeRoute::Copy(Box::new(copy)))
+    }
+
+    /// The copy held under `key`, marked used and counted as a co-op hit
+    /// (a negative one too, when revoked) or a miss.
+    pub(crate) fn copy(&self, key: &str) -> Option<CoopCopy> {
+        let found = self.read(key).get(key).and_then(|entry| {
+            entry.touch();
+            match &entry.route {
+                Some(ServeRoute::Copy(copy)) => Some(CoopCopy::clone(copy)),
+                _ => None,
+            }
+        });
+        let mut counts = self.counts();
+        let coop = counts.role(Role::Coop);
+        coop.hits += u64::from(found.is_some());
+        coop.misses += u64::from(found.is_none());
+        coop.negative_hits += u64::from(found.as_ref().is_some_and(|c| c.negative));
+        found
+    }
+
+    /// Run `f` on the copy held under `key`, if any: it may change a
+    /// mark or a time, never the bytes.
+    pub(crate) fn with_copy<R>(&self, key: &str, f: impl FnOnce(&mut CoopCopy) -> R) -> Option<R> {
+        self.write(key).copy_mut(key).map(f)
+    }
+
+    /// The copies held that `keep` selects, each with its key, in key
+    /// order — an order no shard layout or host changes.
+    pub(crate) fn copies_where(
+        &self,
+        keep: impl Fn(&CoopCopy) -> bool,
+    ) -> Vec<(Arc<str>, CoopCopy)> {
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            if shard.copies.0 == 0 {
+                continue;
+            }
+            for (key, entry) in shard.slots.iter().flatten() {
+                match &entry.route {
+                    Some(ServeRoute::Copy(copy)) if keep(copy) => {
+                        out.push((key.clone(), CoopCopy::clone(copy)))
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Count a request that waited on another's pull instead of pulling
+    /// itself (a follower parked in [`Front`](crate::Front)'s table).
+    pub(crate) fn record_coalesced_wait(&self) {
+        self.counts().role(Role::Coop).coalesced_waits += 1;
     }
 
     /// The resident reader of `path`'s stream route, if primed: the
@@ -554,30 +723,82 @@ impl ServeTable {
         }
         let mut counts = self.counts();
         counts.budget_bytes = budget;
-        counts.evictions += evicted.len() as u64;
-        evicted
+        counts.evicted(evicted)
     }
 
-    /// Resident `(entries, bytes, stream routes)`.
-    fn occupancy(&self) -> (u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0), |(n, b, s), shard| {
+    /// Resident `(entries, bytes)` per [`Role`], and the stream routes.
+    fn occupancy(&self) -> ([(u64, u64); 2], u64) {
+        let mut held = [(0, 0); 2];
+        let mut streams = 0;
+        for shard in self.shards.iter() {
             let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-            (
-                n + shard.index.len() as u64,
-                b + shard.bytes,
-                s + shard.streams,
-            )
+            let (copies, copy_bytes) = shard.copies;
+            held[Role::Home as usize].0 += shard.index.len() as u64 - copies;
+            held[Role::Home as usize].1 += shard.bytes - copy_bytes;
+            held[Role::Coop as usize].0 += copies;
+            held[Role::Coop as usize].1 += copy_bytes;
+            streams += shard.streams;
+        }
+        (held, streams)
+    }
+
+    /// Each role's counters and residency, under the whole budget.
+    fn role_stats(&self) -> [CacheStats; 2] {
+        let (held, _) = self.occupancy();
+        let counts = self.counts();
+        [Role::Home, Role::Coop].map(|role| {
+            let (entries, bytes_resident) = held[role as usize];
+            CacheStats {
+                entries,
+                bytes_resident,
+                budget_bytes: counts.budget_bytes,
+                ..counts.roles[role as usize]
+            }
         })
     }
 
-    /// Counters and residency. `hits` and `misses` count variant lookups;
-    /// a read-path hit is counted by the [`ReadPath`].
+    /// Counters and residency, both roles together. `hits` and `misses`
+    /// count the engine's lookups of variants and of copies; a read-path
+    /// hit is counted by the [`ReadPath`].
     pub fn stats(&self) -> CacheStats {
-        let (entries, bytes_resident, _) = self.occupancy();
+        let [home, coop] = self.role_stats();
         CacheStats {
-            entries,
-            bytes_resident,
-            ..*self.counts()
+            budget_bytes: home.budget_bytes,
+            ..home.merged(&coop)
+        }
+    }
+
+    /// One role's share of the store.
+    pub(crate) fn view(&self, role: Role) -> StoreView<'_> {
+        StoreView { table: self, role }
+    }
+}
+
+/// One role's share of a [`ServeTable`] — the home side's routes and
+/// variants, or the co-op side's copies — as
+/// [`ServerEngine::regen_cache`](crate::ServerEngine::regen_cache) and
+/// [`ServerEngine::coop_cache`](crate::ServerEngine::coop_cache) hand it
+/// out. The two views' counters add up to the store's: each insertion,
+/// eviction and coalesced wait is counted in one of them.
+#[derive(Clone, Copy)]
+pub struct StoreView<'a> {
+    table: &'a ServeTable,
+    role: Role,
+}
+
+impl StoreView<'_> {
+    /// This role's counters and residency; `budget_bytes` is the whole
+    /// store's, which both roles share.
+    pub fn stats(&self) -> CacheStats {
+        self.table.role_stats()[self.role as usize]
+    }
+
+    /// The copies this role holds, each with its key, in key order: every
+    /// co-op copy in the co-op view, none in the home view.
+    pub fn copies(&self) -> Vec<(Arc<str>, CoopCopy)> {
+        match self.role {
+            Role::Coop => self.table.copies_where(|_| true),
+            Role::Home => Vec::new(),
         }
     }
 }
@@ -636,7 +857,6 @@ pub struct ReadPath {
     id: ServerId,
     /// The store the engine primes and drops, and the read path reads.
     pub(crate) table: ServeTable,
-    coop_cache: Arc<DocCache>,
     /// Per-shard home-document hit tallies: `path -> (hits, bytes)`.
     hits: Box<[HitShard]>,
     /// Connection/byte totals awaiting the engine's rate window.
@@ -646,13 +866,12 @@ pub struct ReadPath {
 }
 
 impl ReadPath {
-    /// Build a read path for server `id` sharing `coop_cache`, with a
-    /// store byte budget of `table_budget`.
-    pub(crate) fn new(id: ServerId, coop_cache: Arc<DocCache>, table_budget: u64) -> ReadPath {
+    /// Build a read path for server `id`, with a store byte budget of
+    /// `table_budget`.
+    pub(crate) fn new(id: ServerId, table_budget: u64) -> ReadPath {
         ReadPath {
             id,
             table: ServeTable::new(table_budget),
-            coop_cache,
             hits: (0..N_SHARDS).map(|_| Mutex::default()).collect(),
             traffic_conns: AtomicU64::new(0),
             traffic_bytes: AtomicU64::new(0),
@@ -666,7 +885,7 @@ impl ReadPath {
     }
 
     /// The store the read path serves from: the home side's routes and
-    /// regenerated variants.
+    /// regenerated variants, and the co-op side's copies.
     pub fn table(&self) -> &ServeTable {
         &self.table
     }
@@ -676,8 +895,8 @@ impl ReadPath {
     /// means the request needs the exclusive path (anything inter-server,
     /// any miss, any non-GET/HEAD, any large object: a stream needs a
     /// front end to drain it) — hand it to `ServerEngine::handle_request`.
-    /// A plain `GET`/`HEAD` of a primed document or redirect is one table
-    /// lookup and two refcounts, and allocates nothing.
+    /// A plain `GET`/`HEAD` of a primed document, redirect or co-op copy
+    /// is one table lookup and two refcounts, and allocates nothing.
     pub fn serve_parts<'a>(
         &self,
         method: Method,
@@ -746,11 +965,16 @@ impl ReadPath {
             // The transport answers /dcws/* itself; never a fallback.
             return None;
         }
-        let answer = match decode_migrate_path(path) {
-            Err(_) => return self.fallback(caller),
-            Ok(Some(t)) if t.home != self.id => self.serve_coop_hit(&t.home, &t.path, &want),
-            Ok(Some(t)) => self.serve_table(&t.path, &want, caller),
-            Ok(None) => self.serve_table(path, &want, caller),
+        // The request's path is the key of a home document's route and
+        // of a co-op copy alike; only a `~migrate` path naming this
+        // server as home is decoded, to its document's.
+        let answer = match self.serve_table(path, &want, caller) {
+            Some(answer) => Some(answer),
+            None => match decode_migrate_path(path) {
+                Err(_) => return self.fallback(caller),
+                Ok(Some(t)) if t.home == self.id => self.serve_table(&t.path, &want, caller),
+                Ok(_) => None,
+            },
         };
         let Some((hit, stream)) = answer else {
             return self.fallback(caller);
@@ -792,38 +1016,7 @@ impl ReadPath {
         Some(Response::not_modified().with_header("Last-Modified", http_date(modified_ms)))
     }
 
-    /// A warm co-op copy, straight from the shared cache.
-    fn serve_coop_hit(&self, home: &ServerId, path: &str, want: &Wanted<'_>) -> Option<Answer> {
-        let key = coop_cache_key(home, path);
-        // Peek first so a miss/negative doesn't skew the cache counters:
-        // the engine fallback will run its own counted lookup.
-        let peeked = self.coop_cache.peek(&key)?;
-        if peeked.negative {
-            return None;
-        }
-        // The counted, LRU-promoting lookup.
-        let doc = self.coop_cache.get(&key)?;
-        if doc.negative {
-            return None;
-        }
-        let stale = doc.stale;
-        let resp = copy_answer(doc, want.if_modified_since);
-        let (c, len) = (&self.counters, resp.body.len() as u64);
-        if resp.status == StatusCode::NotModified {
-            c.conditional_not_modified.fetch_add(1, Ordering::Relaxed);
-        } else {
-            c.served_coop.fetch_add(1, Ordering::Relaxed);
-            if stale {
-                // Freshness unverified (failed T_val): still served, counted.
-                c.stale_serves.fetch_add(1, Ordering::Relaxed);
-            }
-            c.bytes_sent.fetch_add(len, Ordering::Relaxed);
-        }
-        self.record_traffic(len);
-        Some((Hit::Built(resp), None))
-    }
-
-    /// A primed home-document route from the store.
+    /// A primed route from the store: a home document's, or a co-op copy.
     fn serve_table(&self, path: &str, want: &Wanted<'_>, caller: Caller) -> Option<Answer> {
         let idx = ServeTable::shard_idx(path);
         let shard = self.table.shards[idx]
@@ -854,6 +1047,24 @@ impl ReadPath {
                 self.note_hit(idx, path, len);
                 self.record_traffic(len);
                 Some((Hit::Prebuilt(served.clone()), None))
+            }
+            ServeRoute::Copy(copy) if copy.negative => None,
+            ServeRoute::Copy(copy) => {
+                // A co-op serve is no hit of this server's documents: the
+                // hit mailbox is left alone.
+                if let Some(resp) = self.not_modified(want, copy.modified.ms) {
+                    self.record_traffic(0);
+                    return Some((Hit::Built(resp), None));
+                }
+                let len = copy.served.body.len() as u64;
+                c.served_coop.fetch_add(1, Ordering::Relaxed);
+                c.bytes_sent.fetch_add(len, Ordering::Relaxed);
+                if copy.stale {
+                    // Freshness unverified (failed T_val): still served, counted.
+                    c.stale_serves.fetch_add(1, Ordering::Relaxed);
+                }
+                self.record_traffic(len);
+                Some((Hit::Prebuilt(copy.served.clone()), None))
             }
             ServeRoute::Stream(_) if caller != Caller::FrontEnd => None,
             ServeRoute::Stream(route) => {
@@ -961,7 +1172,7 @@ impl ReadPath {
             streamed_serves: c.streamed_serves.load(Ordering::Relaxed),
             stale_serves: c.stale_serves.load(Ordering::Relaxed),
             fallbacks: c.fallbacks.load(Ordering::Relaxed),
-            stream_routes: self.table.occupancy().2,
+            stream_routes: self.table.occupancy().1,
         }
     }
 }

@@ -117,7 +117,7 @@ impl ServerEngine {
             at_home: base == LinkBase::Relative,
         });
         let evicted = (self.read.table).install_variant(name, base, version, bytes.clone());
-        self.note_evictions("store", evicted);
+        self.note_evictions(evicted);
         Some(bytes)
     }
 

@@ -1,16 +1,17 @@
 //! Request handling — the data plane of §4.2–§4.4.
 
-use crate::engine::{coop_cache_key, Modified, ServerEngine};
+use crate::engine::{Modified, ServerEngine};
 use crate::events::EngineEvent;
-use crate::naming::decode_migrate_path;
+use crate::naming::{decode_migrate_path, migrate_path};
+use crate::readpath::{CoopCopy, Served};
 use crate::stream::stream_answer;
-use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{
-    apply_range, body_checksum, checksum_matches, http_date, parse_http_date, range_spec, Body,
-    HeaderValue, Headers, Method, Request, Response, StatusCode, StreamBody, Url, CHECKSUM_HEADER,
-    RANGE_HEADER, STREAM_CHUNK,
+    apply_range, body_checksum, checksum_matches, parse_http_date, range_spec, Body, HeaderValue,
+    Headers, Method, Request, Response, StatusCode, StreamBody, Url, CHECKSUM_HEADER, RANGE_HEADER,
+    STREAM_CHUNK,
 };
+use std::sync::Arc;
 
 /// Result of handing a request to the engine.
 #[derive(Debug)]
@@ -79,37 +80,36 @@ pub(crate) fn unmodified_since(if_modified_since: Option<&str>, modified_ms: u64
         .is_some_and(|since| modified_ms / 1000 * 1000 <= since)
 }
 
-/// A held co-op copy's answer: a `304` when `if_modified_since` covers
-/// it, the copy otherwise, `Last-Modified` either way. The caller counts
-/// it.
-pub(crate) fn copy_answer(doc: CachedDoc, if_modified_since: Option<&str>) -> Response {
-    let last_modified = http_date(doc.modified_ms);
-    if unmodified_since(if_modified_since, doc.modified_ms) {
-        return Response::not_modified().with_header("Last-Modified", last_modified);
-    }
-    Response::ok(doc.bytes, doc.content_type).with_header("Last-Modified", last_modified)
-}
-
 /// A home's message — a pull's `200`, a push, a refreshed validation — as
 /// the co-op copy it carries. `X-DCWS-Version` and `Content-Type` default
 /// to the `held` copy's successor, else to version 0 and an octet stream;
 /// `Last-Modified` to `now`.
-fn carried_copy(headers: &Headers, body: &Body, held: Option<&CachedDoc>, now: u64) -> CachedDoc {
-    let (version, content_type) = match held {
-        Some(doc) => (doc.version + 1, doc.content_type.as_str()),
-        None => (0, "application/octet-stream"),
-    };
+fn carried_copy(headers: &Headers, body: &Body, held: Option<&CoopCopy>, now: u64) -> CoopCopy {
     let version = headers
         .get("X-DCWS-Version")
         .and_then(|v| v.parse().ok())
-        .unwrap_or(version);
-    let content_type = headers.get("Content-Type").unwrap_or(content_type);
-    let mut doc = CachedDoc::new(body.clone(), content_type, version, now);
-    doc.modified_ms = headers
+        .unwrap_or(held.map_or(0, |copy| copy.version + 1));
+    let content_type: Arc<str> = match (headers.get("Content-Type"), held) {
+        (Some(content_type), _) => content_type.into(),
+        (None, Some(copy)) => copy.content_type.clone(),
+        (None, None) => "application/octet-stream".into(),
+    };
+    let modified_ms = headers
         .get("Last-Modified")
         .and_then(parse_http_date)
         .unwrap_or(now);
-    doc
+    let modified = Modified::at(modified_ms);
+    let resp = Response::ok(body.clone(), content_type.clone())
+        .with_header("Last-Modified", modified.http_date.clone());
+    CoopCopy {
+        served: Served::from_response(resp),
+        content_type,
+        modified,
+        version,
+        fetched_at: now,
+        stale: false,
+        negative: false,
+    }
 }
 
 impl ServerEngine {
@@ -170,11 +170,11 @@ impl ServerEngine {
 
     /// Answer `req` from `copy`: a co-op copy a pull brought in, or the
     /// one a failed pull left retained. The answer is the one
-    /// [`Self::handle_request`] gives from the co-op cache — `304` or
-    /// `200` with `Last-Modified`, then the same way out.
-    pub fn serve_copy(&mut self, req: &Request, copy: &CachedDoc, now_ms: u64) -> Response {
+    /// [`Self::handle_request`] gives from a held copy — `304` or `200`
+    /// with `Last-Modified`, then the same way out.
+    pub fn serve_copy(&mut self, req: &Request, copy: &CoopCopy, now_ms: u64) -> Response {
         self.now_ms = self.now_ms.max(now_ms);
-        let resp = self.serve_coop_doc(copy.clone(), req);
+        let resp = self.serve_coop_doc(copy, req);
         self.answered(req, resp, now_ms)
     }
 
@@ -206,8 +206,8 @@ impl ServerEngine {
             }
             self.coop_moved.remove(&key);
         }
-        match self.coop_cache.get(&coop_cache_key(&home, &path)) {
-            Some(doc) if doc.negative => {
+        match self.read.table.copy(&migrate_path(&home, &path)) {
+            Some(copy) if copy.negative => {
                 // Recalled copy (negative entry). If home is known dead,
                 // best-effort serve the stale bytes (§4.5 case 4).
                 // Otherwise re-pull: if the home re-migrated the document
@@ -218,21 +218,27 @@ impl ServerEngine {
                 // never break because revoked copies are excluded from
                 // T_val validation.
                 if self.dead_peers.contains(&home) {
-                    return Outcome::Response(self.serve_coop_doc(doc, req));
+                    return Outcome::Response(self.serve_coop_doc(&copy, req));
                 }
                 Outcome::FetchNeeded { home, path }
             }
-            Some(doc) => Outcome::Response(self.serve_coop_doc(doc, req)),
+            Some(copy) => Outcome::Response(self.serve_coop_doc(&copy, req)),
             None => Outcome::FetchNeeded { home, path },
         }
     }
 
-    /// Ship a co-op-held copy ([`copy_answer`]) and count it.
-    fn serve_coop_doc(&mut self, doc: CachedDoc, req: &Request) -> Response {
+    /// Ship a co-op-held copy and count it.
+    fn serve_coop_doc(&mut self, copy: &CoopCopy, req: &Request) -> Response {
         // A stale-marked copy (failed T_val or pull) or a negative one
         // served as §4.5 crash insurance is freshness-unverified: count it.
-        let unverified = doc.stale || doc.negative;
-        let resp = copy_answer(doc, req.headers.get("If-Modified-Since"));
+        let unverified = copy.stale || copy.negative;
+        let last_modified = copy.modified.http_date.clone();
+        let resp = if unmodified_since(req.headers.get("If-Modified-Since"), copy.modified.ms) {
+            Response::not_modified().with_header("Last-Modified", last_modified)
+        } else {
+            Response::ok(copy.served.body.clone(), copy.content_type.clone())
+                .with_header("Last-Modified", last_modified)
+        };
         if resp.status == StatusCode::NotModified {
             self.stats.conditional_not_modified += 1;
         } else {
@@ -275,7 +281,7 @@ impl ServerEngine {
                     .expect("migrated doc has a co-op");
                 let resp = Response::moved_permanently(&url);
                 let evicted = self.read.table.install_moved(path, resp.clone());
-                self.note_evictions("store", evicted);
+                self.note_evictions(evicted);
                 Outcome::Response(resp)
             }
             Location::Home => {
@@ -307,7 +313,7 @@ impl ServerEngine {
                 // Prime the read path: subsequent GETs of this document
                 // are served without the engine lock, sharing this body.
                 let evicted = self.read.table.install_doc(path, bytes.clone(), ct, &at);
-                self.note_evictions("store", evicted);
+                self.note_evictions(evicted);
                 Outcome::Response(
                     Response::ok(bytes, ct).with_header("Last-Modified", at.http_date),
                 )
@@ -346,7 +352,7 @@ impl ServerEngine {
                     content_type,
                     at.clone(),
                 );
-                self.note_evictions("store", evicted);
+                self.note_evictions(evicted);
                 opened
             }
         };
@@ -490,9 +496,8 @@ impl ServerEngine {
                 return Response::new(StatusCode::BadRequest);
             }
         }
-        let doc = carried_copy(&req.headers, &req.body, None, now_ms);
-        let result = self.coop_cache.insert(&coop_cache_key(&home, &path), doc);
-        self.note_evictions("coop", result.evicted);
+        let copy = carried_copy(&req.headers, &req.body, None, now_ms);
+        self.keep_copy(&migrate_path(&home, &path), copy);
         Response::new(StatusCode::Ok).with_header("Content-Length", "0")
     }
 
@@ -511,14 +516,14 @@ impl ServerEngine {
 
     /// [`Self::store_pulled`], handing back the copy a `200` brought in:
     /// what every request that waited on the pull is answered from,
-    /// whether or not the co-op cache admitted it.
+    /// whether or not the store kept it.
     pub(crate) fn pulled_copy(
         &mut self,
         home: &ServerId,
         path: &str,
         resp: &Response,
         now_ms: u64,
-    ) -> Option<CachedDoc> {
+    ) -> Option<CoopCopy> {
         self.now_ms = self.now_ms.max(now_ms);
         self.ingest_reports(&resp.headers);
         if resp.status != StatusCode::Ok {
@@ -532,12 +537,16 @@ impl ServerEngine {
             home: home.clone(),
             bytes,
         });
-        let doc = carried_copy(&resp.headers, &resp.body, None, now_ms);
-        let result = self
-            .coop_cache
-            .insert(&coop_cache_key(home, path), doc.clone());
-        self.note_evictions("coop", result.evicted);
-        Some(doc)
+        let copy = carried_copy(&resp.headers, &resp.body, None, now_ms);
+        self.keep_copy(&migrate_path(home, path), copy.clone());
+        Some(copy)
+    }
+
+    /// Hold `copy` in the store under `key` and log what that evicted.
+    fn keep_copy(&mut self, key: &str, copy: CoopCopy) {
+        let threshold = self.cfg.stream_threshold_bytes;
+        let evicted = self.read.table.install_copy(key, copy, threshold);
+        self.note_evictions(evicted);
     }
 
     /// Digest a *rejected* pull: the home answered with a redirect because
@@ -556,7 +565,7 @@ impl ServerEngine {
         };
         let key = (home.clone(), path.to_string());
         // The old copy, if any, is superseded.
-        self.coop_cache.remove(&coop_cache_key(home, path));
+        self.read.table.drop_entry(&migrate_path(home, path));
         self.coop_moved
             .insert(key, (location, now_ms + self.cfg.validation_interval_ms));
     }
@@ -571,28 +580,32 @@ impl ServerEngine {
     ) {
         self.now_ms = self.now_ms.max(now_ms);
         self.ingest_reports(&resp.headers);
-        let cache_key = coop_cache_key(home, path);
-        // Peek, not get: the control path must not skew hit/miss counts
-        // or LRU order.
-        let Some(doc) = self.coop_cache.peek(&cache_key) else {
-            return;
-        };
+        let key = migrate_path(home, path);
+        // Not a counted lookup: the control path must not skew hit/miss
+        // counts or CLOCK bits.
+        let table = &self.read.table;
         match resp.status {
             StatusCode::NotModified => {
-                self.coop_cache.touch(&cache_key, now_ms);
                 // Freshness re-verified: clear any stale marking left by
                 // an earlier failed revalidation.
-                self.coop_cache.set_stale(&cache_key, false);
+                table.with_copy(&key, |copy| {
+                    copy.fetched_at = now_ms;
+                    copy.stale = false;
+                });
             }
             StatusCode::Ok if resp.headers.contains("X-DCWS-Revoked") => {
                 // Keep the bytes as crash insurance, stop serving them.
-                self.coop_cache.set_negative(&cache_key, true);
-                self.coop_cache.touch(&cache_key, now_ms);
+                table.with_copy(&key, |copy| {
+                    copy.fetched_at = now_ms;
+                    copy.negative = true;
+                });
             }
             StatusCode::Ok => {
-                let fresh = carried_copy(&resp.headers, &resp.body, Some(&doc), now_ms);
-                let result = self.coop_cache.insert(&cache_key, fresh);
-                self.note_evictions("coop", result.evicted);
+                let Some(held) = table.with_copy(&key, |copy| copy.clone()) else {
+                    return;
+                };
+                let fresh = carried_copy(&resp.headers, &resp.body, Some(&held), now_ms);
+                self.keep_copy(&key, fresh);
             }
             _ => {} // transient failure: retry at next T_val
         }
@@ -605,7 +618,7 @@ impl ServerEngine {
     pub fn validation_failed(&mut self, home: &ServerId, path: &str, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
         self.stats.validation_failures += 1;
-        self.coop_cache.set_stale(&coop_cache_key(home, path), true);
+        (self.read.table).with_copy(&migrate_path(home, path), |copy| copy.stale = true);
         self.emit(EngineEvent::ValidationFailed {
             doc: path.to_string(),
             home: home.clone(),
@@ -623,15 +636,20 @@ impl ServerEngine {
         home: &ServerId,
         path: &str,
         now_ms: u64,
-    ) -> Option<CachedDoc> {
+    ) -> Option<CoopCopy> {
         self.now_ms = self.now_ms.max(now_ms);
         self.stats.pull_failures += 1;
-        let key = coop_cache_key(home, path);
-        self.coop_cache.set_stale(&key, true);
+        let retained = self
+            .read
+            .table
+            .with_copy(&migrate_path(home, path), |copy| {
+                copy.stale = true;
+                copy.clone()
+            });
         self.emit(EngineEvent::PullFailed {
             doc: path.to_string(),
             home: home.clone(),
         });
-        self.coop_cache.peek(&key)
+        retained
     }
 }

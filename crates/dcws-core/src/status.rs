@@ -25,6 +25,7 @@
 
 use crate::engine::ServerEngine;
 use crate::json::Json;
+use crate::readpath::Role;
 use dcws_cache::CacheStats;
 use dcws_graph::{Location, ServerId};
 
@@ -214,17 +215,21 @@ impl ServerEngine {
                 .collect(),
         );
 
-        let coop_meta = self.coop_cache.entries_meta();
-        let revoked_coop_docs = coop_meta.iter().filter(|(_, m)| m.negative).count();
+        let (home, coop) = (
+            self.read.table.view(Role::Home),
+            self.read.table.view(Role::Coop),
+        );
+        let copies = coop.copies();
+        let revoked_coop_docs = copies.iter().filter(|(_, copy)| copy.negative).count();
         let coop_role = Json::obj(vec![
-            ("docs_held", Json::from(coop_meta.len())),
+            ("docs_held", Json::from(copies.len())),
             ("docs_revoked", Json::from(revoked_coop_docs)),
             ("moved_tombstones", Json::from(self.coop_moved.len())),
         ]);
 
-        let store_stats = self.read.table.stats();
-        let coop_stats = self.coop_cache.stats();
-        let merged = store_stats.merged(&coop_stats);
+        let store_stats = home.stats();
+        let coop_stats = coop.stats();
+        let merged = self.read.table.stats();
         let pulled_sizes = Json::obj(vec![
             ("count", Json::from(self.pull_sizes.count())),
             ("sum_bytes", Json::from(self.pull_sizes.sum())),

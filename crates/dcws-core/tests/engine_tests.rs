@@ -759,8 +759,8 @@ fn eight_concurrent_misses_coalesce_to_one_pull() {
 
 #[test]
 fn oversize_pulled_doc_is_served_from_the_pulled_copy() {
-    // A pulled document larger than the co-op cache's budget slice is
-    // refused by the cache, but the pull still answers its requester from
+    // A pulled document larger than the store's budget slice is
+    // refused by the store, but the pull still answers its requester from
     // the copy it brought in; the next miss pulls again.
     use dcws_core::{Front, Settled, Step, Waiter};
 
@@ -812,7 +812,7 @@ fn pull_d(home: &mut ServerEngine, coop: &mut ServerEngine, now: u64) -> Respons
 
 fn coop_entry_stale(coop: &ServerEngine) -> bool {
     coop.coop_cache()
-        .entries_meta()
+        .copies()
         .iter()
         .find(|(k, _)| k.ends_with("/d.html"))
         .expect("copy present")
@@ -943,10 +943,12 @@ fn garbled_push_body_is_rejected_with_400() {
     assert_eq!(coop.coop_doc_count(), 1);
 }
 
-/// What the home side's one store must keep, and what it must drop, for
-/// the regeneration count — and every digest that pins it — to hold.
+/// What the one store must keep, and what it must drop, for the
+/// regeneration count — and every digest that pins it — to hold; and how
+/// it holds a co-op's copies beside the home side's routes.
 mod one_store {
     use super::*;
+    use dcws_core::{Call, EngineEvent};
 
     const A: &str = "/a.html";
     const B: &str = "/b.html";
@@ -1053,5 +1055,160 @@ mod one_store {
             "{} bytes resident for one {pull_len}-byte variant",
             store.bytes_resident
         );
+    }
+
+    /// A co-op holding a copy of each `(home, path)`, pulled at `now`.
+    fn holding(copies: &[(&str, &str)], now: u64) -> ServerEngine {
+        let mut coop = make_coop();
+        for (home, path) in copies {
+            let reply = Response::ok(format!("<p>{home}{path}</p>"), "text/html")
+                .with_header("X-DCWS-Version", "1");
+            assert!(coop.store_pulled(&ServerId::new(*home), path, &reply, now));
+        }
+        coop
+    }
+
+    /// A copy is kept under its canonical `~migrate` path. A request that
+    /// spells the path another way — the home's port with a leading zero
+    /// — gets the same answer: the read path may decline it, and the
+    /// engine finds the copy and never pulls it again.
+    #[test]
+    fn a_copy_answers_every_spelling_of_its_path() {
+        let mut coop = holding(&[("home:8000", "/d.html")], 1);
+        let canonical = Request::get("/~migrate/home/8000/d.html");
+        let respelled = Request::get("/~migrate/home/08000/d.html");
+        let read = coop.read_path().clone();
+        let serve_parts = |req: &Request| {
+            read.serve_parts(req.method, &req.target, req.headers.iter())
+                .map(|served| served.into_response())
+        };
+        let held = serve_parts(&canonical).expect("a held copy is answered on the read path");
+        assert_eq!(held.status, StatusCode::Ok);
+        if let Some(other) = serve_parts(&respelled) {
+            assert_eq!((other.status, &other.body), (held.status, &held.body));
+        }
+        for req in [&canonical, &respelled] {
+            match coop.handle_request(req, 2) {
+                Outcome::Response(resp) => {
+                    assert_eq!((resp.status, &resp.body), (held.status, &held.body))
+                }
+                other => panic!("{}: {other:?}", req.target),
+            }
+        }
+        assert_eq!(coop.coop_doc_count(), 1);
+    }
+
+    /// A revoked copy stays as crash insurance (§4.5): the read path
+    /// declines it and the engine, counting a negative hit, pulls again —
+    /// unless its home is declared dead, when the engine serves it as a
+    /// stale serve.
+    #[test]
+    fn a_revoked_copy_is_served_only_while_its_home_is_dead() {
+        let mut coop = holding(&[("home:8000", "/d.html")], 1);
+        let revoked = Response::new(StatusCode::Ok).with_header("X-DCWS-Revoked", "1");
+        coop.handle_validation_response(&home_id(), "/d.html", &revoked, 2);
+        let get = Request::get("/~migrate/home/8000/d.html");
+        assert!(coop.read_path().try_serve(&get, 3).is_none());
+        assert!(matches!(
+            coop.handle_request(&get, 3),
+            Outcome::FetchNeeded { .. }
+        ));
+        assert_eq!(coop.coop_cache().stats().negative_hits, 1);
+        assert_eq!(coop.coop_doc_count(), 1);
+
+        coop.declare_peer_dead(&home_id());
+        let stale = coop.stats().stale_serves;
+        let Outcome::Response(resp) = coop.handle_request(&get, 4) else {
+            panic!("a dead home's revoked copy is served");
+        };
+        assert_eq!(resp.status, StatusCode::Ok);
+        assert_eq!(coop.stats().stale_serves, stale + 1);
+    }
+
+    /// Both roles live under the one budget and are counted apart: the
+    /// two views add up to the store, and a copy pushed out is a `store`
+    /// eviction named by its `~migrate` path.
+    #[test]
+    fn copies_share_the_budget_and_are_counted_apart() {
+        let mut coop = holding(&[("home:8000", "/d.html"), ("home:8000", "/e.html")], 1);
+        coop.publish("/own.html", b"<p>own</p>".to_vec(), DocKind::Html, true);
+        super::get(&mut coop, "/own.html", 2);
+        let (home, copies) = (coop.regen_cache().stats(), coop.coop_cache().stats());
+        assert_eq!((home.entries, copies.entries), (1, 2));
+        assert_eq!((home.insertions, copies.insertions), (1, 2));
+        let store = coop.read_path().table().stats();
+        assert_eq!(store.entries, 3);
+        assert_eq!(
+            store.bytes_resident,
+            home.bytes_resident + copies.bytes_resident
+        );
+        let budget = ServerConfig::paper_defaults().cache_budget_bytes;
+        assert_eq!(
+            [home.budget_bytes, copies.budget_bytes, store.budget_bytes],
+            [budget; 3]
+        );
+
+        coop.drain_events();
+        coop.set_cache_budget(0);
+        let (home, copies) = (coop.regen_cache().stats(), coop.coop_cache().stats());
+        assert_eq!((home.evictions, copies.evictions), (1, 2));
+        assert_eq!(coop.coop_doc_count(), 0);
+        let mut evicted: Vec<String> = (coop.drain_events().into_iter())
+            .filter_map(|record| match record.event {
+                EngineEvent::CacheEvict { ref key, .. } => {
+                    let json = record.event.to_json();
+                    assert_eq!(json.get("cache").and_then(|c| c.as_str()), Some("store"));
+                    Some(key.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        evicted.sort();
+        assert_eq!(
+            evicted,
+            [
+                "/own.html",
+                "/~migrate/home/8000/d.html",
+                "/~migrate/home/8000/e.html"
+            ]
+        );
+    }
+
+    /// A copy as large as a streamed object is not held under a budget:
+    /// a budgeted store keeps none that large in either role, and counts
+    /// it oversize. An unbounded store holds it.
+    #[test]
+    fn a_copy_the_size_of_a_stream_is_held_only_without_a_budget() {
+        let mut coop = make_coop();
+        let threshold = coop.config().stream_threshold_bytes as usize;
+        let reply = |len| Response::ok(vec![b'x'; len], "image/gif");
+        assert!(coop.store_pulled(&home_id(), "/big.gif", &reply(threshold), 1));
+        assert_eq!(coop.coop_doc_count(), 0);
+        assert_eq!(coop.coop_cache().stats().oversize_rejects, 1);
+        assert!(coop.store_pulled(&home_id(), "/big.gif", &reply(threshold - 1), 2));
+        assert_eq!(coop.coop_doc_count(), 1);
+        coop.set_cache_budget(u64::MAX);
+        assert!(coop.store_pulled(&home_id(), "/big.gif", &reply(threshold), 3));
+        assert_eq!(coop.coop_cache().copies()[0].1.served.body.len(), threshold);
+    }
+
+    /// The T_val scan sends its due revalidations in the store's key
+    /// order, whatever order the copies came in.
+    #[test]
+    fn due_revalidations_go_out_in_key_order() {
+        let copies = [
+            ("b-home:9000", "/x.html"),
+            ("a-home:9000", "/z.html"),
+            ("a-home:9000", "/a.html"),
+        ];
+        let mut coop = holding(&copies, 1);
+        let sent: Vec<(String, String)> = (coop.tick(1 + T_VAL).calls.into_iter())
+            .filter_map(|out| match out.call {
+                Call::Validate { path } => Some((out.peer.as_str().to_string(), path)),
+                _ => None,
+            })
+            .collect();
+        let order = [copies[2], copies[1], copies[0]].map(|(h, p)| (h.to_string(), p.to_string()));
+        assert_eq!(sent, order);
     }
 }

@@ -206,9 +206,9 @@ fn a_stored_pull_retries_every_waiter() {
     ));
 }
 
-/// A copy the co-op cache refuses (too large for its budget) still
-/// answers every request that waited on its pull; the cache keeps
-/// nothing, so the next request leads a pull of its own.
+/// A copy the store refuses (too large for its budget) still answers
+/// every request that waited on its pull; the store keeps nothing, so
+/// the next request leads a pull of its own.
 #[test]
 fn an_uncacheable_copy_answers_every_waiter() {
     let mut home = migrated_home();
@@ -394,9 +394,9 @@ fn drain_empties_the_table_in_key_order() {
 
 fn copy_stale(coop: &ServerEngine) -> bool {
     coop.coop_cache()
-        .entries_meta()
+        .copies()
         .iter()
-        .any(|(_, m)| m.stale)
+        .any(|(_, copy)| copy.stale)
 }
 
 /// Unreachable pings short of `ping_failure_limit` leave the peer alive;

@@ -623,9 +623,9 @@ fn stream_route_hits_are_counted_and_try_serve_declines() {
 fn a_hot_route_outlives_a_stream_of_cold_ones() {
     const COLD: u64 = 96;
     let mut cfg = ServerConfig::paper_defaults();
-    // Half of it is the store's, over its 8 shards: 4 KiB a shard, and
+    // All of it is the store's, over its 8 shards: 4 KiB a shard, and
     // each route below is charged a little over 1.2 KiB.
-    cfg.cache_budget_bytes = 2 * 8 * 4096;
+    cfg.cache_budget_bytes = 8 * 4096;
     let mut e = ServerEngine::new(
         dcws_graph::ServerId::new("home:8080"),
         cfg,

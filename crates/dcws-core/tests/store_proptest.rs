@@ -163,8 +163,7 @@ proptest! {
                 store.budget_bytes / SHARDS,
             );
             for record in site.engine.drain_events() {
-                if let EngineEvent::CacheEvict { cache, key, .. } = record.event {
-                    prop_assert_eq!(cache, "store");
+                if let EngineEvent::CacheEvict { key, .. } = record.event {
                     prop_assert!(site.docs.iter().any(|(path, ..)| *path == key), "{}", key);
                 }
             }

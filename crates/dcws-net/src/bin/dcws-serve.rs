@@ -177,7 +177,7 @@ fn main() {
                 eng.stats(),
                 eng.ldg().all_migrated().len(),
                 eng.events().total_recorded(),
-                (eng.read_path().table().stats()).merged(&eng.coop_cache().stats()),
+                eng.read_path().table().stats(),
             )
         };
         let service = server.metrics().service_time.snapshot();

@@ -689,8 +689,8 @@ fn invalidate_and_eviction_release_the_descriptor() {
 fn table_budget_bounds_resident_descriptors() {
     let scratch = Scratch::new("budget");
     let mut cfg = ServerConfig::paper_defaults();
-    // Half of it is the store's, spread over its 8 shards: 160 KiB a
-    // shard, and a stream route is charged a little over 64 KiB.
+    // All of it is the store's, spread over its 8 shards: 320 KiB a
+    // shard, and a stream route is charged a little over 128 KiB.
     cfg.cache_budget_bytes = 2 * 8 * 160 * 1024;
     let (server, _) = spawn(&scratch, Backing::Disk, false, cfg, 1);
     const DOCS: usize = 64;

@@ -318,7 +318,7 @@ fn a_parked_miss_holds_no_worker() {
     coop.shutdown();
 }
 
-/// A copy the co-op cache refuses — its budget is 64 bytes — still
+/// A copy the store refuses — its budget is 64 bytes — still
 /// answers every request that waited on its pull.
 #[test]
 fn every_waiter_of_an_uncacheable_pull_is_answered_over_tcp() {

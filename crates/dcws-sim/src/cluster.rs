@@ -28,10 +28,9 @@ use crate::config::{NetModel, SimConfig};
 use crate::event::{Delivery, Event, EventQueue, Incoming, Origin, SimTime};
 use crate::metrics::{Counters, EventCounts, GossipCounts, LatencyHist, Sample, SimResult};
 use dcws_baselines::{CentralRouter, RoundRobinDns, Strategy};
-use dcws_cache::CachedDoc;
 use dcws_core::{
-    decode_migrate_path, unavailable, Call, EventRecord, Front, MemStore, Outbound, Outcome,
-    Served, ServerConfig, ServerEngine, Settled, Step, Waiter,
+    decode_migrate_path, unavailable, Call, CoopCopy, EventRecord, Front, MemStore, Outbound,
+    Outcome, Served, ServerConfig, ServerEngine, Settled, Step, Waiter,
 };
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::{Method, Request, Response, StatusCode, Url};
@@ -51,7 +50,7 @@ pub(crate) struct Job {
     /// The copy its pull settled with: served again, the request takes
     /// the read path as ever, and [`Front::serve_copy`] in the engine's
     /// place. Boxed: every request in a socket queue carries the field.
-    copy: Option<Box<CachedDoc>>,
+    copy: Option<Box<CoopCopy>>,
 }
 
 impl Waiter for Job {
@@ -451,6 +450,7 @@ impl SimCluster {
 
     fn collect(&mut self) -> SimResult {
         let mut regenerations = 0;
+        let mut pulls = 0;
         let mut migrations = 0;
         let mut revocations = 0;
         let mut gossip = GossipCounts::default();
@@ -461,15 +461,15 @@ impl SimCluster {
             read_path.push(s.engine.read_path().snapshot());
             let st = s.engine.stats();
             regenerations += st.regenerations;
+            pulls += st.pulls_served;
             migrations += st.migrations;
             revocations += st.revocations;
             gossip.pings_sent += st.pings_sent;
             gossip.reports_merged += st.reports_merged;
             gossip.reports_skipped += st.reports_skipped;
             gossip.reports_encoded += st.reports_encoded;
-            let kept = s.engine.read_path().table().stats();
-            store = store.merged(&kept);
-            cache = cache.merged(&kept).merged(&s.engine.coop_cache().stats());
+            store = store.merged(&s.engine.regen_cache().stats());
+            cache = cache.merged(&s.engine.read_path().table().stats());
             let tail: Vec<(usize, EventRecord)> = s
                 .engine
                 .drain_events()
@@ -486,6 +486,7 @@ impl SimCluster {
             samples: std::mem::take(&mut self.samples),
             totals: self.counters,
             regenerations,
+            pulls,
             migrations,
             revocations,
             gossip,

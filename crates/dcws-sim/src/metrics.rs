@@ -179,6 +179,9 @@ pub struct SimResult {
     pub totals: Counters,
     /// Total regenerations across servers (overhead accounting, §5.3).
     pub regenerations: u64,
+    /// Total lazy pulls the homes answered (§4.2). Not part of
+    /// [`Self::digest`].
+    pub pulls: u64,
     /// Total migrations across servers.
     pub migrations: u64,
     /// Total revocations across servers.
@@ -186,10 +189,11 @@ pub struct SimResult {
     /// Control-plane totals across servers. Not part of [`Self::digest`]:
     /// they describe how the gossip was processed, not what it decided.
     pub gossip: GossipCounts,
-    /// Document-cache statistics (store + co-op caches) merged across
-    /// every server, for the budget-vs-hit-ratio experiments.
+    /// Every server's store ([`dcws_core::ServeTable`]), both roles,
+    /// merged, for the budget-vs-hit-ratio experiments.
     pub cache: CacheStats,
-    /// The home side's stores alone ([`dcws_core::ServeTable`]), merged.
+    /// The home role's share of the stores alone
+    /// ([`dcws_core::ServerEngine::regen_cache`]), merged.
     pub store: CacheStats,
     /// Each server's read path at the end of the run, by server index:
     /// what it answered without the engine, and what it declined.
@@ -344,6 +348,7 @@ mod tests {
                 .collect(),
             totals: Counters::default(),
             regenerations: 0,
+            pulls: 0,
             migrations: 0,
             revocations: 0,
             gossip: GossipCounts::default(),

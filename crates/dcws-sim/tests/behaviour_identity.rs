@@ -10,6 +10,13 @@
 //! (e.g. freshness-ordered piggyback, see docs/SIMULATION.md) re-captures
 //! the constants in the same commit and says so.
 //!
+//! Re-captured once since: seed 1999 on the constant-bandwidth model moved
+//! when a co-op's T_val scan began emitting its due validations in the
+//! store's key order (the canonical `~migrate` path) instead of the old
+//! co-op cache's shard order. The previous tree with only that scan
+//! sorted the same way gives these two constants exactly; the other three
+//! runs did not move.
+//!
 //! `digest` is [`SimResult::digest`]; `trace` is FNV-1a (the workspace's
 //! `RollingChecksum`) over the ordered engine events (time, server, kind,
 //! detail) and every sample (counts and the bit patterns of its rates,
@@ -65,10 +72,10 @@ fn seed_1999_constant_bandwidth_is_unchanged() {
     check(
         1999,
         NetModel::ConstantBandwidth,
-        "completed=62289 bytes=151887109 drops=35259 redirects=522 failures=0 sessions=716 \
-         migrations=60 revocations=0 regenerations=62 events=302124 samples=6 \
-         latencies=62289 p99_us=131071 engine_events=252",
-        "9b28625e3456350b",
+        "completed=61930 bytes=151060144 drops=35048 redirects=522 failures=0 sessions=698 \
+         migrations=60 revocations=0 regenerations=62 events=300241 samples=6 \
+         latencies=61930 p99_us=131071 engine_events=252",
+        "6b7a3612ae632155",
     );
 }
 

@@ -147,14 +147,15 @@ fn coop_crash_recalls_documents_and_service_continues() {
     assert!(tail.iter().all(|s| s.cps > 0.0), "service died after crash");
 }
 
-/// A crashed home takes its co-ops' pulls down with it: with a co-op
-/// cache tight enough to evict, copies are pulled again after the crash,
-/// each such pull fails, and the co-op records it (`PullFailed`) before
-/// its waiters take the degradation ladder, as the TCP server's do.
+/// A crashed home takes its co-ops' pulls down with it: with a store
+/// too tight to keep most copies (a 2 KiB slice a shard), copies are
+/// pulled again after the crash, each such pull fails, and the co-op
+/// records it (`PullFailed`) before its waiters take the degradation
+/// ladder, as the TCP server's do.
 #[test]
 fn crashed_home_pull_failures_are_recorded() {
     let mut cfg = warm_lod(3, 16, 60_000);
-    cfg.server_config.cache_budget_bytes = 64 * 1024;
+    cfg.server_config.cache_budget_bytes = 16 * 1024;
     let r = SimCluster::with_crashes(cfg, vec![(30_000, 0)]).run();
     assert!(r.migrations > 0, "nothing migrated before the crash");
     let failed: Vec<_> = r
@@ -166,8 +167,8 @@ fn crashed_home_pull_failures_are_recorded() {
     assert!(failed.iter().all(|(s, e)| *s != 0 && e.t_ms >= 30_000));
 }
 
-/// `cachepress`'s quick cell at corpus/8: a co-op cache too small to
-/// keep most pulled copies. Every request that waited on a pull is
+/// `cachepress`'s quick cell at corpus/8: a store too small to keep
+/// every pulled copy. Every request that waited on a pull is
 /// answered from the copy it brought in, kept or not, so no client fails.
 #[test]
 fn an_uncacheable_copy_fails_no_client() {

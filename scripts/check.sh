@@ -35,9 +35,9 @@ step cargo test -q --workspace
 # (docs/RESILIENCE.md).
 step cargo test -q -p dcws-net --test chaos_tests seeded_chaos_no_document_lost
 
-# Allocation probe: a warm keep-alive GET must cost the reactor zero
-# heap allocations and exactly one read + one writev, on both poller
-# backends. It runs inside the workspace tests too; named here so a
+# Allocation probe: a warm keep-alive GET — of a home document and of a
+# co-op copy — must cost the reactor zero heap allocations and exactly
+# one read + one writev, on both poller backends. It runs inside the workspace tests too; named here so a
 # regression on the hot path shows as its own step.
 step cargo test -q -p dcws-net --test alloc_probe
 
@@ -124,23 +124,33 @@ one_front() {
 }
 step one_front
 
-# One store: the home side keeps its served bytes — primed routes and
-# regenerated variants — in one store (dcws_core::ServeTable) under one
-# budget. With a slice that fits three routes, a page the read path keeps
-# answering outlives a stream of cold routes, each overflow evicting one
-# entry (a_hot_route_outlives_a_stream_of_cold_ones). The one_store pins
-# hold what every digest's regeneration count relies on: a rewritten page
+# One store: a server keeps its served bytes in both roles — the home
+# side's primed routes and regenerated variants, the co-op side's copies
+# — in one store (dcws_core::ServeTable) under one budget. With a slice
+# that fits three routes, a page the read path keeps answering outlives
+# a stream of cold routes, each overflow evicting one entry
+# (a_hot_route_outlives_a_stream_of_cold_ones). The one_store pins hold
+# what every digest's regeneration count relies on: a rewritten page
 # that is migrated and revoked comes home with no regeneration, two
 # co-ops pulling one version cost one, and a republish or a dirty settle
-# drops both variants. The budget property test drives installs, hits,
-# route-only and whole-entry drops and re-budgets through an engine and
-# holds every shard within its slice, and the stream routes counted to
-# the ones the read path answers from. "Message cost" pins a repeat
-# pull's allocations; "Stream route" the descriptors evictions release.
+# drops both variants. They also hold the co-op role's entry: a copy is
+# found under any spelling of its `~migrate` path and never pulled again
+# while held, the two roles' counters add up to the store's and a copy's
+# eviction is a store eviction, a copy as large as a stream is held only
+# without a budget, and the T_val scan sends its validations in key
+# order. The budget property test drives installs, hits, route-only and
+# whole-entry drops and re-budgets through an engine and holds every
+# shard within its slice, and the stream routes counted to the ones the
+# read path answers from; the naming property test pins the store key:
+# decode_migrate_path inverts migrate_url and never panics on seeded
+# mutants. "Message cost" pins a repeat pull's and a co-op serve's
+# allocations, "Allocation probe" a warm co-op GET's, "Stream route" the
+# descriptors evictions release.
 one_store() {
     cargo test -q -p dcws-core --test readpath_tests a_hot_route_outlives_a_stream_of_cold_ones
     cargo test -q -p dcws-core --test engine_tests one_store
     cargo test -q -p dcws-core --test store_proptest
+    cargo test -q -p dcws-core --test naming_proptest
 }
 step one_store
 

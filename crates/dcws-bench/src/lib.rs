@@ -1,22 +1,17 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
+//! Shared harness utilities for the reproduction binaries.
 //!
-//! Every table and figure of the paper's evaluation (§5) has a binary in
-//! `src/bin/` that regenerates it:
+//! The paper's evaluation (§5) is one table of runs and checks,
+//! [`reproduce`], run by one binary; the rest are our own presses:
 //!
 //! | Binary | Reproduces |
 //! |--------|-----------|
-//! | `table1` | Table 1 — server parameter settings |
-//! | `fig6` | Fig 6(a)/(b) — BPS & CPS vs concurrent clients, LOD |
-//! | `fig7` | Fig 7(a)/(b) — peak BPS & CPS vs #servers, four datasets |
-//! | `fig8` | Fig 8 — CPS/BPS vs time from a cold start (exponential warm-up) |
-//! | `table2` | Table 2 — timer tuning trade-offs |
-//! | `overhead` | §5.3 parse/reconstruction overhead measurements |
-//! | `ablation` | DCWS vs baselines, plus design-choice ablations |
+//! | `reproduce` | Fig 6 (BPS & CPS vs clients), Fig 7 (peak vs #servers, four datasets), Fig 8 (cold-start warm-up), Table 2 (timer trade-offs), §5.3 overhead, and the ablations (DCWS vs baselines, design choices), over five seeds, checked against the paper |
 //! | `cachepress` | cache budget vs hit ratio / response time sweep |
 //! | `c10kpress` | concurrent keep-alive clients held by the reactor |
 //! | `scalepress` | simulator scale-out proof: 1,000+ servers, 10⁶+ sessions, determinism at scale |
 //! | `scenarios` | seeded scenario suite (flash crowd, diurnal, restarts, co-op failures) + invariant audits |
 //!
+//! Table 1 is `dcws-core`'s `config::tests::paper_defaults_match_table_1`.
 //! Request-path performance is not measured here: the end-to-end ruler
 //! and its per-layer probes are the standalone `benchmark/` package
 //! (`BENCHMARK.json`).
@@ -38,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod chart;
+pub mod reproduce;
 
 pub use chart::ascii_chart;
 

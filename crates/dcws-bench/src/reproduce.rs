@@ -237,13 +237,18 @@ impl Cell {
         format!("{} {}", self.artifact, self.key)
     }
 
+    /// Run the cell on `seed` and print one line of what it did.
     fn run(&self, seed: u64) -> Outcome {
+        let label = format!("{} seed={seed}", self.label());
         let Some(sim) = &self.sim else {
-            return Outcome::Parse(parse_cost(self.dataset));
+            let p = parse_cost(self.dataset);
+            eprintln!("  {label}: {p:?}");
+            return Outcome::Parse(p);
         };
         let mut r = run_sim(self.config(sim, seed));
         let tag = format!("{}_{}_seed{seed}", self.artifact, self.key);
         dump_status(&tag.replace("__", "_"), &r);
+        eprintln!("  {label}: {}", r.digest());
         r.engine_events = Vec::new();
         Outcome::Sim(Box::new(r))
     }
@@ -288,6 +293,7 @@ impl Cell {
                 "{key},{cps:.1},{bps:.1},{drops:.1},{},{migrations},{imbalance:.3}",
                 r.totals.redirects
             )],
+            // The overhead run's regenerations feed a check, not a row.
             _ => Vec::new(),
         }
     }
@@ -635,21 +641,6 @@ pub fn exit_status(quick: bool, broken: bool, verdicts: &[Verdict]) -> i32 {
     i32::from(broken || (!quick && verdicts.contains(&Verdict::Fail)))
 }
 
-/// Run every cell over every seed; outcomes are indexed `[seed][cell]`.
-fn run_all(cells: &[Cell], seeds: &[u64]) -> Vec<Vec<Outcome>> {
-    let run = |seed: u64, cell: &Cell| {
-        let out = cell.run(seed);
-        let line = match &out {
-            Outcome::Sim(r) => r.digest(),
-            Outcome::Parse(p) => format!("{p:?}"),
-        };
-        eprintln!("  {} seed={seed}: {line}", cell.label());
-        out
-    };
-    let per_seed = |&seed: &u64| cells.iter().map(|c| run(seed, c)).collect();
-    seeds.iter().map(per_seed).collect()
-}
-
 /// A CSV field, quoted when it holds a comma or a quote.
 fn field(s: &str) -> String {
     if s.contains([',', '"']) {
@@ -675,7 +666,8 @@ pub fn reproduce(only: Option<&str>, quick: bool) -> i32 {
         .filter(|c| only.is_none_or(|a| c.artifact == a))
         .collect();
     println!("{} cells x seeds {seeds:?}", cells.len());
-    let outcomes = run_all(&cells, seeds);
+    let run = |&seed: &u64| cells.iter().map(|c| c.run(seed)).collect();
+    let outcomes: Vec<Vec<Outcome>> = seeds.iter().map(run).collect();
     let seed = |outcomes| Seed {
         cells: &cells,
         outcomes,

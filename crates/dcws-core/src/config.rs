@@ -128,14 +128,24 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_table_1() {
+        // Table 1, "Setting of server parameters". Its other two rows are
+        // structural, not settings: one front end (N_fe = 1, the reactor)
+        // and one pinger thread (N_pi = 1).
         let c = ServerConfig::paper_defaults();
-        assert_eq!(c.n_workers, 12);
-        assert_eq!(c.socket_queue_len, 100);
-        assert_eq!(c.stat_interval_ms, 10_000);
-        assert_eq!(c.pinger_interval_ms, 20_000);
-        assert_eq!(c.validation_interval_ms, 120_000);
-        assert_eq!(c.remigration_interval_ms, 300_000);
-        assert_eq!(c.coop_migration_interval_ms, 60_000);
+        // Each row: the paper's notation, its value (times in ms), ours.
+        let table_1 = [
+            ("N_wk", 12, c.n_workers as u64),
+            ("L_sq", 100, c.socket_queue_len as u64),
+            ("T_st", 10_000, c.stat_interval_ms),
+            ("T_pi", 20_000, c.pinger_interval_ms),
+            ("T_val", 120_000, c.validation_interval_ms),
+            ("T_home", 300_000, c.remigration_interval_ms),
+            ("T_coop", 60_000, c.coop_migration_interval_ms),
+        ];
+        for (setting, paper, ours) in table_1 {
+            assert_eq!(ours, paper, "{setting}");
+        }
+        // Beyond Table 1: the paper's choices the ablations vary.
         assert_eq!(c.balance_metric, BalanceMetric::Cps);
         assert!(!c.eager_migration);
         assert!(c.hot_replication.is_none());

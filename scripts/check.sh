@@ -193,9 +193,11 @@ step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Bench-binary smoke: the figure harnesses, the cache-pressure sweep,
+# Bench-binary smoke: the §5 reproduction, the cache-pressure sweep,
 # and the press bins must run end to end and emit their CSVs (quick
-# mode keeps this fast). Every smoke writes under target/bench-smoke
+# mode keeps this fast). reproduce --quick runs every cell of the §5
+# table on seed 42 at reduced size and exits nonzero if a cell completes
+# no fetch or a CSV is missing (its checks gate only a full run). Every smoke writes under target/bench-smoke
 # (DCWS_BENCH_OUT), never over the committed full-run artifacts in
 # bench_results/ — the closing `git diff` fails the gate if one did.
 # c10kpress --quick holds 1k keep-alive clients against the reactor and
@@ -210,9 +212,15 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # gate (docs/SIMULATION.md).
 if [[ $quick -eq 0 ]]; then
     export DCWS_BENCH_OUT=target/bench-smoke
-    step cargo run --release -q -p dcws-bench --bin fig6 -- --quick --status-dump
+    step cargo run --release -q -p dcws-bench --bin reproduce -- --quick --status-dump
     step cargo run --release -q -p dcws-bench --bin cachepress -- --quick --status-dump
     test -s target/bench-smoke/fig6.csv
+    test -s target/bench-smoke/fig7.csv
+    test -s target/bench-smoke/fig8.csv
+    test -s target/bench-smoke/table2.csv
+    test -s target/bench-smoke/overhead.csv
+    test -s target/bench-smoke/ablation.csv
+    test -s target/bench-smoke/checks.csv
     test -s target/bench-smoke/cachepress.csv
     step cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
     test -s target/bench-smoke/c10kpress.csv

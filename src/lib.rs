@@ -27,12 +27,11 @@
 //! cargo run --example quickstart
 //! ```
 //!
-//! Reproduce the paper's figures:
+//! Reproduce the paper's evaluation (§5), every figure and table over
+//! five seeds, checked against the paper:
 //!
 //! ```bash
-//! cargo run --release -p dcws-bench --bin fig6
-//! cargo run --release -p dcws-bench --bin fig7
-//! cargo run --release -p dcws-bench --bin fig8
+//! cargo run --release -p dcws-bench --bin reproduce
 //! ```
 
 #![warn(missing_docs)]

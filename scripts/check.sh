@@ -197,9 +197,10 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # and the press bins must run end to end and emit their CSVs (quick
 # mode keeps this fast). reproduce --quick runs every cell of the §5
 # table on seed 42 at reduced size and exits nonzero if a cell completes
-# no fetch or a CSV is missing (its checks gate only a full run). Every smoke writes under target/bench-smoke
-# (DCWS_BENCH_OUT), never over the committed full-run artifacts in
-# bench_results/ — the closing `git diff` fails the gate if one did.
+# no fetch or a CSV is missing (its checks gate only a full run). Every
+# smoke writes under target/bench-smoke (DCWS_BENCH_OUT), never over the
+# committed full-run artifacts in bench_results/ — the closing `git diff`
+# fails the gate if one did.
 # c10kpress --quick holds 1k keep-alive clients against the reactor and
 # exits nonzero unless served concurrency beats the worker count with
 # zero accept errors, so an event-loop regression fails here;

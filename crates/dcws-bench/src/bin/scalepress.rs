@@ -2,7 +2,7 @@
 //! process, bounded wall-clock.
 //!
 //! The discrete-event core (index-addressed slabs, an allocation-free
-//! index heap, per-component seed streams — see `docs/SIMULATION.md`)
+//! radix heap, per-component seed streams — see `docs/SIMULATION.md`)
 //! claims to hold cluster sizes three orders of magnitude past the paper's
 //! 64-workstation testbed. This binary is the claim's receipt: it runs a
 //! replicated round-robin-DNS deployment — the configuration that puts

@@ -57,6 +57,15 @@ impl Modified {
     }
 }
 
+/// A gossiped rate as `LoadReport::decode` reads one: the trimmed text
+/// parsed as an `f64` that is finite and not negative.
+fn rate(text: &str) -> Option<f64> {
+    text.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|r| r.is_finite() && *r >= 0.0)
+}
+
 /// Network actions the host must perform after a [`ServerEngine::tick`].
 #[derive(Debug, Default)]
 pub struct TickOutput {
@@ -363,47 +372,63 @@ impl ServerEngine {
     /// Ingest piggybacked load reports from any received message (§3.3).
     /// Hearing from a dead-listed peer resurrects it.
     ///
-    /// Most rows of most messages say nothing new — they are this
-    /// server's own row, or no newer than the one the table holds — and
-    /// the merge would discard them after parsing. They are discarded
-    /// before it instead, on the `(server, ts)` read off the value by
-    /// slice; only a row that would change the table, or one not in the
-    /// canonical form, is decoded.
+    /// Each value is read once. Most rows of most messages say nothing
+    /// new — they are this server's own row, or no newer than the one the
+    /// table holds — and are dropped on the `(server, ts)` read off the
+    /// value by slice. A canonical row that would change the table is
+    /// merged from the fields read off it, its two rates parsed under
+    /// `decode`'s rule; only a value not in the canonical form is decoded.
     pub fn ingest_reports(&mut self, headers: &Headers) {
         for value in headers.get_all(PIGGYBACK_HEADER) {
-            if let Some((server, ts_ms)) = LoadReport::peek(value) {
-                if server == self.id.as_str() || !self.glt.would_accept(server, ts_ms) {
-                    self.stats.reports_skipped += 1;
-                    continue;
+            match LoadReport::peek(value) {
+                Some((server, cps, bps, ts_ms)) => {
+                    if server == self.id.as_str() || !self.glt.would_accept(server, ts_ms) {
+                        self.stats.reports_skipped += 1;
+                        continue;
+                    }
+                    // A rate `decode` refuses drops the row, as it would.
+                    if let (Some(cps), Some(bps)) = (rate(cps), rate(bps)) {
+                        self.merge_report(server, LoadInfo { cps, bps, ts_ms });
+                    }
                 }
-            }
-            // Malformed reports are skipped: best-effort gossip must not
-            // fail a request.
-            if let Ok(r) = LoadReport::decode(value) {
-                self.ingest_report(&r);
+                // Malformed reports are skipped: best-effort gossip must
+                // not fail a request.
+                None => {
+                    if let Ok(r) = LoadReport::decode(value) {
+                        self.ingest_report(&r);
+                    }
+                }
             }
         }
     }
 
     /// Merge one decoded load report into the GLT.
     pub fn ingest_report(&mut self, r: &LoadReport) {
-        if r.server == self.id.as_str() {
-            return;
-        }
-        let sid = ServerId::from(r.server.as_str());
-        if self.glt.update(
-            sid.clone(),
+        self.merge_report(
+            &r.server,
             LoadInfo {
                 cps: r.cps,
                 bps: r.bps,
                 ts_ms: r.ts_ms,
             },
-        ) {
-            self.stats.reports_merged += 1;
-            if self.dead_peers.remove(&sid) {
-                self.emit(EngineEvent::PeerResurrected { peer: sid.clone() });
+        );
+    }
+
+    /// The one merge of a received row, keyed by the id's text: an id is
+    /// built only for a row the table never held, and the dead list and
+    /// ping-failure counts are looked at only when they hold anything.
+    fn merge_report(&mut self, server: &str, info: LoadInfo) {
+        if server == self.id.as_str() || !self.glt.update(server, info) {
+            return;
+        }
+        self.stats.reports_merged += 1;
+        if !self.dead_peers.is_empty() {
+            if let Some(peer) = self.dead_peers.take(server) {
+                self.emit(EngineEvent::PeerResurrected { peer });
             }
-            self.ping_failures.remove(&sid);
+        }
+        if !self.ping_failures.is_empty() {
+            self.ping_failures.remove(server);
         }
     }
 

@@ -14,10 +14,11 @@
 //!   each allocate an exact, pinned number of times: constant names and
 //!   values, shared dates and rows, the borrowed request path and the
 //!   kept regenerated variant cost nothing;
-//! * **gossip that says nothing new is free to receive** — a message
-//!   whose rows are all this server's own or no newer than the table's
-//!   is merged without one allocation, and a row that is newer costs the
-//!   decoding of that row alone;
+//! * **gossip from known peers is free to receive** — a message whose
+//!   rows are all this server's own or no newer than the table's is
+//!   merged without one allocation, and so is a newer row about a peer
+//!   the table holds, dead-listed or not; a row about a server never
+//!   heard of costs its id, to key the new row;
 //! * **the exclusive serve path copies no body** — consecutive serves of
 //!   an unrewritten `MemStore` document, the store's own `get_body`, and
 //!   the route the read path was primed with all share one allocation —
@@ -101,8 +102,8 @@ fn control_plane_allocs(peers: usize) -> (u64, u64, u64) {
     round(&mut e, NOW + 1)
 }
 
-/// What receiving gossip allocates: nothing for rows that say nothing
-/// new, one row's decoding for one that does.
+/// What receiving gossip allocates: nothing for a known peer's row,
+/// skipped or merged; a new server's id.
 fn ingest_allocs() {
     const NOW: u64 = 50_000;
     let mut e = engine_with_peers(8, NOW);
@@ -130,8 +131,8 @@ fn ingest_allocs() {
         allocs_of(|| e.ingest_reports(&one))
     };
     assert_eq!(
-        decode_and_merge, 2,
-        "one accepted row: its id as decoded, and as a table key"
+        decode_and_merge, 0,
+        "one accepted row for a known peer: merged from the text, in place"
     );
     report("s0003:80", NOW + 2).attach(&mut stale);
     let peer = ServerId::new("s0003:80");
@@ -143,6 +144,33 @@ fn ingest_allocs() {
         "an answer with one newer row among nine costs that row alone"
     );
     assert_eq!(e.glt().get(&peer).map(|i| i.ts_ms), Some(NOW + 2));
+
+    // A row from a server the table never held: its id, to key the row.
+    let mut unknown = Headers::new();
+    report("s0042:80", NOW).attach(&mut unknown);
+    assert_eq!(
+        allocs_of(|| e.ingest_reports(&unknown)),
+        1,
+        "a new server's row: its id as a table key"
+    );
+    assert!(e.glt().get(&ServerId::new("s0042:80")).is_some());
+
+    // A row that resurrects a dead-listed peer: the id leaves the dead
+    // list for the event that reports it, and the row is updated in place.
+    let dead = ServerId::new("s0005:80");
+    assert!(e.declare_peer_dead(&dead).is_empty());
+    let mut back = Headers::new();
+    report("s0005:80", NOW + 3).attach(&mut back);
+    let resurrect = allocs_of(|| e.ingest_reports(&back));
+    assert!(e.peer_summaries().iter().all(|p| !p.dead));
+    assert_eq!(
+        e.drain_events().last().map(|r| r.event.kind()),
+        Some("peer_resurrected")
+    );
+    assert_eq!(
+        resurrect, 0,
+        "a resurrecting row: the dead list's id, moved"
+    );
 }
 
 /// A store implementing only what `DocStore` requires — as stores written

@@ -427,18 +427,40 @@ proptest! {
 
     /// Whatever `peek` reads off a value, `decode` reads the same or
     /// refuses the value — the one fact the early drop rests on — and it
-    /// does read everything `encode` writes.
+    /// does read everything `encode` writes. `decode` refuses a value
+    /// `peek` reads exactly when one of the two trimmed rate texts is not
+    /// a finite, non-negative `f64` — the rule the merge from `peek`'s
+    /// fields applies — and otherwise yields those four fields, to the
+    /// bit.
     #[test]
     fn peek_never_disagrees_with_decode(v in prop_oneof![value(), mutant()]) {
-        if let Some((server, ts_ms)) = LoadReport::peek(&v) {
+        if let Some((server, _, _, ts_ms)) = LoadReport::peek(&v) {
             if let Ok(r) = LoadReport::decode(&v) {
                 prop_assert_eq!((r.server.as_str(), r.ts_ms), (server, ts_ms), "{:?}", v);
             }
         }
+        if let Some((server, cps, bps, ts_ms)) = LoadReport::peek(&v) {
+            let rate = |text: &str| {
+                text.trim()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|r| r.is_finite() && *r >= 0.0)
+                    .map(f64::to_bits)
+            };
+            let fields = rate(cps).zip(rate(bps)).map(|(cps, bps)| (server, cps, bps, ts_ms));
+            let decoded = LoadReport::decode(&v).ok();
+            prop_assert_eq!(
+                decoded
+                    .as_ref()
+                    .map(|r| (r.server.as_str(), r.cps.to_bits(), r.bps.to_bits(), r.ts_ms)),
+                fields,
+                "{:?}", v
+            );
+        }
         if let Ok(r) = LoadReport::decode(&v) {
             let encoded = r.encode();
             prop_assert_eq!(
-                LoadReport::peek(&encoded),
+                LoadReport::peek(&encoded).map(|(server, _, _, ts_ms)| (server, ts_ms)),
                 Some((r.server.as_str(), r.ts_ms)),
                 "{:?}", encoded
             );

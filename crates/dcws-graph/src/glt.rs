@@ -8,6 +8,7 @@
 
 use crate::metrics::BalanceMetric;
 use crate::ServerId;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -110,15 +111,22 @@ impl GlobalLoadTable {
 
     /// Merge one report: kept only if strictly newer than what we have
     /// (last-writer-wins). Returns whether the table changed.
-    pub fn update(&mut self, server: ServerId, info: LoadInfo) -> bool {
-        match self.rows.get_mut(&server) {
+    ///
+    /// The row is found by the id's text, so a caller holding only a
+    /// `&str` builds a [`ServerId`] only for a server the table never
+    /// held, to key its new row.
+    pub fn update<S>(&mut self, server: S, info: LoadInfo) -> bool
+    where
+        S: Borrow<str> + Into<ServerId>,
+    {
+        match self.rows.get_mut(server.borrow()) {
             Some(cur) if cur.info.ts_ms >= info.ts_ms => false,
             Some(cur) => {
                 cur.set(info);
                 true
             }
             None => {
-                self.rows.insert(server, Row::new(info));
+                self.rows.insert(server.into(), Row::new(info));
                 true
             }
         }
@@ -261,6 +269,20 @@ mod tests {
         assert_eq!(t.get(&p).unwrap().cps, 5.0);
         assert!(t.update(p.clone(), info(2.0, 200)));
         assert_eq!(t.get(&p).unwrap().cps, 2.0);
+    }
+
+    #[test]
+    fn update_by_text_is_update_by_id() {
+        let mut by_id = GlobalLoadTable::new(ServerId::new("me:1"));
+        let mut by_text = by_id.clone();
+        for (server, ts) in [("p:1", 5), ("p:1", 4), ("q:1", 1), ("p:1", 9), ("me:1", 3)] {
+            assert_eq!(
+                by_text.update(server, info(ts as f64, ts)),
+                by_id.update(ServerId::new(server), info(ts as f64, ts)),
+                "{server} at {ts}"
+            );
+        }
+        assert_eq!(by_text.snapshot(), by_id.snapshot());
     }
 
     #[test]

@@ -53,29 +53,31 @@ impl LoadReport {
         format!("server={server}; cps={cps:.3}; bps={bps:.3}; ts={ts_ms}")
     }
 
-    /// The `(server, ts)` a value carries, read by slice — no float is
-    /// parsed and nothing allocated — when the value has exactly the
-    /// shape [`Self::encode`] emits; `None` for anything else (reordered,
-    /// repeated or unknown keys, other spacing, a `ts` that is not a
-    /// `u64`).
+    /// The fields a value carries, read by slice — no float is parsed
+    /// and nothing allocated — when the value has exactly the shape
+    /// [`Self::encode`] emits: `(server, cps text, bps text, ts)`. `None`
+    /// for anything else (reordered, repeated or unknown keys, other
+    /// spacing, a `ts` that is not a `u64`).
     ///
-    /// A receiver merges last-writer-wins on exactly this pair, so it can
+    /// A receiver merges last-writer-wins on `(server, ts)`, so it can
     /// drop its own row, or one no newer than the row it holds, on this
-    /// answer alone: whenever this returns `Some((server, ts))`,
-    /// [`Self::decode`] of the same value either fails or yields that
-    /// `server` and `ts_ms`.
-    pub fn peek(value: &str) -> Option<(&str, u64)> {
+    /// answer alone, and merge any other from these fields. Whenever this
+    /// returns `Some((server, cps, bps, ts))`, [`Self::decode`] of the
+    /// same value succeeds exactly when `cps.trim()` and `bps.trim()` both
+    /// parse as finite, non-negative `f64`s, and then yields `server`,
+    /// those two rates and `ts`.
+    pub fn peek(value: &str) -> Option<(&str, &str, &str, u64)> {
         // `decode` splits on every `;`, so the canonical value is the one
         // with exactly three, each followed by the next key.
-        let (server, rest) = value.strip_prefix("server=")?.split_once(';')?;
-        let (_cps, rest) = rest.strip_prefix(" cps=")?.split_once(';')?;
-        let (_bps, rest) = rest.strip_prefix(" bps=")?.split_once(';')?;
+        let (server, rest) = field(value, "server=")?;
+        let (cps, rest) = field(rest, " cps=")?;
+        let (bps, rest) = field(rest, " bps=")?;
         let ts = rest.strip_prefix(" ts=")?;
         // An id `decode` would trim is not the id it would report.
-        if server != server.trim() {
+        if server.len() != server.trim().len() {
             return None;
         }
-        Some((server, ts.parse().ok()?))
+        Some((server, cps, bps, ts.parse().ok()?))
     }
 
     /// Decode from a header value.
@@ -161,6 +163,15 @@ impl LoadReport {
     }
 }
 
+/// `rest` after `key`, split at its first `;`: the field's text, and
+/// what follows the `;`.
+fn field<'a>(rest: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
+    let rest = rest.strip_prefix(key)?;
+    let end = rest.bytes().position(|b| b == b';')?;
+    // `;` is ASCII, so both sides of it are character boundaries.
+    Some((&rest[..end], &rest[end + 1..]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,18 +254,42 @@ mod tests {
         );
     }
 
+    /// `peek`'s `(server, ts)`, the pair the early drop reads.
+    fn peek_pair(value: &str) -> Option<(&str, u64)> {
+        LoadReport::peek(value).map(|(server, _, _, ts)| (server, ts))
+    }
+
     #[test]
     fn peek_reads_what_encode_wrote() {
         let r = sample();
-        assert_eq!(LoadReport::peek(&r.encode()), Some(("h1:8001", 42_000)));
+        assert_eq!(peek_pair(&r.encode()), Some(("h1:8001", 42_000)));
         // Rates `decode` will refuse are not peek's business: the pair
         // is read, and the row dropped or handed to `decode` on it.
         let odd = LoadReport::encode_fields("h:1", f64::NAN, -1.0, u64::MAX);
-        assert_eq!(LoadReport::peek(&odd), Some(("h:1", u64::MAX)));
-        assert_eq!(LoadReport::peek("server=; cps=; bps=; ts=0"), Some(("", 0)));
+        assert_eq!(peek_pair(&odd), Some(("h:1", u64::MAX)));
+        assert_eq!(peek_pair("server=; cps=; bps=; ts=0"), Some(("", 0)));
         assert_eq!(
-            LoadReport::peek("server=a=b; cps=1; bps=2; ts=7"),
+            peek_pair("server=a=b; cps=1; bps=2; ts=7"),
             Some(("a=b", 7))
+        );
+    }
+
+    #[test]
+    fn peek_hands_back_the_rates_as_written() {
+        assert_eq!(
+            LoadReport::peek(&sample().encode()),
+            Some(("h1:8001", "123.456", "9876543.250", 42_000))
+        );
+        let odd = LoadReport::encode_fields("h:1", f64::NAN, -1.0, 7);
+        assert_eq!(LoadReport::peek(&odd), Some(("h:1", "NaN", "-1.000", 7)));
+        // Untrimmed, and unchecked: `decode`'s rules are the merge's.
+        assert_eq!(
+            LoadReport::peek("server=h; cps= 1 ; bps=x=y; ts=+5"),
+            Some(("h", " 1 ", "x=y", 5))
+        );
+        assert_eq!(
+            LoadReport::peek("server=h; cps=; bps=\u{a0}2; ts=5"),
+            Some(("h", "", "\u{a0}2", 5))
         );
     }
 

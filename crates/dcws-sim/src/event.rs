@@ -1,21 +1,31 @@
 //! The discrete-event core: virtual time and the event queue.
 //!
-//! The queue is an index heap: a std [`BinaryHeap`] of 24-byte
-//! `(virtual time, insertion sequence, slot)` keys over a slab that holds
-//! the events themselves. The sequence number is unique, so the key is a
-//! total order and any correct heap pops one sequence: earliest first,
+//! The queue is a monotone radix heap over a slab that holds the events
+//! themselves. `last` is the time of the latest pop, and every pending
+//! event sits in one of 65 FIFO buckets: bucket 0 holds the times equal
+//! to `last`, bucket `b` the times whose highest bit differing from
+//! `last` is bit `b - 1` — `64 - lzcnt(at ^ last)`. A push appends to its
+//! bucket's tail. A pop takes the head of bucket 0; when bucket 0 is
+//! empty, the lowest non-empty bucket's minimum becomes `last` first and
+//! that bucket's entries are re-appended, in list order, to the buckets
+//! they now belong in — all of them lower, its minima in bucket 0.
+//!
 //! **FIFO on equal timestamps** — the property every determinism
-//! guarantee in this crate rests on, and the key's promise, not the
-//! heap's. Keys and payloads are split because an [`Event`] is 128 bytes:
-//! sifting moves keys only, and an event is written once when pushed and
-//! read once when popped. `pop` never allocates — it shrinks the key heap
-//! and threads the vacated slot onto a free list kept inside the slab —
-//! and `push` allocates only when more events are pending than ever
-//! before (see `tests/alloc_probe.rs`, which arms the debug-build
-//! micro-assert in the run loop with a counting allocator).
+//! guarantee in this crate rests on — is structural: a time's bucket is
+//! a function of the time and `last` alone, so equal times always share
+//! a bucket, and appending and redistributing both keep a list's order.
+//! A push earlier than `last` (the run loop never makes one) lowers
+//! `last` and re-buckets every pending event the same way, so the
+//! contract holds for any sequence of pushes and pops.
+//!
+//! Times and list links sit in an array beside the slab, so
+//! redistributing touches 16-byte links and an [`Event`] (128 bytes) is
+//! written once when pushed and read once when popped. `pop` never
+//! allocates — the vacated slot goes onto a free list threaded through
+//! the links — and `push` allocates only when more events are pending
+//! than ever before (see `tests/alloc_probe.rs`, which arms the
+//! debug-build micro-assert in the run loop with a counting allocator).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use dcws_core::{Call, Served};
@@ -149,11 +159,36 @@ pub enum Event {
     },
 }
 
-/// One slab entry: a pending event, or a link of the free list.
-enum Slot {
-    Full(Event),
-    /// Vacant; holds the next vacant slot, if any.
-    Free(Option<u32>),
+/// The end of a list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// Buckets: 0 holds the times equal to `last`, `b` in 1..=64 those whose
+/// highest bit differing from `last` is bit `b - 1`.
+const BUCKETS: usize = 65;
+
+/// A slot's place in the queue: its time and the next slot of its list
+/// (a bucket's, or the free list's). Kept apart from the events so that
+/// redistributing a bucket walks 16-byte links, not 128-byte events.
+#[derive(Clone, Copy)]
+struct Link {
+    at: SimTime,
+    next: u32,
+}
+
+/// One bucket: a FIFO list of slots, and the earliest time on it.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    min: SimTime,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+        min: SimTime::MAX,
+    };
 }
 
 /// Earliest-first event queue with deterministic FIFO tie-breaking.
@@ -161,16 +196,36 @@ enum Slot {
 /// `pop` is allocation-free; `push` allocates only when the pending
 /// population exceeds every earlier peak. [`EventQueue::with_capacity`]
 /// pre-sizes for an expected peak so a steady-state loop never grows it.
-#[derive(Default)]
 pub struct EventQueue {
-    /// Min-heap of `(at, seq, slot)`; `seq` is unique, so the order is total.
-    keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Event storage; a key's `slot` indexes it. Never shrinks: popped
-    /// slots are reused, most recently vacated first.
-    slab: Vec<Slot>,
-    /// Head of the free list threaded through the slab's `Free` slots.
-    free: Option<u32>,
-    seq: u64,
+    /// Event storage, one slot per pending event; `None` for a free slot.
+    /// Never shrinks: popped slots are reused, most recently vacated
+    /// first.
+    slab: Vec<Option<Event>>,
+    /// Per slot, beside `slab`: its time and its list's next slot.
+    links: Vec<Link>,
+    /// The buckets, each in push order (see the module docs).
+    buckets: [List; BUCKETS],
+    /// Bit `b` set when bucket `b` is non-empty.
+    nonempty: u128,
+    /// The time of the latest pop (or of a push before it).
+    last: SimTime,
+    /// Head of the free list threaded through the vacant slots' links.
+    free: u32,
+    len: usize,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue {
+            slab: Vec::new(),
+            links: Vec::new(),
+            buckets: [List::EMPTY; BUCKETS],
+            nonempty: 0,
+            last: 0,
+            free: NIL,
+            len: 0,
+        }
+    }
 }
 
 impl EventQueue {
@@ -182,52 +237,123 @@ impl EventQueue {
     /// An empty queue with room for `cap` pending events before any growth.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            keys: BinaryHeap::with_capacity(cap),
             slab: Vec::with_capacity(cap),
+            links: Vec::with_capacity(cap),
             ..Self::default()
         }
     }
 
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
-        self.seq += 1;
-        let slot = match self.free {
-            Some(slot) => {
-                let vacant = std::mem::replace(&mut self.slab[slot as usize], Slot::Full(event));
-                let Slot::Free(next) = vacant else {
-                    unreachable!("free list names a full slot")
-                };
-                self.free = next;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
-                self.slab.push(Slot::Full(event));
-                slot
-            }
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("under 2^32 - 1 pending events");
+            self.slab.push(Some(event));
+            self.links.push(Link { at, next: NIL });
+            slot
+        } else {
+            let slot = self.free;
+            self.free = self.links[slot as usize].next;
+            self.slab[slot as usize] = Some(event);
+            self.links[slot as usize].at = at;
+            slot
         };
-        self.keys.push(Reverse((at, self.seq, slot)));
+        self.len += 1;
+        if at < self.last {
+            // Earlier than the latest pop: every pending time is read
+            // against the new `last` instead.
+            self.last = at;
+            self.rebucket_all();
+        }
+        self.append(slot);
     }
 
     /// Pop the earliest event, if any. Never allocates.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let Reverse((at, _, slot)) = self.keys.pop()?;
-        let taken = std::mem::replace(&mut self.slab[slot as usize], Slot::Free(self.free));
-        let Slot::Full(event) = taken else {
-            unreachable!("a key names a vacant slot")
-        };
-        self.free = Some(slot);
-        Some((at, event))
+        if self.nonempty & 1 == 0 {
+            if self.nonempty == 0 {
+                return None;
+            }
+            // The lowest non-empty bucket holds the earliest times; its
+            // minimum becomes `last`, and every entry moves to a lower
+            // bucket, in list order.
+            let b = self.nonempty.trailing_zeros() as usize;
+            let list = self.take_bucket(b);
+            self.last = list.min;
+            self.append_list(list);
+        }
+        let slot = self.buckets[0].head;
+        let link = self.links[slot as usize];
+        self.buckets[0].head = link.next;
+        if link.next == NIL {
+            self.take_bucket(0);
+        }
+        self.links[slot as usize].next = self.free;
+        self.free = slot;
+        self.len -= 1;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a listed slot holds an event");
+        Some((link.at, event))
     }
 
     /// Pending event count.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
+    }
+
+    /// The bucket a pending time belongs in, against the current `last`.
+    fn bucket_of(&self, at: SimTime) -> usize {
+        (u64::BITS - (at ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Append `slot` (its time already set) to the tail of its bucket.
+    fn append(&mut self, slot: u32) {
+        let at = self.links[slot as usize].at;
+        let b = self.bucket_of(at);
+        self.links[slot as usize].next = NIL;
+        let list = &mut self.buckets[b];
+        list.min = list.min.min(at);
+        if list.tail == NIL {
+            list.head = slot;
+        } else {
+            self.links[list.tail as usize].next = slot;
+        }
+        list.tail = slot;
+        self.nonempty |= 1 << b;
+    }
+
+    /// Detach bucket `b` whole, leaving it empty.
+    fn take_bucket(&mut self, b: usize) -> List {
+        self.nonempty &= !(1 << b);
+        std::mem::replace(&mut self.buckets[b], List::EMPTY)
+    }
+
+    /// Append every slot of a detached list, in its order.
+    fn append_list(&mut self, list: List) {
+        let mut slot = list.head;
+        while slot != NIL {
+            let next = self.links[slot as usize].next;
+            self.append(slot);
+            slot = next;
+        }
+    }
+
+    /// Re-bucket every pending slot against a lowered `last`: the buckets
+    /// are detached first, then walked in order, each list in its order.
+    fn rebucket_all(&mut self) {
+        let detached = std::mem::replace(&mut self.buckets, [List::EMPTY; BUCKETS]);
+        self.nonempty = 0;
+        for list in detached {
+            self.append_list(list);
+        }
     }
 }
 
@@ -288,7 +414,7 @@ mod tests {
     #[test]
     fn with_capacity_presizes() {
         let q = EventQueue::with_capacity(1024);
-        assert!(q.keys.capacity() >= 1024 && q.slab.capacity() >= 1024);
+        assert!(q.links.capacity() >= 1024 && q.slab.capacity() >= 1024);
         assert!(q.is_empty());
     }
 

@@ -11,6 +11,9 @@
 //! against a sorted map, with events that carry payloads: the queue keeps
 //! events in reused slab slots, and a slot handed back with another
 //! event's payload must fail here, not in a digest three layers up.
+//! Another drives the same model over the whole `u64` time range, so
+//! that every one of the radix heap's buckets is used, with heavy ties
+//! and with pushes both at or after the latest pop and before it.
 
 use dcws_core::Call;
 use dcws_http::{Request, Response};
@@ -104,10 +107,15 @@ struct Checked {
 
 impl Checked {
     fn push(&mut self, delta: SimTime) {
+        self.push_at(self.now + delta);
+    }
+
+    /// Pushes at absolute time `at`, which may precede the latest pop.
+    fn push_at(&mut self, at: SimTime) {
         let id = self.pushed;
         self.pushed += 1;
-        self.q.push(self.now + delta, event(id));
-        self.model.insert((self.now + delta, id), id);
+        self.q.push(at, event(id));
+        self.model.insert((at, id), id);
     }
 
     /// Pops both sides; the queue must hand back the model's event, whole.
@@ -141,7 +149,7 @@ proptest! {
     #[test]
     fn equal_timestamps_pop_fifo(times in pvec(0u64..6, 1..256)) {
         // A tiny timestamp domain forces heavy collision: nearly every
-        // pop exercises the (at, seq) tie-break rather than `at` alone.
+        // pop exercises the FIFO tie-break rather than `at` alone.
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(t, Event::ClientWake { client: i });
@@ -237,6 +245,42 @@ proptest! {
                         c.pop();
                     }
                 }
+            }
+        }
+        while !c.model.is_empty() {
+            c.pop();
+        }
+        prop_assert!(c.q.is_empty());
+        prop_assert!(c.q.pop().is_none());
+    }
+
+    #[test]
+    fn whole_time_range_matches_a_sorted_model(
+        anchors in pvec((any::<u64>(), 0u32..64).prop_map(|(x, shift)| x >> shift), 6),
+        ops in pvec((0u8..10, 0usize..8, 0u64..3), 1..384)
+    ) {
+        // Times from 0 to `u64::MAX`, so every bucket is used: eight
+        // anchors (0, `u64::MAX` and six of every magnitude), each pushed
+        // as it is or a step or two either side, so times tie heavily;
+        // an anchor below the latest pop makes a push into the past.
+        let anchor = |i: usize| match i {
+            0 => 0,
+            1 => u64::MAX,
+            i => anchors[i - 2],
+        };
+        let mut c = Checked {
+            q: EventQueue::new(),
+            model: BTreeMap::new(),
+            pushed: 0,
+            now: 0,
+        };
+        for &(kind, i, step) in &ops {
+            match kind {
+                0..=2 => c.push_at(anchor(i).saturating_add(step)),
+                3..=4 => c.push_at(anchor(i).saturating_sub(step)),
+                // At or just after the latest pop, as the run loop pushes.
+                5 => c.push_at(c.now.saturating_add(step)),
+                _ => c.pop(),
             }
         }
         while !c.model.is_empty() {

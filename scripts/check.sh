@@ -60,10 +60,12 @@ step cargo test -q -p dcws-sim --test alloc_probe --test queue_proptest
 
 # Message cost: exact allocation counts for what the exclusive path
 # builds — a gossiped message, a ping answer, an idle tick, a warm home
-# 200, a 304, a 503, a co-op serve — flat in the group size. Constant
-# header names and values, shared rows and dates and the borrowed
-# request path cost nothing; a count that rises fails here.
-step cargo test -q -p dcws-core --test cost_probe
+# 200, a 304, a 503, a co-op serve — flat in the group size, and for
+# gossip received (a known peer's row costs nothing). Constant header
+# names and values, shared rows and dates and the borrowed request path
+# cost nothing; a count that rises fails here. gossip_equivalence holds
+# a row merged from the text `peek` read to what `decode` would merge.
+step cargo test -q -p dcws-core --test cost_probe --test gossip_equivalence
 
 # HTML scanner equivalence: extract_links and rewrite_links against the
 # tokenizer pipeline they replaced, kept verbatim as the oracle — every
